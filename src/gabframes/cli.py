@@ -30,7 +30,7 @@ from .experiments import (
 from .grid import Grid, GridFunction, l2_norm, write_csv
 from .janssen import janssen_apply, janssen_coefficients, wexler_raz_check
 from .operators import GaborSystem, apply_frame_direct, gabor_coefficients
-from .walnut import diagonal_correlation, operator_norm_upper_bound, tail_sum, walnut_apply
+from .walnut import diagonal_deviation, operator_norm_upper_bound, tail_sum, walnut_apply
 from .windows import WindowSpec, sample_window
 
 SCHEMA = "v1"
@@ -84,8 +84,7 @@ def _window_from(cfg: dict, key: str) -> WindowSpec:
 def _system_from(cfg: dict) -> GaborSystem:
     grid = _grid_from(cfg)
     g = sample_window(_window_from(cfg, "g"), grid)
-    gamma_spec = cfg.get("gamma")
-    gamma = sample_window(WindowSpec.from_json(gamma_spec), grid) if gamma_spec else g
+    gamma = sample_window(_window_from(cfg, "gamma"), grid) if cfg.get("gamma") else g
     for key in ("a", "b"):
         if key not in cfg:
             raise ConfigError(f"config is missing lattice parameter {key!r}")
@@ -126,7 +125,7 @@ def _fmt(x: float) -> str:
 
 
 def _cmd_norm(args) -> int:
-    spec = WindowSpec.from_json(_load_json(args.window))
+    spec = _window_from({"window": _load_json(args.window)}, "window")
     grid = Grid(args.half_extent, args.spacing, args.dim)
     f = sample_window(spec, grid)
     value = amalgam_norm(f, ExponentPair.of(args.p, args.q))
@@ -179,13 +178,12 @@ def _cmd_bounds(args) -> int:
     _require_schema(cfg, args.config)
     sys_ = _system_from(cfg)
     ts = tail_sum(sys_)
-    dev = float(np.abs(diagonal_correlation(sys_) - 1.0).max())
     payload = {
         "a": sys_.a,
         "b": sys_.b,
         "norm_bound": operator_norm_upper_bound(sys_),
         "tail_sum": ts.tail,
-        "diag_dev": dev,
+        "diag_dev": diagonal_deviation(sys_),
         "sup_sum": ts.sup_sum,
         "sup_sum_bound": ts.bound,
         "within_bound": ts.within_bound,
@@ -221,7 +219,7 @@ def _cmd_sweep(args) -> int:
     pairs = cfg.get("pairs")
     if not isinstance(pairs, list):
         raise ConfigError("sweep config needs a \"pairs\" list of [a, b]")
-    f_spec = WindowSpec.from_json(cfg["f"]) if "f" in cfg else None
+    f_spec = _window_from(cfg, "f") if "f" in cfg else None
     shift = cfg.get("f_shift")
     if shift is not None and np.isscalar(shift):
         shift = (float(shift),) * grid.dim

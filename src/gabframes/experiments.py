@@ -20,12 +20,12 @@ import numpy as np
 
 from .amalgam import Exponent, ExponentPair, amalgam_norm, pairing
 from .errors import ConfigError, ResolutionError
-from .grid import Grid, GridFunction, support_index_bounds, translate
+from .grid import Grid, GridFunction, fold_to_cell, support_index_bounds, translate
 from .operators import GaborSystem
 from .walnut import (
     correlation_family,
-    fold_to_cell,
     diagonal_correlation,
+    diagonal_deviation,
     operator_norm_upper_bound,
     periodic_extension,
     tail_sum,
@@ -199,7 +199,7 @@ def convergence_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
         sf = walnut_apply(f, sys, family)
         diff = sf - f
         err = amalgam_norm(diff, pq)
-        dev = float(np.abs(diagonal_correlation(sys) - 1.0).max())
+        dev = diagonal_deviation(sys)
         ts = tail_sum(sys, family)
         weak = max(abs(pairing(diff, h)) / hn for h, hn in duals)
         residue = _boundary_residue(sf, sys, pq)
@@ -256,7 +256,7 @@ def opnorm_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
         t0 = time.perf_counter()
         sys = GaborSystem(g, gamma, a, b)
         family = correlation_family(sys)
-        dev = float(np.abs(diagonal_correlation(sys) - 1.0).max())
+        dev = diagonal_deviation(sys)
         ts = tail_sum(sys, family)
         spread = ts.tail / abs(sys.pairing)
         return SweepRecord(

@@ -21,6 +21,7 @@ __all__ = [
     "l2_norm",
     "mt_commutation_phase",
     "support_index_bounds",
+    "fold_to_cell",
     "write_csv",
 ]
 
@@ -202,6 +203,31 @@ def shift_array(values: np.ndarray, steps) -> np.ndarray:
             dst.append(slice(0, n + s))
     out[tuple(dst)] = values[tuple(src)]
     return out
+
+
+def fold_to_cell(values: np.ndarray, cell_steps: int, origin_steps: int) -> np.ndarray:
+    """Sum samples into their residue slot modulo the cell, per axis.
+
+    Slot j of the result collects every sample whose index i satisfies
+    (i - origin_steps) % cell_steps == j, i.e. the lattice sum
+    sum_k v(x + a k) evaluated at the cell points x = j h in [0, a).
+    Axes are folded in order, each as a sequential sum over whole cells.
+    """
+    pad = [(0, -n % cell_steps) for n in values.shape]
+    out = np.pad(values, pad) if any(hi for _, hi in pad) else values
+    for ax in range(out.ndim):
+        out = out.reshape(out.shape[:ax] + (-1, cell_steps) + out.shape[ax + 1:]).sum(axis=ax)
+    return np.roll(out, -origin_steps, axis=tuple(range(out.ndim)))
+
+
+def _cell_spectrum(cell: np.ndarray, indices) -> np.ndarray:
+    """sum_j cell[j] exp(-2*pi*i <k, j>/p) for k in indices along every axis.
+
+    p is the cell side; frequencies alias with period p, so entry k is the
+    FFT bin k mod p.
+    """
+    bins = np.asarray(indices) % cell.shape[0]
+    return np.fft.fftn(cell)[np.ix_(*[bins] * cell.ndim)]
 
 
 def translate(f: GridFunction, t) -> GridFunction:

@@ -10,6 +10,12 @@ coefficients of the frame operator,
 absolutely convergent when sum |c[l, n]| < infinity.  Absolute summability
 can only be probed up to truncation, so the summability flag reported here
 is an explicit shell-decay heuristic, not a proof.
+
+On the grid both directions are exact cell transforms with the alias period
+p = a/h: column n of the coefficients is h^d times the FFT of the folded
+correlation cell G[n] at bins l mod p, and the truncated l-sum of a column
+is one inverse FFT back onto the cell.  The Janssen form is therefore the
+Walnut loop run on l-filtered correlation cells.
 """
 from __future__ import annotations
 
@@ -20,8 +26,9 @@ from itertools import product
 import numpy as np
 
 from .errors import DegenerateWindowPairError
-from .grid import Grid, GridFunction, shift_array
-from .operators import GaborSystem, _apply_axes
+from .grid import Grid, GridFunction, _cell_spectrum, fold_to_cell
+from .operators import GaborSystem
+from .walnut import _walnut_sum, correlation_fn
 
 __all__ = [
     "JanssenLattice",
@@ -70,14 +77,12 @@ class JanssenLattice:
     @property
     def outer_shell_mass(self) -> float:
         d = self.dim
-        mass = 0.0
-        full = math.fsum(float(v) for v in np.abs(self.entries).ravel())
         if self.ell_radius == 0 and self.n_radius == 0:
             return 0.0
+        full = math.fsum(float(v) for v in np.abs(self.entries).ravel())
         inner = self.entries[(slice(1, -1),) * d + (slice(1, -1),) * d] \
             if self.ell_radius > 0 and self.n_radius > 0 else np.zeros(0)
-        mass = full - math.fsum(float(v) for v in np.abs(inner).ravel())
-        return mass
+        return full - math.fsum(float(v) for v in np.abs(inner).ravel())
 
     def entry(self, l, n) -> complex:
         d = self.dim
@@ -91,39 +96,36 @@ class JanssenLattice:
         return complex(self.entries[idx])
 
 
-def _mod_phase_matrix(grid: Grid, a: float, ell_radius: int, sign: float) -> np.ndarray:
-    # Q[j, i] = exp(sign * 2*pi*i * l_j * x_i / a) for l_j = -L..L, one axis
-    x = grid.axis_coords()
-    ls = np.arange(-ell_radius, ell_radius + 1)
-    return np.exp(sign * 2j * np.pi / a * np.outer(ls, x))
-
-
 def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> JanssenLattice:
     """Compute c[l, n] = <gamma, M_{l/a} T_{n/b} g> over the given radii."""
     if ell_radius < 0 or n_radius < 0:
         raise ValueError("radii must be nonnegative")
     grid = sys.grid
     d = grid.dim
-    q_conj = _mod_phase_matrix(grid, sys.a, ell_radius, sign=-1.0)
+    ls = np.arange(-ell_radius, ell_radius + 1)
     shape = (2 * ell_radius + 1,) * d + (2 * n_radius + 1,) * d
     entries = np.zeros(shape, dtype=complex)
     for pos, n in zip(np.ndindex((2 * n_radius + 1,) * d),
                       product(range(-n_radius, n_radius + 1), repeat=d)):
-        gs = shift_array(sys.g.values, np.array(n) * sys.inv_b_steps)
-        if not gs.any():
-            continue
-        w = sys.gamma.values * np.conj(gs)
-        block = grid.cell_measure * _apply_axes(q_conj, w)
-        entries[(Ellipsis,) + pos] = block
+        cell = correlation_fn(sys, n)
+        entries[(Ellipsis,) + pos] = grid.cell_measure * _cell_spectrum(cell, ls)
     return JanssenLattice(entries, sys.a, sys.b, grid, ell_radius, n_radius)
+
+
+def _column_cell(lattice: JanssenLattice, n: tuple[int, ...], p: int) -> np.ndarray:
+    # sum_l c[l, n] exp(2 pi i <l, j>/p) at the cell points j in [0, p)^d;
+    # the fold adds every aliased l into its bin l mod p
+    col = lattice.entries[(Ellipsis,) + tuple(v + lattice.n_radius for v in n)]
+    return p ** lattice.dim * np.fft.ifftn(fold_to_cell(col, p, lattice.ell_radius))
 
 
 def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
     """Apply the truncated dual-lattice expansion of the frame operator.
 
     out = (1 / c[0,0]) sum_{l,n} c[l, n] * exp(2 pi i <l, x>/a) * f(x - n/b);
-    terms are reduced in sorted (l, n) order.  Time shifts n/b must be
-    commensurate with the grid of f.
+    for each n the l-sum is one inverse FFT onto the cell [0, a)^d, and the
+    Walnut loop reduces these filtered cells in sorted n order.  Time shifts
+    n/b must be commensurate with the grid of f.
 
     On the grid the modulation index l aliases with period a/h per axis
     (frequencies l/a and l/a + 1/h sample identically), so an l range
@@ -138,16 +140,10 @@ def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
     if grid.dim != d:
         raise ValueError(f"lattice dimension {d} does not match grid dimension {grid.dim}")
     ibs = grid.steps_scalar(1.0 / lattice.b)
-    q_syn = _mod_phase_matrix(grid, lattice.a, lattice.ell_radius, sign=+1.0)
-    out = np.zeros(grid.shape, dtype=complex)
-    for pos, n in zip(np.ndindex((2 * lattice.n_radius + 1,) * d),
-                      product(range(-lattice.n_radius, lattice.n_radius + 1), repeat=d)):
-        col = lattice.entries[(Ellipsis,) + pos]
-        if not col.any():
-            continue
-        synth = _apply_axes(q_syn.T.copy(), col)
-        out += synth * shift_array(f.values, np.array(n) * ibs)
-    return GridFunction(grid, out / nrm)
+    p = grid.steps_scalar(lattice.a)
+    cells = {n: _column_cell(lattice, n, p)
+             for n in product(range(-lattice.n_radius, lattice.n_radius + 1), repeat=d)}
+    return GridFunction(grid, _walnut_sum(f, cells, ibs) / nrm)
 
 
 def fourier_reconstruct_correlation(lattice: JanssenLattice, n) -> np.ndarray:
@@ -160,15 +156,10 @@ def fourier_reconstruct_correlation(lattice: JanssenLattice, n) -> np.ndarray:
     n = (int(n),) if np.isscalar(n) else tuple(int(v) for v in n)
     if len(n) != d:
         raise IndexError(f"row index must have {d} components")
-    pos = tuple(v + lattice.n_radius for v in n)
-    if any(not 0 <= i < 2 * lattice.n_radius + 1 for i in pos):
+    if any(abs(v) > lattice.n_radius for v in n):
         raise IndexError(f"row n={n} outside stored radius {lattice.n_radius}")
-    col = lattice.entries[(Ellipsis,) + pos]
     p = lattice.grid.steps_scalar(lattice.a)
-    xs = np.arange(p) * lattice.grid.spacing
-    ls = np.arange(-lattice.ell_radius, lattice.ell_radius + 1)
-    q = np.exp(2j * np.pi / lattice.a * np.outer(xs, ls))  # (p, 2L+1)
-    return lattice.a ** (-d) * _apply_axes(q, col)
+    return lattice.a ** (-d) * _column_cell(lattice, n, p)
 
 
 @dataclass
@@ -189,15 +180,9 @@ def condition_a_prime(sys: GaborSystem, max_shell: int,
                       shell_fraction: float = 1e-6) -> ConditionAPrime:
     """Probe absolute summability of the dual-lattice coefficients by shells."""
     lattice = janssen_coefficients(sys, max_shell, max_shell)
-    d = lattice.dim
     mags = np.abs(lattice.entries)
-    shells = [[] for _ in range(max_shell + 1)]
-    for idx in np.ndindex(mags.shape):
-        l = tuple(i - max_shell for i in idx[:d])
-        n = tuple(i - max_shell for i in idx[d:])
-        s = max(max(abs(v) for v in l), max(abs(v) for v in n))
-        shells[s].append(float(mags[idx]))
-    shell_sums = [math.fsum(vals) for vals in shells]
+    shell = np.abs(np.indices(mags.shape) - max_shell).max(axis=0)
+    shell_sums = [math.fsum(mags[shell == s].tolist()) for s in range(max_shell + 1)]
     partial = np.cumsum(shell_sums)
     total = partial[-1]
     ok = total > 0 and shell_sums[-1] < shell_fraction * total

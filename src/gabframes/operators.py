@@ -11,6 +11,11 @@ m b and m b + 1/h are indistinguishable on samples.  One full period of
 frequency indices therefore covers the grid's Nyquist band exactly and the
 default truncation uses it; a smaller symmetric radius is allowed, with the
 omitted residues as the quantified tail.
+
+The same periodicity turns every frequency sum into one exact kernel: fold
+the product f * conj(T_{na} g) into a cell of side r and take its FFT, so
+coefficient m is bin m mod r.  gabor_coefficients uses that kernel; the
+direct operator deliberately does not, so it stays an independent oracle.
 """
 from __future__ import annotations
 
@@ -23,6 +28,9 @@ from .errors import DegenerateWindowPairError
 from .grid import (
     Grid,
     GridFunction,
+    _cell_spectrum,
+    _phase,
+    fold_to_cell,
     inner_product,
     l2_norm,
     shift_array,
@@ -189,7 +197,6 @@ def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> CoefficientLattice:
     """All coefficients <f, tau(na, mb) g> over the system's truncation."""
     grid = sys.grid
     d = grid.dim
-    p_conj = np.conj(_freq_phase_matrix(grid, sys.b, sys.freq_indices))
     n_count = len(sys.time_indices)
     m_count = len(sys.freq_indices)
     entries = np.zeros((n_count,) * d + (m_count,) * d, dtype=complex)
@@ -197,8 +204,8 @@ def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> CoefficientLattice:
         gs = shift_array(sys.g.values, np.array(n) * sys.a_steps)
         if not gs.any():
             continue
-        u = f.values * np.conj(gs)
-        entries[pos] = grid.cell_measure * _apply_axes(p_conj, u)
+        cell = fold_to_cell(f.values * np.conj(gs), sys.inv_b_steps, grid.half_extent_steps)
+        entries[pos] = grid.cell_measure * _cell_spectrum(cell, sys.freq_indices)
     return CoefficientLattice(entries, sys.a, sys.b,
                               np.array(sys.time_indices), np.array(sys.freq_indices))
 
@@ -298,15 +305,6 @@ def reconstruct_integral(f: GridFunction, g: GridFunction, gamma: GridFunction,
         hi = (fhi - glo) // dt_steps
         t_ranges.append(range(int(lo), int(hi) + 1))
 
-    def phase(omega_vec):
-        x = grid.axis_coords()
-        out = np.ones((), dtype=complex)
-        for ax in range(d):
-            shape = [1] * d
-            shape[ax] = grid.samples_per_axis
-            out = out * np.exp(2j * np.pi * omega_vec[ax] * x).reshape(shape)
-        return out
-
     def shell_accumulate(k_shell, acc):
         # adds every (t, w) with max_j |w_j/dw| == k_shell; returns shell max |coef|
         shell_max = 0.0
@@ -314,7 +312,7 @@ def reconstruct_integral(f: GridFunction, g: GridFunction, gamma: GridFunction,
             if max(abs(w) for w in widx) != k_shell:
                 continue
             om = np.array(widx, dtype=float) * dw
-            ph = phase(om)
+            ph = _phase(grid, om)
             for tidx in product(*t_ranges):
                 steps = np.array(tidx, dtype=int) * dt_steps
                 gs = shift_array(g.values, steps)

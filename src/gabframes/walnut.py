@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .amalgam import wiener_norm
-from .grid import Grid, GridFunction, shift_array, support_index_bounds
+from .grid import Grid, GridFunction, fold_to_cell, shift_array, support_index_bounds
 from .operators import GaborSystem
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "correlation_fn",
     "correlation_family",
     "diagonal_correlation",
+    "diagonal_deviation",
     "periodic_extension",
     "walnut_apply",
     "apply_diagonal_defect",
@@ -43,23 +44,6 @@ __all__ = [
     "tail_sum",
     "fold_to_cell",
 ]
-
-
-def fold_to_cell(values: np.ndarray, cell_steps: int, origin_steps: int) -> np.ndarray:
-    """Sum samples into their residue slot modulo the cell, per axis.
-
-    Slot j of the result collects every sample whose index i satisfies
-    (i - origin_steps) % cell_steps == j, i.e. the lattice sum
-    sum_k v(x + a k) evaluated at the cell points x = j h in [0, a).
-    """
-    out = values
-    for ax in range(values.ndim):
-        idx = (np.arange(out.shape[ax]) - origin_steps) % cell_steps
-        moved = np.moveaxis(out, ax, 0)
-        acc = np.zeros((cell_steps,) + moved.shape[1:], dtype=out.dtype)
-        np.add.at(acc, idx, moved)
-        out = np.moveaxis(acc, 0, ax)
-    return out
 
 
 def periodic_extension(cell: np.ndarray, grid: Grid) -> np.ndarray:
@@ -144,6 +128,24 @@ def diagonal_correlation(sys: GaborSystem) -> np.ndarray:
     return (sys.a ** d / sys.pairing) * correlation_fn(sys, (0,) * d)
 
 
+def diagonal_deviation(sys: GaborSystem) -> float:
+    """max |diagonal_correlation - 1| over the cell: the multiplier part of ||S - I||."""
+    return float(np.abs(diagonal_correlation(sys) - 1.0).max())
+
+
+def _walnut_sum(f: GridFunction, cells: dict[tuple[int, ...], np.ndarray],
+                inv_b_steps: int) -> np.ndarray:
+    # sum_n ext(cells[n]) * f(. - n/b), reduced in sorted n order
+    out = np.zeros(f.grid.shape, dtype=complex)
+    for n in sorted(cells):
+        cell = cells[n]
+        if not cell.any():
+            continue
+        shifted = shift_array(f.values, np.array(n) * inv_b_steps)
+        out += periodic_extension(cell, f.grid) * shifted
+    return out
+
+
 def walnut_apply(f: GridFunction, sys: GaborSystem,
                  family: CorrelationFamily | None = None) -> GridFunction:
     """Apply the frame operator in its multiplication-and-shift form.
@@ -153,16 +155,8 @@ def walnut_apply(f: GridFunction, sys: GaborSystem,
     """
     if family is None:
         family = correlation_family(sys)
-    grid = sys.grid
-    scale = sys.a ** grid.dim / sys.pairing
-    out = np.zeros(grid.shape, dtype=complex)
-    for n in sorted(family.members):
-        cell = family.members[n]
-        if not cell.any():
-            continue
-        shifted = shift_array(f.values, np.array(n) * sys.inv_b_steps)
-        out += periodic_extension(cell, grid) * shifted
-    return GridFunction(grid, scale * out)
+    scale = sys.a ** sys.grid.dim / sys.pairing
+    return GridFunction(sys.grid, scale * _walnut_sum(f, family.members, sys.inv_b_steps))
 
 
 def apply_diagonal_defect(f: GridFunction, sys: GaborSystem) -> GridFunction:
@@ -179,19 +173,17 @@ def apply_remainder(f: GridFunction, sys: GaborSystem,
     """
     if family is None:
         family = correlation_family(sys)
-    grid = sys.grid
-    zero = (0,) * grid.dim
-    scale = sys.a ** grid.dim / sys.pairing
-    out = np.zeros(grid.shape, dtype=complex)
-    for n in sorted(family.members):
-        if n == zero:
-            continue
-        cell = family.members[n]
-        if not cell.any():
-            continue
-        shifted = shift_array(f.values, np.array(n) * sys.inv_b_steps)
-        out += periodic_extension(cell, grid) * shifted
-    return GridFunction(grid, scale * out)
+    zero = (0,) * sys.grid.dim
+    off = {n: cell for n, cell in family.members.items() if n != zero}
+    return walnut_apply(f, sys, CorrelationFamily(sys, off))
+
+
+def _walnut_constant(sys: GaborSystem, scale: float = 1.0) -> float:
+    # scale * (1 + 1/a)^d (2 + 2b)^d ||g||_W ||gamma||_W; scale leads so that
+    # each caller's product keeps its left-to-right order, and its bits
+    d = sys.grid.dim
+    return (scale * (1.0 + 1.0 / sys.a) ** d * (2.0 + 2.0 * sys.b) ** d
+            * wiener_norm(sys.g) * wiener_norm(sys.gamma))
 
 
 def operator_norm_upper_bound(sys: GaborSystem, pq=None) -> float:
@@ -201,14 +193,7 @@ def operator_norm_upper_bound(sys: GaborSystem, pq=None) -> float:
 
     The pq argument is accepted for interface symmetry and ignored.
     """
-    d = sys.grid.dim
-    return (
-        sys.a ** d / abs(sys.pairing)
-        * (1.0 + 1.0 / sys.a) ** d
-        * (2.0 + 2.0 * sys.b) ** d
-        * wiener_norm(sys.g)
-        * wiener_norm(sys.gamma)
-    )
+    return _walnut_constant(sys, sys.a ** sys.grid.dim / abs(sys.pairing))
 
 
 @dataclass
@@ -254,6 +239,5 @@ def tail_sum(sys: GaborSystem, family: CorrelationFamily | None = None) -> TailS
             for n, cell in family.members.items()}
     tail = math.fsum(sys.a ** d * s for n, s in sorted(sups.items()) if n != zero)
     sup_total = math.fsum(s for _, s in sorted(sups.items()))
-    bound = ((1.0 + 1.0 / sys.a) ** d * (2.0 + 2.0 * sys.b) ** d
-             * wiener_norm(sys.g) * wiener_norm(sys.gamma))
+    bound = _walnut_constant(sys)
     return TailSum(tail, sup_total, bound, sup_total <= bound * (1.0 + 1e-12))

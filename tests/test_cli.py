@@ -232,5 +232,45 @@ class TestSelftest:
         assert all(rec["passed"] for rec in lines)
 
 
+class TestMalformedWindowSpec:
+    """Every window spec is validated into a typed ConfigError, never a traceback."""
+
+    BAD = {"family": "gaussian", "sigma": "x", "radius": 3}
+
+    def assert_config_error(self, capsys, *argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert json.loads(err)["error"] == "ConfigError"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("stft", "--config"), ("apply", "--config"), ("bounds", "--config"),
+        ("wexler-raz", "--system")])
+    def test_gamma_in_system_config(self, capsys, tmp_path, command, flag):
+        cfg = write_json(tmp_path / "sys.json", {
+            "schema": "v1",
+            "grid": {"half_extent": 4.0, "spacing": 1 / 32},
+            "g": {"family": "indicator_cube", "side": 1.0},
+            "gamma": self.BAD,
+            "a": 0.5, "b": 0.5,
+            "f": {"family": "bspline", "order": 2},
+        })
+        self.assert_config_error(capsys, command, flag, cfg)
+
+    def test_f_in_sweep_config(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "sweep.json", {
+            "schema": "v1", "kind": "convergence",
+            "grid": {"half_extent": 64.0, "spacing": 1 / 32},
+            "g": {"family": "bspline", "order": 2},
+            "f": self.BAD,
+            "pairs": [[0.5, 0.5], [0.25, 0.25]],
+        })
+        self.assert_config_error(capsys, "sweep", "--config", cfg)
+
+    def test_norm_window_file(self, capsys, tmp_path):
+        spec = write_json(tmp_path / "w.json", self.BAD)
+        self.assert_config_error(capsys, "norm", "--window", spec)
+
+
 def test_unknown_command_exits_one(capsys):
     assert main(["frobnicate"]) == 1

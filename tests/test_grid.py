@@ -13,6 +13,8 @@ from gabframes import (
     tf_shift,
     translate,
 )
+from gabframes import grid as grid_module, walnut
+from gabframes.grid import fold_to_cell
 from conftest import random_interior
 
 
@@ -151,3 +153,33 @@ class TestTwoDimensional:
         assert np.array_equal(back.values, f.values)
         out = tf_shift(f, [0.25, 0.5], [1.0, -2.0])
         assert l2_norm(out) == pytest.approx(l2_norm(f), rel=1e-13)
+
+
+def add_at_fold(values, cell_steps, origin_steps):
+    """Reference fold: scatter each sample into slot (i - origin) % cell with np.add.at."""
+    out = values
+    for ax in range(values.ndim):
+        idx = (np.arange(out.shape[ax]) - origin_steps) % cell_steps
+        moved = np.moveaxis(out, ax, 0)
+        acc = np.zeros((cell_steps,) + moved.shape[1:], dtype=out.dtype)
+        np.add.at(acc, idx, moved)
+        out = np.moveaxis(acc, 0, ax)
+    return out
+
+
+class TestFoldToCell:
+    # cells that do not divide the length (3, 4 and 5 against 10 or 12, and
+    # 16 > 10) take the padding branch; the origins are nonzero and signed
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("length,cell,origin", [
+        (10, 3, 4), (10, 4, -7), (12, 5, 6), (10, 16, 13), (12, 4, 5)])
+    def test_matches_scatter_reference(self, dim, length, cell, origin):
+        rng = np.random.default_rng(length * 100 + cell * 10 + dim)
+        v = rng.standard_normal((length,) * dim) + 1j * rng.standard_normal((length,) * dim)
+        got = fold_to_cell(v, cell, origin)
+        want = add_at_fold(v, cell, origin)
+        assert got.shape == (cell,) * dim
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_walnut_reexports_the_grid_kernel(self):
+        assert walnut.fold_to_cell is grid_module.fold_to_cell

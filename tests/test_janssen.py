@@ -6,7 +6,9 @@ import pytest
 from gabframes import (
     DegenerateWindowPairError,
     GaborSystem,
+    Grid,
     GridFunction,
+    WindowSpec,
     amalgam_norm,
     condition_a_prime,
     correlation_fn,
@@ -20,6 +22,7 @@ from gabframes import (
     walnut_apply,
     wexler_raz_check,
     inner_product,
+    sample_window,
 )
 from gabframes.walnut import correlation_member_range
 from conftest import random_interior
@@ -69,6 +72,32 @@ class TestCoefficients:
         lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 4, 4)
         assert lat.outer_shell_mass >= 0
         assert lat.outer_shell_mass < 1e-10  # gaussian decay
+
+
+class TestCoefficientKernel:
+    """janssen_coefficients (cell FFT of G[n]) against <gamma, M_{l/a} T_{n/b} g>."""
+
+    @staticmethod
+    def assert_matches_definition(sys, ell_radius, n_radius):
+        lat = janssen_coefficients(sys, ell_radius, n_radius)
+        d = sys.grid.dim
+        tol = 1e-12 * np.abs(lat.entries).max()
+        for pos in np.ndindex(lat.entries.shape):
+            l = np.array(pos[:d]) - ell_radius
+            n = np.array(pos[d:]) - n_radius
+            want = inner_product(sys.gamma, modulate(translate(sys.g, n / sys.b), l / sys.a))
+            assert abs(lat.entries[pos] - want) <= tol, (l, n)
+
+    def test_one_dimensional_past_the_alias_midpoint(self, gauss, hat):
+        # a/h = 16, so |l| = 8..10 reaches the aliased half of the period
+        self.assert_matches_definition(GaborSystem(gauss, hat, 0.5, 0.5), 10, 3)
+
+    def test_two_dimensional_aliased(self):
+        grid2 = Grid(1.0, 1 / 8, dim=2)
+        g2 = sample_window(WindowSpec.gaussian(0.5, 0.75), grid2)
+        chi2 = sample_window(WindowSpec.indicator_cube(1.0), grid2)
+        # a/h = 4: l = 2, 3 alias onto -2, -1
+        self.assert_matches_definition(GaborSystem(g2, chi2, 0.5, 1.0), 3, 1)
 
 
 class TestConditionAPrime:

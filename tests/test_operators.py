@@ -91,6 +91,36 @@ class TestCoefficients:
         assert total == pytest.approx(bound * l2_norm(interior_f) ** 2, rel=1e-10)
 
 
+class TestCoefficientKernel:
+    """gabor_coefficients (fold, then FFT) against the STFT definition, entry by entry."""
+
+    @staticmethod
+    def assert_matches_stft(f, sys):
+        lat = gabor_coefficients(f, sys)
+        d = sys.grid.dim
+        tol = 1e-12 * np.abs(lat.entries).max()
+        for pos in np.ndindex(lat.entries.shape):
+            n = lat.time_indices[list(pos[:d])]
+            m = lat.freq_indices[list(pos[d:])]
+            want = stft(f, sys.g, n * sys.a, m * sys.b)
+            assert abs(lat.entries[pos] - want) <= tol, (n, m)
+
+    def test_one_dimensional_full_period(self, grid, gauss):
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
+        self.assert_matches_stft(random_interior(grid, seed=41), sys)
+
+    def test_explicit_freq_radius_with_period_beyond_grid(self, grid, gauss):
+        # r = 1/(b h) = 512 exceeds the 256 samples, so the fold pads
+        sys = GaborSystem(gauss, gauss, 0.5, 1 / 16, freq_radius=20)
+        self.assert_matches_stft(random_interior(grid, seed=42), sys)
+
+    def test_two_dimensional(self):
+        grid2 = Grid(1.0, 1 / 8, dim=2)
+        g2 = sample_window(WindowSpec.gaussian(0.5, 0.75), grid2)
+        f2 = random_interior(grid2, seed=43, envelope_sigma=0.5, envelope_radius=0.75)
+        self.assert_matches_stft(f2, GaborSystem(g2, g2, 0.5, 1.0))
+
+
 class TestDirectOperator:
     def test_zero_in_zero_out(self, grid, chi):
         sys = GaborSystem(chi, chi, 0.25, 0.5)
