@@ -5,8 +5,8 @@ selftest.  Configs are JSON with a top-level {"schema": "v1"}; bulk numbers
 go to CSV (17 significant digits), scalar summaries to JSON.  Exit codes:
 0 success, 1 validation error, 2 numerical-contract violation; failures
 write a machine-readable JSON object to stderr.  Outputs are deterministic
-for a fixed config and seed; timestamps live in a sidecar .meta.json next to
---out files, never in the data itself.
+for a fixed config and seed; timestamps and per-pair sweep timings live in a
+sidecar .meta.json next to --out files, never in the data itself.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .experiments import (
     counterexample_run,
     opnorm_sweep,
 )
-from .grid import Grid, GridFunction, l2_norm, write_csv
+from .grid import Grid, GridFunction, _write_table, l2_norm, write_csv
 from .janssen import janssen_apply, janssen_coefficients, wexler_raz_check
 from .operators import GaborSystem, apply_frame_direct, gabor_coefficients
 from .walnut import diagonal_deviation, operator_norm_upper_bound, tail_sum, walnut_apply
@@ -105,19 +105,17 @@ def _f_from(cfg: dict, grid: Grid) -> GridFunction:
     return f
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, meta: dict | None = None) -> None:
+    """Write text to out_path plus a .meta.json sidecar (tool, timestamp, meta), or to stdout."""
     if out_path:
         with open(out_path, "w") as fp:
             fp.write(text)
         with open(out_path + ".meta.json", "w") as fp:
-            json.dump({"tool": f"gabframes {__version__}", "written_at": time.time()}, fp)
+            json.dump({"tool": f"gabframes {__version__}", "written_at": time.time(),
+                       **(meta or {})}, fp)
             fp.write("\n")
     else:
         sys.stdout.write(text)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +137,15 @@ def _cmd_stft(args) -> int:
     sys_ = _system_from(cfg)
     f = _f_from(cfg, sys_.grid)
     lat = gabor_coefficients(f, sys_)
-    buf = io.StringIO()
     d = sys_.grid.dim
-    if d == 1:
-        buf.write("n,m,re,im\n")
-    else:
-        buf.write(",".join([f"n_{j+1}" for j in range(d)] + [f"m_{j+1}" for j in range(d)])
-                  + ",re,im\n")
-    for pos in np.ndindex(lat.entries.shape):
-        labels = [str(lat.time_indices[i]) for i in pos[:d]]
-        labels += [str(lat.freq_indices[i]) for i in pos[d:]]
-        v = lat.entries[pos]
-        buf.write(",".join(labels) + f",{_fmt(v.real)},{_fmt(v.imag)}\n")
+    names = ["n", "m"] if d == 1 else (
+        [f"n_{j+1}" for j in range(d)] + [f"m_{j+1}" for j in range(d)])
+    pos = np.indices(lat.entries.shape).reshape(2 * d, -1)
+    labels = [lat.time_indices[i] for i in pos[:d]] + [lat.freq_indices[i] for i in pos[d:]]
+    v = lat.entries.reshape(-1)
+    buf = io.StringIO()
+    _write_table(buf, names + ["re", "im"], labels + [v.real, v.imag],
+                 ["%d"] * (2 * d) + ["%.17g"] * 2)
     _emit(buf.getvalue(), args.out)
     return 0
 
@@ -197,14 +192,14 @@ def _cmd_bounds(args) -> int:
 
 def _sweep_csv(report) -> str:
     cols = ["a", "b", "err_f", "diag_dev", "tail", "norm_bound", "weakstar",
-            "proxy_upper", "proxy_lower", "residue", "wall_time"]
+            "proxy_upper", "proxy_lower", "residue"]
     buf = io.StringIO()
     buf.write(",".join(cols) + "\n")
     for r in report.records:
         row = []
         for c in cols:
             v = getattr(r, c)
-            row.append("" if v is None else _fmt(v))
+            row.append("" if v is None else f"{v:.17g}")
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
 
@@ -234,7 +229,8 @@ def _cmd_sweep(args) -> int:
     )
     report = (convergence_sweep if kind == "convergence" else opnorm_sweep)(
         schedule, threads=args.threads)
-    _emit(_sweep_csv(report), args.out)
+    _emit(_sweep_csv(report), args.out,
+          {"wall_time": [r.wall_time for r in report.records]})
     summary = {"passed": report.passed, "trend_ratio": report.trend_ratio,
                "monotone": report.monotone}
     sys.stdout.write(json.dumps(summary) + "\n")
@@ -263,12 +259,10 @@ def _cmd_counterexample(args) -> int:
     if not depths:
         raise ConfigError("--depths must list at least one depth, e.g. 1,2,3")
     report = counterexample_run(depths, q=args.q, threads=args.threads)
+    cols = ["depth", "spacing", "witness_a", "witness_norm", "contrast_a", "contrast_norm"]
     buf = io.StringIO()
-    buf.write("depth,spacing,witness_a,witness_norm,contrast_a,contrast_norm\n")
-    for r in report.records:
-        buf.write(",".join([str(r.depth), _fmt(r.spacing), _fmt(r.witness_a),
-                            _fmt(r.witness_norm), _fmt(r.contrast_a),
-                            _fmt(r.contrast_norm)]) + "\n")
+    _write_table(buf, cols, [[getattr(r, c) for r in report.records] for c in cols],
+                 ["%d"] + ["%.17g"] * 5)
     _emit(buf.getvalue(), args.out)
     sys.stdout.write(json.dumps({"passed": report.passed}) + "\n")
     if not report.passed:
@@ -384,7 +378,7 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         sys.stderr.write(json.dumps({"error": "contract", "message": str(exc)}) + "\n")
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1
 

@@ -4,6 +4,10 @@ Functions live on a uniform grid over the half-open box [-T, T)^d and are
 implicitly zero outside it (compact support, no wraparound).  All time shifts
 are integer multiples of the spacing h and are performed by exact sample
 relocation; modulations are exact at any frequency.
+
+Dense numeric tables (grid samples here, coefficient lattices and witness
+tables in the CLI) are written by one CSV writer that formats a chunk of
+rows per string-formatting call, with 17 significant digits per value.
 """
 from __future__ import annotations
 
@@ -27,6 +31,9 @@ __all__ = [
 
 # relative tolerance when snapping nearly-integer ratios to integers
 _SNAP = 1e-9
+
+# rows formatted per string-formatting call in _write_table
+_CSV_CHUNK = 4096
 
 
 def _snap_int(x: float, what: str) -> int:
@@ -300,13 +307,33 @@ def support_index_bounds(f: GridFunction) -> list[tuple[int, int]] | None:
     return bounds
 
 
+def _write_table(fp, names, columns, codes) -> None:
+    """Write equal-length 1-D columns as CSV under a header of ``names``.
+
+    ``codes`` holds one printf code per column (``%d`` for indices,
+    ``%.17g`` for values).  Each chunk of _CSV_CHUNK rows is formatted by a
+    single ``%`` call on Python scalars, which gives the same text as
+    ``str(int)`` and ``f"{x:.17g}"`` row by row.
+    """
+    fp.write(",".join(names) + "\n")
+    row = ",".join(codes) + "\n"
+    n = len(columns[0])
+    for start in range(0, n, _CSV_CHUNK):
+        block = np.empty((min(_CSV_CHUNK, n - start), len(columns)), dtype=object)
+        for j, col in enumerate(columns):
+            block[:, j] = col[start:start + len(block)]
+        fp.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_csv(f: GridFunction, fp) -> None:
-    """Write samples as CSV with columns x_1..x_d, re, im (17 significant digits)."""
+    """Write samples as CSV with columns x_1..x_d, re, im.
+
+    One row per grid point in C order (the last axis varies fastest); every
+    value carries 17 significant digits, so it reads back exactly.
+    """
     d = f.grid.dim
-    header = ",".join(f"x_{j + 1}" for j in range(d)) + ",re,im\n"
-    fp.write(header)
     x = f.grid.axis_coords()
     flat = f.values.reshape(-1)
-    for k, idx in enumerate(np.ndindex(f.grid.shape)):
-        coords = ",".join(f"{x[i]:.17g}" for i in idx)
-        fp.write(f"{coords},{flat[k].real:.17g},{flat[k].imag:.17g}\n")
+    _write_table(fp, [f"x_{j + 1}" for j in range(d)] + ["re", "im"],
+                 [x[i] for i in np.indices(f.grid.shape).reshape(d, -1)] + [flat.real, flat.imag],
+                 ["%.17g"] * (d + 2))

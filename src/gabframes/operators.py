@@ -36,7 +36,6 @@ from .grid import (
     shift_array,
     support_index_bounds,
     tf_shift,
-    translate,
 )
 
 __all__ = [

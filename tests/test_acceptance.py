@@ -14,7 +14,6 @@ from gabframes import (
     ExponentPair,
     GaborSystem,
     Grid,
-    GridFunction,
     SweepSchedule,
     amalgam_norm,
     apply_frame_direct,

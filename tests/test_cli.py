@@ -3,6 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from gabframes import (
+    GaborSystem,
+    Grid,
+    WindowSpec,
+    gabor_coefficients,
+    sample_window,
+    translate,
+)
 from gabframes.cli import main
 
 
@@ -118,6 +126,29 @@ class TestStft:
         assert len(m_vals) == 64
         assert max(n_vals) >= 16
 
+    def test_2d_lattice_matches_per_entry_formatting(self, tmp_path):
+        cfg = write_json(tmp_path / "sys2d.json", {
+            "schema": "v1",
+            "grid": {"half_extent": 1.0, "spacing": 1 / 16, "dim": 2},
+            "g": {"family": "gaussian", "sigma": 0.3, "radius": 0.5},
+            "a": 0.5, "b": 1.0,
+            "f": {"family": "bspline", "order": 2},
+            "f_shift": -0.5,
+        })
+        out = tmp_path / "lattice.csv"
+        assert main(["stft", "--config", cfg, "--out", str(out)]) == 0
+        grid = Grid(1.0, 1 / 16, dim=2)
+        g = sample_window(WindowSpec.gaussian(0.3, 0.5), grid)
+        f = translate(sample_window(WindowSpec.bspline(2), grid), [-0.5, -0.5])
+        lat = gabor_coefficients(f, GaborSystem(g, g, 0.5, 1.0))
+        want = ["n_1,n_2,m_1,m_2,re,im\n"]
+        for pos in np.ndindex(lat.entries.shape):
+            labels = [str(lat.time_indices[i]) for i in pos[:2]]
+            labels += [str(lat.freq_indices[i]) for i in pos[2:]]
+            v = lat.entries[pos]
+            want.append(",".join(labels) + f",{v.real:.17g},{v.imag:.17g}\n")
+        assert out.read_text() == "".join(want)
+
 
 class TestBounds:
     def test_payload(self, capsys, apply_config):
@@ -166,15 +197,19 @@ class TestSweep:
         csv1, csv8 = tmp_path / "t1.csv", tmp_path / "t8.csv"
         assert main(["sweep", "--config", cfg, "--threads", "1", "--out", str(csv1)]) == 0
         assert main(["sweep", "--config", cfg, "--threads", "8", "--out", str(csv8)]) == 0
-        rows1 = [line.split(",") for line in csv1.read_text().splitlines()[1:]]
-        rows8 = [line.split(",") for line in csv8.read_text().splitlines()[1:]]
-        header = csv1.read_text().splitlines()[0].split(",")
-        skip = header.index("wall_time")
-        for r1, r8 in zip(rows1, rows8):
-            for i, (v1, v8) in enumerate(zip(r1, r8)):
-                if i == skip or v1 == "":
-                    continue
-                assert abs(float(v1) - float(v8)) <= 1e-12
+        assert csv1.read_bytes() == csv8.read_bytes()
+
+    def test_reruns_are_byte_identical(self, capsys, tmp_path):
+        cfg = self.sweep_config(tmp_path, [[2.0 ** -j, 2.0 ** -j] for j in range(1, 4)])
+        csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(csv_a)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(csv_b)]) == 0
+        assert csv_a.read_bytes() == csv_b.read_bytes()
+        assert "wall_time" not in csv_a.read_text().splitlines()[0]
+        # per-pair timings live in the sidecar, one per pair
+        meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+        assert len(meta["wall_time"]) == 3
+        assert all(t >= 0 for t in meta["wall_time"])
 
 
 class TestWexlerRazCommand:
@@ -270,6 +305,17 @@ class TestMalformedWindowSpec:
     def test_norm_window_file(self, capsys, tmp_path):
         spec = write_json(tmp_path / "w.json", self.BAD)
         self.assert_config_error(capsys, "norm", "--window", spec)
+
+
+def test_memory_error_is_a_json_error(capsys, monkeypatch, apply_config):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate the frame operator")
+
+    monkeypatch.setattr("gabframes.cli.walnut_apply", exhausted)
+    code, _, err = run_cli(capsys, "apply", "--config", apply_config, "--method", "walnut")
+    assert code == 1
+    assert json.loads(err) == {"error": "MemoryError",
+                               "message": "cannot allocate the frame operator"}
 
 
 def test_unknown_command_exits_one(capsys):

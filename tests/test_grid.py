@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,48 @@ class TestFoldToCell:
 
     def test_walnut_reexports_the_grid_kernel(self):
         assert walnut.fold_to_cell is grid_module.fold_to_cell
+
+
+CHUNK = grid_module._CSV_CHUNK
+# signed zero, the smallest subnormal, a 17-digit repeating value, an
+# integer-valued float past 2**53 and both infinities
+SPECIAL = [-0.0, 5e-324, 1 / 3, 2.5e16, np.inf, -np.inf]
+
+
+class TestCsvWriter:
+    """The chunked writer gives the bytes of per-row f-string formatting."""
+
+    @pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK])
+    def test_table_rows(self, rows):
+        rng = np.random.default_rng(rows)
+        labels = np.arange(rows) - rows // 2
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        values[:len(SPECIAL)] = SPECIAL
+        buf = io.StringIO()
+        grid_module._write_table(buf, ["n", "m", "v"], [labels, -labels, values],
+                                 ["%d", "%d", "%.17g"])
+        want = "n,m,v\n" + "".join(f"{n},{-n},{v:.17g}\n" for n, v in zip(labels, values))
+        assert buf.getvalue() == want
+
+    @pytest.mark.parametrize("grid", [
+        Grid(4.0, 1 / 32),            # 256 rows, less than one chunk
+        Grid(2049 / 32, 1 / 32),      # 4098 rows, a chunk and two
+        Grid(1.0, 1 / 32, dim=2),     # 64 x 64 rows, exactly one chunk
+        Grid(1.5, 1 / 32, dim=2),     # 96 x 96 rows, two chunks and a part
+    ], ids=repr)
+    def test_write_csv(self, grid):
+        rng = np.random.default_rng(grid.size)
+        values = np.empty(grid.size, dtype=complex)
+        values.real = rng.standard_normal(grid.size)
+        values.imag = rng.standard_normal(grid.size)
+        values.real[:len(SPECIAL)] = SPECIAL
+        values.imag[-len(SPECIAL):] = SPECIAL
+        f = GridFunction(grid, values)
+        buf = io.StringIO()
+        grid_module.write_csv(f, buf)
+        x = grid.axis_coords()
+        want = [",".join(f"x_{j + 1}" for j in range(grid.dim)) + ",re,im\n"]
+        for k, idx in enumerate(np.ndindex(grid.shape)):
+            v = f.values.reshape(-1)[k]
+            want.append(",".join(f"{x[i]:.17g}" for i in idx) + f",{v.real:.17g},{v.imag:.17g}\n")
+        assert buf.getvalue() == "".join(want)

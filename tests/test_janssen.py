@@ -25,7 +25,6 @@ from gabframes import (
     sample_window,
 )
 from gabframes.walnut import correlation_member_range
-from conftest import random_interior
 
 
 def gaussian_entry_magnitude(sigma, t, omega):

@@ -12,7 +12,6 @@ from gabframes import (
     correlation_family,
     correlation_fn,
     diagonal_correlation,
-    diagonal_correlation,
     l2_norm,
     operator_norm_upper_bound,
     periodic_extension,
@@ -22,7 +21,6 @@ from gabframes import (
     walnut_apply,
     wiener_norm,
     window_library,
-    WindowSpec,
 )
 from gabframes.walnut import correlation_member_range
 from conftest import random_interior
