@@ -15,7 +15,6 @@ from .amalgam import (
     cube_norms,
     holder_bound,
     lp_norm_on_cube,
-    pairing,
     wiener_norm,
 )
 from .errors import (
@@ -58,23 +57,23 @@ from .janssen import (
 )
 from .operators import (
     CoefficientLattice,
-    FrameBoundEstimate,
     GaborSystem,
     apply_frame_direct,
-    estimate_frame_bounds,
     gabor_coefficients,
-    reconstruct_integral,
     stft,
 )
 from .walnut import (
     CorrelationFamily,
+    FrameBoundEstimate,
     apply_remainder,
     apply_diagonal_defect,
     correlation_family,
     correlation_fn,
     diagonal_correlation,
+    estimate_frame_bounds,
     operator_norm_upper_bound,
     periodic_extension,
+    reconstruct_integral,
     sum_translates,
     tail_sum,
     walnut_apply,

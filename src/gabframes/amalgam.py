@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "cube_norms",
     "amalgam_norm",
     "wiener_norm",
-    "pairing",
     "holder_bound",
 ]
 
@@ -96,12 +94,6 @@ def conjugate_exponent(p) -> Exponent:
     return Exponent.of(p).conjugate()
 
 
-def _cube_k_range(grid) -> range:
-    # integer cubes [k, k+1) that intersect [-T, T)
-    t = grid.half_extent_steps / grid.samples_per_unit
-    return range(math.floor(-t), math.ceil(t))
-
-
 def lp_norm_on_cube(f: GridFunction, k, p) -> float:
     """L^p norm of f restricted to the cube [k, k+1)^d (0 if disjoint)."""
     p = Exponent.of(p)
@@ -131,22 +123,18 @@ def cube_norms(f: GridFunction, p) -> np.ndarray:
     p = Exponent.of(p)
     grid = f.grid
     m = grid.samples_per_unit
-    if grid.half_extent_steps % m == 0:
-        # integer half extent: the domain tiles exactly into cubes
-        c = grid.samples_per_axis // m
-        shape = ()
-        for _ in range(grid.dim):
-            shape += (c, m)
-        block = np.abs(f.values).reshape(shape)
-        intra = tuple(range(1, 2 * grid.dim, 2))
-        if p.is_inf:
-            return block.max(axis=intra)
-        return (grid.cell_measure * (block ** p.value).sum(axis=intra)) ** (1.0 / p.value)
-    ks = _cube_k_range(grid)
-    out = np.empty((len(ks),) * grid.dim)
-    for idx, kt in zip(np.ndindex(out.shape), product(ks, repeat=grid.dim)):
-        out[idx] = lp_norm_on_cube(f, kt, p)
-    return out
+    block = np.abs(f.values)
+    pad = -grid.half_extent_steps % m
+    if pad:
+        # non-integer half extent: zero samples out to whole cubes on both
+        # sides (the domain is symmetric), which adds nothing to any norm
+        block = np.pad(block, pad)
+    c = block.shape[0] // m
+    block = block.reshape((c, m) * grid.dim)
+    intra = tuple(range(1, 2 * grid.dim, 2))
+    if p.is_inf:
+        return block.max(axis=intra)
+    return (grid.cell_measure * (block ** p.value).sum(axis=intra)) ** (1.0 / p.value)
 
 
 def amalgam_norm(f: GridFunction, pq) -> float:
@@ -163,11 +151,6 @@ def wiener_norm(g: GridFunction) -> float:
     return amalgam_norm(g, (math.inf, 1))
 
 
-def pairing(f: GridFunction, g: GridFunction) -> complex:
-    """The duality pairing <f, g> = h^d sum f conj(g) (same as inner_product)."""
-    return inner_product(f, g)
-
-
 def holder_bound(f: GridFunction, g: GridFunction, pq) -> tuple[float, float]:
     """Diagnostic pair (|<f, g>|, ||f||_{W(p,q)} * ||g||_{W(p',q')}).
 
@@ -175,6 +158,6 @@ def holder_bound(f: GridFunction, g: GridFunction, pq) -> tuple[float, float]:
     shared Riemann-sum discretization.
     """
     pq = ExponentPair.of(pq)
-    lhs = abs(pairing(f, g))
+    lhs = abs(inner_product(f, g))
     rhs = amalgam_norm(f, pq) * amalgam_norm(g, pq.conjugate())
     return lhs, rhs

@@ -315,10 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the result to this file")
-    common.add_argument("--threads", type=int, default=1,
+    pooled = argparse.ArgumentParser(add_help=False, parents=[common])
+    pooled.add_argument("--threads", type=int, default=1,
                         help="worker threads for independent schedule points")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized procedures")
 
     p = sub.add_parser("norm", parents=[common], help="amalgam norm of a window")
     p.add_argument("--window", required=True, help="window spec JSON file")
@@ -344,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("sweep", parents=[common], help="densification sweep")
+    p = sub.add_parser("sweep", parents=[pooled], help="densification sweep")
     p.add_argument("--config", required=True)
     p.set_defaults(fn=_cmd_sweep)
 
@@ -355,13 +354,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=_cmd_wexler_raz)
 
-    p = sub.add_parser("counterexample", parents=[common],
+    p = sub.add_parser("counterexample", parents=[pooled],
                        help="sup-norm failure witness table")
     p.add_argument("--depths", required=True, help="comma-separated depths, e.g. 1,2,3")
     p.add_argument("--q", default="inf")
     p.set_defaults(fn=_cmd_counterexample)
 
     p = sub.add_parser("selftest", parents=[common], help="run the built-in sanity checks")
+    p.add_argument("--seed", type=int, default=0, help="seed for the random test function")
     p.set_defaults(fn=_cmd_selftest)
     return parser
 

@@ -18,16 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amalgam import Exponent, ExponentPair, amalgam_norm, pairing
+from .amalgam import Exponent, ExponentPair, amalgam_norm
 from .errors import ConfigError, ResolutionError
-from .grid import Grid, GridFunction, fold_to_cell, support_index_bounds, translate
+from .grid import Grid, GridFunction, fold_to_cell, inner_product, support_index_bounds, translate
 from .operators import GaborSystem
 from .walnut import (
+    apply_diagonal_defect,
     correlation_family,
-    diagonal_correlation,
     diagonal_deviation,
     operator_norm_upper_bound,
-    periodic_extension,
     tail_sum,
     walnut_apply,
 )
@@ -201,7 +200,7 @@ def convergence_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
         err = amalgam_norm(diff, pq)
         dev = diagonal_deviation(sys)
         ts = tail_sum(sys, family)
-        weak = max(abs(pairing(diff, h)) / hn for h, hn in duals)
+        weak = max(abs(inner_product(diff, h)) / hn for h, hn in duals)
         residue = _boundary_residue(sf, sys, pq)
         bound = (dev + ts.tail / abs(sys.pairing)) * f_norm + residue
         record = SweepRecord(
@@ -314,8 +313,7 @@ def diagonal_decay_sweep(f: GridFunction, p, a_list, g: GridFunction,
     out = []
     for a in a_list:
         sys = GaborSystem(g, gamma, float(a), 1.0)
-        mult = periodic_extension(diagonal_correlation(sys), grid) - 1.0
-        vals = np.abs(mult * f.values)
+        vals = np.abs(apply_diagonal_defect(f, sys).values)
         if p.is_inf:
             nrm = float(vals.max())
         else:
@@ -379,8 +377,7 @@ def counterexample_run(depths, q="inf", a_candidates=None, spacing: float | None
 
         def deviation(window: GridFunction, a: float) -> float:
             sys = GaborSystem(window, window, a, 1.0)
-            mult = periodic_extension(diagonal_correlation(sys), grid) - 1.0
-            return amalgam_norm(GridFunction(grid, mult * f0.values), q_pair)
+            return amalgam_norm(apply_diagonal_defect(f0, sys), q_pair)
 
         witness_a, witness_norm = candidates[0], -math.inf
         for a in candidates:

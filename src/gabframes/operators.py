@@ -16,6 +16,9 @@ The same periodicity turns every frequency sum into one exact kernel: fold
 the product f * conj(T_{na} g) into a cell of side r and take its FFT, so
 coefficient m is bin m mod r.  gabor_coefficients uses that kernel; the
 direct operator deliberately does not, so it stays an independent oracle.
+Every other evaluation of S (the Walnut and Janssen forms, the STFT
+inversion sum reconstruct_integral and the power-iteration norm estimate)
+lives in walnut and janssen, which build on this module.
 """
 from __future__ import annotations
 
@@ -29,10 +32,8 @@ from .grid import (
     Grid,
     GridFunction,
     _cell_spectrum,
-    _phase,
     fold_to_cell,
     inner_product,
-    l2_norm,
     shift_array,
     support_index_bounds,
     tf_shift,
@@ -41,12 +42,9 @@ from .grid import (
 __all__ = [
     "GaborSystem",
     "CoefficientLattice",
-    "FrameBoundEstimate",
     "stft",
     "gabor_coefficients",
     "apply_frame_direct",
-    "reconstruct_integral",
-    "estimate_frame_bounds",
 ]
 
 DEGENERACY_FLOOR = 1e-12
@@ -231,107 +229,3 @@ def apply_frame_direct(f: GridFunction, sys: GaborSystem) -> GridFunction:
         out += gams * _apply_axes(p_t, coeff)
     out *= (sys.a * sys.b) ** d / sys.pairing
     return GridFunction(grid, out)
-
-
-@dataclass
-class FrameBoundEstimate:
-    """Power-iteration estimate of ||S_{a,b}||; bounds the Bessel constant."""
-
-    value: float
-    converged: bool
-    iterations: int
-
-
-def estimate_frame_bounds(sys: GaborSystem, iterations: int = 200, seed: int = 0,
-                          rel_tol: float = 1e-10) -> FrameBoundEstimate:
-    """Largest-eigenvalue estimate of the self-dual operator S_{a,b;g,g}.
-
-    Requires gamma = g, so S is self-adjoint positive and the Rayleigh
-    quotient of the power iterates converges to the operator norm.  Stops
-    when the relative Rayleigh change drops below rel_tol; if that never
-    happens the last estimate is returned with converged=False.
-    """
-    if not np.array_equal(sys.g.values, sys.gamma.values):
-        raise ValueError("frame-bound estimation requires the self-dual system (gamma = g)")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(sys.grid.shape) + 1j * rng.standard_normal(sys.grid.shape)
-    v = GridFunction(sys.grid, v)
-    rho_prev = None
-    for it in range(1, iterations + 1):
-        w = apply_frame_direct(v, sys)
-        denom = l2_norm(v) ** 2
-        rho = float(inner_product(w, v).real) / denom
-        nrm = l2_norm(w)
-        if nrm == 0.0:
-            return FrameBoundEstimate(0.0, True, it)
-        v = (1.0 / nrm) * w
-        if rho_prev is not None and abs(rho - rho_prev) <= rel_tol * max(abs(rho), 1e-300):
-            return FrameBoundEstimate(rho, True, it)
-        rho_prev = rho
-    return FrameBoundEstimate(rho_prev, False, iterations)
-
-
-def reconstruct_integral(f: GridFunction, g: GridFunction, gamma: GridFunction,
-                         tf_grid_steps, magnitude_floor: float = 1e-14) -> GridFunction:
-    """Riemann-sum approximation of the STFT inversion integral.
-
-    (1/<gamma, g>) * sum_t sum_w (F_g f)(t, w) tau(t, w) gamma * dt * dw
-    over a commensurate (t, w) grid: t covers the support interaction of f
-    and g exactly, and the w band grows symmetrically until a whole shell of
-    |F_g f| falls below magnitude_floor times the largest magnitude seen
-    (capped at the grid Nyquist band).
-
-    Parameters
-    ----------
-    tf_grid_steps : (float, float)
-        Spacings (dt, dw); dt must be commensurate with the grid.
-    """
-    nrm = inner_product(gamma, g)
-    if abs(nrm) <= DEGENERACY_FLOOR:
-        raise DegenerateWindowPairError("STFT inversion needs <gamma, g> != 0")
-    grid = f.grid
-    d = grid.dim
-    dt, dw = tf_grid_steps
-    dt_steps = grid.steps_scalar(dt)
-    fb = support_index_bounds(f)
-    gb = support_index_bounds(g)
-    if fb is None:
-        return GridFunction(grid, np.zeros(grid.shape, dtype=complex))
-    # t with supp(f) and supp(g) + t overlapping: t in [flo - ghi, fhi - glo]
-    t_ranges = []
-    for (flo, fhi), (glo, ghi) in zip(fb, gb):
-        lo = -((ghi - flo) // dt_steps)  # ceil((flo - ghi) / dt_steps)
-        hi = (fhi - glo) // dt_steps
-        t_ranges.append(range(int(lo), int(hi) + 1))
-
-    def shell_accumulate(k_shell, acc):
-        # adds every (t, w) with max_j |w_j/dw| == k_shell; returns shell max |coef|
-        shell_max = 0.0
-        for widx in product(range(-k_shell, k_shell + 1), repeat=d):
-            if max(abs(w) for w in widx) != k_shell:
-                continue
-            om = np.array(widx, dtype=float) * dw
-            ph = _phase(grid, om)
-            for tidx in product(*t_ranges):
-                steps = np.array(tidx, dtype=int) * dt_steps
-                gs = shift_array(g.values, steps)
-                c = grid.cell_measure * np.vdot(gs * ph, f.values)
-                mag = abs(c)
-                if mag > shell_max:
-                    shell_max = mag
-                if mag != 0.0:
-                    acc += c * shift_array(gamma.values, steps) * ph
-        return shell_max
-
-    acc = np.zeros(grid.shape, dtype=complex)
-    nyquist_shells = int(np.ceil(0.5 / (grid.spacing * dw)))
-    peak = 0.0
-    k = 0
-    while k <= nyquist_shells:
-        shell_max = shell_accumulate(k, acc)
-        peak = max(peak, shell_max)
-        if k > 0 and shell_max < magnitude_floor * peak:
-            break
-        k += 1
-    acc *= (dt * dw) ** d / nrm
-    return GridFunction(grid, acc)

@@ -12,7 +12,11 @@ enumerates every nonvanishing k.  The frame operator then reads
     S f = (1 / <gamma, g>) * sum_n a^d G[n] * f(. - n/b),
 
 an exact finite sum: the time direction needs no approximation because n is
-confined to the support interaction of the windows.
+confined to the support interaction of the windows.  It is the full-period
+operator of operators.apply_frame_direct, and the one loop behind every
+non-oracle evaluation of S here and in janssen: walnut_apply, the STFT
+inversion sum reconstruct_integral (S on the (dt, dw) lattice) and the
+power iterate of estimate_frame_bounds.
 """
 from __future__ import annotations
 
@@ -23,7 +27,15 @@ from itertools import product
 import numpy as np
 
 from .amalgam import wiener_norm
-from .grid import Grid, GridFunction, fold_to_cell, shift_array, support_index_bounds
+from .grid import (
+    Grid,
+    GridFunction,
+    fold_to_cell,
+    inner_product,
+    l2_norm,
+    shift_array,
+    support_index_bounds,
+)
 from .operators import GaborSystem
 
 __all__ = [
@@ -35,6 +47,9 @@ __all__ = [
     "diagonal_deviation",
     "periodic_extension",
     "walnut_apply",
+    "reconstruct_integral",
+    "FrameBoundEstimate",
+    "estimate_frame_bounds",
     "apply_diagonal_defect",
     "apply_remainder",
     "operator_norm_upper_bound",
@@ -102,14 +117,6 @@ class CorrelationFamily:
     system: GaborSystem
     members: dict[tuple[int, ...], np.ndarray]
 
-    @property
-    def cell_shape(self) -> tuple[int, ...]:
-        return (self.system.a_steps,) * self.system.grid.dim
-
-    def sup(self, n) -> float:
-        arr = self.members.get(_as_tuple(n, self.system.grid.dim))
-        return 0.0 if arr is None else float(np.abs(arr).max())
-
 
 def correlation_family(sys: GaborSystem) -> CorrelationFamily:
     members = {}
@@ -157,6 +164,69 @@ def walnut_apply(f: GridFunction, sys: GaborSystem,
         family = correlation_family(sys)
     scale = sys.a ** sys.grid.dim / sys.pairing
     return GridFunction(sys.grid, scale * _walnut_sum(f, family.members, sys.inv_b_steps))
+
+
+def reconstruct_integral(f: GridFunction, g: GridFunction, gamma: GridFunction,
+                         tf_grid_steps) -> GridFunction:
+    """Riemann-sum approximation of the STFT inversion integral.
+
+    (1/<gamma, g>) * sum_t sum_w (F_g f)(t, w) tau(t, w) gamma * dt^d * dw^d
+    over the lattice (dt Z^d) x (dw Z^d) is, by definition, the frame
+    operator S_{dt,dw} of the pair (g, gamma), so it is computed exactly in
+    the Walnut form.  dt and 1/dw must be integer multiples of the grid
+    spacing (CommensurabilityError otherwise).
+
+    Parameters
+    ----------
+    tf_grid_steps : (float, float)
+        Spacings (dt, dw) of the time-frequency lattice.
+    """
+    dt, dw = tf_grid_steps
+    return walnut_apply(f, GaborSystem(g, gamma, dt, dw))
+
+
+@dataclass
+class FrameBoundEstimate:
+    """Power-iteration estimate of ||S_{a,b}||; bounds the Bessel constant."""
+
+    value: float
+    converged: bool
+    iterations: int
+
+
+def estimate_frame_bounds(sys: GaborSystem, iterations: int = 200, seed: int = 0,
+                          rel_tol: float = 1e-10) -> FrameBoundEstimate:
+    """Largest-eigenvalue estimate of the self-dual operator S_{a,b;g,g}.
+
+    Requires gamma = g, so S is self-adjoint positive and the Rayleigh
+    quotient of the power iterates converges to the operator norm, and the
+    default full-period frequency truncation, because the iterates apply S
+    in the Walnut form.  Stops when the relative Rayleigh change drops below
+    rel_tol; if that never happens the last estimate is returned with
+    converged=False.
+    """
+    if not np.array_equal(sys.g.values, sys.gamma.values):
+        raise ValueError("frame-bound estimation requires the self-dual system (gamma = g)")
+    if sys.freq_radius is not None:
+        raise ValueError("frame-bound estimation iterates the full-period operator; "
+                         f"got freq_radius={sys.freq_radius}")
+    family = correlation_family(sys)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(sys.grid.shape) + 1j * rng.standard_normal(sys.grid.shape)
+    v = GridFunction(sys.grid, v)
+    rho_prev = None
+    for it in range(1, iterations + 1):
+        w = walnut_apply(v, sys, family)
+        denom = l2_norm(v) ** 2
+        rho = float(inner_product(w, v).real) / denom
+        nrm = l2_norm(w)
+        if nrm == 0.0:
+            return FrameBoundEstimate(0.0, True, it)
+        v = (1.0 / nrm) * w
+        if rho_prev is not None and abs(rho - rho_prev) <= rel_tol * max(abs(rho), 1e-300):
+            return FrameBoundEstimate(rho, True, it)
+        rho_prev = rho
+    return FrameBoundEstimate(rho_prev, False, iterations)
 
 
 def apply_diagonal_defect(f: GridFunction, sys: GaborSystem) -> GridFunction:

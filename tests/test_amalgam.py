@@ -6,13 +6,14 @@ import pytest
 from gabframes import (
     Exponent,
     ExponentPair,
+    Grid,
     GridFunction,
     amalgam_norm,
     conjugate_exponent,
+    cube_norms,
     holder_bound,
     inner_product,
     lp_norm_on_cube,
-    pairing,
     sample_window,
     translate,
     wiener_norm,
@@ -64,6 +65,20 @@ class TestCubeNorm:
         got = lp_norm_on_cube(f, [0], 2)
         assert got == pytest.approx(exact_discrete, rel=1e-14)
         assert abs(got - math.sqrt(1 / 3)) < h  # converges to the integral value
+
+    @pytest.mark.parametrize("half_extent,dim", [(2.5, 1), (2.75, 1), (1.25, 2)])
+    def test_padded_cubes_match_per_cube_norms(self, half_extent, dim):
+        # a non-integer T leaves partial cubes at both ends; each entry must be
+        # the L^p norm of f on that cube, as lp_norm_on_cube computes it alone
+        grid = Grid(half_extent, 1 / 8, dim=dim)
+        f = random_interior(grid, seed=9, envelope_sigma=1.0, envelope_radius=half_extent)
+        ks = range(math.floor(-half_extent), math.ceil(half_extent))
+        for p in (1, 2, math.inf):
+            got = cube_norms(f, p)
+            assert got.shape == (len(ks),) * dim
+            for idx in np.ndindex(got.shape):
+                want = lp_norm_on_cube(f, [ks[i] for i in idx], p)
+                assert got[idx] == pytest.approx(want, rel=1e-14, abs=0.0), (p, idx)
 
 
 class TestAmalgamNorm:
@@ -125,7 +140,6 @@ class TestAmalgamNorm:
                     amalgam_norm(f, pq) + amalgam_norm(g, pq) + 1e-12)
 
     def test_non_integer_half_extent_fallback(self):
-        from gabframes import Grid
         grid = Grid(2.5, 1 / 8)
         x = grid.axis_coords()
         f = GridFunction(grid, ((x >= -0.5) & (x < 1.5)).astype(float))
@@ -136,16 +150,11 @@ class TestAmalgamNorm:
 
 class TestPairing:
     def test_indicator_self(self, chi):
-        assert pairing(chi, chi) == 1.0 + 0.0j
+        assert inner_product(chi, chi) == 1.0 + 0.0j
 
     def test_zero(self, grid, chi):
         z = GridFunction(grid, np.zeros(grid.shape))
-        assert pairing(chi, z) == 0.0
-
-    def test_matches_inner_product(self, grid):
-        f = random_interior(grid, seed=4)
-        g = random_interior(grid, seed=5)
-        assert pairing(f, g) == inner_product(f, g)
+        assert inner_product(chi, z) == 0.0
 
     def test_holder_inequality_random(self, grid):
         for seed in range(10):

@@ -320,3 +320,11 @@ def test_memory_error_is_a_json_error(capsys, monkeypatch, apply_config):
 
 def test_unknown_command_exits_one(capsys):
     assert main(["frobnicate"]) == 1
+
+
+def test_options_only_where_read(capsys, indicator_spec, apply_config):
+    # --threads belongs to sweep and counterexample, --seed to selftest
+    assert main(["norm", "--window", indicator_spec, "--seed", "1"]) == 1
+    assert main(["stft", "--config", apply_config, "--threads", "2"]) == 1
+    assert main(["selftest", "--seed", "1"]) == 0
+    assert main(["counterexample", "--depths", "1", "--threads", "2"]) == 0

@@ -1,10 +1,15 @@
-"""Source hygiene: no module or test imports a name it never uses.
+"""Source hygiene: no module or test imports a name it never uses, and no
+private module-level name in the package is left without a reference.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule.  A name counts
 as used when it appears as an identifier anywhere in the file (the root of
 an attribute chain included) or is listed in ``__all__``; ``from __future__``
 imports are directives, not names.  Package ``__init__`` files re-export by
 design and are not scanned.
+
+The dead-code rule: every module-level ``_private`` function, class or
+constant in ``src/gabframes`` must be read somewhere in ``src/`` or
+``tests/``, as a loaded name, an attribute or an imported name.
 """
 import ast
 from pathlib import Path
@@ -14,6 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (ROOT / "src" / "gabframes").glob("*.py") if p.name != "__init__.py")
 FILES += sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "gabframes").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,3 +57,49 @@ def test_no_unused_imports(path):
 ])
 def test_checker_itself(source, unused):
     assert unused_imports(source) == unused
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level ``_name`` functions, classes and assigned constants (no dunders)."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [n for n in dict.fromkeys(names) if n.startswith("_") and not n.startswith("__")]
+
+
+def references(source: str) -> set[str]:
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def unreferenced_privates(source: str, others: list[str]) -> list[str]:
+    refs = set().union(references(source), *map(references, others))
+    return [n for n in private_definitions(source) if n not in refs]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"src/{p.name}")
+def test_no_unreferenced_private_names(path):
+    others = [p.read_text() for p in set(FILES + PACKAGE) - {path}]
+    assert unreferenced_privates(path.read_text(), others) == []
+
+
+@pytest.mark.parametrize("source,others,unreferenced", [
+    ("def _f():\n    pass\n", [], ["_f"]),
+    ("def _f():\n    pass\ndef g():\n    return _f()\n", [], []),
+    ("_K = 1\n_K = 2\n", [], ["_K"]),
+    ("_K = 1\n", ["from m import _K\n"], []),
+    ("class _C:\n    pass\n", ["import m\nm._C()\n"], []),
+    ("__all__ = []\ndef f():\n    def _inner():\n        pass\n", [], []),
+])
+def test_private_checker_itself(source, others, unreferenced):
+    assert unreferenced_privates(source, others) == unreferenced

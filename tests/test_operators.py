@@ -186,6 +186,11 @@ class TestFrameBounds:
         with pytest.raises(ValueError):
             estimate_frame_bounds(GaborSystem(chi, hat, 0.5, 0.5))
 
+    def test_rejects_truncated_frequency_band(self, chi):
+        # the power iterate applies the full-period (Walnut) operator
+        with pytest.raises(ValueError):
+            estimate_frame_bounds(GaborSystem(chi, chi, 0.25, 0.5, freq_radius=8))
+
 
 class TestReconstructIntegral:
     def test_zero_signal(self, gauss):
@@ -214,6 +219,28 @@ class TestReconstructIntegral:
         far = translate(chi, [2.0])
         with pytest.raises(DegenerateWindowPairError):
             reconstruct_integral(chi, chi, far, (0.5, 0.5))
+
+    def test_exact_identity_regime_is_not_cut_short(self):
+        # S_{1/2,1/2} = I for the unit indicator pair; every coefficient on
+        # the frequency shell |w| = 2 vanishes, which must not end the sum
+        grid = Grid(4.0, 1 / 16)
+        chi = sample_window(WindowSpec.indicator_cube(1.0), grid)
+        rec = reconstruct_integral(chi, chi, chi, (0.5, 0.5))
+        assert l2_norm(rec - chi) <= 1e-12 * l2_norm(chi)
+
+    def test_equals_the_frame_operator(self):
+        # even r = 1/(dw h) = 32: the Nyquist frequency is one index, not two
+        grid = Grid(4.0, 1 / 16)
+        hat = sample_window(WindowSpec.bspline(2), grid)
+        rec = reconstruct_integral(hat, hat, hat, (0.25, 0.5))
+        want = apply_frame_direct(hat, GaborSystem(hat, hat, 0.25, 0.5))
+        assert l2_norm(rec - want) <= 1e-12 * l2_norm(want)
+
+    def test_incommensurate_frequency_step(self):
+        grid = Grid(4.0, 1 / 16)
+        gauss = sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
+        with pytest.raises(CommensurabilityError):
+            reconstruct_integral(gauss, gauss, gauss, (0.25, 0.3))  # 1/dw = 10/3
 
 
 class TestTwoDimensional:
