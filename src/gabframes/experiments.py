@@ -196,12 +196,14 @@ def convergence_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
         sys = GaborSystem(g, gamma, a, b)
         family = correlation_family(sys)
         sf = walnut_apply(f, sys, family)
+        # before diff exists, so the residue's strip arrays and diff are
+        # never live at once
+        residue = _boundary_residue(sf, sys, pq)
         diff = sf - f
         err = amalgam_norm(diff, pq)
         dev = diagonal_deviation(sys)
         ts = tail_sum(sys, family)
         weak = max(abs(inner_product(diff, h)) / hn for h, hn in duals)
-        residue = _boundary_residue(sf, sys, pq)
         bound = (dev + ts.tail / abs(sys.pairing)) * f_norm + residue
         record = SweepRecord(
             a=a, b=b, diag_dev=dev, tail=ts.tail,

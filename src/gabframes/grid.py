@@ -150,7 +150,8 @@ class GridFunction:
     returns a new instance, so instances are safe to share across threads.
     """
 
-    __slots__ = ("grid", "values")
+    # _support caches support_index_bounds; unset until first asked for
+    __slots__ = ("grid", "values", "_support")
 
     def __init__(self, grid: Grid, values):
         arr = np.asarray(values, dtype=complex)
@@ -170,11 +171,11 @@ class GridFunction:
         return GridFunction(self.grid, values)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        _require_same_grid(self, other)
+        _require_grid(other, self.grid)
         return GridFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _require_same_grid(self, other)
+        _require_grid(other, self.grid)
         return GridFunction(self.grid, self.values - other.values)
 
     def __mul__(self, scalar) -> "GridFunction":
@@ -189,9 +190,10 @@ class GridFunction:
         return f"GridFunction({self.grid!r}, <{self.values.shape} samples>)"
 
 
-def _require_same_grid(f: GridFunction, g: GridFunction) -> None:
-    if f.grid != g.grid:
-        raise GridMismatchError(f"grids differ: {f.grid!r} vs {g.grid!r}")
+def _require_grid(f: GridFunction, grid: Grid) -> None:
+    """Raise GridMismatchError unless f is sampled on ``grid``."""
+    if f.grid != grid:
+        raise GridMismatchError(f"grids differ: {grid!r} vs {f.grid!r}")
 
 
 def shift_array(values: np.ndarray, steps) -> np.ndarray:
@@ -212,19 +214,22 @@ def shift_array(values: np.ndarray, steps) -> np.ndarray:
     return out
 
 
-def fold_to_cell(values: np.ndarray, cell_steps: int, origin_steps: int) -> np.ndarray:
+def fold_to_cell(values: np.ndarray, cell_steps: int, origin_steps) -> np.ndarray:
     """Sum samples into their residue slot modulo the cell, per axis.
 
     Slot j of the result collects every sample whose index i satisfies
     (i - origin_steps) % cell_steps == j, i.e. the lattice sum
     sum_k v(x + a k) evaluated at the cell points x = j h in [0, a).
-    Axes are folded in order, each as a sequential sum over whole cells.
+    origin_steps is one int for every axis or one value per axis, so a box
+    cut from a larger grid folds like the grid when its origin is the grid
+    origin minus the box's start index.  Axes are folded in order, each as a
+    sequential sum over whole cells.
     """
     pad = [(0, -n % cell_steps) for n in values.shape]
     out = np.pad(values, pad) if any(hi for _, hi in pad) else values
     for ax in range(out.ndim):
         out = out.reshape(out.shape[:ax] + (-1, cell_steps) + out.shape[ax + 1:]).sum(axis=ax)
-    return np.roll(out, -origin_steps, axis=tuple(range(out.ndim)))
+    return np.roll(out, -np.asarray(origin_steps), axis=tuple(range(out.ndim)))
 
 
 def _cell_spectrum(cell: np.ndarray, indices) -> np.ndarray:
@@ -285,7 +290,7 @@ def inner_product(f: GridFunction, g: GridFunction) -> complex:
 
     Raises GridMismatchError when the grids differ.
     """
-    _require_same_grid(f, g)
+    _require_grid(g, f.grid)
     return complex(f.grid.cell_measure * np.vdot(g.values, f.values))
 
 
@@ -293,17 +298,27 @@ def l2_norm(f: GridFunction) -> float:
     return float(np.sqrt(f.grid.cell_measure) * np.linalg.norm(f.values))
 
 
-def support_index_bounds(f: GridFunction) -> list[tuple[int, int]] | None:
-    """Per-axis (lo, hi) index bounds of the nonzero samples, or None if f == 0."""
+def support_index_bounds(f: GridFunction) -> tuple[tuple[int, int], ...] | None:
+    """Per-axis (lo, hi) index bounds of the nonzero samples, or None if f == 0.
+
+    Computed once per instance (the samples are immutable) and then returned
+    as the same object.
+    """
+    try:
+        return f._support
+    except AttributeError:
+        pass
     nz = f.values != 0
-    if not nz.any():
-        return None
-    bounds = []
-    for ax in range(f.grid.dim):
-        other = tuple(i for i in range(f.grid.dim) if i != ax)
-        hit = nz.any(axis=other) if other else nz
-        idx = np.nonzero(hit)[0]
-        bounds.append((int(idx[0]), int(idx[-1])))
+    bounds = None
+    if nz.any():
+        bounds = []
+        for ax in range(f.grid.dim):
+            other = tuple(i for i in range(f.grid.dim) if i != ax)
+            hit = nz.any(axis=other) if other else nz
+            idx = np.nonzero(hit)[0]
+            bounds.append((int(idx[0]), int(idx[-1])))
+        bounds = tuple(bounds)
+    object.__setattr__(f, "_support", bounds)
     return bounds
 
 

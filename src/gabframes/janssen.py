@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DegenerateWindowPairError
-from .grid import Grid, GridFunction, _cell_spectrum, fold_to_cell
+from .grid import Grid, GridFunction, _cell_spectrum, _require_grid, fold_to_cell
 from .operators import GaborSystem
 from .walnut import _walnut_sum, correlation_fn
 
@@ -130,15 +130,15 @@ def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
     On the grid the modulation index l aliases with period a/h per axis
     (frequencies l/a and l/a + 1/h sample identically), so an l range
     reaching a nonvanishing alias duplicates content; keep 2L+1 within one
-    period unless the out-of-band coefficients vanish.
+    period unless the out-of-band coefficients vanish.  Raises
+    GridMismatchError when f is not on the lattice's grid.
     """
+    _require_grid(f, lattice.grid)
     nrm = lattice.normalization
     if abs(nrm) <= 1e-12:
         raise DegenerateWindowPairError("lattice normalization <gamma, g> is degenerate")
     grid = f.grid
     d = lattice.dim
-    if grid.dim != d:
-        raise ValueError(f"lattice dimension {d} does not match grid dimension {grid.dim}")
     ibs = grid.steps_scalar(1.0 / lattice.b)
     p = grid.steps_scalar(lattice.a)
     cells = {n: _column_cell(lattice, n, p)

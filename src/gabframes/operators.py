@@ -32,6 +32,7 @@ from .grid import (
     Grid,
     GridFunction,
     _cell_spectrum,
+    _require_grid,
     fold_to_cell,
     inner_product,
     shift_array,
@@ -191,7 +192,11 @@ def _apply_axes(mat: np.ndarray, ten: np.ndarray) -> np.ndarray:
 
 
 def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> CoefficientLattice:
-    """All coefficients <f, tau(na, mb) g> over the system's truncation."""
+    """All coefficients <f, tau(na, mb) g> over the system's truncation.
+
+    Raises GridMismatchError when f is not on the system's grid.
+    """
+    _require_grid(f, sys.grid)
     grid = sys.grid
     d = grid.dim
     n_count = len(sys.time_indices)
@@ -211,8 +216,10 @@ def apply_frame_direct(f: GridFunction, sys: GaborSystem) -> GridFunction:
     """The truncated definitional lattice sum; the correctness oracle.
 
     Cost is O(|lattice| * N^d).  With the default full-period frequency
-    truncation the result reorganizes exactly into the Walnut form.
+    truncation the result reorganizes exactly into the Walnut form.  Raises
+    GridMismatchError when f is not on the system's grid.
     """
+    _require_grid(f, sys.grid)
     grid = sys.grid
     d = grid.dim
     phases = _freq_phase_matrix(grid, sys.b, sys.freq_indices)

@@ -6,13 +6,16 @@ The correlation function for lattice index n,
 
 is a-periodic, so it is stored on the fundamental cell [0, a)^d only and
 extended periodically on demand.  On the grid it is computed exactly by
-folding the full-grid product conj(T_{n/b} g) * gamma into the cell, which
-enumerates every nonvanishing k.  The frame operator then reads
+folding the product conj(T_{n/b} g) * gamma into the cell, which enumerates
+every nonvanishing k.  The product vanishes outside the overlap box of
+supp(T_{n/b} g) and supp(gamma), so only that box is formed and folded.
+The frame operator then reads
 
     S f = (1 / <gamma, g>) * sum_n a^d G[n] * f(. - n/b),
 
 an exact finite sum: the time direction needs no approximation because n is
-confined to the support interaction of the windows.  It is the full-period
+confined to the support interaction of the windows, and term n is added only
+on the box supp(f) + n/b, outside which it vanishes.  This is the full-period
 operator of operators.apply_frame_direct, and the one loop behind every
 non-oracle evaluation of S here and in janssen: walnut_apply, the STFT
 inversion sum reconstruct_integral (S on the (dt, dw) lattice) and the
@@ -30,10 +33,10 @@ from .amalgam import wiener_norm
 from .grid import (
     Grid,
     GridFunction,
+    _require_grid,
     fold_to_cell,
     inner_product,
     l2_norm,
-    shift_array,
     support_index_bounds,
 )
 from .operators import GaborSystem
@@ -61,14 +64,33 @@ __all__ = [
 ]
 
 
-def periodic_extension(cell: np.ndarray, grid: Grid) -> np.ndarray:
-    """Extend a fundamental-cell array to the whole grid by periodicity."""
+def _cell_on_box(cell: np.ndarray, box, origin_steps: int) -> np.ndarray:
+    # the periodic extension of a cell on a box of grid slices: index i reads
+    # slot (i - origin_steps) % p, the residue rule of the fold
     out = cell
     p = cell.shape[0]
-    idx = (np.arange(grid.samples_per_axis) - grid.half_extent_steps) % p
-    for ax in range(out.ndim):
-        out = np.take(out, idx, axis=ax)
+    for ax, sl in enumerate(box):
+        out = np.take(out, (np.arange(sl.start, sl.stop) - origin_steps) % p, axis=ax)
     return out
+
+
+def _shifted_overlap(bounds, steps, limits):
+    # slices of the box (bounds + steps) meet limits, per axis, and of the
+    # same box moved back by steps; None when the two do not meet
+    box, src = [], []
+    for (lo, hi), s, (lim_lo, lim_hi) in zip(bounds, steps, limits):
+        start, stop = max(lo + s, lim_lo), min(hi + s, lim_hi) + 1
+        if start >= stop:
+            return None
+        box.append(slice(start, stop))
+        src.append(slice(start - s, stop - s))
+    return tuple(box), tuple(src)
+
+
+def periodic_extension(cell: np.ndarray, grid: Grid) -> np.ndarray:
+    """Extend a fundamental-cell array to the whole grid by periodicity."""
+    return _cell_on_box(cell, (slice(0, grid.samples_per_axis),) * cell.ndim,
+                        grid.half_extent_steps)
 
 
 def _as_tuple(n, dim: int) -> tuple[int, ...]:
@@ -103,11 +125,28 @@ def correlation_member_range(sys: GaborSystem) -> list[range]:
 
 
 def correlation_fn(sys: GaborSystem, n) -> np.ndarray:
-    """Samples of G[n] on the fundamental cell [0, a)^d (zero if no overlap)."""
-    nt = _as_tuple(n, sys.grid.dim)
-    steps = np.array(nt) * sys.inv_b_steps
-    w = np.conj(shift_array(sys.g.values, steps)) * sys.gamma.values
-    return fold_to_cell(w, sys.a_steps, sys.grid.half_extent_steps)
+    """Samples of G[n] on the fundamental cell [0, a)^d (zero if no overlap).
+
+    Only the overlap box of supp(T_{n/b} g) and supp(gamma) is multiplied
+    and folded; every sample outside it contributes an exact zero.
+    """
+    grid = sys.grid
+    steps = [v * sys.inv_b_steps for v in _as_tuple(n, grid.dim)]
+    gb = support_index_bounds(sys.g)
+    cb = support_index_bounds(sys.gamma)
+    overlap = None if gb is None or cb is None else _shifted_overlap(gb, steps, cb)
+    if overlap is None:
+        return np.zeros((sys.a_steps,) * grid.dim, dtype=complex)
+    box, g_box = overlap
+    w = np.conj(sys.g.values[g_box]) * sys.gamma.values[box]
+    if sys.a_steps == 1:
+        # a one-sample cell is a plain total, which numpy sums pairwise, so its
+        # rounding depends on where the zeros sit: sum on the full grid so the
+        # member has the bits of the grid-wide fold
+        full = np.zeros(grid.shape, dtype=complex)
+        full[box] = w
+        return fold_to_cell(full, 1, grid.half_extent_steps)
+    return fold_to_cell(w, sys.a_steps, [grid.half_extent_steps - sl.start for sl in box])
 
 
 @dataclass
@@ -142,14 +181,23 @@ def diagonal_deviation(sys: GaborSystem) -> float:
 
 def _walnut_sum(f: GridFunction, cells: dict[tuple[int, ...], np.ndarray],
                 inv_b_steps: int) -> np.ndarray:
-    # sum_n ext(cells[n]) * f(. - n/b), reduced in sorted n order
-    out = np.zeros(f.grid.shape, dtype=complex)
+    # sum_n ext(cells[n]) * f(. - n/b), reduced in sorted n order; term n is
+    # added only on supp(f) + n/b clipped to the grid, where it can be nonzero
+    grid = f.grid
+    out = np.zeros(grid.shape, dtype=complex)
+    bounds = support_index_bounds(f)
+    if bounds is None:
+        return out
+    limits = [(0, grid.samples_per_axis - 1)] * grid.dim
     for n in sorted(cells):
         cell = cells[n]
         if not cell.any():
             continue
-        shifted = shift_array(f.values, np.array(n) * inv_b_steps)
-        out += periodic_extension(cell, f.grid) * shifted
+        overlap = _shifted_overlap(bounds, [v * inv_b_steps for v in n], limits)
+        if overlap is None:
+            continue
+        box, f_box = overlap
+        out[box] += _cell_on_box(cell, box, grid.half_extent_steps) * f.values[f_box]
     return out
 
 
@@ -158,8 +206,10 @@ def walnut_apply(f: GridFunction, sys: GaborSystem,
     """Apply the frame operator in its multiplication-and-shift form.
 
     Exact (no frequency truncation); members are reduced in sorted index
-    order for reproducibility.
+    order for reproducibility.  Raises GridMismatchError when f is not on
+    the system's grid.
     """
+    _require_grid(f, sys.grid)
     if family is None:
         family = correlation_family(sys)
     scale = sys.a ** sys.grid.dim / sys.pairing

@@ -16,7 +16,7 @@ from gabframes import (
     translate,
 )
 from gabframes import grid as grid_module, walnut
-from gabframes.grid import fold_to_cell
+from gabframes.grid import fold_to_cell, support_index_bounds
 from conftest import random_interior
 
 
@@ -69,6 +69,21 @@ class TestGridFunction:
         other = Grid(2.0, 1 / 32)
         with pytest.raises(GridMismatchError):
             chi + GridFunction(other, np.zeros(other.shape))
+
+    def test_support_bounds_computed_once(self, grid):
+        f = random_interior(grid, seed=3)
+        first = support_index_bounds(f)
+        nz = np.nonzero(f.values)[0]
+        assert first == ((nz[0], nz[-1]),)
+        assert support_index_bounds(f) is first
+        z = GridFunction(grid, np.zeros(grid.shape))
+        assert support_index_bounds(z) is None and support_index_bounds(z) is None
+
+    def test_rejects_attribute_assignment(self, chi):
+        support_index_bounds(chi)
+        for name in ("values", "grid", "_support", "other"):
+            with pytest.raises(AttributeError):
+                setattr(chi, name, None)
 
 
 class TestTranslate:

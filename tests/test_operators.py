@@ -7,10 +7,13 @@ from gabframes import (
     GaborSystem,
     Grid,
     GridFunction,
+    GridMismatchError,
     apply_frame_direct,
     estimate_frame_bounds,
     gabor_coefficients,
     inner_product,
+    janssen_apply,
+    janssen_coefficients,
     l2_norm,
     operator_norm_upper_bound,
     reconstruct_integral,
@@ -21,6 +24,22 @@ from gabframes import (
     WindowSpec,
 )
 from conftest import random_interior
+
+
+class TestGridMismatch:
+    # both grids hold 256 samples, so nothing but the grid check can notice
+    @pytest.mark.parametrize("apply", [
+        walnut_apply,
+        apply_frame_direct,
+        gabor_coefficients,
+        lambda f, sys: janssen_apply(f, janssen_coefficients(sys, 2, 2)),
+    ], ids=["walnut", "direct", "coefficients", "janssen"])
+    def test_f_on_another_grid_is_rejected(self, grid, gauss, apply):
+        other = Grid(8.0, 1 / 16)
+        f = sample_window(WindowSpec.bspline(2), other)
+        assert f.values.shape == grid.shape
+        with pytest.raises(GridMismatchError):
+            apply(f, GaborSystem(gauss, gauss, 0.5, 0.5))
 
 
 class TestGaborSystem:

@@ -1,10 +1,12 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from gabframes import (
     GaborSystem,
+    Grid,
     GridFunction,
     amalgam_norm,
     apply_remainder,
@@ -22,6 +24,7 @@ from gabframes import (
     wiener_norm,
     window_library,
 )
+from gabframes.grid import fold_to_cell, shift_array
 from gabframes.walnut import correlation_member_range
 from conftest import random_interior
 
@@ -213,3 +216,86 @@ class TestDecomposition:
             for pq in PQ_SET:
                 assert amalgam_norm(rf, pq) <= (
                     ts.tail / abs(sys.pairing) * amalgam_norm(f, pq) * (1 + 1e-9) + 1e-15)
+
+
+def same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got.view(np.uint8), want.view(np.uint8)))
+
+
+def box_window(grid, lo, hi, seed):
+    """Random complex samples on the index box lo <= i <= hi, zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    v = np.zeros(grid.shape, dtype=complex)
+    box = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+    v[box] = rng.standard_normal(v[box].shape) + 1j * rng.standard_normal(v[box].shape)
+    return GridFunction(grid, v)
+
+
+# (dim, g box, gamma box, a/h, (1/b)/h) on Grid(2, 1/16) (N = 64) or
+# Grid(1.5, 1/8, 2) (N = 24).  Overlap widths are not multiples of a/h,
+# windows touch the grid edges, one cell is a single sample and one is wider
+# than every overlap.
+BOX_CASES = [
+    (1, (5,), (41,), (20,), (63,), 3, 32),
+    (1, (0,), (30,), (0,), (63,), 5, 24),
+    (1, (10,), (40,), (30,), (50,), 1, 32),
+    (1, (0,), (63,), (7,), (9,), 7, 16),
+    (2, (0, 3), (13, 23), (6, 0), (23, 17), 3, 16),
+    (2, (2, 5), (9, 11), (4, 1), (20, 7), 1, 12),
+    (2, (0, 0), (23, 23), (11, 12), (13, 14), 5, 8),
+]
+
+
+def box_system(case, seed=0):
+    dim, lo_g, hi_g, lo_c, hi_c, p, ibs = case
+    grid = Grid(2.0, 1 / 16) if dim == 1 else Grid(1.5, 1 / 8, dim=2)
+    h = grid.spacing
+    return GaborSystem(box_window(grid, lo_g, hi_g, seed), box_window(grid, lo_c, hi_c, seed + 1),
+                       p * h, 1 / (ibs * h))
+
+
+def full_grid_member(sys, n):
+    """G[n] as the fold of the full-grid product conj(T_{n/b} g) * gamma."""
+    w = np.conj(shift_array(sys.g.values, np.array(n) * sys.inv_b_steps)) * sys.gamma.values
+    return fold_to_cell(w, sys.a_steps, sys.grid.half_extent_steps)
+
+
+class TestBoxKernels:
+    """The overlap-box members and the support-box Walnut sum give the bits
+    of the full-grid computations they replace."""
+
+    @pytest.mark.parametrize("case", BOX_CASES)
+    def test_members_match_full_grid_fold(self, case):
+        sys = box_system(case)
+        ranges = [range(r.start - 3, r.stop + 3) for r in correlation_member_range(sys)]
+        for n in product(*ranges):  # runs past the boundary, where the cell is zero
+            assert same_bits(correlation_fn(sys, n), full_grid_member(sys, n)), n
+
+    def test_zero_window_gives_zero_cells(self):
+        sys = box_system(BOX_CASES[0])
+        sys.g = GridFunction(sys.grid, np.zeros(sys.grid.shape))  # past the pairing check
+        for n in (-1, 0, 1):
+            assert same_bits(correlation_fn(sys, n), np.zeros(sys.a_steps, dtype=complex))
+
+    @pytest.mark.parametrize("case", BOX_CASES)
+    @pytest.mark.parametrize("kind", ["edges", "zero", "random"])
+    def test_walnut_apply_matches_full_grid_sum(self, case, kind):
+        sys = box_system(case, seed=5)
+        grid = sys.grid
+        last = grid.samples_per_axis - 1
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        if kind == "edges":  # nonzero only within 3 samples of either end of an axis
+            idx = np.indices(grid.shape)
+            values[~((idx < 3) | (idx > last - 3)).any(axis=0)] = 0.0
+        elif kind == "zero":
+            values[...] = 0.0
+        f = GridFunction(grid, values)
+        family = correlation_family(sys)
+        acc = np.zeros(grid.shape, dtype=complex)
+        for n in sorted(family.members):
+            shifted = shift_array(f.values, np.array(n) * sys.inv_b_steps)
+            acc += periodic_extension(family.members[n], grid) * shifted
+        want = sys.a ** grid.dim / sys.pairing * acc
+        assert same_bits(walnut_apply(f, sys, family).values, want)
