@@ -15,7 +15,7 @@ from gabframes import (
     GridFunction,
     WindowSpec,
     apply_frame_direct,
-    estimate_frame_bounds,
+    frame_bounds,
     janssen_apply,
     janssen_coefficients,
     l2_norm,
@@ -42,12 +42,15 @@ jans = janssen_apply(f, lat)
 
 print(f"||direct - walnut||_2 / ||f||_2  = {l2_norm(direct - waln) / l2_norm(f):.3e}")
 print(f"||janssen - walnut||_2 / ||f||_2 = {l2_norm(jans - waln) / l2_norm(f):.3e}")
-print(f"  (dual-lattice truncation L = N = 6, outer shell mass {lat.outer_shell_mass:.2e})\n")
+print(f"  (dual-lattice truncation L = N = 6, certified ||S - S_6,6|| <= "
+      f"{lat.truncation_bound:.2e})")
+coarse = janssen_coefficients(GaborSystem(gauss, gauss, a=1.0, b=0.5), 2, 2)
+print(f"  (at a = 1, b = 1/2 and L = N = 2 the certificate reads "
+      f"{coarse.truncation_bound:.3e})\n")
 
-est = estimate_frame_bounds(sys, iterations=100)
-print(f"power-iteration norm estimate: {est.value:.6f} "
-      f"(converged={est.converged} after {est.iterations} iterations)")
-print(f"closed-form upper bound:       {operator_norm_upper_bound(sys):.6f}\n")
+lower, upper = frame_bounds(sys)
+print(f"frame bounds [A, B]:     [{lower:.15f}, {upper:.15f}]")
+print(f"closed-form upper bound: {operator_norm_upper_bound(sys):.6f}\n")
 
 chi = sample_window(WindowSpec.indicator_cube(1.0), grid)
 ident = GaborSystem(chi, chi, a=0.25, b=0.5)

@@ -49,7 +49,6 @@ from .grid import (
 from .janssen import (
     JanssenLattice,
     WexlerRazResult,
-    condition_a_prime,
     fourier_reconstruct_correlation,
     janssen_apply,
     janssen_coefficients,
@@ -64,13 +63,12 @@ from .operators import (
 )
 from .walnut import (
     CorrelationFamily,
-    FrameBoundEstimate,
     apply_remainder,
     apply_diagonal_defect,
     correlation_family,
     correlation_fn,
     diagonal_correlation,
-    estimate_frame_bounds,
+    frame_bounds,
     operator_norm_upper_bound,
     periodic_extension,
     reconstruct_integral,

@@ -228,15 +228,10 @@ def _boundary_residue(sf: GridFunction, sys: GaborSystem, pq: ExponentPair) -> f
     reach = int(min(reach, grid.samples_per_axis // 2))
     if reach <= 0:
         return 0.0
-    mask = np.zeros(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        sl_lo = [slice(None)] * grid.dim
-        sl_lo[ax] = slice(0, reach)
-        sl_hi = [slice(None)] * grid.dim
-        sl_hi[ax] = slice(grid.samples_per_axis - reach, grid.samples_per_axis)
-        mask[tuple(sl_lo)] = True
-        mask[tuple(sl_hi)] = True
-    strip = GridFunction(grid, np.where(mask, sf.values, 0.0))
+    strip = sf.values.copy()
+    strip[(slice(reach, grid.samples_per_axis - reach),) * grid.dim] = 0.0
+    # the constructor copies; rebinding frees the first copy before the norm
+    strip = GridFunction(grid, strip)
     return amalgam_norm(strip, pq)
 
 

@@ -5,21 +5,22 @@ They are simultaneously the Fourier coefficients of the correlation functions
 (G[n] has l-th cell Fourier coefficient a^{-d} c[l, n]) and the expansion
 coefficients of the frame operator,
 
-    S = (1 / <gamma, g>) sum_{l,n} c[l, n] M_{l/a} T_{n/b},
-
-absolutely convergent when sum |c[l, n]| < infinity.  Absolute summability
-can only be probed up to truncation, so the summability flag reported here
-is an explicit shell-decay heuristic, not a proof.
+    S = (1 / <gamma, g>) sum_{l,n} c[l, n] M_{l/a} T_{n/b}.
 
 On the grid both directions are exact cell transforms with the alias period
 p = a/h: column n of the coefficients is h^d times the FFT of the folded
 correlation cell G[n] at bins l mod p, and the truncated l-sum of a column
 is one inverse FFT back onto the cell.  The Janssen form is therefore the
 Walnut loop run on l-filtered correlation cells.
+
+The expansion is a finite sum on the grid: n runs over the correlation
+members and l over one alias period.  So the truncation error of
+|l| <= L, |n| <= N is known exactly term by term, and since M and T have
+norm <= 1 on every L^p of the grid, the summed magnitude of the terms the
+truncation misses or repeats bounds ||S - S_{L,N}|| there (truncation_bound).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -28,15 +29,13 @@ import numpy as np
 from .errors import DegenerateWindowPairError
 from .grid import Grid, GridFunction, _cell_spectrum, _require_grid, fold_to_cell
 from .operators import GaborSystem
-from .walnut import _walnut_sum, correlation_fn
+from .walnut import _walnut_sum, correlation_family
 
 __all__ = [
     "JanssenLattice",
     "janssen_coefficients",
     "janssen_apply",
     "fourier_reconstruct_correlation",
-    "ConditionAPrime",
-    "condition_a_prime",
     "WexlerRazResult",
     "wexler_raz_check",
 ]
@@ -48,8 +47,15 @@ class JanssenLattice:
 
     entries carries the d modulation axes first, then the d shift axes.
     normalization is the center entry c[0, 0] = <gamma, g> (the identical
-    inner product, by construction).  outer_shell_mass is the summed
-    magnitude on the outermost index shell, a crude truncation-tail gauge.
+    inner product, by construction).  truncation_bound certifies
+    ||S - janssen_apply(., lattice)|| on every L^p of the grid:
+
+        sum_n sum_beta |1 - count_beta| |c_hat[beta, n]| / |<gamma, g>|
+
+    over all correlation members n and one alias period beta mod a/h, where
+    c_hat[., n] is h^d times the FFT of G[n], count_beta is the number of
+    stored l = beta mod a/h (the fold of janssen_apply), and a member with
+    |n| > N counts with count 0.
     """
 
     entries: np.ndarray
@@ -58,6 +64,7 @@ class JanssenLattice:
     grid: Grid
     ell_radius: int
     n_radius: int
+    truncation_bound: float
 
     def __post_init__(self):
         d = self.entries.ndim // 2
@@ -74,16 +81,6 @@ class JanssenLattice:
         center = (self.ell_radius,) * self.dim + (self.n_radius,) * self.dim
         return complex(self.entries[center])
 
-    @property
-    def outer_shell_mass(self) -> float:
-        d = self.dim
-        if self.ell_radius == 0 and self.n_radius == 0:
-            return 0.0
-        full = math.fsum(float(v) for v in np.abs(self.entries).ravel())
-        inner = self.entries[(slice(1, -1),) * d + (slice(1, -1),) * d] \
-            if self.ell_radius > 0 and self.n_radius > 0 else np.zeros(0)
-        return full - math.fsum(float(v) for v in np.abs(inner).ravel())
-
     def entry(self, l, n) -> complex:
         d = self.dim
         l = (int(l),) if np.isscalar(l) else tuple(int(v) for v in l)
@@ -97,19 +94,29 @@ class JanssenLattice:
 
 
 def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> JanssenLattice:
-    """Compute c[l, n] = <gamma, M_{l/a} T_{n/b} g> over the given radii."""
+    """Compute c[l, n] = <gamma, M_{l/a} T_{n/b} g> over the given radii,
+    with the truncation_bound of the stored ranges."""
     if ell_radius < 0 or n_radius < 0:
         raise ValueError("radii must be nonnegative")
     grid = sys.grid
     d = grid.dim
+    p = sys.a_steps
     ls = np.arange(-ell_radius, ell_radius + 1)
     shape = (2 * ell_radius + 1,) * d + (2 * n_radius + 1,) * d
     entries = np.zeros(shape, dtype=complex)
-    for pos, n in zip(np.ndindex((2 * n_radius + 1,) * d),
-                      product(range(-n_radius, n_radius + 1), repeat=d)):
-        cell = correlation_fn(sys, n)
-        entries[(Ellipsis,) + pos] = grid.cell_measure * _cell_spectrum(cell, ls)
-    return JanssenLattice(entries, sys.a, sys.b, grid, ell_radius, n_radius)
+    # |1 - count| per alias bin, count being the stored l that janssen_apply
+    # folds into the bin
+    miss = np.abs(1.0 - fold_to_cell(np.ones((2 * ell_radius + 1,) * d), p, ell_radius))
+    tail = 0.0
+    for n, cell in sorted(correlation_family(sys).members.items()):
+        stored = max(map(abs, n)) <= n_radius
+        c_hat = grid.cell_measure * _cell_spectrum(cell, np.arange(p))
+        tail += float(((miss if stored else 1.0) * np.abs(c_hat)).sum())
+        if stored:
+            entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = \
+                grid.cell_measure * _cell_spectrum(cell, ls)
+    return JanssenLattice(entries, sys.a, sys.b, grid, ell_radius, n_radius,
+                          tail / abs(sys.pairing))
 
 
 def _column_cell(lattice: JanssenLattice, n: tuple[int, ...], p: int) -> np.ndarray:
@@ -160,33 +167,6 @@ def fourier_reconstruct_correlation(lattice: JanssenLattice, n) -> np.ndarray:
         raise IndexError(f"row n={n} outside stored radius {lattice.n_radius}")
     p = lattice.grid.steps_scalar(lattice.a)
     return lattice.a ** (-d) * _column_cell(lattice, n, p)
-
-
-@dataclass
-class ConditionAPrime:
-    """Shell-wise absolute sums of the dual-lattice coefficients.
-
-    partial_sums[s] is the cumulative magnitude over max(|l|, |n|) <= s.
-    satisfied is the documented heuristic (not a proof): the outermost shell
-    contributes less than `shell_fraction` of the total.
-    """
-
-    partial_sums: np.ndarray
-    satisfied: bool
-    shell_fraction: float = 1e-6
-
-
-def condition_a_prime(sys: GaborSystem, max_shell: int,
-                      shell_fraction: float = 1e-6) -> ConditionAPrime:
-    """Probe absolute summability of the dual-lattice coefficients by shells."""
-    lattice = janssen_coefficients(sys, max_shell, max_shell)
-    mags = np.abs(lattice.entries)
-    shell = np.abs(np.indices(mags.shape) - max_shell).max(axis=0)
-    shell_sums = [math.fsum(mags[shell == s].tolist()) for s in range(max_shell + 1)]
-    partial = np.cumsum(shell_sums)
-    total = partial[-1]
-    ok = total > 0 and shell_sums[-1] < shell_fraction * total
-    return ConditionAPrime(partial, bool(ok), shell_fraction)
 
 
 @dataclass

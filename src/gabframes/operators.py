@@ -17,8 +17,8 @@ the product f * conj(T_{na} g) into a cell of side r and take its FFT, so
 coefficient m is bin m mod r.  gabor_coefficients uses that kernel; the
 direct operator deliberately does not, so it stays an independent oracle.
 Every other evaluation of S (the Walnut and Janssen forms, the STFT
-inversion sum reconstruct_integral and the power-iteration norm estimate)
-lives in walnut and janssen, which build on this module.
+inversion sum reconstruct_integral and the exact frame bounds) lives in
+walnut and janssen, which build on this module.
 """
 from __future__ import annotations
 

@@ -17,9 +17,13 @@ an exact finite sum: the time direction needs no approximation because n is
 confined to the support interaction of the windows, and term n is added only
 on the box supp(f) + n/b, outside which it vanishes.  This is the full-period
 operator of operators.apply_frame_direct, and the one loop behind every
-non-oracle evaluation of S here and in janssen: walnut_apply, the STFT
-inversion sum reconstruct_integral (S on the (dt, dw) lattice) and the
-power iterate of estimate_frame_bounds.
+non-oracle evaluation of S here and in janssen: walnut_apply and the STFT
+inversion sum reconstruct_integral (S on the (dt, dw) lattice).
+
+The same members give the spectrum of S exactly: term n moves samples by
+n/b only, so S is block diagonal over the residues of the grid index mod
+1/(b h), and frame_bounds reads the extreme eigenvalues off those small
+banded blocks.
 """
 from __future__ import annotations
 
@@ -35,11 +39,11 @@ from .grid import (
     GridFunction,
     _require_grid,
     fold_to_cell,
-    inner_product,
-    l2_norm,
     support_index_bounds,
 )
 from .operators import GaborSystem
+
+_BATCH_ENTRIES = 1 << 22  # matrix entries per batched eigvalsh in frame_bounds (64 MiB)
 
 __all__ = [
     "CorrelationFamily",
@@ -51,8 +55,7 @@ __all__ = [
     "periodic_extension",
     "walnut_apply",
     "reconstruct_integral",
-    "FrameBoundEstimate",
-    "estimate_frame_bounds",
+    "frame_bounds",
     "apply_diagonal_defect",
     "apply_remainder",
     "operator_norm_upper_bound",
@@ -235,48 +238,58 @@ def reconstruct_integral(f: GridFunction, g: GridFunction, gamma: GridFunction,
     return walnut_apply(f, GaborSystem(g, gamma, dt, dw))
 
 
-@dataclass
-class FrameBoundEstimate:
-    """Power-iteration estimate of ||S_{a,b}||; bounds the Bessel constant."""
+def _residue_classes(samples: int, r: int) -> list[tuple[np.ndarray, int]]:
+    # the residues rho mod r of one axis, grouped by their sample count
+    # ceil((samples - rho) / r): k + 1 below samples % r, k from there on
+    k, extra = divmod(samples, r)
+    classes = [(np.arange(extra), k + 1), (np.arange(extra, min(r, samples)), k)]
+    return [(rho, size) for rho, size in classes if rho.size and size]
 
-    value: float
-    converged: bool
-    iterations: int
 
+def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
+    """The optimal frame bounds (A, B): the extreme eigenvalues of S for gamma = g.
 
-def estimate_frame_bounds(sys: GaborSystem, iterations: int = 200, seed: int = 0,
-                          rel_tol: float = 1e-10) -> FrameBoundEstimate:
-    """Largest-eigenvalue estimate of the self-dual operator S_{a,b;g,g}.
-
-    Requires gamma = g, so S is self-adjoint positive and the Rayleigh
-    quotient of the power iterates converges to the operator norm, and the
-    default full-period frequency truncation, because the iterates apply S
-    in the Walnut form.  Stops when the relative Rayleigh change drops below
-    rel_tol; if that never happens the last estimate is returned with
-    converged=False.
+    (S f)[i] reads f only at i - n r, r = 1/(b h) per axis, so S is block
+    diagonal over the residues rho mod r.  The block of rho holds
+    scale * ext(G[n])[rho + r k] at (k, k - n), scale = a^d / <g, g>, and is
+    Hermitian.  Blocks of equal shape (at most 2^d shapes) go through one
+    batched eigvalsh, at most _BATCH_ENTRIES matrix entries at a time.
+    Requires gamma = g and the default full-period frequency truncation,
+    whose operator is the Walnut form (ValueError otherwise).
     """
     if not np.array_equal(sys.g.values, sys.gamma.values):
-        raise ValueError("frame-bound estimation requires the self-dual system (gamma = g)")
+        raise ValueError("frame bounds require the self-dual system (gamma = g)")
     if sys.freq_radius is not None:
-        raise ValueError("frame-bound estimation iterates the full-period operator; "
+        raise ValueError("frame bounds are those of the full-period operator; "
                          f"got freq_radius={sys.freq_radius}")
-    family = correlation_family(sys)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(sys.grid.shape) + 1j * rng.standard_normal(sys.grid.shape)
-    v = GridFunction(sys.grid, v)
-    rho_prev = None
-    for it in range(1, iterations + 1):
-        w = walnut_apply(v, sys, family)
-        denom = l2_norm(v) ** 2
-        rho = float(inner_product(w, v).real) / denom
-        nrm = l2_norm(w)
-        if nrm == 0.0:
-            return FrameBoundEstimate(0.0, True, it)
-        v = (1.0 / nrm) * w
-        if rho_prev is not None and abs(rho - rho_prev) <= rel_tol * max(abs(rho), 1e-300):
-            return FrameBoundEstimate(rho, True, it)
-        rho_prev = rho
-    return FrameBoundEstimate(rho_prev, False, iterations)
+    grid = sys.grid
+    d = grid.dim
+    r = sys.inv_b_steps
+    scale = sys.a ** d / sys.pairing
+    members = {n: cell for n, cell in correlation_family(sys).members.items() if cell.any()}
+    lower, upper = math.inf, -math.inf
+    for classes in product(_residue_classes(grid.samples_per_axis, r), repeat=d):
+        sizes = tuple(size for _, size in classes)
+        side = math.prod(sizes)
+        rhos = np.array(list(product(*[rho for rho, _ in classes])))
+        step = max(1, _BATCH_ENTRIES // side ** 2)
+        for start in range(0, len(rhos), step):
+            rho = rhos[start:start + step]
+            blocks = np.zeros((len(rho),) + sizes * 2, dtype=complex)
+            for n, cell in members.items():
+                rows = [np.arange(max(0, v), min(k, k + v)) for v, k in zip(n, sizes)]
+                if not all(row.size for row in rows):
+                    continue
+                # grid index rho + r k of every block row k, one array per axis
+                index = tuple(rho[:, ax].reshape((-1,) + (1,) * d)
+                              + r * row.reshape([-1 if j == ax else 1 for j in range(d)])
+                              for ax, row in enumerate(rows))
+                cols = [row - v for row, v in zip(rows, n)]
+                ext = periodic_extension(cell, grid)
+                blocks[(slice(None),) + np.ix_(*rows) + np.ix_(*cols)] = scale * ext[index]
+            eig = np.linalg.eigvalsh(blocks.reshape(len(rho), side, side))
+            lower, upper = min(lower, float(eig[:, 0].min())), max(upper, float(eig[:, -1].max()))
+    return lower, upper
 
 
 def apply_diagonal_defect(f: GridFunction, sys: GaborSystem) -> GridFunction:
@@ -306,12 +319,10 @@ def _walnut_constant(sys: GaborSystem, scale: float = 1.0) -> float:
             * wiener_norm(sys.g) * wiener_norm(sys.gamma))
 
 
-def operator_norm_upper_bound(sys: GaborSystem, pq=None) -> float:
+def operator_norm_upper_bound(sys: GaborSystem) -> float:
     """Closed-form bound on ||S|| over every W(L^p, l^q), uniform in (p, q):
 
         (a^d / |<gamma, g>|) (1 + 1/a)^d (2 + 2b)^d ||g||_W ||gamma||_W.
-
-    The pq argument is accepted for interface symmetry and ignored.
     """
     return _walnut_constant(sys, sys.a ** sys.grid.dim / abs(sys.pairing))
 

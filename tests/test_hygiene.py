@@ -10,6 +10,11 @@ design and are not scanned.
 The dead-code rule: every module-level ``_private`` function, class or
 constant in ``src/gabframes`` must be read somewhere in ``src/`` or
 ``tests/``, as a loaded name, an attribute or an imported name.
+
+The export rule: every name in a package module's ``__all__`` is bound at
+the module's top level (a def, a class, an assignment or an import).  The
+unused-import rule counts ``__all__`` entries as uses, so without this a
+stale entry left behind by a deletion would pass both.
 """
 import ast
 from pathlib import Path
@@ -103,3 +108,39 @@ def test_no_unreferenced_private_names(path):
 ])
 def test_private_checker_itself(source, others, unreferenced):
     assert unreferenced_privates(source, others) == unreferenced
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names listed in ``__all__`` that the module's top level never binds."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"src/{p.name}")
+def test_all_names_are_bound(path):
+    assert unbound_exports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source,unbound", [
+    ("__all__ = ['f']\ndef f():\n    pass\n", []),
+    ("__all__ = ['f', 'gone']\ndef f():\n    pass\n", ["gone"]),
+    ("from m import x as y\n__all__ = ['x', 'y']\n", ["x"]),
+    ("import os.path\nK, (L, M) = 1, (2, 3)\nclass C:\n    pass\n"
+     "__all__ = ['os', 'K', 'M', 'C']\n", []),
+    ("def f():\n    g = 1\n__all__ = ['g']\n", ["g"]),
+    ("X: int = 1\n__all__ = ('X',)\n", []),
+    ("def f():\n    pass\n", []),
+])
+def test_export_checker_itself(source, unbound):
+    assert unbound_exports(source) == unbound

@@ -10,7 +10,6 @@ from gabframes import (
     GridFunction,
     WindowSpec,
     amalgam_norm,
-    condition_a_prime,
     correlation_fn,
     fourier_reconstruct_correlation,
     janssen_apply,
@@ -25,6 +24,7 @@ from gabframes import (
     sample_window,
 )
 from gabframes.walnut import correlation_member_range
+from conftest import random_interior
 
 
 def gaussian_entry_magnitude(sigma, t, omega):
@@ -67,10 +67,10 @@ class TestCoefficients:
         mags = np.abs(lat.entries)
         assert np.allclose(mags, mags[::-1, ::-1], atol=1e-10)
 
-    def test_outer_shell_mass_reported(self, gauss):
+    def test_truncation_bound_reported(self, gauss):
         lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 4, 4)
-        assert lat.outer_shell_mass >= 0
-        assert lat.outer_shell_mass < 1e-10  # gaussian decay
+        assert lat.truncation_bound >= 0
+        assert lat.truncation_bound < 1e-10  # gaussian decay
 
 
 class TestCoefficientKernel:
@@ -100,21 +100,59 @@ class TestCoefficientKernel:
 
 
 class TestConditionAPrime:
+    """Condition (A'): the dual-lattice coefficients are absolutely summable.
+
+    On the grid the sum is finite, and truncation_bound is exactly the part
+    a truncation misses or repeats, so it certifies ||S - S_{L,N}||.
+    """
+
     def test_indicator_unit_lattice_concentrates_at_origin(self, chi):
-        res = condition_a_prime(GaborSystem(chi, chi, 1.0, 1.0), max_shell=8)
-        assert res.partial_sums[0] == pytest.approx(1.0, abs=1e-12)
-        assert res.partial_sums[-1] == pytest.approx(1.0, abs=1e-12)
-        assert res.satisfied
+        sys = GaborSystem(chi, chi, 1.0, 1.0)
+        for ell_radius, n_radius in [(0, 0), (8, 3)]:
+            lat = janssen_coefficients(sys, ell_radius, n_radius)
+            assert lat.entry(0, 0) == pytest.approx(1.0, abs=1e-12)
+            assert lat.truncation_bound == 0.0
 
-    def test_gaussian_flag_true_by_shell_eight(self, gauss):
-        res = condition_a_prime(GaborSystem(gauss, gauss, 0.5, 0.5), max_shell=8)
-        assert res.satisfied
-        # frozen regression: almost all mass inside shell 1
-        assert res.partial_sums[1] / res.partial_sums[-1] > 1 - 1e-9
+    @pytest.mark.parametrize("pair,a,b", [("gauss", 1.0, 0.5), ("gauss", 0.5, 0.5),
+                                          ("hat_gauss", 0.5, 0.5), ("hat", 0.25, 1.0)])
+    def test_certificate_bounds_measured_error(self, grid, gauss, hat, pair, a, b):
+        g, gamma = {"gauss": (gauss, gauss), "hat_gauss": (hat, gauss), "hat": (hat, hat)}[pair]
+        sys = GaborSystem(g, gamma, a, b)
+        f = random_interior(grid, seed=61)
+        vals = f.values.ravel()
+        for ell_radius, n_radius in [(0, 0), (1, 0), (2, 2), (3, 1), (6, 6)]:
+            lat = janssen_coefficients(sys, ell_radius, n_radius)
+            err = (janssen_apply(f, lat) - walnut_apply(f, sys)).values.ravel()
+            for p in (1, 2, np.inf):  # relative grid L^p error, floor 1e-13 ||f||_p
+                ratio = np.linalg.norm(err, p) / np.linalg.norm(vals, p)
+                assert ratio <= lat.truncation_bound + 1e-13, (ell_radius, n_radius, p)
 
-    def test_partial_sums_nondecreasing(self, hat, gauss):
-        res = condition_a_prime(GaborSystem(hat, gauss, 0.5, 0.5), max_shell=6)
-        assert np.all(np.diff(res.partial_sums) >= -1e-15)
+    def test_zero_once_one_odd_period_and_the_members_are_covered(self):
+        grid = Grid(3.0, 1 / 30)
+        g = sample_window(WindowSpec.bspline(2), grid)
+        gamma = sample_window(WindowSpec.gaussian(0.7, 1.5), grid)
+        sys = GaborSystem(g, gamma, 0.5, 0.6)  # a/h = 15
+        n_max = max(max(abs(n) for n in rng) for rng in correlation_member_range(sys))
+        lat = janssen_coefficients(sys, 7, n_max)
+        assert lat.truncation_bound == 0.0
+        assert janssen_coefficients(sys, 7, n_max - 1).truncation_bound > 0.0
+        assert janssen_coefficients(sys, 6, n_max).truncation_bound > 0.0
+
+    def test_even_period_counts_the_midpoint_twice(self, hat, gauss):
+        sys = GaborSystem(hat, gauss, 0.5, 0.5)  # a/h = 16; 2L + 1 = 17 stores l = +-8
+        n_max = max(abs(n) for n in correlation_member_range(sys)[0])
+        lat = janssen_coefficients(sys, 8, n_max)
+        midpoint = math.fsum(abs(lat.entry(8, n)) for n in range(-n_max, n_max + 1))
+        assert midpoint > 0.0
+        assert lat.truncation_bound == pytest.approx(midpoint / abs(sys.pairing), rel=1e-12)
+
+    def test_certificate_nonincreasing_within_one_period(self, hat, gauss):
+        sys = GaborSystem(hat, gauss, 0.5, 0.5)
+        n_max = max(abs(n) for n in correlation_member_range(sys)[0])
+        certs = np.array([[janssen_coefficients(sys, ell, n).truncation_bound
+                           for n in range(n_max + 2)] for ell in range(8)])
+        assert np.all(np.diff(certs, axis=0) <= 0.0)
+        assert np.all(np.diff(certs, axis=1) <= 0.0)
 
 
 class TestJanssenApply:

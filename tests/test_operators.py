@@ -9,7 +9,8 @@ from gabframes import (
     GridFunction,
     GridMismatchError,
     apply_frame_direct,
-    estimate_frame_bounds,
+    correlation_family,
+    frame_bounds,
     gabor_coefficients,
     inner_product,
     janssen_apply,
@@ -23,6 +24,7 @@ from gabframes import (
     walnut_apply,
     WindowSpec,
 )
+from gabframes import walnut
 from conftest import random_interior
 
 
@@ -103,7 +105,7 @@ class TestCoefficients:
         sys = GaborSystem(chi, chi, 0.25, 0.5)
         lat = gabor_coefficients(interior_f, sys)
         total = float(np.sum(np.abs(lat.entries) ** 2))
-        bound = estimate_frame_bounds(sys).value * l2_norm(chi) ** 2 / (0.25 * 0.5)
+        bound = frame_bounds(sys)[1] * l2_norm(chi) ** 2 / (0.25 * 0.5)
         assert total <= bound * l2_norm(interior_f) ** 2 * (1 + 1e-10)
         assert total == pytest.approx(bound * l2_norm(interior_f) ** 2, rel=1e-10)
 
@@ -183,32 +185,68 @@ class TestDirectOperator:
         assert l2_norm(full - partial) <= 1e-8 * l2_norm(smooth)
 
 
-class TestFrameBounds:
-    def test_identity_regime_estimate(self, chi):
-        est = estimate_frame_bounds(GaborSystem(chi, chi, 0.25, 0.5), seed=0)
-        assert est.value == pytest.approx(1.0, abs=1e-6)
-        assert est.converged
+def dense_frame_operator(sys):
+    """S as a matrix: column i is walnut_apply of the i-th unit vector of the grid."""
+    grid = sys.grid
+    size = int(np.prod(grid.shape))
+    family = correlation_family(sys)
+    cols = []
+    for i in range(size):
+        unit = np.zeros(size, dtype=complex)
+        unit[i] = 1.0
+        out = walnut_apply(GridFunction(grid, unit.reshape(grid.shape)), sys, family)
+        cols.append(out.values.ravel())
+    return np.stack(cols, axis=1)
 
-    def test_seed_stability(self, chi):
-        sys = GaborSystem(chi, chi, 0.25, 0.5)
-        a = estimate_frame_bounds(sys, seed=1).value
-        b = estimate_frame_bounds(sys, seed=2).value
-        assert abs(a - b) < 1e-8
+
+# (grid, window, a, 1/b); r = 1/(b h) samples per residue step
+DENSE_CONFIGS = {
+    "desk-1d": (Grid(4.0, 1 / 32), WindowSpec.gaussian(1.0, 3.0), 0.5, 2.0),      # N = 256, r = 64
+    "uneven-1d": (Grid(3.0, 1 / 30), WindowSpec.bspline(2), 0.5, 0.9),            # N = 180, r = 27
+    "uneven-2d": (Grid(1.5, 1 / 6, dim=2), WindowSpec.gaussian(0.5, 1.0), 0.5, 5 / 6),  # 18^2, r = 5
+    "even-2d": (Grid(1.0, 1 / 8, dim=2), WindowSpec.bspline(2), 0.25, 0.5),       # 16^2, r = 4
+}
+
+
+class TestFrameBounds:
+    @pytest.mark.parametrize("name", DENSE_CONFIGS)
+    def test_matches_dense_eigvalsh(self, name):
+        grid, spec, a, inv_b = DENSE_CONFIGS[name]
+        g = sample_window(spec, grid)
+        sys = GaborSystem(g, g, a, 1 / inv_b)
+        eig = np.linalg.eigvalsh(dense_frame_operator(sys))
+        lower, upper = frame_bounds(sys)
+        assert abs(lower - eig[0]) <= 1e-13
+        assert abs(upper - eig[-1]) <= 1e-13
+
+    def test_small_batches_agree(self, monkeypatch):
+        # a cap below one block forces one block per eigvalsh call
+        grid, spec, a, inv_b = DENSE_CONFIGS["uneven-2d"]
+        g = sample_window(spec, grid)
+        sys = GaborSystem(g, g, a, 1 / inv_b)
+        whole = frame_bounds(sys)
+        monkeypatch.setattr(walnut, "_BATCH_ENTRIES", 1)
+        assert frame_bounds(sys) == whole
+
+    def test_identity_regime_estimate(self, chi):
+        lower, upper = frame_bounds(GaborSystem(chi, chi, 0.25, 0.5))
+        assert lower == pytest.approx(1.0, abs=1e-12)
+        assert upper == pytest.approx(1.0, abs=1e-12)
 
     def test_estimate_below_closed_form_bound(self, chi, hat):
         for window, a, b in [(chi, 0.25, 0.5), (hat, 0.5, 0.5)]:
             sys = GaborSystem(window, window, a, b)
-            est = estimate_frame_bounds(sys, iterations=60)
-            assert est.value <= operator_norm_upper_bound(sys) * (1 + 1e-9)
+            lower, upper = frame_bounds(sys)
+            assert 0.0 <= lower <= upper <= operator_norm_upper_bound(sys) * (1 + 1e-9)
 
     def test_requires_self_dual(self, chi, hat):
         with pytest.raises(ValueError):
-            estimate_frame_bounds(GaborSystem(chi, hat, 0.5, 0.5))
+            frame_bounds(GaborSystem(chi, hat, 0.5, 0.5))
 
     def test_rejects_truncated_frequency_band(self, chi):
-        # the power iterate applies the full-period (Walnut) operator
+        # the bounds are those of the full-period (Walnut) operator
         with pytest.raises(ValueError):
-            estimate_frame_bounds(GaborSystem(chi, chi, 0.25, 0.5, freq_radius=8))
+            frame_bounds(GaborSystem(chi, chi, 0.25, 0.5, freq_radius=8))
 
 
 class TestReconstructIntegral:

@@ -125,11 +125,6 @@ class TestOperatorNormBound:
     def test_unit_lattice_indicator_value(self, chi):
         assert operator_norm_upper_bound(GaborSystem(chi, chi, 1.0, 1.0)) == 8.0
 
-    def test_uniform_over_exponents(self, chi):
-        sys = GaborSystem(chi, chi, 0.5, 0.5)
-        vals = {operator_norm_upper_bound(sys, pq) for pq in PQ_SET}
-        assert len(vals) == 1
-
     def test_measured_ratio_below_bound(self, grid, hat):
         sys = GaborSystem(hat, hat, 0.5, 0.5)
         bound = operator_norm_upper_bound(sys)
