@@ -27,7 +27,7 @@ from .experiments import (
     counterexample_run,
     opnorm_sweep,
 )
-from .grid import Grid, GridFunction, _write_table, l2_norm, write_csv
+from .grid import Grid, GridFunction, _write_table, l2_norm, translate, write_csv
 from .janssen import janssen_apply, janssen_coefficients, wexler_raz_check
 from .operators import GaborSystem, apply_frame_direct, gabor_coefficients
 from .walnut import diagonal_deviation, operator_norm_upper_bound, tail_sum, walnut_apply
@@ -82,21 +82,19 @@ def _window_from(cfg: dict, key: str) -> WindowSpec:
 
 
 def _system_from(cfg: dict) -> GaborSystem:
+    if "freq_radius" in cfg:
+        raise ConfigError("\"freq_radius\" is not a system parameter: every system sums "
+                          "one full frequency period r = 1/(b h); remove the key")
     grid = _grid_from(cfg)
     g = sample_window(_window_from(cfg, "g"), grid)
     gamma = sample_window(_window_from(cfg, "gamma"), grid) if cfg.get("gamma") else g
     for key in ("a", "b"):
         if key not in cfg:
             raise ConfigError(f"config is missing lattice parameter {key!r}")
-    kw = {}
-    if cfg.get("freq_radius") is not None:
-        kw["freq_radius"] = int(cfg["freq_radius"])
-    return GaborSystem(g, gamma, float(cfg["a"]), float(cfg["b"]), **kw)
+    return GaborSystem(g, gamma, float(cfg["a"]), float(cfg["b"]))
 
 
 def _f_from(cfg: dict, grid: Grid) -> GridFunction:
-    from .grid import translate
-
     f = sample_window(_window_from(cfg, "f"), grid)
     shift = cfg.get("f_shift")
     if shift is not None:

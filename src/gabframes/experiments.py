@@ -124,10 +124,6 @@ class SweepReport:
     monotone: bool
     passed: bool
 
-    @property
-    def errors(self) -> list[float]:
-        return [r.err_f if r.err_f is not None else r.proxy_upper for r in self.records]
-
 
 def _trend(values: list[float]) -> tuple[float, bool, bool]:
     first, last = values[0], values[-1]

@@ -5,6 +5,10 @@ implicitly zero outside it (compact support, no wraparound).  All time shifts
 are integer multiples of the spacing h and are performed by exact sample
 relocation; modulations are exact at any frequency.
 
+The products behind STFT rows and Walnut members, conj(T_s u) * v, are
+folded into a lattice cell by one kernel that reads only the overlap box of
+the two supports.
+
 Dense numeric tables (grid samples here, coefficient lattices and witness
 tables in the CLI) are written by one CSV writer that formats a chunk of
 rows per string-formatting call, with 17 significant digits per value.
@@ -167,9 +171,6 @@ class GridFunction:
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
 
-    def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.grid, values)
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         _require_grid(other, self.grid)
         return GridFunction(self.grid, self.values + other.values)
@@ -230,6 +231,46 @@ def fold_to_cell(values: np.ndarray, cell_steps: int, origin_steps) -> np.ndarra
     for ax in range(out.ndim):
         out = out.reshape(out.shape[:ax] + (-1, cell_steps) + out.shape[ax + 1:]).sum(axis=ax)
     return np.roll(out, -np.asarray(origin_steps), axis=tuple(range(out.ndim)))
+
+
+def _shifted_overlap(bounds, steps, limits):
+    # slices of the box (bounds + steps) meet limits, per axis, and of the
+    # same box moved back by steps; None when the two do not meet
+    box, src = [], []
+    for (lo, hi), s, (lim_lo, lim_hi) in zip(bounds, steps, limits):
+        start, stop = max(lo + s, lim_lo), min(hi + s, lim_hi) + 1
+        if start >= stop:
+            return None
+        box.append(slice(start, stop))
+        src.append(slice(start - s, stop - s))
+    return tuple(box), tuple(src)
+
+
+def _fold_overlap(u: GridFunction, v: GridFunction, steps, cell_steps: int) -> np.ndarray:
+    """fold_to_cell of conj(T_steps u) * v on the grid origin, all zero if they miss.
+
+    steps shifts u by whole samples per axis.  Only the overlap box of
+    supp(T_steps u) and supp(v) is multiplied and folded; every sample
+    outside it contributes an exact zero, so the cell has the bits of the
+    full-grid fold.  The operand order is part of those bits: with FMA,
+    numpy's complex product can round differently when its operands swap.
+    """
+    grid = v.grid
+    ub = support_index_bounds(u)
+    vb = support_index_bounds(v)
+    overlap = None if ub is None or vb is None else _shifted_overlap(ub, steps, vb)
+    if overlap is None:
+        return np.zeros((cell_steps,) * grid.dim, dtype=complex)
+    box, u_box = overlap
+    w = np.conj(u.values[u_box]) * v.values[box]
+    if cell_steps == 1:
+        # a one-sample cell is a plain total, which numpy sums pairwise, so its
+        # rounding depends on where the zeros sit: sum on the full grid so the
+        # cell has the bits of the grid-wide fold
+        full = np.zeros(grid.shape, dtype=complex)
+        full[box] = w
+        return fold_to_cell(full, 1, grid.half_extent_steps)
+    return fold_to_cell(w, cell_steps, [grid.half_extent_steps - sl.start for sl in box])
 
 
 def _cell_spectrum(cell: np.ndarray, indices) -> np.ndarray:

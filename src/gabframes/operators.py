@@ -1,6 +1,6 @@
 """STFT, Gabor coefficient lattices, and the direct frame operator.
 
-The direct operator is the definitional truncated double lattice sum
+The direct operator is the definitional double lattice sum
 
     S f = (a b)^d / <gamma, g>  *  sum_{n,m} <f, tau(na, mb) g> tau(na, mb) gamma
 
@@ -8,14 +8,15 @@ and serves as the brute-force oracle for the Walnut and Janssen forms.  On
 the grid the m-dependence of each term is periodic with period r = 1/(b h)
 per axis (an integer by the commensurability contract), because frequencies
 m b and m b + 1/h are indistinguishable on samples.  One full period of
-frequency indices therefore covers the grid's Nyquist band exactly and the
-default truncation uses it; a smaller symmetric radius is allowed, with the
-omitted residues as the quantified tail.
+frequency indices therefore covers the grid's Nyquist band exactly, and
+every system uses it; the time indices are every n whose shift of g meets
+the grid.  So a GaborSystem names one operator, whichever form evaluates it.
 
 The same periodicity turns every frequency sum into one exact kernel: fold
-the product f * conj(T_{na} g) into a cell of side r and take its FFT, so
-coefficient m is bin m mod r.  gabor_coefficients uses that kernel; the
-direct operator deliberately does not, so it stays an independent oracle.
+the product conj(T_{na} g) * f into a cell of side r and take its FFT, so
+coefficient m is bin m mod r.  gabor_coefficients uses that kernel, the
+overlap-box fold the Walnut members use too; the direct operator
+deliberately does not, so it stays an independent oracle.
 Every other evaluation of S (the Walnut and Janssen forms, the STFT
 inversion sum reconstruct_integral and the exact frame bounds) lives in
 walnut and janssen, which build on this module.
@@ -32,8 +33,8 @@ from .grid import (
     Grid,
     GridFunction,
     _cell_spectrum,
+    _fold_overlap,
     _require_grid,
-    fold_to_cell,
     inner_product,
     shift_array,
     support_index_bounds,
@@ -52,12 +53,13 @@ DEGENERACY_FLOOR = 1e-12
 
 
 class GaborSystem:
-    """A window pair with lattice parameters and truncation policy.
+    """A window pair with lattice parameters: one frame operator S.
 
     Requirements checked at construction: g and gamma share the grid, the
-    pairing <gamma, g> is nondegenerate, a and 1/b are integer multiples of
-    the spacing, and the time radius covers every lattice shift of g whose
-    support meets the domain.
+    pairing <gamma, g> is nondegenerate, and a and 1/b are integer multiples
+    of the spacing.  time_indices are the symmetric range of n covering
+    every lattice shift of g whose support meets the domain; freq_indices
+    are one full period r = 1/(b h) of m.
 
     Parameters
     ----------
@@ -65,18 +67,9 @@ class GaborSystem:
         Analysis and synthesis windows.
     a, b : float
         Time and frequency lattice steps, a > 0, b > 0.
-    time_radius : int, optional
-        Symmetric truncation |n| <= time_radius of the time lattice.
-        Defaults to (and must be at least) the support-derived minimum.
-    freq_radius : int, optional
-        Symmetric truncation |m| <= freq_radius of the frequency lattice.
-        Default None selects one full Nyquist period of indices, which makes
-        the direct sum exact; an explicit radius must keep 2*freq_radius + 1
-        within one period.
     """
 
-    def __init__(self, g: GridFunction, gamma: GridFunction, a: float, b: float,
-                 time_radius: int | None = None, freq_radius: int | None = None):
+    def __init__(self, g: GridFunction, gamma: GridFunction, a: float, b: float):
         if g.grid != gamma.grid:
             raise DegenerateWindowPairError("windows must share a grid")
         if a <= 0 or b <= 0:
@@ -92,32 +85,14 @@ class GaborSystem:
         if abs(self.pairing) <= DEGENERACY_FLOOR:
             raise DegenerateWindowPairError(
                 f"|<gamma, g>| = {abs(self.pairing):.3e} <= {DEGENERACY_FLOOR}")
-        need = self._min_time_radius()
-        if time_radius is None:
-            time_radius = need
-        elif time_radius < need:
-            raise ValueError(
-                f"time_radius={time_radius} drops lattice shifts overlapping the domain "
-                f"(need >= {need})")
-        self.time_radius = int(time_radius)
+        radius = self._min_time_radius()
+        self.time_indices = np.arange(-radius, radius + 1)
         r = self.inv_b_steps
-        if freq_radius is not None:
-            if 2 * freq_radius + 1 > r:
-                raise ValueError(
-                    f"freq_radius={freq_radius} exceeds one frequency period (r={r}); "
-                    f"larger radii would alias-duplicate terms")
-            self.freq_indices = np.arange(-freq_radius, freq_radius + 1)
-        else:
-            self.freq_indices = np.arange(-(r // 2), r - r // 2)
-        self.freq_radius = freq_radius
+        self.freq_indices = np.arange(-(r // 2), r - r // 2)
 
     @property
     def grid(self) -> Grid:
         return self.g.grid
-
-    @property
-    def time_indices(self) -> np.ndarray:
-        return np.arange(-self.time_radius, self.time_radius + 1)
 
     def _min_time_radius(self) -> int:
         bounds = support_index_bounds(self.g)
@@ -133,18 +108,18 @@ class GaborSystem:
         return need
 
     @classmethod
-    def self_dual(cls, g: GridFunction, a: float, b: float, **kw) -> "GaborSystem":
+    def self_dual(cls, g: GridFunction, a: float, b: float) -> "GaborSystem":
         """The gamma = g system; the pairing becomes ||g||_2^2."""
-        return cls(g, g, a, b, **kw)
+        return cls(g, g, a, b)
 
     def __repr__(self):
-        return (f"GaborSystem(a={self.a}, b={self.b}, time_radius={self.time_radius}, "
+        return (f"GaborSystem(a={self.a}, b={self.b}, time_radius={self.time_indices[-1]}, "
                 f"freq_indices={len(self.freq_indices)} per axis)")
 
 
 @dataclass
 class CoefficientLattice:
-    """Gabor coefficients <f, tau(na, mb) g> over the truncated lattice.
+    """Gabor coefficients <f, tau(na, mb) g> over the system's index ranges.
 
     entries has the d time axes first (lengths matching time_indices) and
     the d frequency axes last (lengths matching freq_indices).
@@ -192,9 +167,11 @@ def _apply_axes(mat: np.ndarray, ten: np.ndarray) -> np.ndarray:
 
 
 def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> CoefficientLattice:
-    """All coefficients <f, tau(na, mb) g> over the system's truncation.
+    """All coefficients <f, tau(na, mb) g> over the system's index ranges.
 
-    Raises GridMismatchError when f is not on the system's grid.
+    Row n is the FFT of conj(T_{na} g) * f folded into a cell of side r,
+    formed on the overlap box of the two supports only.  Raises
+    GridMismatchError when f is not on the system's grid.
     """
     _require_grid(f, sys.grid)
     grid = sys.grid
@@ -203,20 +180,17 @@ def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> CoefficientLattice:
     m_count = len(sys.freq_indices)
     entries = np.zeros((n_count,) * d + (m_count,) * d, dtype=complex)
     for pos, n in zip(np.ndindex((n_count,) * d), product(sys.time_indices, repeat=d)):
-        gs = shift_array(sys.g.values, np.array(n) * sys.a_steps)
-        if not gs.any():
-            continue
-        cell = fold_to_cell(f.values * np.conj(gs), sys.inv_b_steps, grid.half_extent_steps)
+        cell = _fold_overlap(sys.g, f, np.array(n) * sys.a_steps, sys.inv_b_steps)
         entries[pos] = grid.cell_measure * _cell_spectrum(cell, sys.freq_indices)
     return CoefficientLattice(entries, sys.a, sys.b,
                               np.array(sys.time_indices), np.array(sys.freq_indices))
 
 
 def apply_frame_direct(f: GridFunction, sys: GaborSystem) -> GridFunction:
-    """The truncated definitional lattice sum; the correctness oracle.
+    """The definitional lattice sum; the correctness oracle.
 
-    Cost is O(|lattice| * N^d).  With the default full-period frequency
-    truncation the result reorganizes exactly into the Walnut form.  Raises
+    Cost is O(|lattice| * N^d).  Over one full frequency period the result
+    reorganizes exactly into the Walnut form.  Raises
     GridMismatchError when f is not on the system's grid.
     """
     _require_grid(f, sys.grid)

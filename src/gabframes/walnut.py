@@ -37,7 +37,9 @@ from .amalgam import wiener_norm
 from .grid import (
     Grid,
     GridFunction,
+    _fold_overlap,
     _require_grid,
+    _shifted_overlap,
     fold_to_cell,
     support_index_bounds,
 )
@@ -75,19 +77,6 @@ def _cell_on_box(cell: np.ndarray, box, origin_steps: int) -> np.ndarray:
     for ax, sl in enumerate(box):
         out = np.take(out, (np.arange(sl.start, sl.stop) - origin_steps) % p, axis=ax)
     return out
-
-
-def _shifted_overlap(bounds, steps, limits):
-    # slices of the box (bounds + steps) meet limits, per axis, and of the
-    # same box moved back by steps; None when the two do not meet
-    box, src = [], []
-    for (lo, hi), s, (lim_lo, lim_hi) in zip(bounds, steps, limits):
-        start, stop = max(lo + s, lim_lo), min(hi + s, lim_hi) + 1
-        if start >= stop:
-            return None
-        box.append(slice(start, stop))
-        src.append(slice(start - s, stop - s))
-    return tuple(box), tuple(src)
 
 
 def periodic_extension(cell: np.ndarray, grid: Grid) -> np.ndarray:
@@ -133,23 +122,8 @@ def correlation_fn(sys: GaborSystem, n) -> np.ndarray:
     Only the overlap box of supp(T_{n/b} g) and supp(gamma) is multiplied
     and folded; every sample outside it contributes an exact zero.
     """
-    grid = sys.grid
-    steps = [v * sys.inv_b_steps for v in _as_tuple(n, grid.dim)]
-    gb = support_index_bounds(sys.g)
-    cb = support_index_bounds(sys.gamma)
-    overlap = None if gb is None or cb is None else _shifted_overlap(gb, steps, cb)
-    if overlap is None:
-        return np.zeros((sys.a_steps,) * grid.dim, dtype=complex)
-    box, g_box = overlap
-    w = np.conj(sys.g.values[g_box]) * sys.gamma.values[box]
-    if sys.a_steps == 1:
-        # a one-sample cell is a plain total, which numpy sums pairwise, so its
-        # rounding depends on where the zeros sit: sum on the full grid so the
-        # member has the bits of the grid-wide fold
-        full = np.zeros(grid.shape, dtype=complex)
-        full[box] = w
-        return fold_to_cell(full, 1, grid.half_extent_steps)
-    return fold_to_cell(w, sys.a_steps, [grid.half_extent_steps - sl.start for sl in box])
+    steps = [v * sys.inv_b_steps for v in _as_tuple(n, sys.grid.dim)]
+    return _fold_overlap(sys.g, sys.gamma, steps, sys.a_steps)
 
 
 @dataclass
@@ -254,14 +228,10 @@ def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
     scale * ext(G[n])[rho + r k] at (k, k - n), scale = a^d / <g, g>, and is
     Hermitian.  Blocks of equal shape (at most 2^d shapes) go through one
     batched eigvalsh, at most _BATCH_ENTRIES matrix entries at a time.
-    Requires gamma = g and the default full-period frequency truncation,
-    whose operator is the Walnut form (ValueError otherwise).
+    Requires gamma = g (ValueError otherwise).
     """
     if not np.array_equal(sys.g.values, sys.gamma.values):
         raise ValueError("frame bounds require the self-dual system (gamma = g)")
-    if sys.freq_radius is not None:
-        raise ValueError("frame bounds are those of the full-period operator; "
-                         f"got freq_radius={sys.freq_radius}")
     grid = sys.grid
     d = grid.dim
     r = sys.inv_b_steps

@@ -307,6 +307,28 @@ class TestMalformedWindowSpec:
         self.assert_config_error(capsys, "norm", "--window", spec)
 
 
+@pytest.mark.parametrize("argv", [
+    ["stft"], ["apply", "--method", "direct"], ["apply", "--method", "walnut"],
+    ["apply", "--method", "janssen"], ["bounds"]])
+def test_freq_radius_is_rejected(capsys, tmp_path, argv):
+    # a truncated frequency band changed only the direct form's output;
+    # every system now sums one full period, so the key fails loudly
+    path = write_json(tmp_path / "sys.json", {
+        "schema": "v1",
+        "grid": {"half_extent": 4.0, "spacing": 1 / 32},
+        "g": {"family": "gaussian", "sigma": 1.0, "radius": 3.0},
+        "a": 0.5,
+        "b": 0.5,
+        "f": {"family": "bspline", "order": 2},
+        "freq_radius": 2,
+    })
+    code, out, err = run_cli(capsys, argv[0], "--config", path, *argv[1:])
+    assert code == 1
+    assert out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "ConfigError" and "freq_radius" in obj["message"]
+
+
 def test_memory_error_is_a_json_error(capsys, monkeypatch, apply_config):
     def exhausted(*args, **kwargs):
         raise MemoryError("cannot allocate the frame operator")

@@ -15,6 +15,11 @@ The export rule: every name in a package module's ``__all__`` is bound at
 the module's top level (a def, a class, an assignment or an import).  The
 unused-import rule counts ``__all__`` entries as uses, so without this a
 stale entry left behind by a deletion would pass both.
+
+The dead-method rule: every non-dunder method of a module-level class in
+``src/gabframes`` is read somewhere in ``src/``, ``tests/``, ``demos/`` or
+``perfbench/``, by the same test as the dead-code rule.  Matching is by name
+only, so a method shares the fate of any attribute or name spelled alike.
 """
 import ast
 from pathlib import Path
@@ -25,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (ROOT / "src" / "gabframes").glob("*.py") if p.name != "__init__.py")
 FILES += sorted((ROOT / "tests").glob("*.py"))
 PACKAGE = sorted((ROOT / "src" / "gabframes").glob("*.py"))
+CALLERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted(
+    p for sub in ("demos", "perfbench") for p in (ROOT / sub).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -144,3 +151,38 @@ def test_all_names_are_bound(path):
 ])
 def test_export_checker_itself(source, unbound):
     assert unbound_exports(source) == unbound
+
+
+def method_definitions(source: str) -> list[str]:
+    """Non-dunder methods (properties and class methods included) of top-level classes."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [n for n in dict.fromkeys(names) if not (n.startswith("__") and n.endswith("__"))]
+
+
+def unreferenced_methods(source: str, others: list[str]) -> list[str]:
+    refs = set().union(references(source), *map(references, others))
+    return [n for n in method_definitions(source) if n not in refs]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"src/{p.name}")
+def test_no_unreferenced_methods(path):
+    others = [p.read_text() for p in CALLERS if p != path]
+    assert unreferenced_methods(path.read_text(), others) == []
+
+
+@pytest.mark.parametrize("source,others,unreferenced", [
+    ("class G:\n    def with_values(self, v):\n        return G()\n", [], ["with_values"]),
+    ("class G:\n    def f(self):\n        pass\n    def g(self):\n        return self.f()\n",
+     [], ["g"]),
+    ("class G:\n    @property\n    def size(self):\n        return 1\n", ["def f(x):\n    return x.size\n"], []),
+    ("class G:\n    @classmethod\n    def of(cls):\n        pass\n", ["G.of()\n"], []),
+    ("class G:\n    def __init__(self):\n        pass\n    def __repr__(self):\n        return ''\n",
+     [], []),
+    ("def f():\n    class G:\n        def h(self):\n            pass\n", [], []),
+])
+def test_method_checker_itself(source, others, unreferenced):
+    assert unreferenced_methods(source, others) == unreferenced

@@ -14,6 +14,7 @@ from gabframes import (
     correlation_family,
     correlation_fn,
     diagonal_correlation,
+    gabor_coefficients,
     l2_norm,
     operator_norm_upper_bound,
     periodic_extension,
@@ -24,7 +25,7 @@ from gabframes import (
     wiener_norm,
     window_library,
 )
-from gabframes.grid import fold_to_cell, shift_array
+from gabframes.grid import _cell_spectrum, fold_to_cell, shift_array
 from gabframes.walnut import correlation_member_range
 from conftest import random_interior
 
@@ -230,7 +231,9 @@ def box_window(grid, lo, hi, seed):
 # (dim, g box, gamma box, a/h, (1/b)/h) on Grid(2, 1/16) (N = 64) or
 # Grid(1.5, 1/8, 2) (N = 24).  Overlap widths are not multiples of a/h,
 # windows touch the grid edges, one cell is a single sample and one is wider
-# than every overlap.
+# than every overlap.  The last three are for the STFT rows, which fold into
+# a cell of side r = (1/b)/h with gamma as f: r = 1, r > N, and an f that
+# touches both edges while the lattice shifts of g leave the grid.
 BOX_CASES = [
     (1, (5,), (41,), (20,), (63,), 3, 32),
     (1, (0,), (30,), (0,), (63,), 5, 24),
@@ -239,6 +242,9 @@ BOX_CASES = [
     (2, (0, 3), (13, 23), (6, 0), (23, 17), 3, 16),
     (2, (2, 5), (9, 11), (4, 1), (20, 7), 1, 12),
     (2, (0, 0), (23, 23), (11, 12), (13, 14), 5, 8),
+    (1, (5,), (40,), (20,), (50,), 3, 1),
+    (1, (10,), (30,), (0,), (50,), 4, 80),
+    (2, (17, 2), (21, 6), (0, 0), (23, 23), 3, 8),
 ]
 
 
@@ -257,8 +263,8 @@ def full_grid_member(sys, n):
 
 
 class TestBoxKernels:
-    """The overlap-box members and the support-box Walnut sum give the bits
-    of the full-grid computations they replace."""
+    """The overlap-box members and STFT rows and the support-box Walnut sum
+    give the bits of the full-grid computations they replace."""
 
     @pytest.mark.parametrize("case", BOX_CASES)
     def test_members_match_full_grid_fold(self, case):
@@ -266,6 +272,20 @@ class TestBoxKernels:
         ranges = [range(r.start - 3, r.stop + 3) for r in correlation_member_range(sys)]
         for n in product(*ranges):  # runs past the boundary, where the cell is zero
             assert same_bits(correlation_fn(sys, n), full_grid_member(sys, n)), n
+
+    @pytest.mark.parametrize("case", BOX_CASES)
+    def test_coefficients_match_full_grid_fold(self, case):
+        sys = box_system(case)
+        f, grid = sys.gamma, sys.grid
+        lat = gabor_coefficients(f, sys)
+        for pos in np.ndindex((len(sys.time_indices),) * grid.dim):
+            n = sys.time_indices[list(pos)]  # the outer rows move g off the grid
+            # conj(T g) first, as in the kernel: with FMA, numpy's complex
+            # product can round differently when its operands are swapped
+            w = np.conj(shift_array(sys.g.values, n * sys.a_steps)) * f.values
+            cell = fold_to_cell(w, sys.inv_b_steps, grid.half_extent_steps)
+            want = grid.cell_measure * _cell_spectrum(cell, sys.freq_indices)
+            assert same_bits(lat.entries[pos], want), n
 
     def test_zero_window_gives_zero_cells(self):
         sys = box_system(BOX_CASES[0])
