@@ -4,8 +4,10 @@ The local norm on the cube [k, k+1)^d is a plain Riemann sum with cell
 weight h^d (for p < inf) or the max over grid samples (the discrete
 essential sup, a lower bound for the true one).  Cube-local norms are then
 aggregated in l^q over all integer k; compact support makes the aggregation
-finite exactly.  The same h^d weight is used by the pairing, so the
-Hoelder-type inequalities hold exactly in the discrete model.
+finite exactly.  Norms read only the cubes that meet the support box of
+the function, so their cost follows the support, not the grid; the cubes
+off it hold exact zeros.  The same h^d weight is used by the pairing, so
+the Hoelder-type inequalities hold exactly in the discrete model.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, inner_product
+from .grid import GridFunction, inner_product, support_index_bounds
 
 __all__ = [
     "Exponent",
@@ -119,22 +121,43 @@ def cube_norms(f: GridFunction, p) -> np.ndarray:
     """Local L^p norms over all integer cubes meeting the domain.
 
     Returns an array of shape (C,)*d where C is the number of cubes per axis.
+    Only the cubes that meet the support box are reduced; every other entry
+    is an exact zero.
     """
     p = Exponent.of(p)
     grid = f.grid
     m = grid.samples_per_unit
-    block = np.abs(f.values)
+    n = grid.samples_per_axis
+    # a non-integer half extent leaves partial cubes at both ends: index i
+    # sits at i + pad among whole cubes, and the missing samples read zero
     pad = -grid.half_extent_steps % m
-    if pad:
-        # non-integer half extent: zero samples out to whole cubes on both
-        # sides (the domain is symmetric), which adds nothing to any norm
-        block = np.pad(block, pad)
-    c = block.shape[0] // m
-    block = block.reshape((c, m) * grid.dim)
+    c = (n + 2 * pad) // m
+    out = np.zeros((c,) * grid.dim)
+    bounds = support_index_bounds(f)
+    if bounds is None:
+        return out
+    cubes, src, pads = [], [], []
+    for lo, hi in bounds:
+        k_lo, k_hi = (lo + pad) // m, (hi + pad) // m + 1
+        if k_hi - k_lo < 2 <= c:
+            # keep two cubes per axis: with one, numpy merges the intra-cube
+            # axes of a 2D block and sums its samples in another order
+            k_lo, k_hi = (k_lo, k_lo + 2) if k_hi < c else (k_lo - 1, k_hi)
+        start, stop = k_lo * m - pad, k_hi * m - pad
+        cubes.append(slice(k_lo, k_hi))
+        src.append(slice(max(start, 0), min(stop, n)))
+        pads.append((max(-start, 0), max(stop - n, 0)))
+    block = np.abs(f.values[tuple(src)])
+    if any(hi or lo for lo, hi in pads):
+        block = np.pad(block, pads)
+    block = block.reshape(sum(((sl.stop - sl.start, m) for sl in cubes), ()))
     intra = tuple(range(1, 2 * grid.dim, 2))
     if p.is_inf:
-        return block.max(axis=intra)
-    return (grid.cell_measure * (block ** p.value).sum(axis=intra)) ** (1.0 / p.value)
+        out[tuple(cubes)] = block.max(axis=intra)
+    else:
+        local = (block ** p.value).sum(axis=intra)
+        out[tuple(cubes)] = (grid.cell_measure * local) ** (1.0 / p.value)
+    return out
 
 
 def amalgam_norm(f: GridFunction, pq) -> float:

@@ -57,6 +57,22 @@ def _load_json(path: str) -> dict:
     return obj
 
 
+# The keys each config reads; any other key is a typo or an obsolete
+# option, and fails.  One system config serves stft, apply, bounds and
+# wexler-raz, so it may carry the test function f where a command skips it.
+_GRID_KEYS = frozenset({"half_extent", "spacing", "dim"})
+_SYSTEM_KEYS = frozenset({"schema", "grid", "g", "gamma", "a", "b", "f", "f_shift"})
+_SWEEP_KEYS = frozenset({"schema", "kind", "grid", "g", "gamma", "pairs", "p", "q",
+                         "f", "f_shift"})
+
+
+def _require_keys(obj: dict, allowed: frozenset, what: str) -> None:
+    extra = sorted(set(obj) - allowed)
+    if extra:
+        raise ConfigError(f"unknown {what} key(s) {extra}; "
+                          f"expected some of {sorted(allowed)}")
+
+
 def _require_schema(cfg: dict, path: str) -> None:
     if cfg.get("schema") != SCHEMA:
         raise ConfigError(f"config {path!r} must declare \"schema\": \"{SCHEMA}\"")
@@ -66,6 +82,7 @@ def _grid_from(cfg: dict) -> Grid:
     g = cfg.get("grid")
     if not isinstance(g, dict):
         raise ConfigError("config needs a \"grid\" object with half_extent and spacing")
+    _require_keys(g, _GRID_KEYS, "grid")
     try:
         return Grid(float(g["half_extent"]), float(g["spacing"]), int(g.get("dim", 1)))
     except KeyError as exc:
@@ -85,6 +102,7 @@ def _system_from(cfg: dict) -> GaborSystem:
     if "freq_radius" in cfg:
         raise ConfigError("\"freq_radius\" is not a system parameter: every system sums "
                           "one full frequency period r = 1/(b h); remove the key")
+    _require_keys(cfg, _SYSTEM_KEYS, "system config")
     grid = _grid_from(cfg)
     g = sample_window(_window_from(cfg, "g"), grid)
     gamma = sample_window(_window_from(cfg, "gamma"), grid) if cfg.get("gamma") else g
@@ -205,6 +223,7 @@ def _sweep_csv(report) -> str:
 def _cmd_sweep(args) -> int:
     cfg = _load_json(args.config)
     _require_schema(cfg, args.config)
+    _require_keys(cfg, _SWEEP_KEYS, "sweep config")
     grid = _grid_from(cfg)
     kind = cfg.get("kind", "convergence")
     if kind not in ("convergence", "opnorm"):

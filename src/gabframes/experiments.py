@@ -20,7 +20,15 @@ import numpy as np
 
 from .amalgam import Exponent, ExponentPair, amalgam_norm
 from .errors import ConfigError, ResolutionError
-from .grid import Grid, GridFunction, fold_to_cell, inner_product, support_index_bounds, translate
+from .grid import (
+    Grid,
+    GridFunction,
+    _bounds_box,
+    fold_to_cell,
+    inner_product,
+    support_index_bounds,
+    translate,
+)
 from .operators import GaborSystem
 from .walnut import (
     apply_diagonal_defect,
@@ -224,11 +232,14 @@ def _boundary_residue(sf: GridFunction, sys: GaborSystem, pq: ExponentPair) -> f
     reach = int(min(reach, grid.samples_per_axis // 2))
     if reach <= 0:
         return 0.0
+    interior = slice(reach, grid.samples_per_axis - reach)
+    bounds = support_index_bounds(sf)
+    if bounds is None or all(interior.start <= lo and hi < interior.stop for lo, hi in bounds):
+        # the strip holds only zeros, whose norm is exactly 0.0
+        return 0.0
     strip = sf.values.copy()
-    strip[(slice(reach, grid.samples_per_axis - reach),) * grid.dim] = 0.0
-    # the constructor copies; rebinding frees the first copy before the norm
-    strip = GridFunction(grid, strip)
-    return amalgam_norm(strip, pq)
+    strip[(interior,) * grid.dim] = 0.0
+    return amalgam_norm(GridFunction._own(grid, strip, _bounds_box(bounds)), pq)
 
 
 def opnorm_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:

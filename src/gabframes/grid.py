@@ -152,43 +152,82 @@ class GridFunction:
 
     Immutable: the sample array is frozen at construction and every operation
     returns a new instance, so instances are safe to share across threads.
+    The public constructor copies its input once, so a caller may go on
+    changing the array it passed in.  Operations here and in the package wrap
+    the fresh arrays they compute with :meth:`_own`, which takes them without a
+    copy; a caller that knows a box holding every nonzero sample passes it
+    along, and the support is then scanned on that box only.
     """
 
     # _support caches support_index_bounds; unset until first asked for
     __slots__ = ("grid", "values", "_support")
 
     def __init__(self, grid: Grid, values):
-        arr = np.asarray(values, dtype=complex)
+        arr = np.array(values, dtype=complex)
         if arr.shape == (grid.size,):
             arr = arr.reshape(grid.shape)
         if arr.shape != grid.shape:
             raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _own(cls, grid: Grid, arr: np.ndarray, hull=None) -> "GridFunction":
+        """Wrap a fresh complex array of the grid's shape without copying it.
+
+        The array is frozen in place, so no other reference to it may write
+        to it afterwards.  hull, when given, is a box of slices per axis that
+        holds every nonzero sample; the support is then scanned on the box
+        only and cached as exact bounds.
+        """
+        arr.setflags(write=False)
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "values", arr)
+        if hull is not None:
+            object.__setattr__(f, "_support", _box_support(arr, hull))
+        return f
+
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
 
+    def _sum_hull(self, other: "GridFunction") -> tuple[slice, ...]:
+        # a sum or difference is zero outside the hull of both supports
+        both = (support_index_bounds(self), support_index_bounds(other))
+        return _hull([_bounds_box(b) for b in both if b is not None], self.grid.dim)
+
     def __add__(self, other: "GridFunction") -> "GridFunction":
         _require_grid(other, self.grid)
-        return GridFunction(self.grid, self.values + other.values)
+        return GridFunction._own(self.grid, self.values + other.values, self._sum_hull(other))
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         _require_grid(other, self.grid)
-        return GridFunction(self.grid, self.values - other.values)
+        return GridFunction._own(self.grid, self.values - other.values, self._sum_hull(other))
 
     def __mul__(self, scalar) -> "GridFunction":
-        return GridFunction(self.grid, self.values * complex(scalar))
+        return GridFunction._own(self.grid, self.values * complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values)
+        return GridFunction._own(self.grid, -self.values)
 
     def __repr__(self):
         return f"GridFunction({self.grid!r}, <{self.values.shape} samples>)"
+
+
+def _bounds_box(bounds) -> tuple[slice, ...]:
+    # the box of slices covering inclusive (lo, hi) index bounds
+    return tuple(slice(lo, hi + 1) for lo, hi in bounds)
+
+
+def _hull(boxes, dim: int) -> tuple[slice, ...]:
+    # the smallest box of slices holding every given box; empty when none is
+    if not boxes:
+        return (slice(0, 0),) * dim
+    return tuple(slice(min(sl.start for sl in axis), max(sl.stop for sl in axis))
+                 for axis in zip(*boxes))
 
 
 def _require_grid(f: GridFunction, grid: Grid) -> None:
@@ -288,8 +327,13 @@ def translate(f: GridFunction, t) -> GridFunction:
 
     Samples shifted past the boundary are dropped and zeros shifted in.
     """
-    steps = f.grid.steps(t)
-    return GridFunction(f.grid, shift_array(f.values, steps))
+    grid = f.grid
+    steps = grid.steps(t)
+    bounds = support_index_bounds(f)
+    moved = None if bounds is None else _shifted_overlap(
+        bounds, steps, [(0, grid.samples_per_axis - 1)] * grid.dim)
+    return GridFunction._own(grid, shift_array(f.values, steps),
+                             _hull([moved[0]] if moved else [], grid.dim))
 
 
 def _phase(grid: Grid, omega, sign: float = 1.0) -> np.ndarray:
@@ -339,26 +383,31 @@ def l2_norm(f: GridFunction) -> float:
     return float(np.sqrt(f.grid.cell_measure) * np.linalg.norm(f.values))
 
 
+def _box_support(values: np.ndarray, box) -> tuple[tuple[int, int], ...] | None:
+    # per-axis (lo, hi) grid indices of the nonzero samples inside a box of
+    # slices, or None when the box holds none
+    nz = values[box] != 0
+    if not nz.any():
+        return None
+    bounds = []
+    for ax, sl in enumerate(box):
+        other = tuple(i for i in range(nz.ndim) if i != ax)
+        idx = np.flatnonzero(nz.any(axis=other) if other else nz)
+        bounds.append((int(sl.start + idx[0]), int(sl.start + idx[-1])))
+    return tuple(bounds)
+
+
 def support_index_bounds(f: GridFunction) -> tuple[tuple[int, int], ...] | None:
     """Per-axis (lo, hi) index bounds of the nonzero samples, or None if f == 0.
 
     Computed once per instance (the samples are immutable) and then returned
-    as the same object.
+    as the same object; functions built with a known hull have it already.
     """
     try:
         return f._support
     except AttributeError:
         pass
-    nz = f.values != 0
-    bounds = None
-    if nz.any():
-        bounds = []
-        for ax in range(f.grid.dim):
-            other = tuple(i for i in range(f.grid.dim) if i != ax)
-            hit = nz.any(axis=other) if other else nz
-            idx = np.nonzero(hit)[0]
-            bounds.append((int(idx[0]), int(idx[-1])))
-        bounds = tuple(bounds)
+    bounds = _box_support(f.values, tuple(slice(0, n) for n in f.grid.shape))
     object.__setattr__(f, "_support", bounds)
     return bounds
 

@@ -150,7 +150,8 @@ def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
     p = grid.steps_scalar(lattice.a)
     cells = {n: _column_cell(lattice, n, p)
              for n in product(range(-lattice.n_radius, lattice.n_radius + 1), repeat=d)}
-    return GridFunction(grid, _walnut_sum(f, cells, ibs) / nrm)
+    out, hull = _walnut_sum(f, cells, ibs)
+    return GridFunction._own(grid, out / nrm, hull)
 
 
 def fourier_reconstruct_correlation(lattice: JanssenLattice, n) -> np.ndarray:

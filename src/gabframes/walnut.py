@@ -38,6 +38,7 @@ from .grid import (
     Grid,
     GridFunction,
     _fold_overlap,
+    _hull,
     _require_grid,
     _shifted_overlap,
     fold_to_cell,
@@ -157,14 +158,16 @@ def diagonal_deviation(sys: GaborSystem) -> float:
 
 
 def _walnut_sum(f: GridFunction, cells: dict[tuple[int, ...], np.ndarray],
-                inv_b_steps: int) -> np.ndarray:
+                inv_b_steps: int) -> tuple[np.ndarray, tuple[slice, ...]]:
     # sum_n ext(cells[n]) * f(. - n/b), reduced in sorted n order; term n is
-    # added only on supp(f) + n/b clipped to the grid, where it can be nonzero
+    # added only on supp(f) + n/b clipped to the grid, where it can be nonzero.
+    # Also returns the hull of those boxes, which holds every nonzero sample.
     grid = f.grid
     out = np.zeros(grid.shape, dtype=complex)
+    boxes = []
     bounds = support_index_bounds(f)
     if bounds is None:
-        return out
+        return out, _hull(boxes, grid.dim)
     limits = [(0, grid.samples_per_axis - 1)] * grid.dim
     for n in sorted(cells):
         cell = cells[n]
@@ -175,7 +178,8 @@ def _walnut_sum(f: GridFunction, cells: dict[tuple[int, ...], np.ndarray],
             continue
         box, f_box = overlap
         out[box] += _cell_on_box(cell, box, grid.half_extent_steps) * f.values[f_box]
-    return out
+        boxes.append(box)
+    return out, _hull(boxes, grid.dim)
 
 
 def walnut_apply(f: GridFunction, sys: GaborSystem,
@@ -183,14 +187,16 @@ def walnut_apply(f: GridFunction, sys: GaborSystem,
     """Apply the frame operator in its multiplication-and-shift form.
 
     Exact (no frequency truncation); members are reduced in sorted index
-    order for reproducibility.  Raises GridMismatchError when f is not on
-    the system's grid.
+    order for reproducibility.  The result's support is scanned only on the
+    boxes the sum touched.  Raises GridMismatchError when f is not on the
+    system's grid.
     """
     _require_grid(f, sys.grid)
     if family is None:
         family = correlation_family(sys)
     scale = sys.a ** sys.grid.dim / sys.pairing
-    return GridFunction(sys.grid, scale * _walnut_sum(f, family.members, sys.inv_b_steps))
+    out, hull = _walnut_sum(f, family.members, sys.inv_b_steps)
+    return GridFunction._own(sys.grid, scale * out, hull)
 
 
 def reconstruct_integral(f: GridFunction, g: GridFunction, gamma: GridFunction,

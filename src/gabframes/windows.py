@@ -147,7 +147,7 @@ def fat_cantor_measure(depth: int) -> Fraction:
     return 1 - Fraction(1, 2) * (1 - Fraction(1, 2**depth))
 
 
-def _sample_fat_cantor(depth: int, grid: Grid) -> np.ndarray:
+def _fat_cantor_axis(depth: int, grid: Grid) -> np.ndarray:
     # each construction interval is sampled half-open [lo, hi), matching the
     # package-wide cube convention; endpoints are compared as exact rationals
     m = grid.samples_per_unit
@@ -167,25 +167,32 @@ def _sample_fat_cantor(depth: int, grid: Grid) -> np.ndarray:
 def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
     """Pointwise samples of the window on the grid.
 
-    fat_cantor requires dim = 1 (UnsupportedDimensionError otherwise).
+    Every family is a product of one axis profile over the axes; the product
+    is formed only on the box where the profile is nonzero, which is also the
+    function's support hull.  fat_cantor requires dim = 1
+    (UnsupportedDimensionError otherwise).
     """
     x = grid.axis_coords()
     if spec.family == "fat_cantor":
         if grid.dim != 1:
             raise UnsupportedDimensionError("fat_cantor windows are one-dimensional")
-        return GridFunction(grid, _sample_fat_cantor(spec.depth, grid))
-    if spec.family == "indicator_cube":
+        axis = _fat_cantor_axis(spec.depth, grid)
+    elif spec.family == "indicator_cube":
         axis = ((x >= 0) & (x < spec.side)).astype(float)
     elif spec.family == "bspline":
         axis = bspline_profile(spec.order, x)
     else:  # gaussian, truncated to the box |x_j| <= radius
         axis = np.where(np.abs(x) <= spec.radius, np.exp(-np.pi * x**2 / spec.sigma**2), 0.0)
+    nz = np.flatnonzero(axis)
+    box = (slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0),) * grid.dim
     vals = np.ones((), dtype=float)
     for ax in range(grid.dim):
         shape = [1] * grid.dim
-        shape[ax] = grid.samples_per_axis
-        vals = vals * axis.reshape(shape)
-    return GridFunction(grid, vals)
+        shape[ax] = -1
+        vals = vals * axis[box[ax]].reshape(shape)
+    out = np.zeros(grid.shape, dtype=complex)
+    out[box] = vals
+    return GridFunction._own(grid, out, box)
 
 
 def window_library() -> list[WindowSpec]:

@@ -6,6 +6,7 @@ import pytest
 from gabframes import (
     Exponent,
     ExponentPair,
+    GaborSystem,
     Grid,
     GridFunction,
     amalgam_norm,
@@ -19,6 +20,8 @@ from gabframes import (
     wiener_norm,
     WindowSpec,
 )
+from gabframes.experiments import _boundary_residue
+from gabframes.grid import support_index_bounds
 from conftest import random_interior
 
 PQ_SET = [(1, 1), (2, 2), (1, 2), (2, math.inf), (math.inf, 1), (math.inf, math.inf)]
@@ -177,3 +180,134 @@ def test_window_shifted_across_cubes(grid):
     g = translate(f, [0.5])
     for p in (1, 2):
         assert amalgam_norm(g, (p, p)) == pytest.approx(amalgam_norm(f, (p, p)), rel=1e-12)
+
+
+def full_grid_cube_norms(f, p):
+    """Every cube of the grid reduced at once: the reference without support boxes."""
+    grid = f.grid
+    m = grid.samples_per_unit
+    block = np.abs(f.values)
+    pad = -grid.half_extent_steps % m
+    if pad:
+        block = np.pad(block, pad)
+    c = block.shape[0] // m
+    block = block.reshape((c, m) * grid.dim)
+    intra = tuple(range(1, 2 * grid.dim, 2))
+    if math.isinf(p):
+        return block.max(axis=intra)
+    return (grid.cell_measure * (block ** p).sum(axis=intra)) ** (1.0 / p)
+
+
+def boxed_random(grid, box, seed):
+    """Random complex samples on a box of index slices, zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    values = np.zeros(grid.shape, dtype=complex)
+    shape = values[box].shape
+    values[box] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return GridFunction(grid, values)
+
+
+def random_boxes(grid, rng, count):
+    """Index boxes of every size, touching the grid's ends as often as not."""
+    n = grid.samples_per_axis
+    for _ in range(count):
+        box = []
+        for _ in range(grid.dim):
+            lo = int(rng.choice([0, rng.integers(0, n)]))
+            hi = int(rng.choice([n, rng.integers(lo, n) + 1]))
+            box.append(slice(lo, hi))
+        yield tuple(box)
+
+
+P_SET = (1, 2, 3, math.inf)
+
+
+class TestCubeNormsOnSupportBoxes:
+    """cube_norms reduces only the cubes meeting the support, with the bits of the full grid."""
+
+    def assert_same_bits(self, f):
+        for p in P_SET:
+            got, want = cube_norms(f, p), full_grid_cube_norms(f, p)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), p
+            for q in P_SET:
+                local = want.max() if math.isinf(q) else (want ** q).sum() ** (1.0 / q)
+                assert amalgam_norm(f, (p, q)) == float(local), (p, q)
+
+    @pytest.mark.parametrize("half_extent,dim", [
+        (4.0, 1), (2.75, 1), (2.0, 2), (1.75, 2), (0.5, 2), (0.25, 1)])
+    def test_random_boxes(self, half_extent, dim):
+        grid = Grid(half_extent, 1 / 8, dim=dim)
+        rng = np.random.default_rng(int(half_extent * 100) + dim)
+        for seed, box in enumerate(random_boxes(grid, rng, 12)):
+            self.assert_same_bits(boxed_random(grid, box, seed))
+
+    @pytest.mark.parametrize("half_extent,dim", [(4.0, 1), (2.75, 1), (2.0, 2), (1.75, 2)])
+    def test_zero_function(self, half_extent, dim):
+        grid = Grid(half_extent, 1 / 8, dim=dim)
+        self.assert_same_bits(GridFunction(grid, np.zeros(grid.shape)))
+
+    @pytest.mark.parametrize("k", [-2, 0, 1])
+    def test_2d_support_inside_one_cube(self, k):
+        # one cube per axis would let numpy merge the two intra-cube axes and
+        # sum the 32 x 32 samples in another order than the full grid does;
+        # k = 1 is the last cube, where the kept second cube lies below
+        grid = Grid(2.0, 1 / 32, dim=2)
+        start = (k + 2) * 32
+        for seed in range(20):
+            self.assert_same_bits(boxed_random(grid, (slice(start + 3, start + 30),) * 2, seed))
+
+    def test_window_library(self):
+        for dim in (1, 2):
+            grid = Grid(2.75, 1 / 16, dim=dim)
+            for spec in (WindowSpec.indicator_cube(1.0), WindowSpec.bspline(2),
+                         WindowSpec.gaussian(1.0, 3.0)):
+                self.assert_same_bits(sample_window(spec, grid))
+
+
+def strip_residue(sf, sys_, pq):
+    """The boundary residue as the norm of the full-grid strip outside the interior box."""
+    grid = sf.grid
+    diameters = [max(hi - lo for lo, hi in support_index_bounds(w)) for w in (sys_.g, sys_.gamma)]
+    reach = min(sys_.inv_b_steps + max(diameters), grid.samples_per_axis // 2)
+    strip = sf.values.copy()
+    strip[(slice(reach, grid.samples_per_axis - reach),) * grid.dim] = 0.0
+    return amalgam_norm(GridFunction(grid, strip), pq)
+
+
+class TestBoundaryResidue:
+    # reach = 1/(b h) + the window diameter in samples: 64 + 31 in 1D,
+    # 16 + 7 in 2D, so the interior boxes are [95, 161) and [23, 41)
+    SYSTEMS = [(Grid(4.0, 1 / 32), 1.0, 0.5, (95, 161)),
+               (Grid(2.0, 1 / 16, dim=2), 0.5, 1.0, (23, 41))]
+
+    @pytest.mark.parametrize("grid,side,b,interior", SYSTEMS)
+    def test_equals_the_strip_norm(self, grid, side, b, interior):
+        g = sample_window(WindowSpec.indicator_cube(side), grid)
+        sys_ = GaborSystem(g, g, 0.5, b)
+        rng = np.random.default_rng(grid.dim)
+        checked = 0
+        for seed, box in enumerate(random_boxes(grid, rng, 16)):
+            sf = boxed_random(grid, box, seed)
+            if sf.values.any():
+                for pq in [(1, 1), (2, 2), (3, math.inf), (math.inf, 1)]:
+                    assert _boundary_residue(sf, sys_, ExponentPair.of(pq)) == \
+                        strip_residue(sf, sys_, pq)
+                checked += 1
+        assert checked >= 8
+
+    @pytest.mark.parametrize("grid,side,b,interior", SYSTEMS)
+    def test_interior_support_is_exactly_zero(self, grid, side, b, interior):
+        g = sample_window(WindowSpec.indicator_cube(side), grid)
+        sys_ = GaborSystem(g, g, 0.5, b)
+        lo, hi = interior
+        for box in [(slice(lo, hi),) * grid.dim, (slice(lo + 2, lo + 5),) * grid.dim]:
+            sf = boxed_random(grid, box, 3)
+            for pq in [(1, 1), (2, 2), (math.inf, math.inf)]:
+                got = _boundary_residue(sf, sys_, ExponentPair.of(pq))
+                assert repr(got) == "0.0" and got == strip_residue(sf, sys_, pq)
+        # one sample past either end of the interior reaches the strip
+        for box in [(slice(lo, hi + 1),) * grid.dim, (slice(lo - 1, hi),) * grid.dim]:
+            sf = boxed_random(grid, box, 3)
+            got = _boundary_residue(sf, sys_, ExponentPair.of((2, 2)))
+            assert got > 0.0 and got == strip_residue(sf, sys_, (2, 2))

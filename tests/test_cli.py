@@ -350,3 +350,58 @@ def test_options_only_where_read(capsys, indicator_spec, apply_config):
     assert main(["stft", "--config", apply_config, "--threads", "2"]) == 1
     assert main(["selftest", "--seed", "1"]) == 0
     assert main(["counterexample", "--depths", "1", "--threads", "2"]) == 0
+
+
+class TestUnknownConfigKeys:
+    """A key no command reads fails with a ConfigError before any work starts."""
+
+    DESK = {
+        "schema": "v1",
+        "grid": {"half_extent": 4.0, "spacing": 1 / 32},
+        "g": {"family": "gaussian", "sigma": 1.0, "radius": 3.0},
+        "a": 0.5,
+        "b": 0.5,
+        "f": {"family": "bspline", "order": 2},
+    }
+
+    def assert_rejected(self, capsys, key, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "ConfigError" and repr(key) in obj["message"]
+
+    @pytest.mark.parametrize("command,flag", [
+        ("stft", "--config"), ("apply", "--config"), ("bounds", "--config"),
+        ("wexler-raz", "--system")])
+    def test_misspelt_gamma(self, capsys, tmp_path, command, flag):
+        # "gama" used to be ignored, so the run went on with gamma = g
+        cfg = write_json(tmp_path / "sys.json", {
+            **self.DESK, "gama": {"family": "indicator_cube", "side": 1.0}})
+        self.assert_rejected(capsys, "gama", command, flag, cfg)
+
+    def test_grid_key(self, capsys, tmp_path):
+        # "dims" used to leave the grid one-dimensional
+        cfg = write_json(tmp_path / "sys.json", {
+            **self.DESK, "grid": {"half_extent": 4.0, "spacing": 1 / 32, "dims": 2}})
+        self.assert_rejected(capsys, "dims", "bounds", "--config", cfg)
+
+    def test_sweep_key(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "sweep.json", {
+            "schema": "v1", "kind": "convergence",
+            "grid": {"half_extent": 64.0, "spacing": 1 / 32},
+            "g": {"family": "bspline", "order": 2},
+            "f": {"family": "gaussian", "sigma": 1.0, "radius": 3.0},
+            "pairs": [[0.5, 0.5], [0.25, 0.25]],
+            "p": 2, "qq": 1,
+        })
+        self.assert_rejected(capsys, "qq", "sweep", "--config", cfg)
+
+    def test_every_read_key_is_accepted(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "sys.json", {
+            **self.DESK, "grid": {"half_extent": 4.0, "spacing": 1 / 32, "dim": 1},
+            "gamma": self.DESK["g"], "f_shift": -1.0})
+        for argv in (["stft", "--config"], ["apply", "--config"], ["bounds", "--config"],
+                     ["wexler-raz", "--system"]):
+            code, _, err = run_cli(capsys, *argv, cfg)
+            assert code == 0, err

@@ -5,15 +5,19 @@ import pytest
 
 from gabframes import (
     CommensurabilityError,
+    GaborSystem,
     Grid,
     GridFunction,
     GridMismatchError,
+    WindowSpec,
     inner_product,
     l2_norm,
     modulate,
     mt_commutation_phase,
+    sample_window,
     tf_shift,
     translate,
+    walnut_apply,
 )
 from gabframes import grid as grid_module, walnut
 from gabframes.grid import fold_to_cell, support_index_bounds
@@ -70,6 +74,16 @@ class TestGridFunction:
         with pytest.raises(GridMismatchError):
             chi + GridFunction(other, np.zeros(other.shape))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_constructor_owns_a_copy(self, grid, dtype):
+        values = np.arange(grid.size, dtype=dtype)
+        f = GridFunction(grid, values)
+        values[:] = -1.0
+        assert np.array_equal(f.values, np.arange(grid.size))
+        assert not f.values.flags.writeable
+        with pytest.raises(ValueError):
+            f.values[1] = 0.0
+
     def test_support_bounds_computed_once(self, grid):
         f = random_interior(grid, seed=3)
         first = support_index_bounds(f)
@@ -84,6 +98,68 @@ class TestGridFunction:
         for name in ("values", "grid", "_support", "other"):
             with pytest.raises(AttributeError):
                 setattr(chi, name, None)
+
+
+def full_scan(values):
+    """Support bounds from every sample of the grid: the scan without a hull."""
+    nz = np.argwhere(values != 0)
+    if not len(nz):
+        return None
+    return tuple((int(lo), int(hi)) for lo, hi in zip(nz.min(axis=0), nz.max(axis=0)))
+
+
+WINDOWS = [WindowSpec.indicator_cube(1.0), WindowSpec.indicator_cube(9.0),
+           WindowSpec.bspline(1), WindowSpec.bspline(3), WindowSpec.gaussian(0.5, 1.0),
+           WindowSpec.gaussian(1.0, 9.0), WindowSpec.fat_cantor(2)]
+
+
+class TestSupportKnownAtConstruction:
+    """Results built on a hull cache exact bounds, equal to a full-grid scan."""
+
+    def assert_known(self, f):
+        assert f._support == full_scan(f.values)
+        assert f._support is None or all(isinstance(v, int) for axis in f._support
+                                         for v in axis)
+
+    @pytest.mark.parametrize("spec,dim,half_extent", [
+        (spec, dim, half_extent) for spec in WINDOWS
+        for dim, half_extent in [(1, 4.0), (1, 2.75), (2, 2.0)]
+        if spec.family != "fat_cantor" or dim == 1],
+        ids=lambda v: "-".join(map(str, v.to_json().values()))
+        if isinstance(v, WindowSpec) else None)
+    def test_sample_window(self, spec, dim, half_extent):
+        self.assert_known(sample_window(spec, Grid(half_extent, 1 / 16, dim=dim)))
+
+    def test_window_off_the_grid(self):
+        # the hat on [0, 2) vanishes at the only samples x = -1, 0
+        f = sample_window(WindowSpec.bspline(2), Grid(1.0, 1.0, dim=2))
+        assert f._support is None and not f.values.any()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_translate_add_sub(self, dim):
+        grid = Grid(2.0, 1 / 8, dim=dim)
+        f = random_interior(grid, seed=5, envelope_sigma=0.8, envelope_radius=1.0)
+        g = translate(sample_window(WindowSpec.bspline(2), grid), [-0.5] * dim)
+        zero = GridFunction(grid, np.zeros(grid.shape))
+        for t in ([0.5] * dim, [-1.875] * dim, [1.5, -0.75][:dim], [4.0] * dim):
+            moved = translate(f, t)
+            self.assert_known(moved)
+            for h in (moved + g, moved - g, g - moved, moved + zero, zero - zero):
+                self.assert_known(h)
+        # opposite samples cancel to zero inside the hull
+        self.assert_known(f - f)
+        assert (f - f)._support is None
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_walnut_apply(self, dim):
+        grid = Grid(3.0, 1 / 8, dim=dim)
+        g = sample_window(WindowSpec.gaussian(1.0, 1.0), grid)
+        f = random_interior(grid, seed=6, envelope_sigma=0.8, envelope_radius=1.0)
+        for a, b in ((0.5, 0.5), (1.0, 1.0), (0.25, 0.25)):
+            sys_ = GaborSystem(g, g, a, b)
+            self.assert_known(walnut_apply(f, sys_))
+            self.assert_known(walnut_apply(translate(f, [2.5] * dim), sys_))
+        self.assert_known(walnut_apply(GridFunction(grid, np.zeros(grid.shape)), sys_))
 
 
 class TestTranslate:
