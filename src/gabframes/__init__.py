@@ -5,77 +5,96 @@ in three equivalent forms (direct lattice sum, multiplication-and-shift, and
 dual-lattice expansion), together with the amalgam norms, operator-norm
 bounds, biorthogonality checks, and densification experiments that probe its
 convergence to the identity.
+
+``import gabframes`` loads no submodule.  Each public name below, and each
+submodule (``gabframes.walnut``, ``gabframes.grid``, ...), is imported on
+first use and then kept in this namespace, so a caller pays only for the
+modules it touches.
 """
 
-from .amalgam import (
-    Exponent,
-    ExponentPair,
-    amalgam_norm,
-    conjugate_exponent,
-    cube_norms,
-    holder_bound,
-    lp_norm_on_cube,
-    wiener_norm,
-)
-from .errors import (
-    CommensurabilityError,
-    ConfigError,
-    DegenerateWindowPairError,
-    GridMismatchError,
-    ResolutionError,
-    UnsupportedDimensionError,
-)
-from .experiments import (
-    CounterexampleReport,
-    SweepReport,
-    SweepSchedule,
-    convergence_sweep,
-    counterexample_run,
-    diagonal_decay_sweep,
-    opnorm_sweep,
-    riemann_uniformity,
-)
-from .grid import (
-    Grid,
-    GridFunction,
-    inner_product,
-    l2_norm,
-    modulate,
-    mt_commutation_phase,
-    tf_shift,
-    translate,
-    write_csv,
-)
-from .janssen import (
-    JanssenLattice,
-    WexlerRazResult,
-    fourier_reconstruct_correlation,
-    janssen_apply,
-    janssen_coefficients,
-    wexler_raz_check,
-)
-from .operators import (
-    CoefficientLattice,
-    GaborSystem,
-    apply_frame_direct,
-    gabor_coefficients,
-    stft,
-)
-from .walnut import (
-    CorrelationFamily,
-    apply_remainder,
-    apply_diagonal_defect,
-    correlation_family,
-    correlation_fn,
-    diagonal_correlation,
-    frame_bounds,
-    operator_norm_upper_bound,
-    periodic_extension,
-    reconstruct_integral,
-    sum_translates,
-    tail_sum,
-    walnut_apply,
-)
-from .windows import WindowSpec, fat_cantor_intervals, fat_cantor_measure, sample_window, window_library
+import importlib
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "Exponent": "amalgam",
+    "ExponentPair": "amalgam",
+    "amalgam_norm": "amalgam",
+    "conjugate_exponent": "amalgam",
+    "cube_norms": "amalgam",
+    "holder_bound": "amalgam",
+    "lp_norm_on_cube": "amalgam",
+    "wiener_norm": "amalgam",
+    "CommensurabilityError": "errors",
+    "ConfigError": "errors",
+    "DegenerateWindowPairError": "errors",
+    "GridMismatchError": "errors",
+    "ResolutionError": "errors",
+    "UnsupportedDimensionError": "errors",
+    "CounterexampleReport": "experiments",
+    "SweepReport": "experiments",
+    "SweepSchedule": "experiments",
+    "convergence_sweep": "experiments",
+    "counterexample_run": "experiments",
+    "diagonal_decay_sweep": "experiments",
+    "opnorm_sweep": "experiments",
+    "riemann_uniformity": "experiments",
+    "Grid": "grid",
+    "GridFunction": "grid",
+    "inner_product": "grid",
+    "l2_norm": "grid",
+    "modulate": "grid",
+    "mt_commutation_phase": "grid",
+    "tf_shift": "grid",
+    "translate": "grid",
+    "write_csv": "grid",
+    "JanssenLattice": "janssen",
+    "WexlerRazResult": "janssen",
+    "fourier_reconstruct_correlation": "janssen",
+    "janssen_apply": "janssen",
+    "janssen_coefficients": "janssen",
+    "wexler_raz_check": "janssen",
+    "CoefficientLattice": "operators",
+    "GaborSystem": "operators",
+    "apply_frame_direct": "operators",
+    "gabor_coefficients": "operators",
+    "stft": "operators",
+    "CorrelationFamily": "walnut",
+    "apply_remainder": "walnut",
+    "apply_diagonal_defect": "walnut",
+    "correlation_family": "walnut",
+    "correlation_fn": "walnut",
+    "diagonal_correlation": "walnut",
+    "frame_bounds": "walnut",
+    "operator_norm_upper_bound": "walnut",
+    "periodic_extension": "walnut",
+    "reconstruct_integral": "walnut",
+    "sum_translates": "walnut",
+    "tail_sum": "walnut",
+    "walnut_apply": "walnut",
+    "WindowSpec": "windows",
+    "fat_cantor_intervals": "windows",
+    "fat_cantor_measure": "windows",
+    "sample_window": "windows",
+    "window_library": "windows",
+}
+_SUBMODULES = sorted(set(_EXPORTS.values()))
+
+# the submodules are listed too, as eager imports used to bind them
+__all__ = [*_EXPORTS, *_SUBMODULES]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -7,6 +7,9 @@ go to CSV (17 significant digits), scalar summaries to JSON.  Exit codes:
 write a machine-readable JSON object to stderr.  Outputs are deterministic
 for a fixed config and seed; timestamps and per-pair sweep timings live in a
 sidecar .meta.json next to --out files, never in the data itself.
+
+Each subcommand imports the library modules it runs inside its handler, so
+a command loads only what it uses.
 """
 from __future__ import annotations
 
@@ -15,23 +18,17 @@ import io
 import json
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .amalgam import ExponentPair, amalgam_norm
 from .errors import ConfigError
-from .experiments import (
-    SweepSchedule,
-    convergence_sweep,
-    counterexample_run,
-    opnorm_sweep,
-)
-from .grid import Grid, GridFunction, _write_table, l2_norm, translate, write_csv
-from .janssen import janssen_apply, janssen_coefficients, wexler_raz_check
-from .operators import GaborSystem, apply_frame_direct, gabor_coefficients
-from .walnut import diagonal_deviation, operator_norm_upper_bound, tail_sum, walnut_apply
-from .windows import WindowSpec, sample_window
+
+if TYPE_CHECKING:
+    from .grid import Grid, GridFunction
+    from .operators import GaborSystem
+    from .windows import WindowSpec
 
 SCHEMA = "v1"
 
@@ -79,6 +76,8 @@ def _require_schema(cfg: dict, path: str) -> None:
 
 
 def _grid_from(cfg: dict) -> Grid:
+    from .grid import Grid
+
     g = cfg.get("grid")
     if not isinstance(g, dict):
         raise ConfigError("config needs a \"grid\" object with half_extent and spacing")
@@ -90,6 +89,8 @@ def _grid_from(cfg: dict) -> Grid:
 
 
 def _window_from(cfg: dict, key: str) -> WindowSpec:
+    from .windows import WindowSpec
+
     if key not in cfg:
         raise ConfigError(f"config is missing the {key!r} window spec")
     try:
@@ -99,6 +100,9 @@ def _window_from(cfg: dict, key: str) -> WindowSpec:
 
 
 def _system_from(cfg: dict) -> GaborSystem:
+    from .operators import GaborSystem
+    from .windows import sample_window
+
     if "freq_radius" in cfg:
         raise ConfigError("\"freq_radius\" is not a system parameter: every system sums "
                           "one full frequency period r = 1/(b h); remove the key")
@@ -113,6 +117,9 @@ def _system_from(cfg: dict) -> GaborSystem:
 
 
 def _f_from(cfg: dict, grid: Grid) -> GridFunction:
+    from .grid import translate
+    from .windows import sample_window
+
     f = sample_window(_window_from(cfg, "f"), grid)
     shift = cfg.get("f_shift")
     if shift is not None:
@@ -139,6 +146,10 @@ def _emit(text: str, out_path: str | None, meta: dict | None = None) -> None:
 
 
 def _cmd_norm(args) -> int:
+    from .amalgam import ExponentPair, amalgam_norm
+    from .grid import Grid
+    from .windows import sample_window
+
     spec = _window_from({"window": _load_json(args.window)}, "window")
     grid = Grid(args.half_extent, args.spacing, args.dim)
     f = sample_window(spec, grid)
@@ -148,6 +159,9 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_stft(args) -> int:
+    from .grid import _write_table
+    from .operators import gabor_coefficients
+
     cfg = _load_json(args.config)
     _require_schema(cfg, args.config)
     sys_ = _system_from(cfg)
@@ -167,15 +181,20 @@ def _cmd_stft(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from .grid import write_csv
+
     cfg = _load_json(args.config)
     _require_schema(cfg, args.config)
     sys_ = _system_from(cfg)
     f = _f_from(cfg, sys_.grid)
     if args.method == "direct":
+        from .operators import apply_frame_direct
         out = apply_frame_direct(f, sys_)
     elif args.method == "walnut":
+        from .walnut import walnut_apply
         out = walnut_apply(f, sys_)
     else:
+        from .janssen import janssen_apply, janssen_coefficients
         lat = janssen_coefficients(sys_, args.L, args.N)
         out = janssen_apply(f, lat)
     buf = io.StringIO()
@@ -185,6 +204,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .walnut import diagonal_deviation, operator_norm_upper_bound, tail_sum
+
     cfg = _load_json(args.config)
     _require_schema(cfg, args.config)
     sys_ = _system_from(cfg)
@@ -221,6 +242,9 @@ def _sweep_csv(report) -> str:
 
 
 def _cmd_sweep(args) -> int:
+    from .amalgam import ExponentPair
+    from .experiments import SweepSchedule, convergence_sweep, opnorm_sweep
+
     cfg = _load_json(args.config)
     _require_schema(cfg, args.config)
     _require_keys(cfg, _SWEEP_KEYS, "sweep config")
@@ -258,6 +282,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_wexler_raz(args) -> int:
+    from .janssen import wexler_raz_check
+
     cfg = _load_json(args.system)
     _require_schema(cfg, args.system)
     sys_ = _system_from(cfg)
@@ -272,6 +298,9 @@ def _cmd_wexler_raz(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from .experiments import counterexample_run
+    from .grid import _write_table
+
     depths = [int(tok) for tok in args.depths.split(",") if tok.strip()]
     if not depths:
         raise ConfigError("--depths must list at least one depth, e.g. 1,2,3")
@@ -288,6 +317,12 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .grid import Grid, GridFunction, l2_norm
+    from .janssen import wexler_raz_check
+    from .operators import GaborSystem
+    from .walnut import operator_norm_upper_bound, walnut_apply
+    from .windows import WindowSpec, sample_window
+
     rng = np.random.default_rng(args.seed)
     checks = []
 

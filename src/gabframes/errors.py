@@ -32,7 +32,8 @@ class UnsupportedDimensionError(ValueError):
 
 
 class ResolutionError(ValueError):
-    """The grid is too coarse to resolve the requested construction."""
+    """The grid is too coarse to resolve the requested construction, or so
+    fine that the construction cannot fit in physical memory."""
 
 
 class ConfigError(ValueError):

@@ -6,14 +6,14 @@ strictly decreasing commensurate pairs.  Trend acceptance uses the
 last-over-first ratio (< 0.2) rather than per-step monotonicity, because
 Riemann-sum errors oscillate at commensurate resonances; per-step
 monotonicity is still recorded.  Schedule points are independent and may be
-evaluated by a thread pool; reports are assembled in schedule order, so
-results do not depend on the pool size.
+evaluated by a thread pool, built only when more than one thread is asked
+for; reports are assembled in schedule order, so results do not depend on
+the pool size.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,9 +169,16 @@ def _require_margin(schedule: SweepSchedule, f: GridFunction,
             f"margin of at least {need:g}; enlarge the grid or shrink the shifts")
 
 
+def _require_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads!r}")
+
+
 def _map_ordered(fn, items, threads: int):
-    if threads <= 1:
+    if threads == 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -182,8 +189,10 @@ def convergence_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
     The test function must keep a boundary margin of max(1/b) plus the
     window support diameters, so truncation cannot pollute the limit.
     Each record also carries the multiplier/tail split of the error bound
-    and a weak*-pairing column against a fixed dual test set.
+    and a weak*-pairing column against a fixed dual test set.  Raises
+    ConfigError when threads < 1.
     """
+    _require_threads(threads)
     g, gamma = schedule.sample_windows()
     f = schedule.sample_f()
     _require_margin(schedule, f, g, gamma)
@@ -246,8 +255,10 @@ def opnorm_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
     """Track the operator-norm proxy: diagonal deviation +/- tail/|<gamma,g>|.
 
     Requires window families whose product is Riemann integrable
-    (indicator, bspline, gaussian); fat_cantor is rejected.
+    (indicator, bspline, gaussian); fat_cantor is rejected, and so is
+    threads < 1.
     """
+    _require_threads(threads)
     for spec in (schedule.g_spec, schedule.gamma_spec):
         if spec.family == "fat_cantor":
             raise ConfigError("opnorm sweeps need Riemann-integrable window products; "
@@ -364,7 +375,9 @@ def counterexample_run(depths, q="inf", a_candidates=None, spacing: float | None
     norm at 1.  The same schedule
     with g = gamma = chi_[0,1) (Riemann integrable) is the contrast curve; at
     its finest a the deviation collapses, so the two curves separate.
+    Raises ConfigError when threads < 1.
     """
+    _require_threads(threads)
     depths = [int(k) for k in depths]
     candidates = tuple(float(a) for a in (a_candidates or DEFAULT_COUNTEREXAMPLE_CANDIDATES))
     q_pair = ExponentPair.of((math.inf, q))

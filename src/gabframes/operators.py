@@ -23,12 +23,13 @@ walnut and janssen, which build on this module.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .errors import DegenerateWindowPairError
+from .errors import DegenerateWindowPairError, ResolutionError
 from .grid import (
     Grid,
     GridFunction,
@@ -186,16 +187,42 @@ def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> CoefficientLattice:
                               np.array(sys.time_indices), np.array(sys.freq_indices))
 
 
+def _direct_peak_bytes(grid: Grid, r: int) -> int:
+    # apply_frame_direct holds three r x N complex phase matrices (N samples
+    # per axis) and, per shift, about six full-grid complex arrays plus the
+    # input and output of the widest mode product, r^k N^(d-k) entries
+    n, d = grid.samples_per_axis, grid.dim
+    widest = max(r ** k * n ** (d - k) for k in range(d + 1))
+    return np.dtype(complex).itemsize * (3 * r * n + 6 * n ** d + 2 * widest)
+
+
+def _physical_memory_bytes() -> int | None:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        return None
+
+
 def apply_frame_direct(f: GridFunction, sys: GaborSystem) -> GridFunction:
     """The definitional lattice sum; the correctness oracle.
 
     Cost is O(|lattice| * N^d).  Over one full frequency period the result
     reorganizes exactly into the Walnut form.  Raises
-    GridMismatchError when f is not on the system's grid.
+    GridMismatchError when f is not on the system's grid, and
+    ResolutionError, before allocating anything, when its estimated peak
+    memory exceeds the machine's physical memory.
     """
     _require_grid(f, sys.grid)
     grid = sys.grid
     d = grid.dim
+    need = _direct_peak_bytes(grid, len(sys.freq_indices))
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ResolutionError(
+            f"the direct form needs about {need / 2 ** 30:.3g} GiB at "
+            f"{grid.samples_per_axis} samples per axis and frequency period "
+            f"{len(sys.freq_indices)}, more than the {have / 2 ** 30:.3g} GiB of physical "
+            f"memory; use the walnut or janssen form")
     phases = _freq_phase_matrix(grid, sys.b, sys.freq_indices)
     p_conj = np.conj(phases)
     p_t = phases.T.copy()

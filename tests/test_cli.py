@@ -199,6 +199,15 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--threads", "8", "--out", str(csv8)]) == 0
         assert csv1.read_bytes() == csv8.read_bytes()
 
+    def test_threads_below_one_rejected(self, capsys, tmp_path):
+        cfg = self.sweep_config(tmp_path, [[2.0 ** -j, 2.0 ** -j] for j in range(1, 4)])
+        for threads in ("0", "-4"):
+            code, out, err = run_cli(capsys, "sweep", "--config", cfg, "--threads", threads)
+            assert code == 1
+            assert out == ""
+            obj = json.loads(err)
+            assert obj["error"] == "ConfigError" and "threads" in obj["message"]
+
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         cfg = self.sweep_config(tmp_path, [[2.0 ** -j, 2.0 ** -j] for j in range(1, 4)])
         csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -255,6 +264,16 @@ class TestCounterexampleCommand:
     def test_empty_depths_rejected(self, capsys):
         code, _, err = run_cli(capsys, "counterexample", "--depths", ",")
         assert code == 1
+
+    def test_threads_below_one_rejected(self, capsys):
+        # used to exit 0 and run serially
+        for threads in ("0", "-4"):
+            code, out, err = run_cli(capsys, "counterexample", "--depths", "1,2",
+                                     "--q", "inf", "--threads", threads)
+            assert code == 1
+            assert out == ""
+            obj = json.loads(err)
+            assert obj["error"] == "ConfigError" and "threads" in obj["message"]
 
 
 class TestSelftest:
@@ -333,11 +352,28 @@ def test_memory_error_is_a_json_error(capsys, monkeypatch, apply_config):
     def exhausted(*args, **kwargs):
         raise MemoryError("cannot allocate the frame operator")
 
-    monkeypatch.setattr("gabframes.cli.walnut_apply", exhausted)
+    monkeypatch.setattr("gabframes.walnut.walnut_apply", exhausted)
     code, _, err = run_cli(capsys, "apply", "--config", apply_config, "--method", "walnut")
     assert code == 1
     assert json.loads(err) == {"error": "MemoryError",
                                "message": "cannot allocate the frame operator"}
+
+
+def test_direct_form_past_physical_memory_is_a_json_error(capsys, tmp_path):
+    # 262144 samples and frequency period 524288: terabytes of phase matrices
+    path = write_json(tmp_path / "huge.json", {
+        "schema": "v1",
+        "grid": {"half_extent": 16.0, "spacing": 1 / 8192},
+        "g": {"family": "indicator_cube", "side": 1.0},
+        "a": 0.5,
+        "b": 1 / 64,
+        "f": {"family": "gaussian", "sigma": 1.0, "radius": 2.0},
+    })
+    code, out, err = run_cli(capsys, "apply", "--config", path, "--method", "direct")
+    assert code == 1
+    assert out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "ResolutionError" and "physical memory" in obj["message"]
 
 
 def test_unknown_command_exits_one(capsys):

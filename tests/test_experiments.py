@@ -169,6 +169,20 @@ class TestDiagonalDecay:
         assert records[0].norm == pytest.approx(via_amalgam, rel=1e-12)
 
 
+@pytest.mark.parametrize("threads", [0, -4])
+def test_threads_below_one_rejected_before_sampling(monkeypatch, threads):
+    def unsampled(*args, **kwargs):
+        raise AssertionError("a window was sampled before threads was checked")
+
+    monkeypatch.setattr("gabframes.experiments.sample_window", unsampled)
+    schedule = make_schedule(Grid(64.0, 1 / 32), [(0.5, 0.5), (0.25, 0.25)])
+    for run in (lambda: convergence_sweep(schedule, threads=threads),
+                lambda: opnorm_sweep(schedule, threads=threads),
+                lambda: counterexample_run([1], threads=threads)):
+        with pytest.raises(ConfigError, match="threads"):
+            run()
+
+
 class TestCounterexample:
     def test_depth_one_witness_and_contrast(self):
         report = counterexample_run([1], q="inf")

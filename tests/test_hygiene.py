@@ -14,7 +14,15 @@ constant in ``src/gabframes`` must be read somewhere in ``src/`` or
 The export rule: every name in a package module's ``__all__`` is bound at
 the module's top level (a def, a class, an assignment or an import).  The
 unused-import rule counts ``__all__`` entries as uses, so without this a
-stale entry left behind by a deletion would pass both.
+stale entry left behind by a deletion would pass both.  A module with a
+module-level ``__getattr__`` binds names on access, which no static rule can
+see; the package ``__init__`` is such a module, and the lazy-table rule
+checks its names instead.
+
+The lazy-table rule: every entry of the package's ``_EXPORTS`` table names
+an existing submodule and a name listed in that submodule's ``__all__``.
+Both rules above skip ``__init__.py`` in effect, so without this a renamed
+function would leave a stale lazy name that fails only on first access.
 
 The dead-method rule: every non-dunder method of a module-level class in
 ``src/gabframes`` is read somewhere in ``src/``, ``tests/``, ``demos/`` or
@@ -118,9 +126,16 @@ def test_private_checker_itself(source, others, unreferenced):
 
 
 def unbound_exports(source: str) -> list[str]:
-    """Names listed in ``__all__`` that the module's top level never binds."""
+    """Names listed in ``__all__`` that the module's top level never binds.
+
+    Empty for a module that defines ``__getattr__``, whose names are bound on
+    access.
+    """
+    body = ast.parse(source).body
+    if any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__" for node in body):
+        return []
     bound, exported = set(), []
-    for node in ast.parse(source).body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             bound.add(node.name)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -148,9 +163,50 @@ def test_all_names_are_bound(path):
     ("def f():\n    g = 1\n__all__ = ['g']\n", ["g"]),
     ("X: int = 1\n__all__ = ('X',)\n", []),
     ("def f():\n    pass\n", []),
+    ("_T = {'f': 'm'}\n__all__ = [*_T]\ndef __getattr__(name):\n    pass\n", []),
 ])
 def test_export_checker_itself(source, unbound):
     assert unbound_exports(source) == unbound
+
+
+def module_all(source: str) -> list[str]:
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def stale_lazy_names(init_source: str, modules: dict[str, str]) -> list[str]:
+    """``_EXPORTS`` entries whose submodule is not in ``modules`` (name -> source)
+    or whose name that submodule's ``__all__`` does not list."""
+    table = {}
+    for node in ast.parse(init_source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)):
+            table = ast.literal_eval(node.value)
+    return [f"{name} -> {sub}" for name, sub in table.items()
+            if sub not in modules or name not in module_all(modules[sub])]
+
+
+def test_lazy_table_names_exist():
+    modules = {p.stem: p.read_text() for p in PACKAGE if p.name != "__init__.py"}
+    init = (ROOT / "src" / "gabframes" / "__init__.py").read_text()
+    assert "_EXPORTS" in init
+    assert stale_lazy_names(init, modules) == []
+
+
+@pytest.mark.parametrize("init_source,modules,stale", [
+    ("_EXPORTS = {'f': 'm'}\n", {"m": "__all__ = ['f']\ndef f():\n    pass\n"}, []),
+    ("_EXPORTS = {'f': 'm'}\n", {"n": "__all__ = ['f']\n"}, ["f -> m"]),
+    ("_EXPORTS = {'f': 'm', 'g': 'm'}\n", {"m": "__all__ = ['f']\ndef g():\n    pass\n"},
+     ["g -> m"]),
+    ("_EXPORTS = {'old': 'm'}\n", {"m": "__all__ = ['new']\n"}, ["old -> m"]),
+    ("_EXPORTS = {'f': 'm'}\n", {"m": "def f():\n    pass\n"}, ["f -> m"]),
+    ("import m\n", {"m": "__all__ = []\n"}, []),
+])
+def test_lazy_table_checker_itself(init_source, modules, stale):
+    assert stale_lazy_names(init_source, modules) == stale
 
 
 def method_definitions(source: str) -> list[str]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gabframes import (
     Grid,
     GridFunction,
     GridMismatchError,
+    ResolutionError,
     apply_frame_direct,
     correlation_family,
     frame_bounds,
@@ -166,6 +169,45 @@ class TestDirectOperator:
         lhs = inner_product(apply_frame_direct(f1, sys), f2)
         rhs = inner_product(f1, apply_frame_direct(f2, sys))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while fn runs, and what it returned or raised."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn(*args)
+        except ResolutionError as exc:
+            result = exc
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestDirectPreflight:
+    def test_past_physical_memory_raises_before_allocating(self):
+        # 262144 samples and frequency period 524288: terabytes of phase matrices
+        grid = Grid(16.0, 1 / 8192)
+        g = sample_window(WindowSpec.indicator_cube(1.0), grid)
+        sys = GaborSystem(g, g, 0.5, 1 / 64)
+        peak, result = traced_peak(apply_frame_direct, g, sys)
+        assert isinstance(result, ResolutionError)
+        assert "physical memory" in str(result)
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("half_extent,spacing,dim,b", [
+        (4.0, 1 / 32, 1, 0.5), (4.0, 1 / 32, 1, 1 / 8), (2.0, 1 / 16, 2, 0.5),
+        (2.0, 1 / 16, 2, 0.25)])
+    def test_estimate_tracks_the_traced_peak(self, half_extent, spacing, dim, b):
+        from gabframes.operators import _direct_peak_bytes
+
+        grid = Grid(half_extent, spacing, dim)
+        g = sample_window(WindowSpec.gaussian(1.0, 1.5), grid)
+        sys = GaborSystem(g, g, 0.5, b)
+        peak, _ = traced_peak(apply_frame_direct, sample_window(WindowSpec.bspline(2), grid), sys)
+        estimate = _direct_peak_bytes(grid, len(sys.freq_indices))
+        # the phase matrices dominate; the rest is a few grid-sized arrays
+        assert estimate / 2 <= peak <= 1.1 * estimate
 
 
 def dense_frame_operator(sys):
