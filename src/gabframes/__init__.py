@@ -60,7 +60,6 @@ _EXPORTS = {
     "apply_frame_direct": "operators",
     "gabor_coefficients": "operators",
     "stft": "operators",
-    "CorrelationFamily": "walnut",
     "apply_remainder": "walnut",
     "apply_diagonal_defect": "walnut",
     "correlation_family": "walnut",

@@ -32,7 +32,6 @@ from .grid import (
 from .operators import GaborSystem
 from .walnut import (
     apply_diagonal_defect,
-    correlation_family,
     diagonal_deviation,
     operator_norm_upper_bound,
     tail_sum,
@@ -81,7 +80,6 @@ class SweepSchedule:
     pq: ExponentPair
     f_spec: WindowSpec | None = None
     f_shift: tuple[float, ...] | None = None
-    out_path: str | None = None
 
     def __post_init__(self):
         if not self.pairs:
@@ -207,15 +205,14 @@ def convergence_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
         a, b = ab
         t0 = time.perf_counter()
         sys = GaborSystem(g, gamma, a, b)
-        family = correlation_family(sys)
-        sf = walnut_apply(f, sys, family)
+        sf = walnut_apply(f, sys)
         # before diff exists, so the residue's strip arrays and diff are
         # never live at once
         residue = _boundary_residue(sf, sys, pq)
         diff = sf - f
         err = amalgam_norm(diff, pq)
         dev = diagonal_deviation(sys)
-        ts = tail_sum(sys, family)
+        ts = tail_sum(sys)
         weak = max(abs(inner_product(diff, h)) / hn for h, hn in duals)
         bound = (dev + ts.tail / abs(sys.pairing)) * f_norm + residue
         record = SweepRecord(
@@ -269,9 +266,8 @@ def opnorm_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
         a, b = ab
         t0 = time.perf_counter()
         sys = GaborSystem(g, gamma, a, b)
-        family = correlation_family(sys)
         dev = diagonal_deviation(sys)
-        ts = tail_sum(sys, family)
+        ts = tail_sum(sys)
         spread = ts.tail / abs(sys.pairing)
         return SweepRecord(
             a=a, b=b, diag_dev=dev, tail=ts.tail,
@@ -325,9 +321,12 @@ def diagonal_decay_sweep(f: GridFunction, p, a_list, g: GridFunction,
         gamma = g
     grid = f.grid
     p = Exponent.of(p)
+    # the diagonal does not depend on b; a shift 1/b as wide as the domain
+    # leaves member 0 the only one the system folds
+    b = 1.0 / (2.0 * grid.half_extent)
     out = []
     for a in a_list:
-        sys = GaborSystem(g, gamma, float(a), 1.0)
+        sys = GaborSystem(g, gamma, float(a), b)
         vals = np.abs(apply_diagonal_defect(f, sys).values)
         if p.is_inf:
             nrm = float(vals.max())

@@ -27,8 +27,8 @@ from itertools import product
 import numpy as np
 
 from .errors import DegenerateWindowPairError
-from .grid import Grid, GridFunction, _cell_spectrum, _require_grid, fold_to_cell
-from .operators import GaborSystem
+from .grid import GridFunction, _cell_spectrum, _require_grid, fold_to_cell
+from .operators import DEGENERACY_FLOOR, GaborSystem
 from .walnut import _walnut_sum, correlation_family
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 
 @dataclass
 class JanssenLattice:
-    """Dual-lattice coefficients over |l| <= L, |n| <= N (componentwise).
+    """Dual-lattice coefficients of a system over |l| <= L, |n| <= N (componentwise).
 
     entries carries the d modulation axes first, then the d shift axes.
     normalization is the center entry c[0, 0] = <gamma, g> (the identical
@@ -59,9 +59,7 @@ class JanssenLattice:
     """
 
     entries: np.ndarray
-    a: float
-    b: float
-    grid: Grid
+    system: GaborSystem
     ell_radius: int
     n_radius: int
     truncation_bound: float
@@ -108,15 +106,14 @@ def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> Ja
     # folds into the bin
     miss = np.abs(1.0 - fold_to_cell(np.ones((2 * ell_radius + 1,) * d), p, ell_radius))
     tail = 0.0
-    for n, cell in sorted(correlation_family(sys).members.items()):
+    for n, cell in correlation_family(sys).items():
         stored = max(map(abs, n)) <= n_radius
         c_hat = grid.cell_measure * _cell_spectrum(cell, np.arange(p))
         tail += float(((miss if stored else 1.0) * np.abs(c_hat)).sum())
         if stored:
             entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = \
                 grid.cell_measure * _cell_spectrum(cell, ls)
-    return JanssenLattice(entries, sys.a, sys.b, grid, ell_radius, n_radius,
-                          tail / abs(sys.pairing))
+    return JanssenLattice(entries, sys, ell_radius, n_radius, tail / abs(sys.pairing))
 
 
 def _column_cell(lattice: JanssenLattice, n: tuple[int, ...], p: int) -> np.ndarray:
@@ -140,18 +137,15 @@ def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
     period unless the out-of-band coefficients vanish.  Raises
     GridMismatchError when f is not on the lattice's grid.
     """
-    _require_grid(f, lattice.grid)
+    sys = lattice.system
+    _require_grid(f, sys.grid)
     nrm = lattice.normalization
-    if abs(nrm) <= 1e-12:
+    if abs(nrm) <= DEGENERACY_FLOOR:
         raise DegenerateWindowPairError("lattice normalization <gamma, g> is degenerate")
-    grid = f.grid
-    d = lattice.dim
-    ibs = grid.steps_scalar(1.0 / lattice.b)
-    p = grid.steps_scalar(lattice.a)
-    cells = {n: _column_cell(lattice, n, p)
-             for n in product(range(-lattice.n_radius, lattice.n_radius + 1), repeat=d)}
-    out, hull = _walnut_sum(f, cells, ibs)
-    return GridFunction._own(grid, out / nrm, hull)
+    cells = {n: _column_cell(lattice, n, sys.a_steps)
+             for n in product(range(-lattice.n_radius, lattice.n_radius + 1), repeat=lattice.dim)}
+    out, hull = _walnut_sum(f, cells, sys.inv_b_steps)
+    return GridFunction._own(sys.grid, out / nrm, hull)
 
 
 def fourier_reconstruct_correlation(lattice: JanssenLattice, n) -> np.ndarray:
@@ -166,8 +160,8 @@ def fourier_reconstruct_correlation(lattice: JanssenLattice, n) -> np.ndarray:
         raise IndexError(f"row index must have {d} components")
     if any(abs(v) > lattice.n_radius for v in n):
         raise IndexError(f"row n={n} outside stored radius {lattice.n_radius}")
-    p = lattice.grid.steps_scalar(lattice.a)
-    return lattice.a ** (-d) * _column_cell(lattice, n, p)
+    sys = lattice.system
+    return sys.a ** (-d) * _column_cell(lattice, n, sys.a_steps)
 
 
 @dataclass
@@ -186,7 +180,7 @@ def wexler_raz_check(sys: GaborSystem, ell_radius: int, n_radius: int,
     """Test c[l, n] / <gamma, g> = delta_{l 0} delta_{n 0} on the stored ranges."""
     lattice = janssen_coefficients(sys, ell_radius, n_radius)
     nrm = lattice.normalization
-    if abs(nrm) <= 1e-12:
+    if abs(nrm) <= DEGENERACY_FLOOR:
         raise DegenerateWindowPairError("normalization <gamma, g> is degenerate")
     normalized = lattice.entries / nrm
     d = lattice.dim

@@ -90,6 +90,9 @@ class GaborSystem:
         self.time_indices = np.arange(-radius, radius + 1)
         r = self.inv_b_steps
         self.freq_indices = np.arange(-(r // 2), r - r // 2)
+        # walnut.correlation_family caches the Walnut members here; unset
+        # until first asked for
+        self._members = None
 
     @property
     def grid(self) -> Grid:
@@ -127,8 +130,6 @@ class CoefficientLattice:
     """
 
     entries: np.ndarray
-    a: float
-    b: float
     time_indices: np.ndarray
     freq_indices: np.ndarray
 
@@ -183,8 +184,7 @@ def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> CoefficientLattice:
     for pos, n in zip(np.ndindex((n_count,) * d), product(sys.time_indices, repeat=d)):
         cell = _fold_overlap(sys.g, f, np.array(n) * sys.a_steps, sys.inv_b_steps)
         entries[pos] = grid.cell_measure * _cell_spectrum(cell, sys.freq_indices)
-    return CoefficientLattice(entries, sys.a, sys.b,
-                              np.array(sys.time_indices), np.array(sys.freq_indices))
+    return CoefficientLattice(entries, np.array(sys.time_indices), np.array(sys.freq_indices))
 
 
 def _direct_peak_bytes(grid: Grid, r: int) -> int:

@@ -18,7 +18,9 @@ confined to the support interaction of the windows, and term n is added only
 on the box supp(f) + n/b, outside which it vanishes.  This is the full-period
 operator of operators.apply_frame_direct, and the one loop behind every
 non-oracle evaluation of S here and in janssen: walnut_apply and the STFT
-inversion sum reconstruct_integral (S on the (dt, dw) lattice).
+inversion sum reconstruct_integral (S on the (dt, dw) lattice).  A system
+computes its members once, on first use of correlation_family, and every
+form of S on that system reads them from there.
 
 The same members give the spectrum of S exactly: term n moves samples by
 n/b only, so S is block diagonal over the residues of the grid index mod
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,7 +52,6 @@ from .operators import GaborSystem
 _BATCH_ENTRIES = 1 << 22  # matrix entries per batched eigvalsh in frame_bounds (64 MiB)
 
 __all__ = [
-    "CorrelationFamily",
     "correlation_member_range",
     "correlation_fn",
     "correlation_family",
@@ -127,29 +129,32 @@ def correlation_fn(sys: GaborSystem, n) -> np.ndarray:
     return _fold_overlap(sys.g, sys.gamma, steps, sys.a_steps)
 
 
-@dataclass
-class CorrelationFamily:
-    """All correlation members of a system, keyed by the lattice index tuple."""
+def correlation_family(sys: GaborSystem) -> MappingProxyType:
+    """Every correlation member G[n] of the system, keyed by n in sorted order.
 
-    system: GaborSystem
-    members: dict[tuple[int, ...], np.ndarray]
-
-
-def correlation_family(sys: GaborSystem) -> CorrelationFamily:
-    members = {}
-    for n in product(*correlation_member_range(sys)):
-        members[n] = correlation_fn(sys, n)
-    return CorrelationFamily(sys, members)
+    The band matrix of S.  Computed on the first call and kept on the
+    system, so each member is folded once however many forms of S read it;
+    the mapping and its cells are read-only.
+    """
+    if sys._members is None:
+        members = {}
+        for n in product(*correlation_member_range(sys)):
+            cell = correlation_fn(sys, n)
+            cell.setflags(write=False)
+            members[n] = cell
+        sys._members = MappingProxyType(members)
+    return sys._members
 
 
 def diagonal_correlation(sys: GaborSystem) -> np.ndarray:
     """The normalized diagonal function (a^d / <gamma, g>) * G[0] on the cell.
 
     Periodizes conj(g) * gamma at step a and scales so the densification
-    limit is the constant 1; independent of b.
+    limit is the constant 1; independent of b.  Member 0 always exists,
+    because a nondegenerate pair overlaps.
     """
     d = sys.grid.dim
-    return (sys.a ** d / sys.pairing) * correlation_fn(sys, (0,) * d)
+    return (sys.a ** d / sys.pairing) * correlation_family(sys)[(0,) * d]
 
 
 def diagonal_deviation(sys: GaborSystem) -> float:
@@ -182,8 +187,20 @@ def _walnut_sum(f: GridFunction, cells: dict[tuple[int, ...], np.ndarray],
     return out, _hull(boxes, grid.dim)
 
 
-def walnut_apply(f: GridFunction, sys: GaborSystem,
-                 family: CorrelationFamily | None = None) -> GridFunction:
+def _scaled_walnut(f: GridFunction, sys: GaborSystem, off_diagonal: bool) -> GridFunction:
+    # (a^d / <gamma, g>) times the Walnut sum over the system's members, or
+    # over the members n != 0 only
+    _require_grid(f, sys.grid)
+    cells = correlation_family(sys)
+    if off_diagonal:
+        zero = (0,) * sys.grid.dim
+        cells = {n: cell for n, cell in cells.items() if n != zero}
+    scale = sys.a ** sys.grid.dim / sys.pairing
+    out, hull = _walnut_sum(f, cells, sys.inv_b_steps)
+    return GridFunction._own(sys.grid, scale * out, hull)
+
+
+def walnut_apply(f: GridFunction, sys: GaborSystem) -> GridFunction:
     """Apply the frame operator in its multiplication-and-shift form.
 
     Exact (no frequency truncation); members are reduced in sorted index
@@ -191,12 +208,7 @@ def walnut_apply(f: GridFunction, sys: GaborSystem,
     boxes the sum touched.  Raises GridMismatchError when f is not on the
     system's grid.
     """
-    _require_grid(f, sys.grid)
-    if family is None:
-        family = correlation_family(sys)
-    scale = sys.a ** sys.grid.dim / sys.pairing
-    out, hull = _walnut_sum(f, family.members, sys.inv_b_steps)
-    return GridFunction._own(sys.grid, scale * out, hull)
+    return _scaled_walnut(f, sys, off_diagonal=False)
 
 
 def reconstruct_integral(f: GridFunction, g: GridFunction, gamma: GridFunction,
@@ -242,7 +254,8 @@ def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
     d = grid.dim
     r = sys.inv_b_steps
     scale = sys.a ** d / sys.pairing
-    members = {n: cell for n, cell in correlation_family(sys).members.items() if cell.any()}
+    p = sys.a_steps
+    members = {n: cell for n, cell in correlation_family(sys).items() if cell.any()}
     lower, upper = math.inf, -math.inf
     for classes in product(_residue_classes(grid.samples_per_axis, r), repeat=d):
         sizes = tuple(size for _, size in classes)
@@ -261,8 +274,9 @@ def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
                               + r * row.reshape([-1 if j == ax else 1 for j in range(d)])
                               for ax, row in enumerate(rows))
                 cols = [row - v for row, v in zip(rows, n)]
-                ext = periodic_extension(cell, grid)
-                blocks[(slice(None),) + np.ix_(*rows) + np.ix_(*cols)] = scale * ext[index]
+                # the periodic extension of the cell, read at those indices only
+                entries = cell[tuple((i - grid.half_extent_steps) % p for i in index)]
+                blocks[(slice(None),) + np.ix_(*rows) + np.ix_(*cols)] = scale * entries
             eig = np.linalg.eigvalsh(blocks.reshape(len(rho), side, side))
             lower, upper = min(lower, float(eig[:, 0].min())), max(upper, float(eig[:, -1].max()))
     return lower, upper
@@ -274,17 +288,12 @@ def apply_diagonal_defect(f: GridFunction, sys: GaborSystem) -> GridFunction:
     return GridFunction(f.grid, mult * f.values)
 
 
-def apply_remainder(f: GridFunction, sys: GaborSystem,
-            family: CorrelationFamily | None = None) -> GridFunction:
+def apply_remainder(f: GridFunction, sys: GaborSystem) -> GridFunction:
     """The off-diagonal remainder: the Walnut sum restricted to n != 0.
 
     S f - f = apply_diagonal_defect(f) + apply_remainder(f) exactly.
     """
-    if family is None:
-        family = correlation_family(sys)
-    zero = (0,) * sys.grid.dim
-    off = {n: cell for n, cell in family.members.items() if n != zero}
-    return walnut_apply(f, sys, CorrelationFamily(sys, off))
+    return _scaled_walnut(f, sys, off_diagonal=True)
 
 
 def _walnut_constant(sys: GaborSystem, scale: float = 1.0) -> float:
@@ -337,13 +346,11 @@ class TailSum:
     within_bound: bool
 
 
-def tail_sum(sys: GaborSystem, family: CorrelationFamily | None = None) -> TailSum:
-    if family is None:
-        family = correlation_family(sys)
+def tail_sum(sys: GaborSystem) -> TailSum:
     d = sys.grid.dim
     zero = (0,) * d
     sups = {n: float(np.abs(cell).max()) if cell.size else 0.0
-            for n, cell in family.members.items()}
+            for n, cell in correlation_family(sys).items()}
     tail = math.fsum(sys.a ** d * s for n, s in sorted(sups.items()) if n != zero)
     sup_total = math.fsum(s for _, s in sorted(sups.items()))
     bound = _walnut_constant(sys)

@@ -20,7 +20,6 @@ from gabframes import (
     apply_remainder,
     apply_diagonal_defect,
     convergence_sweep,
-    correlation_family,
     counterexample_run,
     janssen_apply,
     janssen_coefficients,
@@ -142,10 +141,9 @@ def test_criterion_04_walnut_bound_constant(grid, chi, suite):
     worst_margin = math.inf
     for idx, (label, sys, _) in enumerate(suite):
         bound = operator_norm_upper_bound(sys)
-        fam = correlation_family(sys)
         for k in range(100):
             f = random_interior(grid, seed=5000 + 1000 * idx + k)
-            sf = walnut_apply(f, sys, fam)
+            sf = walnut_apply(f, sys)
             for pq in PQ_SET:
                 ratio = amalgam_norm(sf, pq) / amalgam_norm(f, pq)
                 worst_margin = min(worst_margin, bound - ratio)
@@ -233,14 +231,13 @@ def test_criterion_09_sup_norm_counterexample():
 def test_criterion_10_T_plus_R_decomposition(grid, suite):
     worst_point, worst_ratio = 0.0, 0.0
     for label, sys, f in suite:
-        fam = correlation_family(sys)
-        sf = walnut_apply(f, sys, fam)
+        sf = walnut_apply(f, sys)
         tf = apply_diagonal_defect(f, sys)
-        rf = apply_remainder(f, sys, fam)
+        rf = apply_remainder(f, sys)
         gap = np.abs((sf - f).values - (tf + rf).values).max()
         worst_point = max(worst_point, gap)
         assert gap <= 1e-12, f"{label}: pointwise gap {gap:.2e}"
-        ts = tail_sum(sys, fam)
+        ts = tail_sum(sys)
         for pq in PQ_SET:
             lhs = amalgam_norm(rf, pq)
             rhs = ts.tail / abs(sys.pairing) * amalgam_norm(f, pq)

@@ -28,6 +28,11 @@ The dead-method rule: every non-dunder method of a module-level class in
 ``src/gabframes`` is read somewhere in ``src/``, ``tests/``, ``demos/`` or
 ``perfbench/``, by the same test as the dead-code rule.  Matching is by name
 only, so a method shares the fate of any attribute or name spelled alike.
+
+The dead-local rule: no function in ``src/gabframes`` or ``tests/`` binds a
+local name with a single-name ``=`` and never loads it.  Loads in nested
+functions count as uses; a nested function's own assignments are checked
+with it, and names declared ``global`` or ``nonlocal`` are not locals.
 """
 import ast
 from pathlib import Path
@@ -242,3 +247,59 @@ def test_no_unreferenced_methods(path):
 ])
 def test_method_checker_itself(source, others, unreferenced):
     assert unreferenced_methods(source, others) == unreferenced
+
+
+def _scope_nodes(fn):
+    # the nodes of fn's own scope: nested functions, lambdas and classes are
+    # yielded but not entered
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(source: str) -> list[str]:
+    """Locals bound by ``name = ...`` in a function and never loaded in it."""
+    dead = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        assigned, declared = {}, set()
+        for node in _scope_nodes(fn):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                name = node.targets[0].id
+                assigned[name] = min(node.lineno, assigned.get(name, node.lineno))
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        loaded = {node.id for node in ast.walk(fn)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        dead += [(line, name) for name, line in assigned.items()
+                 if name not in loaded and name not in declared]
+    return [f"line {line}: {name}" for line, name in sorted(dead)]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_dead_locals(path):
+    assert dead_locals(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source,dead", [
+    ("def f():\n    x = 1\n", ["line 2: x"]),
+    ("def f():\n    x = 1\n    return x\n", []),
+    ("def t(sys):\n    fam = family(sys)\n    return apply(sys)\n", ["line 2: fam"]),
+    ("def f():\n    x = 1\n    x = 2\n", ["line 2: x"]),
+    ("def f():\n    x = 1\n    def g():\n        return x\n    return g\n", []),
+    ("def f():\n    def g():\n        y = 1\n    return g\n", ["line 3: y"]),
+    ("def f():\n    a, b = 1, 2\n    return a\n", []),
+    ("def f():\n    global X\n    X = 1\n", []),
+    ("def f():\n    x = 0\n    def g():\n        nonlocal x\n        x = 1\n    g()\n"
+     "    return x\n", []),
+    ("class C:\n    def m(self):\n        self.x = 1\n", []),
+    ("def f():\n    class C:\n        k = 1\n    return C\n", []),
+    ("x = 1\n", []),
+])
+def test_dead_local_checker_itself(source, dead):
+    assert dead_locals(source) == dead

@@ -12,7 +12,6 @@ from gabframes import (
     GridMismatchError,
     ResolutionError,
     apply_frame_direct,
-    correlation_family,
     frame_bounds,
     gabor_coefficients,
     inner_product,
@@ -214,12 +213,11 @@ def dense_frame_operator(sys):
     """S as a matrix: column i is walnut_apply of the i-th unit vector of the grid."""
     grid = sys.grid
     size = int(np.prod(grid.shape))
-    family = correlation_family(sys)
     cols = []
     for i in range(size):
         unit = np.zeros(size, dtype=complex)
         unit[i] = 1.0
-        out = walnut_apply(GridFunction(grid, unit.reshape(grid.shape)), sys, family)
+        out = walnut_apply(GridFunction(grid, unit.reshape(grid.shape)), sys)
         cols.append(out.values.ravel())
     return np.stack(cols, axis=1)
 

@@ -14,7 +14,9 @@ from gabframes import (
     correlation_family,
     correlation_fn,
     diagonal_correlation,
+    frame_bounds,
     gabor_coefficients,
+    janssen_coefficients,
     l2_norm,
     operator_norm_upper_bound,
     periodic_extension,
@@ -23,10 +25,11 @@ from gabframes import (
     tail_sum,
     walnut_apply,
     wiener_norm,
+    walnut,
     window_library,
 )
 from gabframes.grid import _cell_spectrum, fold_to_cell, shift_array
-from gabframes.walnut import correlation_member_range
+from gabframes.walnut import correlation_member_range, diagonal_deviation
 from conftest import random_interior
 
 PQ_SET = [(1, 1), (2, 2), (1, 2), (2, math.inf)]
@@ -129,10 +132,9 @@ class TestOperatorNormBound:
     def test_measured_ratio_below_bound(self, grid, hat):
         sys = GaborSystem(hat, hat, 0.5, 0.5)
         bound = operator_norm_upper_bound(sys)
-        fam = correlation_family(sys)
         for seed in range(20):
             f = random_interior(grid, seed=seed)
-            sf = walnut_apply(f, sys, fam)
+            sf = walnut_apply(f, sys)
             for pq in PQ_SET:
                 assert amalgam_norm(sf, pq) <= bound * amalgam_norm(f, pq) * (1 + 1e-12)
 
@@ -186,9 +188,8 @@ class TestTailSum:
 class TestDecomposition:
     def test_identity_plus_T_plus_R(self, grid, gauss, interior_f):
         sys = GaborSystem(gauss, gauss, 0.25, 0.5)
-        fam = correlation_family(sys)
-        lhs = walnut_apply(interior_f, sys, fam)
-        rhs = interior_f + apply_diagonal_defect(interior_f, sys) + apply_remainder(interior_f, sys, fam)
+        lhs = walnut_apply(interior_f, sys)
+        rhs = interior_f + apply_diagonal_defect(interior_f, sys) + apply_remainder(interior_f, sys)
         assert np.abs(lhs.values - rhs.values).max() <= 1e-12
 
     def test_multiplier_norm_attained_on_bump(self, grid, gauss):
@@ -204,11 +205,10 @@ class TestDecomposition:
 
     def test_R_norm_below_tail_bound(self, grid, gauss):
         sys = GaborSystem(gauss, gauss, 0.25, 0.5)
-        fam = correlation_family(sys)
-        ts = tail_sum(sys, fam)
+        ts = tail_sum(sys)
         for seed in range(10):
             f = random_interior(grid, seed=seed)
-            rf = apply_remainder(f, sys, fam)
+            rf = apply_remainder(f, sys)
             for pq in PQ_SET:
                 assert amalgam_norm(rf, pq) <= (
                     ts.tail / abs(sys.pairing) * amalgam_norm(f, pq) * (1 + 1e-9) + 1e-15)
@@ -309,8 +309,52 @@ class TestBoxKernels:
         f = GridFunction(grid, values)
         family = correlation_family(sys)
         acc = np.zeros(grid.shape, dtype=complex)
-        for n in sorted(family.members):
+        for n in sorted(family):
             shifted = shift_array(f.values, np.array(n) * sys.inv_b_steps)
-            acc += periodic_extension(family.members[n], grid) * shifted
+            acc += periodic_extension(family[n], grid) * shifted
         want = sys.a ** grid.dim / sys.pairing * acc
-        assert same_bits(walnut_apply(f, sys, family).values, want)
+        assert same_bits(walnut_apply(f, sys).values, want)
+
+
+class TestMemberCache:
+    """A system folds each Walnut member once, whichever forms of S read it."""
+
+    def test_each_member_folded_once(self, monkeypatch, gauss, interior_f):
+        folds = []
+        fold = walnut._fold_overlap
+
+        def counting(u, v, steps, cell_steps):
+            folds.append(tuple(int(s) for s in steps))
+            return fold(u, v, steps, cell_steps)
+
+        monkeypatch.setattr(walnut, "_fold_overlap", counting)
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
+        walnut_apply(interior_f, sys)
+        apply_remainder(interior_f, sys)
+        tail_sum(sys)
+        diagonal_deviation(sys)
+        frame_bounds(sys)
+        janssen_coefficients(sys, 2, 2)
+        want = [tuple(v * sys.inv_b_steps for v in n)
+                for n in product(*correlation_member_range(sys))]
+        assert len(want) == 7
+        assert sorted(folds) == sorted(want)
+
+    def test_members_are_kept_and_read_only(self, gauss):
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
+        members = correlation_family(sys)
+        assert members is correlation_family(sys)
+        assert list(members) == sorted(members)
+        for n, cell in members.items():
+            assert same_bits(cell, correlation_fn(sys, n))
+        with pytest.raises(ValueError):
+            members[(0,)][0] = 1.0
+        with pytest.raises(TypeError):
+            members[(0,)] = np.zeros(sys.a_steps, dtype=complex)
+
+    def test_decomposition_on_kept_members(self, gauss, interior_f):
+        sys = GaborSystem(gauss, gauss, 0.25, 0.5)
+        rf = apply_remainder(interior_f, sys)  # the first call folds every member
+        tf = apply_diagonal_defect(interior_f, sys)
+        sf = walnut_apply(interior_f, sys)
+        assert np.abs((tf + rf).values - (sf - interior_f).values).max() <= 1e-12
