@@ -109,7 +109,7 @@ def _system_from(cfg: dict) -> GaborSystem:
     _require_keys(cfg, _SYSTEM_KEYS, "system config")
     grid = _grid_from(cfg)
     g = sample_window(_window_from(cfg, "g"), grid)
-    gamma = sample_window(_window_from(cfg, "gamma"), grid) if cfg.get("gamma") else g
+    gamma = sample_window(_window_from(cfg, "gamma"), grid) if "gamma" in cfg else g
     for key in ("a", "b"):
         if key not in cfg:
             raise ConfigError(f"config is missing lattice parameter {key!r}")

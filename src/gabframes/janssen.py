@@ -27,9 +27,9 @@ from itertools import product
 import numpy as np
 
 from .errors import DegenerateWindowPairError
-from .grid import GridFunction, _cell_spectrum, _require_grid, fold_to_cell
-from .operators import DEGENERACY_FLOOR, GaborSystem
-from .walnut import _walnut_sum, correlation_family
+from .grid import GridFunction, _require_grid, fold_to_cell
+from .operators import DEGENERACY_FLOOR, GaborSystem, correlation_family
+from .walnut import _walnut_sum
 
 __all__ = [
     "JanssenLattice",
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class JanssenLattice:
     """Dual-lattice coefficients of a system over |l| <= L, |n| <= N (componentwise).
 
@@ -55,7 +55,8 @@ class JanssenLattice:
     over all correlation members n and one alias period beta mod a/h, where
     c_hat[., n] is h^d times the FFT of G[n], count_beta is the number of
     stored l = beta mod a/h (the fold of janssen_apply), and a member with
-    |n| > N counts with count 0.
+    |n| > N counts with count 0.  Frozen, with entries copied once and
+    read-only, so the bound always certifies the stored entries.
     """
 
     entries: np.ndarray
@@ -65,6 +66,8 @@ class JanssenLattice:
     truncation_bound: float
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", np.array(self.entries))
+        self.entries.setflags(write=False)
         d = self.entries.ndim // 2
         want = (2 * self.ell_radius + 1,) * d + (2 * self.n_radius + 1,) * d
         if self.entries.shape != want:
@@ -106,13 +109,13 @@ def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> Ja
     # folds into the bin
     miss = np.abs(1.0 - fold_to_cell(np.ones((2 * ell_radius + 1,) * d), p, ell_radius))
     tail = 0.0
+    bins = np.ix_(*[ls % p] * d)  # the FFT bin of each stored l
     for n, cell in correlation_family(sys).items():
         stored = max(map(abs, n)) <= n_radius
-        c_hat = grid.cell_measure * _cell_spectrum(cell, np.arange(p))
+        c_hat = grid.cell_measure * np.fft.fftn(cell)
         tail += float(((miss if stored else 1.0) * np.abs(c_hat)).sum())
         if stored:
-            entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = \
-                grid.cell_measure * _cell_spectrum(cell, ls)
+            entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = c_hat[bins]
     return JanssenLattice(entries, sys, ell_radius, n_radius, tail / abs(sys.pairing))
 
 

@@ -17,15 +17,17 @@ the product conj(T_{na} g) * f into a cell of side r and take its FFT, so
 coefficient m is bin m mod r.  gabor_coefficients uses that kernel, the
 overlap-box fold the Walnut members use too; the direct operator
 deliberately does not, so it stays an independent oracle.
-Every other evaluation of S (the Walnut and Janssen forms, the STFT
-inversion sum reconstruct_integral and the exact frame bounds) lives in
-walnut and janssen, which build on this module.
+A GaborSystem is immutable and keeps its Walnut members G[n], which
+correlation_family folds on first use.  Every other evaluation of S (the
+Walnut and Janssen forms, the STFT inversion sum reconstruct_integral and
+the exact frame bounds) lives in walnut and janssen, which read them here.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,7 +62,8 @@ class GaborSystem:
     pairing <gamma, g> is nondegenerate, and a and 1/b are integer multiples
     of the spacing.  time_indices are the symmetric range of n covering
     every lattice shift of g whose support meets the domain; freq_indices
-    are one full period r = 1/(b h) of m.
+    are one full period r = 1/(b h) of m.  Immutable, so the members that
+    correlation_family keeps on it always belong to these windows and steps.
 
     Parameters
     ----------
@@ -70,55 +73,108 @@ class GaborSystem:
         Time and frequency lattice steps, a > 0, b > 0.
     """
 
+    # _members keeps correlation_family's result; unset until first asked for
+    __slots__ = ("g", "gamma", "a", "b", "a_steps", "inv_b_steps", "pairing",
+                 "time_indices", "freq_indices", "_members")
+
     def __init__(self, g: GridFunction, gamma: GridFunction, a: float, b: float):
         if g.grid != gamma.grid:
             raise DegenerateWindowPairError("windows must share a grid")
         if a <= 0 or b <= 0:
             raise ValueError(f"lattice parameters must be positive, got a={a!r}, b={b!r}")
         grid = g.grid
-        self.g = g
-        self.gamma = gamma
-        self.a = float(a)
-        self.b = float(b)
-        self.a_steps = grid.steps_scalar(a)          # a / h
-        self.inv_b_steps = grid.steps_scalar(1 / b)  # (1/b) / h, also the freq period
-        self.pairing = inner_product(gamma, g)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "a", float(a))
+        object.__setattr__(self, "b", float(b))
+        object.__setattr__(self, "a_steps", grid.steps_scalar(a))          # a / h
+        object.__setattr__(self, "inv_b_steps", grid.steps_scalar(1 / b))  # r = (1/b) / h
+        object.__setattr__(self, "pairing", inner_product(gamma, g))
         if abs(self.pairing) <= DEGENERACY_FLOOR:
             raise DegenerateWindowPairError(
                 f"|<gamma, g>| = {abs(self.pairing):.3e} <= {DEGENERACY_FLOOR}")
         radius = self._min_time_radius()
-        self.time_indices = np.arange(-radius, radius + 1)
         r = self.inv_b_steps
-        self.freq_indices = np.arange(-(r // 2), r - r // 2)
-        # walnut.correlation_family caches the Walnut members here; unset
-        # until first asked for
-        self._members = None
+        for name, indices in (("time_indices", np.arange(-radius, radius + 1)),
+                              ("freq_indices", np.arange(-(r // 2), r - r // 2))):
+            indices.setflags(write=False)
+            object.__setattr__(self, name, indices)
+
+    def __setattr__(self, name, value):  # immutable after construction
+        raise AttributeError("GaborSystem is immutable")
 
     @property
     def grid(self) -> Grid:
         return self.g.grid
 
     def _min_time_radius(self) -> int:
-        bounds = support_index_bounds(self.g)
-        if bounds is None:
-            return 0
+        # a pairing above DEGENERACY_FLOOR means g is not zero, so it has bounds
         n = self.grid.samples_per_axis
         need = 0
-        for lo, hi in bounds:
+        for lo, hi in support_index_bounds(self.g):
             # supp(g) + n*a meets [0, N) iff -hi <= n*a_steps <= N - 1 - lo
             n_lo = -(hi // self.a_steps)
             n_hi = (n - 1 - lo) // self.a_steps
             need = max(need, abs(int(n_lo)), abs(int(n_hi)))
         return need
 
-    @classmethod
-    def self_dual(cls, g: GridFunction, a: float, b: float) -> "GaborSystem":
-        """The gamma = g system; the pairing becomes ||g||_2^2."""
-        return cls(g, g, a, b)
-
     def __repr__(self):
         return (f"GaborSystem(a={self.a}, b={self.b}, time_radius={self.time_indices[-1]}, "
                 f"freq_indices={len(self.freq_indices)} per axis)")
+
+
+def _as_tuple(n, dim: int) -> tuple[int, ...]:
+    if np.isscalar(n):
+        if dim != 1:
+            raise ValueError(f"lattice index must have {dim} components, got scalar {n!r}")
+        return (int(n),)
+    n = tuple(int(v) for v in n)
+    if len(n) != dim:
+        raise ValueError(f"lattice index must have {dim} components, got {n!r}")
+    return n
+
+
+def correlation_member_range(sys: GaborSystem) -> list[range]:
+    """Per-axis ranges of n with T_{n/b} g and gamma overlapping on the grid.
+
+    Exact: n/b must lie in the Minkowski difference supp(gamma) - supp(g),
+    evaluated in integer index arithmetic, so every nonzero member is
+    enumerated and nothing else.
+    """
+    ibs = sys.inv_b_steps
+    out = []
+    for (gl, gh), (cl, ch) in zip(support_index_bounds(sys.g), support_index_bounds(sys.gamma)):
+        lo = -((gh - cl) // ibs)  # ceil((cl - gh) / ibs)
+        hi = (ch - gl) // ibs
+        out.append(range(int(lo), int(hi) + 1))
+    return out
+
+
+def correlation_fn(sys: GaborSystem, n) -> np.ndarray:
+    """Samples of G[n] on the fundamental cell [0, a)^d (zero if no overlap).
+
+    Only the overlap box of supp(T_{n/b} g) and supp(gamma) is multiplied
+    and folded; every sample outside it contributes an exact zero.
+    """
+    steps = [v * sys.inv_b_steps for v in _as_tuple(n, sys.grid.dim)]
+    return _fold_overlap(sys.g, sys.gamma, steps, sys.a_steps)
+
+
+def correlation_family(sys: GaborSystem) -> MappingProxyType:
+    """Every correlation member G[n] of the system, keyed by n in sorted order.
+
+    The band matrix of S.  Computed on the first call and kept on the
+    system, so each member is folded once however many forms of S read it;
+    the mapping and its cells are read-only.
+    """
+    if getattr(sys, "_members", None) is None:
+        members = {}
+        for n in product(*correlation_member_range(sys)):
+            cell = correlation_fn(sys, n)
+            cell.setflags(write=False)
+            members[n] = cell
+        object.__setattr__(sys, "_members", MappingProxyType(members))
+    return sys._members
 
 
 @dataclass
@@ -184,7 +240,7 @@ def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> CoefficientLattice:
     for pos, n in zip(np.ndindex((n_count,) * d), product(sys.time_indices, repeat=d)):
         cell = _fold_overlap(sys.g, f, np.array(n) * sys.a_steps, sys.inv_b_steps)
         entries[pos] = grid.cell_measure * _cell_spectrum(cell, sys.freq_indices)
-    return CoefficientLattice(entries, np.array(sys.time_indices), np.array(sys.freq_indices))
+    return CoefficientLattice(entries, sys.time_indices, sys.freq_indices)
 
 
 def _direct_peak_bytes(grid: Grid, r: int) -> int:

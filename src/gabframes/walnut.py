@@ -18,9 +18,9 @@ confined to the support interaction of the windows, and term n is added only
 on the box supp(f) + n/b, outside which it vanishes.  This is the full-period
 operator of operators.apply_frame_direct, and the one loop behind every
 non-oracle evaluation of S here and in janssen: walnut_apply and the STFT
-inversion sum reconstruct_integral (S on the (dt, dw) lattice).  A system
-computes its members once, on first use of correlation_family, and every
-form of S on that system reads them from there.
+inversion sum reconstruct_integral (S on the (dt, dw) lattice).  The members
+belong to the immutable GaborSystem: operators.correlation_family folds them
+once per system, and every form of S on that system reads them from there.
 
 The same members give the spectrum of S exactly: term n moves samples by
 n/b only, so S is block diagonal over the residues of the grid index mod
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from types import MappingProxyType
 
 import numpy as np
 
@@ -40,14 +39,13 @@ from .amalgam import wiener_norm
 from .grid import (
     Grid,
     GridFunction,
-    _fold_overlap,
     _hull,
     _require_grid,
     _shifted_overlap,
     fold_to_cell,
     support_index_bounds,
 )
-from .operators import GaborSystem
+from .operators import GaborSystem, correlation_family, correlation_fn, correlation_member_range
 
 _BATCH_ENTRIES = 1 << 22  # matrix entries per batched eigvalsh in frame_bounds (64 MiB)
 
@@ -86,64 +84,6 @@ def periodic_extension(cell: np.ndarray, grid: Grid) -> np.ndarray:
     """Extend a fundamental-cell array to the whole grid by periodicity."""
     return _cell_on_box(cell, (slice(0, grid.samples_per_axis),) * cell.ndim,
                         grid.half_extent_steps)
-
-
-def _as_tuple(n, dim: int) -> tuple[int, ...]:
-    if np.isscalar(n):
-        if dim != 1:
-            raise ValueError(f"lattice index must have {dim} components, got scalar {n!r}")
-        return (int(n),)
-    n = tuple(int(v) for v in n)
-    if len(n) != dim:
-        raise ValueError(f"lattice index must have {dim} components, got {n!r}")
-    return n
-
-
-def correlation_member_range(sys: GaborSystem) -> list[range]:
-    """Per-axis ranges of n with T_{n/b} g and gamma overlapping on the grid.
-
-    Exact: n/b must lie in the Minkowski difference supp(gamma) - supp(g),
-    evaluated in integer index arithmetic, so every nonzero member is
-    enumerated and nothing else.
-    """
-    gb = support_index_bounds(sys.g)
-    cb = support_index_bounds(sys.gamma)
-    if gb is None or cb is None:
-        return [range(0)] * sys.grid.dim
-    ibs = sys.inv_b_steps
-    out = []
-    for (gl, gh), (cl, ch) in zip(gb, cb):
-        lo = -((gh - cl) // ibs)  # ceil((cl - gh) / ibs)
-        hi = (ch - gl) // ibs
-        out.append(range(int(lo), int(hi) + 1))
-    return out
-
-
-def correlation_fn(sys: GaborSystem, n) -> np.ndarray:
-    """Samples of G[n] on the fundamental cell [0, a)^d (zero if no overlap).
-
-    Only the overlap box of supp(T_{n/b} g) and supp(gamma) is multiplied
-    and folded; every sample outside it contributes an exact zero.
-    """
-    steps = [v * sys.inv_b_steps for v in _as_tuple(n, sys.grid.dim)]
-    return _fold_overlap(sys.g, sys.gamma, steps, sys.a_steps)
-
-
-def correlation_family(sys: GaborSystem) -> MappingProxyType:
-    """Every correlation member G[n] of the system, keyed by n in sorted order.
-
-    The band matrix of S.  Computed on the first call and kept on the
-    system, so each member is folded once however many forms of S read it;
-    the mapping and its cells are read-only.
-    """
-    if sys._members is None:
-        members = {}
-        for n in product(*correlation_member_range(sys)):
-            cell = correlation_fn(sys, n)
-            cell.setflags(write=False)
-            members[n] = cell
-        sys._members = MappingProxyType(members)
-    return sys._members
 
 
 def diagonal_correlation(sys: GaborSystem) -> np.ndarray:

@@ -297,19 +297,30 @@ class TestMalformedWindowSpec:
         assert json.loads(err)["error"] == "ConfigError"
         assert "Traceback" not in err
 
+    @staticmethod
+    def system_config(tmp_path, gamma):
+        return write_json(tmp_path / "sys.json", {
+            "schema": "v1",
+            "grid": {"half_extent": 4.0, "spacing": 1 / 32},
+            "g": {"family": "indicator_cube", "side": 1.0},
+            "gamma": gamma,
+            "a": 0.5, "b": 0.5,
+            "f": {"family": "bspline", "order": 2},
+        })
+
     @pytest.mark.parametrize("command,flag", [
         ("stft", "--config"), ("apply", "--config"), ("bounds", "--config"),
         ("wexler-raz", "--system")])
     def test_gamma_in_system_config(self, capsys, tmp_path, command, flag):
-        cfg = write_json(tmp_path / "sys.json", {
-            "schema": "v1",
-            "grid": {"half_extent": 4.0, "spacing": 1 / 32},
-            "g": {"family": "indicator_cube", "side": 1.0},
-            "gamma": self.BAD,
-            "a": 0.5, "b": 0.5,
-            "f": {"family": "bspline", "order": 2},
-        })
-        self.assert_config_error(capsys, command, flag, cfg)
+        self.assert_config_error(capsys, command, flag, self.system_config(tmp_path, self.BAD))
+
+    @pytest.mark.parametrize("gamma", [{}, 0], ids=["empty", "zero"])
+    @pytest.mark.parametrize("command,flag", [
+        ("stft", "--config"), ("apply", "--config"), ("bounds", "--config"),
+        ("wexler-raz", "--system")])
+    def test_falsy_gamma_is_not_omitted(self, capsys, tmp_path, command, flag, gamma):
+        # only an absent "gamma" key means gamma = g, as in a sweep config
+        self.assert_config_error(capsys, command, flag, self.system_config(tmp_path, gamma))
 
     def test_f_in_sweep_config(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "sweep.json", {

@@ -35,6 +35,7 @@ functions count as uses; a nested function's own assignments are checked
 with it, and names declared ``global`` or ``nonlocal`` are not locals.
 """
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -95,7 +96,9 @@ def private_definitions(source: str) -> list[str]:
     return [n for n in dict.fromkeys(names) if n.startswith("_") and not n.startswith("__")]
 
 
-def references(source: str) -> set[str]:
+# cached: the dead-code and dead-method rules read every caller once per module
+@functools.lru_cache(maxsize=None)
+def references(source: str) -> frozenset[str]:
     refs = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -104,7 +107,7 @@ def references(source: str) -> set[str]:
             refs.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             refs.update(alias.name for alias in node.names)
-    return refs
+    return frozenset(refs)
 
 
 def unreferenced_privates(source: str, others: list[str]) -> list[str]:

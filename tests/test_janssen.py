@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from gabframes import (
     GridFunction,
     WindowSpec,
     amalgam_norm,
+    correlation_family,
     correlation_fn,
     fourier_reconstruct_correlation,
     janssen_apply,
@@ -23,6 +25,7 @@ from gabframes import (
     inner_product,
     sample_window,
 )
+from gabframes.grid import _cell_spectrum, fold_to_cell
 from gabframes.walnut import correlation_member_range
 from conftest import random_interior
 
@@ -97,6 +100,64 @@ class TestCoefficientKernel:
         chi2 = sample_window(WindowSpec.indicator_cube(1.0), grid2)
         # a/h = 4: l = 2, 3 alias onto -2, -1
         self.assert_matches_definition(GaborSystem(g2, chi2, 0.5, 1.0), 3, 1)
+
+
+class TestOneTransformPerMember:
+    """One h^d fftn per member, read at the stored bins l mod a/h, gives the
+    bits of the spectrum taken twice: at every bin for truncation_bound and
+    at the stored l for the entries."""
+
+    @staticmethod
+    def two_transforms(sys, ell_radius, n_radius):
+        # the entries and the bound with a separate spectrum for each
+        d, p, h = sys.grid.dim, sys.a_steps, sys.grid.cell_measure
+        ls = np.arange(-ell_radius, ell_radius + 1)
+        entries = np.zeros((2 * ell_radius + 1,) * d + (2 * n_radius + 1,) * d, dtype=complex)
+        miss = np.abs(1.0 - fold_to_cell(np.ones((2 * ell_radius + 1,) * d), p, ell_radius))
+        tail = 0.0
+        for n, cell in correlation_family(sys).items():
+            stored = max(map(abs, n)) <= n_radius
+            c_hat = h * _cell_spectrum(cell, np.arange(p))
+            tail += float(((miss if stored else 1.0) * np.abs(c_hat)).sum())
+            if stored:
+                entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = h * _cell_spectrum(cell, ls)
+        return entries, tail / abs(sys.pairing)
+
+    @pytest.mark.parametrize("ell_radius,n_radius", [(0, 0), (3, 1), (10, 3), (20, 5)])
+    def test_one_dimensional(self, gauss, hat, ell_radius, n_radius):
+        sys = GaborSystem(gauss, hat, 0.5, 0.5)
+        lat = janssen_coefficients(sys, ell_radius, n_radius)
+        entries, bound = self.two_transforms(sys, ell_radius, n_radius)
+        assert lat.entries.tobytes() == entries.tobytes()
+        assert lat.truncation_bound == bound
+
+    def test_two_dimensional(self):
+        grid2 = Grid(1.0, 1 / 8, dim=2)
+        g2 = sample_window(WindowSpec.gaussian(0.5, 0.75), grid2)
+        chi2 = sample_window(WindowSpec.indicator_cube(1.0), grid2)
+        sys = GaborSystem(g2, chi2, 0.5, 1.0)
+        lat = janssen_coefficients(sys, 3, 0)
+        entries, bound = self.two_transforms(sys, 3, 0)
+        assert lat.entries.tobytes() == entries.tobytes()
+        assert lat.truncation_bound == bound
+
+
+class TestFrozenLattice:
+    def test_fields_and_entries_are_read_only(self, gauss):
+        lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 2, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lat.entries = lat.entries * 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lat.truncation_bound = 0.0
+        with pytest.raises(ValueError):
+            lat.entries[...] = 0.0
+
+    def test_entries_are_copied_once(self, gauss):
+        lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 2, 2)
+        mine = lat.entries.copy()
+        copy = dataclasses.replace(lat, entries=mine)
+        mine[...] = 0.0
+        assert copy.entries.tobytes() == lat.entries.tobytes()
 
 
 class TestConditionAPrime:
@@ -196,7 +257,7 @@ class TestJanssenApply:
 
     def test_degenerate_normalization_rejected(self, grid, chi):
         lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 2, 2)
-        lat.entries = lat.entries * 0.0
+        lat = dataclasses.replace(lat, entries=lat.entries * 0.0)
         with pytest.raises(DegenerateWindowPairError):
             janssen_apply(chi, lat)
 

@@ -64,8 +64,23 @@ class TestGaborSystem:
         assert len(sys.freq_indices) == sys.inv_b_steps == 64
 
     def test_self_dual_pairing_is_energy(self, gauss):
-        sys = GaborSystem.self_dual(gauss, 0.5, 0.5)
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
         assert sys.pairing == pytest.approx(l2_norm(gauss) ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("name", ["g", "gamma", "a", "b", "a_steps", "inv_b_steps", "pairing",
+                                      "time_indices", "freq_indices", "grid", "_members",
+                                      "unknown"])
+    def test_attributes_cannot_be_assigned(self, gauss, name):
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
+        with pytest.raises(AttributeError):
+            setattr(sys, name, getattr(sys, name, None))
+
+    def test_index_arrays_are_read_only(self, gauss):
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
+        with pytest.raises(ValueError):
+            sys.time_indices[0] = 99
+        with pytest.raises(ValueError):
+            sys.freq_indices[0] = 99
 
 
 class TestStft:

@@ -8,6 +8,7 @@ from gabframes import (
     GaborSystem,
     Grid,
     GridFunction,
+    WindowSpec,
     amalgam_norm,
     apply_remainder,
     apply_diagonal_defect,
@@ -25,10 +26,11 @@ from gabframes import (
     tail_sum,
     walnut_apply,
     wiener_norm,
+    operators,
     walnut,
     window_library,
 )
-from gabframes.grid import _cell_spectrum, fold_to_cell, shift_array
+from gabframes.grid import _cell_spectrum, _fold_overlap, fold_to_cell, shift_array
 from gabframes.walnut import correlation_member_range, diagonal_deviation
 from conftest import random_interior
 
@@ -288,10 +290,12 @@ class TestBoxKernels:
             assert same_bits(lat.entries[pos], want), n
 
     def test_zero_window_gives_zero_cells(self):
+        # a system refuses a zero window, so fold one against gamma directly
         sys = box_system(BOX_CASES[0])
-        sys.g = GridFunction(sys.grid, np.zeros(sys.grid.shape))  # past the pairing check
+        zero = GridFunction(sys.grid, np.zeros(sys.grid.shape))
         for n in (-1, 0, 1):
-            assert same_bits(correlation_fn(sys, n), np.zeros(sys.a_steps, dtype=complex))
+            cell = _fold_overlap(zero, sys.gamma, [n * sys.inv_b_steps], sys.a_steps)
+            assert same_bits(cell, np.zeros(sys.a_steps, dtype=complex))
 
     @pytest.mark.parametrize("case", BOX_CASES)
     @pytest.mark.parametrize("kind", ["edges", "zero", "random"])
@@ -321,13 +325,13 @@ class TestMemberCache:
 
     def test_each_member_folded_once(self, monkeypatch, gauss, interior_f):
         folds = []
-        fold = walnut._fold_overlap
+        fold = operators._fold_overlap
 
         def counting(u, v, steps, cell_steps):
             folds.append(tuple(int(s) for s in steps))
             return fold(u, v, steps, cell_steps)
 
-        monkeypatch.setattr(walnut, "_fold_overlap", counting)
+        monkeypatch.setattr(operators, "_fold_overlap", counting)
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)
         walnut_apply(interior_f, sys)
         apply_remainder(interior_f, sys)
@@ -351,6 +355,19 @@ class TestMemberCache:
             members[(0,)][0] = 1.0
         with pytest.raises(TypeError):
             members[(0,)] = np.zeros(sys.a_steps, dtype=complex)
+
+    def test_system_cannot_change_after_use(self, grid, gauss, interior_f):
+        # once a system has kept its members, a new gamma would no longer
+        # match them, so the assignment itself is refused
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
+        before = walnut_apply(interior_f, sys)
+        with pytest.raises(AttributeError):
+            sys.gamma = sample_window(WindowSpec.bspline(2), grid)
+        assert same_bits(walnut_apply(interior_f, sys).values, before.values)
+
+    def test_walnut_names_are_the_operators_definitions(self):
+        for name in ("correlation_member_range", "correlation_fn", "correlation_family"):
+            assert getattr(walnut, name) is getattr(operators, name)
 
     def test_decomposition_on_kept_members(self, gauss, interior_f):
         sys = GaborSystem(gauss, gauss, 0.25, 0.5)
