@@ -103,9 +103,6 @@ def _system_from(cfg: dict) -> GaborSystem:
     from .operators import GaborSystem
     from .windows import sample_window
 
-    if "freq_radius" in cfg:
-        raise ConfigError("\"freq_radius\" is not a system parameter: every system sums "
-                          "one full frequency period r = 1/(b h); remove the key")
     _require_keys(cfg, _SYSTEM_KEYS, "system config")
     grid = _grid_from(cfg)
     g = sample_window(_window_from(cfg, "g"), grid)
@@ -278,6 +275,9 @@ def _cmd_sweep(args) -> int:
     if not report.passed:
         raise ContractViolation(f"trend ratio {report.trend_ratio!r} did not fall "
                                 f"below the acceptance limit")
+    broken = [(r.a, r.b) for r in report.records if r.bound_ok is False]
+    if broken:
+        raise ContractViolation(f"error at (a, b) = {broken[0]} exceeds its multiplier/tail bound")
     return 0
 
 

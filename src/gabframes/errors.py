@@ -11,7 +11,8 @@ __all__ = [
 
 
 class CommensurabilityError(ValueError):
-    """A shift or lattice parameter is not an integer multiple of the grid spacing.
+    """A shift is not an integer multiple of the grid spacing, or a lattice
+    step (a or 1/b) is not a positive one.
 
     Shifts are relocated sample-exactly, never interpolated, so every time
     shift must land on the grid.

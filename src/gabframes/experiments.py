@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amalgam import Exponent, ExponentPair, amalgam_norm
-from .errors import ConfigError, ResolutionError
+from .errors import ConfigError
 from .grid import (
     Grid,
     GridFunction,
@@ -88,6 +88,8 @@ class SweepSchedule:
         object.__setattr__(self, "pq", ExponentPair.of(self.pq))
         prev = None
         for a, b in self.pairs:
+            if b <= 0:
+                raise ConfigError(f"lattice parameter b must be positive, got {b!r}")
             self.grid.steps_scalar(a)
             self.grid.steps_scalar(1.0 / b)
             if prev is not None and not (a < prev[0] and b < prev[1]):
@@ -236,8 +238,6 @@ def _boundary_residue(sf: GridFunction, sys: GaborSystem, pq: ExponentPair) -> f
     reach = sys.inv_b_steps + max(_support_diameter(sys.g), _support_diameter(sys.gamma)) \
         * grid.samples_per_unit
     reach = int(min(reach, grid.samples_per_axis // 2))
-    if reach <= 0:
-        return 0.0
     interior = slice(reach, grid.samples_per_axis - reach)
     bounds = support_index_bounds(sf)
     if bounds is None or all(interior.start <= lo and hi < interior.stop for lo, hi in bounds):
@@ -310,15 +310,12 @@ class DiagonalDecayRecord:
     norm: float
 
 
-def diagonal_decay_sweep(f: GridFunction, p, a_list, g: GridFunction,
-                  gamma: GridFunction | None = None) -> list[DiagonalDecayRecord]:
-    """Global L^p norms of the diagonal defect (diag - 1) f along cell sizes.
+def diagonal_decay_sweep(f: GridFunction, p, a_list, g: GridFunction) -> list[DiagonalDecayRecord]:
+    """Global L^p norms of the diagonal defect (diag - 1) f along cell sizes, gamma = g.
 
     Computed with the plain global Riemann sum, independent of the amalgam
     aggregation machinery.
     """
-    if gamma is None:
-        gamma = g
     grid = f.grid
     p = Exponent.of(p)
     # the diagonal does not depend on b; a shift 1/b as wide as the domain
@@ -326,7 +323,7 @@ def diagonal_decay_sweep(f: GridFunction, p, a_list, g: GridFunction,
     b = 1.0 / (2.0 * grid.half_extent)
     out = []
     for a in a_list:
-        sys = GaborSystem(g, gamma, float(a), b)
+        sys = GaborSystem(g, g, float(a), b)
         vals = np.abs(apply_diagonal_defect(f, sys).values)
         if p.is_inf:
             nrm = float(vals.max())
@@ -360,14 +357,14 @@ class CounterexampleReport:
                           for r in self.records)
 
 
-DEFAULT_COUNTEREXAMPLE_CANDIDATES = (1.0, 0.5, 0.25, 0.125, 0.0625)
+# the cell sizes a that counterexample_run searches, coarsest first
+_CELL_SIZES = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
-def counterexample_run(depths, q="inf", a_candidates=None, spacing: float | None = None,
-                       half_extent: float = 2.0, threads: int = 1) -> CounterexampleReport:
+def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleReport:
     """Witness the sup-norm failure with fat-Cantor windows.
 
-    For each depth k (grid spacing 4^-k / 8 unless overridden) the search
+    For each depth k, on the grid [-2, 2) with spacing 4^-k / 8, the search
     maximizes the W(L^inf, l^q) norm of (diag - 1) chi_[0,1) over the candidate
     cell sizes with g = gamma = chi_{E_k}; a gap point of E_k whose a-orbit
     misses the set makes the diagonal correlation vanish there, pinning the
@@ -378,15 +375,10 @@ def counterexample_run(depths, q="inf", a_candidates=None, spacing: float | None
     """
     _require_threads(threads)
     depths = [int(k) for k in depths]
-    candidates = tuple(float(a) for a in (a_candidates or DEFAULT_COUNTEREXAMPLE_CANDIDATES))
     q_pair = ExponentPair.of((math.inf, q))
 
     def run_depth(k: int) -> CounterexampleRecord:
-        h = spacing if spacing is not None else 4.0 ** (-k) / 8.0
-        if h > 4.0 ** (-k) / 4.0:
-            raise ResolutionError(
-                f"depth {k} gaps need spacing <= {4.0 ** (-k) / 4.0:g}, got {h:g}")
-        grid = Grid(half_extent, h)
+        grid = Grid(2.0, 4.0 ** (-k) / 8.0)
         fat = sample_window(WindowSpec.fat_cantor(k), grid)
         flat = sample_window(WindowSpec.indicator_cube(1.0), grid)
         f0 = flat  # chi_[0,1) doubles as the test function
@@ -395,12 +387,12 @@ def counterexample_run(depths, q="inf", a_candidates=None, spacing: float | None
             sys = GaborSystem(window, window, a, 1.0)
             return amalgam_norm(apply_diagonal_defect(f0, sys), q_pair)
 
-        witness_a, witness_norm = candidates[0], -math.inf
-        for a in candidates:
+        witness_a, witness_norm = _CELL_SIZES[0], -math.inf
+        for a in _CELL_SIZES:
             val = deviation(fat, a)
             if val > witness_norm:
                 witness_a, witness_norm = a, val
-        contrast_a = candidates[-1]
+        contrast_a = _CELL_SIZES[-1]
         contrast_norm = deviation(flat, contrast_a)
         separation = witness_norm / contrast_norm if contrast_norm > 0 else math.inf
         return CounterexampleRecord(

@@ -41,8 +41,8 @@ _CSV_CHUNK = 4096
 
 
 def _snap_int(x: float, what: str) -> int:
-    n = round(x)
-    if abs(x - n) > _SNAP * max(1.0, abs(x)):
+    n = round(x) if np.isfinite(x) else None
+    if n is None or abs(x - n) > _SNAP * max(1.0, abs(x)):
         raise CommensurabilityError(f"{what} = {x!r} is not an integer multiple of the grid spacing")
     return int(n)
 
@@ -74,8 +74,8 @@ class Grid:
         if spacing <= 0 or spacing > 1:
             raise ValueError(f"spacing must lie in (0, 1], got {spacing!r}")
         m = _snap_int(1.0 / spacing, "1/spacing")
-        if half_extent <= 0:
-            raise ValueError(f"half_extent must be positive, got {half_extent!r}")
+        if not 0 < half_extent < np.inf:
+            raise ValueError(f"half_extent must be positive and finite, got {half_extent!r}")
         steps = round(half_extent * m)
         if steps < 1:
             raise ValueError(f"half_extent {half_extent!r} is below one spacing {1.0 / m!r}")
@@ -85,6 +85,9 @@ class Grid:
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Grid is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return Grid, (self.half_extent, self.spacing, self.dim)
 
     # -- derived views ----------------------------------------------------
     @property
@@ -127,7 +130,12 @@ class Grid:
         return np.array([_snap_int(ti * self.samples_per_unit, "shift/spacing") for ti in t])
 
     def steps_scalar(self, t: float) -> int:
-        return _snap_int(float(t) * self.samples_per_unit, "length/spacing")
+        """Grid steps of a lattice length (a or 1/b): CommensurabilityError
+        unless it is a positive integer multiple of the spacing."""
+        n = _snap_int(float(t) * self.samples_per_unit, "length/spacing")
+        if n < 1:
+            raise CommensurabilityError(f"length {t!r} is not a positive multiple of the spacing")
+        return n
 
     def __eq__(self, other):
         return (
@@ -191,6 +199,9 @@ class GridFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
+
+    def __reduce__(self):  # the support cache is not shipped
+        return GridFunction, (self.grid, self.values)
 
     def _sum_hull(self, other: "GridFunction") -> tuple[slice, ...]:
         # a sum or difference is zero outside the hull of both supports
@@ -336,8 +347,8 @@ def translate(f: GridFunction, t) -> GridFunction:
                              _hull([moved[0]] if moved else [], grid.dim))
 
 
-def _phase(grid: Grid, omega, sign: float = 1.0) -> np.ndarray:
-    """exp(sign * 2*pi*i <omega, x>) as a broadcastable product over axes."""
+def _phase(grid: Grid, omega) -> np.ndarray:
+    """exp(2*pi*i <omega, x>) as a broadcastable product over axes."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if omega.shape != (grid.dim,):
         raise ValueError(f"frequency must have {grid.dim} component(s), got shape {omega.shape}")
@@ -346,7 +357,7 @@ def _phase(grid: Grid, omega, sign: float = 1.0) -> np.ndarray:
     for ax in range(grid.dim):
         shape = [1] * grid.dim
         shape[ax] = grid.samples_per_axis
-        out = out * np.exp(sign * 2j * np.pi * omega[ax] * x).reshape(shape)
+        out = out * np.exp(2j * np.pi * omega[ax] * x).reshape(shape)
     return out
 
 

@@ -7,6 +7,8 @@ coefficients of the frame operator,
 
     S = (1 / <gamma, g>) sum_{l,n} c[l, n] M_{l/a} T_{n/b}.
 
+Like every form of S, it divides by the system's pairing <gamma, g>.
+
 On the grid both directions are exact cell transforms with the alias period
 p = a/h: column n of the coefficients is h^d times the FFT of the folded
 correlation cell G[n] at bins l mod p, and the truncated l-sum of a column
@@ -26,9 +28,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DegenerateWindowPairError
 from .grid import GridFunction, _require_grid, fold_to_cell
-from .operators import DEGENERACY_FLOOR, GaborSystem, correlation_family
+from .operators import GaborSystem, correlation_family
 from .walnut import _walnut_sum
 
 __all__ = [
@@ -46,8 +47,8 @@ class JanssenLattice:
     """Dual-lattice coefficients of a system over |l| <= L, |n| <= N (componentwise).
 
     entries carries the d modulation axes first, then the d shift axes.
-    normalization is the center entry c[0, 0] = <gamma, g> (the identical
-    inner product, by construction).  truncation_bound certifies
+    The center entry c[0, 0] equals <gamma, g> up to rounding; the expansion
+    divides by the system's pairing, not by it.  truncation_bound certifies
     ||S - janssen_apply(., lattice)|| on every L^p of the grid:
 
         sum_n sum_beta |1 - count_beta| |c_hat[beta, n]| / |<gamma, g>|
@@ -76,11 +77,6 @@ class JanssenLattice:
     @property
     def dim(self) -> int:
         return self.entries.ndim // 2
-
-    @property
-    def normalization(self) -> complex:
-        center = (self.ell_radius,) * self.dim + (self.n_radius,) * self.dim
-        return complex(self.entries[center])
 
     def entry(self, l, n) -> complex:
         d = self.dim
@@ -129,7 +125,7 @@ def _column_cell(lattice: JanssenLattice, n: tuple[int, ...], p: int) -> np.ndar
 def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
     """Apply the truncated dual-lattice expansion of the frame operator.
 
-    out = (1 / c[0,0]) sum_{l,n} c[l, n] * exp(2 pi i <l, x>/a) * f(x - n/b);
+    out = (1 / <gamma, g>) sum_{l,n} c[l, n] * exp(2 pi i <l, x>/a) * f(x - n/b);
     for each n the l-sum is one inverse FFT onto the cell [0, a)^d, and the
     Walnut loop reduces these filtered cells in sorted n order.  Time shifts
     n/b must be commensurate with the grid of f.
@@ -142,13 +138,10 @@ def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
     """
     sys = lattice.system
     _require_grid(f, sys.grid)
-    nrm = lattice.normalization
-    if abs(nrm) <= DEGENERACY_FLOOR:
-        raise DegenerateWindowPairError("lattice normalization <gamma, g> is degenerate")
     cells = {n: _column_cell(lattice, n, sys.a_steps)
              for n in product(range(-lattice.n_radius, lattice.n_radius + 1), repeat=lattice.dim)}
     out, hull = _walnut_sum(f, cells, sys.inv_b_steps)
-    return GridFunction._own(sys.grid, out / nrm, hull)
+    return GridFunction._own(sys.grid, out / sys.pairing, hull)
 
 
 def fourier_reconstruct_correlation(lattice: JanssenLattice, n) -> np.ndarray:
@@ -180,12 +173,12 @@ class WexlerRazResult:
 
 def wexler_raz_check(sys: GaborSystem, ell_radius: int, n_radius: int,
                      tol: float = 1e-10) -> WexlerRazResult:
-    """Test c[l, n] / <gamma, g> = delta_{l 0} delta_{n 0} on the stored ranges."""
+    """Test c[l, n] / <gamma, g> = delta_{l 0} delta_{n 0} on the stored ranges.
+
+    diag is c[0, 0], an FFT bin, over the system's pairing <gamma, g>.
+    """
     lattice = janssen_coefficients(sys, ell_radius, n_radius)
-    nrm = lattice.normalization
-    if abs(nrm) <= DEGENERACY_FLOOR:
-        raise DegenerateWindowPairError("normalization <gamma, g> is degenerate")
-    normalized = lattice.entries / nrm
+    normalized = lattice.entries / sys.pairing
     d = lattice.dim
     center = (ell_radius,) * d + (n_radius,) * d
     mags = np.abs(normalized)

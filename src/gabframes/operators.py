@@ -103,6 +103,9 @@ class GaborSystem:
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("GaborSystem is immutable")
 
+    def __reduce__(self):  # rebuilt and revalidated; the members are not shipped
+        return GaborSystem, (self.g, self.gamma, self.a, self.b)
+
     @property
     def grid(self) -> Grid:
         return self.g.grid

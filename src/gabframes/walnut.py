@@ -267,7 +267,7 @@ def sum_translates(g: GridFunction, a: float) -> SumTranslates:
     p = grid.steps_scalar(a)
     cell = fold_to_cell(np.abs(g.values), p, grid.half_extent_steps)
     bound = (1.0 + 1.0 / a) ** grid.dim * wiener_norm(g)
-    peak = float(cell.max()) if cell.size else 0.0
+    peak = float(cell.max())
     return SumTranslates(cell, bound, peak <= bound * (1.0 + 1e-12))
 
 
@@ -289,8 +289,7 @@ class TailSum:
 def tail_sum(sys: GaborSystem) -> TailSum:
     d = sys.grid.dim
     zero = (0,) * d
-    sups = {n: float(np.abs(cell).max()) if cell.size else 0.0
-            for n, cell in correlation_family(sys).items()}
+    sups = {n: float(np.abs(cell).max()) for n, cell in correlation_family(sys).items()}
     tail = math.fsum(sys.a ** d * s for n, s in sorted(sups.items()) if n != zero)
     sup_total = math.fsum(s for _, s in sorted(sups.items()))
     bound = _walnut_constant(sys)

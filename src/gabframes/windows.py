@@ -10,7 +10,6 @@ Every family samples to a function with finite Wiener norm.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -99,8 +98,6 @@ class WindowSpec:
 
     @classmethod
     def from_json(cls, obj) -> "WindowSpec":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         if not isinstance(obj, dict) or "family" not in obj:
             raise ValueError(f"window spec must be an object with a 'family' key, got {obj!r}")
         known = {"family", "side", "order", "sigma", "radius", "depth"}

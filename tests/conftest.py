@@ -1,4 +1,7 @@
 """Shared fixtures: the standard desk-scale grid and window samples."""
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -40,3 +43,9 @@ def interior_f(grid):
 
 def shifted_window(spec, grid, shift):
     return translate(sample_window(spec, grid), shift)
+
+
+# every way to duplicate an immutable value: shallow copy, deep copy, pickle
+COPIERS = pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["copy", "deepcopy", "pickle"])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -452,3 +453,96 @@ class TestUnknownConfigKeys:
                      ["wexler-raz", "--system"]):
             code, _, err = run_cli(capsys, *argv, cfg)
             assert code == 0, err
+
+
+class TestConfigValidation:
+    """Malformed configs and lattice lengths fail with exit 1 and a JSON error."""
+
+    SWEEP = {
+        "schema": "v1", "kind": "convergence",
+        "grid": {"half_extent": 64.0, "spacing": 1 / 32},
+        "g": {"family": "bspline", "order": 2},
+        "f": {"family": "gaussian", "sigma": 1.0, "radius": 3.0},
+        "pairs": [[0.5, 0.5], [0.25, 0.25], [0.125, 0.125]],
+    }
+
+    def assert_json_error(self, capsys, error, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("text", ["{\"schema\": ", "[1, 2]"], ids=["invalid", "array"])
+    def test_config_not_a_json_object(self, capsys, tmp_path, text):
+        path = tmp_path / "sys.json"
+        path.write_text(text)
+        self.assert_json_error(capsys, "ConfigError", "bounds", "--config", str(path))
+
+    @pytest.mark.parametrize("change", [
+        {"grid": 4.0},
+        {"grid": {"half_extent": 4.0}},
+        {"g": None},
+        {"a": None},
+        {"b": None},
+    ], ids=["grid-not-object", "grid-incomplete", "no-g", "no-a", "no-b"])
+    def test_system_config(self, capsys, tmp_path, change):
+        cfg = {k: v for k, v in {**TestUnknownConfigKeys.DESK, **change}.items() if v is not None}
+        path = write_json(tmp_path / "sys.json", cfg)
+        self.assert_json_error(capsys, "ConfigError", "bounds", "--config", path)
+
+    @pytest.mark.parametrize("change,error", [
+        ({"kind": "spectral"}, "ConfigError"),
+        ({"pairs": {"a": 0.5, "b": 0.5}}, "ConfigError"),
+        ({"pairs": [[0.5, 0]]}, "ConfigError"),
+        # rejected before any window is sampled, not by the margin check
+        ({"pairs": [[-0.5, 0.5]]}, "CommensurabilityError"),
+    ], ids=["kind", "pairs-not-list", "zero-b", "negative-a"])
+    def test_sweep_config(self, capsys, tmp_path, change, error):
+        path = write_json(tmp_path / "sweep.json", {**self.SWEEP, **change})
+        self.assert_json_error(capsys, error, "sweep", "--config", path)
+
+    @pytest.mark.parametrize("change", [{"a": 1e-12}, {"b": 1e12}], ids=["tiny-a", "huge-b"])
+    def test_lattice_step_below_one_sample(self, capsys, tmp_path, change):
+        path = write_json(tmp_path / "sys.json", {**TestUnknownConfigKeys.DESK, **change})
+        for argv in (["bounds", "--config"], ["stft", "--config"], ["wexler-raz", "--system"]):
+            self.assert_json_error(capsys, "CommensurabilityError", *argv, path)
+
+    @pytest.mark.parametrize("change,error", [
+        ({"a": math.inf}, "CommensurabilityError"),
+        ({"f_shift": math.inf}, "CommensurabilityError"),
+        ({"grid": {"half_extent": math.inf, "spacing": 1 / 32}}, "ValueError"),
+    ], ids=["a", "f_shift", "half_extent"])
+    def test_infinite_value(self, capsys, tmp_path, change, error):
+        # JSON's Infinity used to escape as an OverflowError traceback
+        path = write_json(tmp_path / "sys.json", {**TestUnknownConfigKeys.DESK, **change})
+        self.assert_json_error(capsys, error, "apply", "--config", path)
+
+    def test_scalar_f_shift_in_sweep(self, capsys, tmp_path):
+        # a scalar shift moves every axis, as the list form does
+        csvs = []
+        for i, shift in enumerate((-1.0, [-1.0], None)):
+            cfg = dict(self.SWEEP) if shift is None else {**self.SWEEP, "f_shift": shift}
+            out = tmp_path / f"{i}.csv"
+            code, _, err = run_cli(capsys, "sweep", "--config",
+                                   write_json(tmp_path / "sweep.json", cfg), "--out", str(out))
+            assert code == 0, err
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1] != csvs[2]
+
+
+def test_sweep_bound_failure_exits_two(capsys, tmp_path, monkeypatch):
+    # an operator whose error is ten times the true one keeps the trend ratio
+    # but breaks the multiplier/tail bound of every record
+    from gabframes import experiments
+
+    exact = experiments.walnut_apply
+    monkeypatch.setattr(experiments, "walnut_apply", lambda f, sys: f + 10.0 * (exact(f, sys) - f))
+    path = write_json(tmp_path / "sweep.json", TestConfigValidation.SWEEP)
+    out_csv = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", "--config", path, "--out", str(out_csv))
+    assert code == 2
+    assert json.loads(out)["passed"] is True
+    obj = json.loads(err)
+    assert obj["error"] == "contract" and "(0.5, 0.5)" in obj["message"]
+    assert len(out_csv.read_text().splitlines()) == 4  # the data is written first

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +11,6 @@ from gabframes import (
     ExponentPair,
     GaborSystem,
     Grid,
-    ResolutionError,
     SweepSchedule,
     amalgam_norm,
     convergence_sweep,
@@ -18,6 +19,7 @@ from gabframes import (
     opnorm_sweep,
     riemann_uniformity,
     sample_window,
+    sum_translates,
     WindowSpec,
 )
 
@@ -51,6 +53,21 @@ class TestScheduleValidation:
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
             make_schedule(Grid(16.0, 1 / 32), [])
+
+    def test_rejects_zero_b(self):
+        with pytest.raises(ConfigError, match="positive"):
+            make_schedule(Grid(16.0, 1 / 32), [(0.5, 0.0)])
+
+    @pytest.mark.parametrize("pair", [(-0.5, 0.5), (0.0, 0.5), (1e-12, 0.5), (0.5, 1e12)])
+    def test_rejects_steps_below_one_sample(self, pair):
+        with pytest.raises(CommensurabilityError, match="positive"):
+            make_schedule(Grid(16.0, 1 / 32), [pair])
+
+    def test_convergence_needs_f(self):
+        schedule = dataclasses.replace(make_schedule(Grid(16.0, 1 / 32), [(0.5, 0.5)]),
+                                       f_spec=None)
+        with pytest.raises(ConfigError, match="test-function"):
+            convergence_sweep(schedule)
 
     def test_boundary_margin_enforced(self):
         # 1/b = 8 plus support diameters exceeds the distance to the boundary
@@ -147,6 +164,14 @@ class TestRiemannUniformity:
         assert devs[-1] < 1e-10
 
 
+@pytest.mark.parametrize("a", [0.0, -0.5])
+def test_cell_size_must_be_positive(hat, a):
+    with pytest.raises(CommensurabilityError, match="positive"):
+        riemann_uniformity(hat, [a])
+    with pytest.raises(CommensurabilityError, match="positive"):
+        sum_translates(hat, a)
+
+
 class TestDiagonalDecay:
     def test_indicator_identically_zero(self, grid, chi, hat):
         for rec in diagonal_decay_sweep(hat, 1, [0.5, 0.25, 0.125], chi):
@@ -192,9 +217,9 @@ class TestCounterexample:
         assert rec.separation_ok
         assert report.passed
 
-    def test_spacing_override_validated(self):
-        with pytest.raises(ResolutionError):
-            counterexample_run([2], spacing=1 / 32)  # needs 4^-2/4 = 1/64
+    def test_fixed_grid_per_depth(self):
+        records = counterexample_run([1, 2]).records
+        assert [r.spacing for r in records] == [4.0 ** -k / 8 for k in (1, 2)]
 
     def test_q_independent_for_single_cube_support(self):
         r2 = counterexample_run([1], q=2).records[0]
@@ -211,3 +236,14 @@ class TestCounterexample:
         ext = periodic_extension(diagonal_correlation(sys), grid)
         x = grid.axis_coords()
         assert ext[np.nonzero(x == 0.5)][0] == 0.0
+
+
+@pytest.mark.parametrize("fn,params", [
+    (counterexample_run, [("depths", None), ("q", "inf"), ("threads", 1)]),
+    (diagonal_decay_sweep, [("f", None), ("p", None), ("a_list", None), ("g", None)]),
+])
+def test_no_option_without_a_caller(fn, params):
+    empty = inspect.Parameter.empty
+    got = [(p.name, None if p.default is empty else p.default)
+           for p in inspect.signature(fn).parameters.values()]
+    assert got == params

@@ -21,7 +21,7 @@ from gabframes import (
 )
 from gabframes import grid as grid_module, walnut
 from gabframes.grid import fold_to_cell, support_index_bounds
-from conftest import random_interior
+from conftest import COPIERS, random_interior
 
 
 class TestGrid:
@@ -41,7 +41,8 @@ class TestGrid:
         assert g.half_extent_steps == 2  # 0.7 snapped to 2/3
         assert g.samples_per_axis * g.spacing == 2 * g.half_extent
 
-    @pytest.mark.parametrize("he,sp", [(-1.0, 0.5), (4.0, 0.3), (4.0, 0.0), (0.001, 0.5)])
+    @pytest.mark.parametrize("he,sp", [(-1.0, 0.5), (4.0, 0.3), (4.0, 0.0), (0.001, 0.5),
+                                       (np.inf, 0.5), (4.0, np.nan)])
     def test_rejects_bad_parameters(self, he, sp):
         with pytest.raises((ValueError, CommensurabilityError)):
             Grid(he, sp)
@@ -55,6 +56,11 @@ class TestGrid:
         assert grid.steps_scalar(2.0) == 64
         with pytest.raises(CommensurabilityError):
             grid.steps([1 / 3])
+
+    @pytest.mark.parametrize("length", [0.0, -0.5, 1e-12])
+    def test_lattice_length_is_at_least_one_step(self, grid, length):
+        with pytest.raises(CommensurabilityError, match="positive"):
+            grid.steps_scalar(length)
 
 
 class TestGridFunction:
@@ -98,6 +104,28 @@ class TestGridFunction:
         for name in ("values", "grid", "_support", "other"):
             with pytest.raises(AttributeError):
                 setattr(chi, name, None)
+
+
+@COPIERS
+class TestCopyAndPickle:
+    """Copies are rebuilt through the public constructor and stay immutable."""
+
+    @pytest.mark.parametrize("grid", [Grid(4.0, 1 / 32), Grid(0.7, 1 / 3, 2)])
+    def test_grid(self, duplicate, grid):
+        twin = duplicate(grid)
+        assert twin == grid
+        with pytest.raises(AttributeError):
+            twin.dim = 3
+
+    def test_grid_function(self, duplicate, interior_f):
+        support_index_bounds(interior_f)  # fills the cache slot, which is not shipped
+        twin = duplicate(interior_f)
+        assert twin.grid == interior_f.grid
+        assert twin.values.tobytes() == interior_f.values.tobytes()
+        assert support_index_bounds(twin) == support_index_bounds(interior_f)
+        assert not twin.values.flags.writeable
+        with pytest.raises(AttributeError):
+            twin.values = None
 
 
 def full_scan(values):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gabframes import (
-    DegenerateWindowPairError,
     GaborSystem,
     Grid,
     GridFunction,
@@ -40,7 +39,7 @@ class TestCoefficients:
     def test_center_entry_is_pairing_by_construction(self, gauss, hat):
         sys = GaborSystem(gauss, hat, 0.5, 0.5)
         lat = janssen_coefficients(sys, 3, 3)
-        assert lat.entry(0, 0) == lat.normalization
+        assert lat.entry(0, 0) == pytest.approx(sys.pairing, rel=1e-14)
 
     def test_integer_lattice_indicator_is_delta(self, chi):
         lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 8, 3)
@@ -250,16 +249,34 @@ class TestJanssenApply:
                 tm_g = translate(modulate(sys.g, freq), shift)
                 coef = inner_product(sys.gamma, tm_g)
                 acc += coef * translate(modulate(interior_f, freq), shift).values
-        tm = GridFunction(grid, acc / lat.normalization)
+        tm = GridFunction(grid, acc / sys.pairing)
         assert l2_norm(tm - mt) <= 1e-12 * l2_norm(mt)
         # and the scalar phase tying the two shift orders is unimodular
         assert abs(mt_commutation_phase([1 / sys.b], [1 / sys.a])) == pytest.approx(1.0)
 
-    def test_degenerate_normalization_rejected(self, grid, chi):
-        lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 2, 2)
-        lat = dataclasses.replace(lat, entries=lat.entries * 0.0)
-        with pytest.raises(DegenerateWindowPairError):
-            janssen_apply(chi, lat)
+
+class TestOneNormalization:
+    """Every form of S divides by the system's pairing, not by a lattice entry."""
+
+    def test_wexler_raz_diag_is_center_over_pairing(self, gauss):
+        # on the desk config the FFT-bin center entry and <gamma, g> differ in
+        # the last bit, so the diagonal is not 1 by construction
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
+        lat = janssen_coefficients(sys, 16, 4)
+        res = wexler_raz_check(sys, 16, 4)
+        assert res.diag == lat.entry(0, 0) / sys.pairing
+        assert np.array_equal(res.normalized, lat.entries / sys.pairing)
+
+    def test_apply_does_not_renormalize_by_the_entries(self, gauss, interior_f):
+        lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 4, 4)
+        doubled = dataclasses.replace(lat, entries=2.0 * lat.entries)
+        assert np.array_equal(janssen_apply(interior_f, doubled).values,
+                              2.0 * janssen_apply(interior_f, lat).values)
+
+    @pytest.mark.parametrize("radii", [(-1, 2), (2, -1)])
+    def test_negative_radii_rejected(self, chi, radii):
+        with pytest.raises(ValueError, match="nonnegative"):
+            janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), *radii)
 
 
 class TestFourierReconstruction:

@@ -27,7 +27,7 @@ from gabframes import (
     WindowSpec,
 )
 from gabframes import walnut
-from conftest import random_interior
+from conftest import COPIERS, random_interior
 
 
 class TestGridMismatch:
@@ -74,6 +74,38 @@ class TestGaborSystem:
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)
         with pytest.raises(AttributeError):
             setattr(sys, name, getattr(sys, name, None))
+
+    def test_windows_must_share_a_grid(self, gauss):
+        other = sample_window(WindowSpec.gaussian(1.0, 3.0), Grid(8.0, 1 / 16))
+        with pytest.raises(DegenerateWindowPairError, match="share a grid"):
+            GaborSystem(gauss, other, 0.5, 0.5)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.5), (-0.5, 0.5), (0.5, 0.0), (0.5, -2.0)])
+    def test_nonpositive_steps_rejected(self, gauss, a, b):
+        with pytest.raises(ValueError, match="positive"):
+            GaborSystem(gauss, gauss, a, b)
+
+    @pytest.mark.parametrize("a,b", [(1e-12, 0.5), (0.5, 1e12)])
+    def test_steps_below_one_sample_rejected(self, gauss, a, b):
+        # they used to snap to 0 steps and fail on first use
+        with pytest.raises(CommensurabilityError, match="positive"):
+            GaborSystem(gauss, gauss, a, b)
+
+    @COPIERS
+    def test_copy_rebuilds_the_system(self, gauss, hat, interior_f, duplicate):
+        sys = GaborSystem(gauss, hat, 0.5, 0.25)
+        want = walnut_apply(interior_f, sys).values
+        twin = duplicate(sys)
+        for name in ("a", "b", "a_steps", "inv_b_steps", "pairing"):
+            assert getattr(twin, name) == getattr(sys, name)
+        for name in ("time_indices", "freq_indices"):
+            assert np.array_equal(getattr(twin, name), getattr(sys, name))
+        assert twin.g.values.tobytes() == gauss.values.tobytes()
+        assert twin.gamma.values.tobytes() == hat.values.tobytes()
+        assert not hasattr(twin, "_members")  # the members are folded again
+        assert walnut_apply(interior_f, twin).values.tobytes() == want.tobytes()
+        with pytest.raises(AttributeError):
+            twin.a = 1.0
 
     def test_index_arrays_are_read_only(self, gauss):
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)

@@ -30,6 +30,10 @@ class TestWindowSpec:
         {"family": "indicator_cube", "side": -1.0},
         {"family": "bspline", "order": 2, "sigma": 1.0},  # stray parameter
         {"family": "fat_cantor", "depth": 0},
+        {"family": "bspline", "order": 2.5},
+        {"family": "fat_cantor", "depth": 1.5},
+        {"family": "gaussian", "sigma": 1.0, "radius": 3.0, "width": 2.0},  # unknown key
+        '{"family": "bspline", "order": 2}',  # JSON text, not an object
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
