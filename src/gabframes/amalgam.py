@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, inner_product, support_index_bounds
+from .grid import GridFunction, _read, inner_product, support_index_bounds
 
 __all__ = [
     "Exponent",
@@ -111,7 +111,7 @@ def lp_norm_on_cube(f: GridFunction, k, p) -> float:
         if lo >= hi:
             return 0.0
         sl.append(slice(lo, hi))
-    block = np.abs(f.values[tuple(sl)])
+    block = np.abs(_read(f, tuple(sl)))
     if p.is_inf:
         return float(block.max())
     return float((grid.cell_measure * np.sum(block ** p.value)) ** (1.0 / p.value))
@@ -147,7 +147,7 @@ def cube_norms(f: GridFunction, p) -> np.ndarray:
         cubes.append(slice(k_lo, k_hi))
         src.append(slice(max(start, 0), min(stop, n)))
         pads.append((max(-start, 0), max(stop - n, 0)))
-    block = np.abs(f.values[tuple(src)])
+    block = np.abs(_read(f, tuple(src)))
     if any(hi or lo for lo, hi in pads):
         block = np.pad(block, pads)
     block = block.reshape(sum(((sl.stop - sl.start, m) for sl in cubes), ()))

@@ -75,6 +75,23 @@ def _require_schema(cfg: dict, path: str) -> None:
         raise ConfigError(f"config {path!r} must declare \"schema\": \"{SCHEMA}\"")
 
 
+def _typed(key: str, convert, value):
+    # convert one config value; a value of the wrong JSON type names its key
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
+
+
+def _shift_from(cfg: dict, dim: int) -> tuple[float, ...] | None:
+    # f_shift as one float per axis; a scalar moves every axis
+    shift = cfg.get("f_shift")
+    if shift is None:
+        return None
+    return _typed("f_shift", lambda s: tuple(map(float, [s] * dim if np.isscalar(s) else s)),
+                  shift)
+
+
 def _grid_from(cfg: dict) -> Grid:
     from .grid import Grid
 
@@ -82,10 +99,11 @@ def _grid_from(cfg: dict) -> Grid:
     if not isinstance(g, dict):
         raise ConfigError("config needs a \"grid\" object with half_extent and spacing")
     _require_keys(g, _GRID_KEYS, "grid")
-    try:
-        return Grid(float(g["half_extent"]), float(g["spacing"]), int(g.get("dim", 1)))
-    except KeyError as exc:
-        raise ConfigError(f"grid config is missing {exc}") from exc
+    for key in ("half_extent", "spacing"):
+        if key not in g:
+            raise ConfigError(f"grid config is missing {key!r}")
+    return Grid(_typed("half_extent", float, g["half_extent"]),
+                _typed("spacing", float, g["spacing"]), _typed("dim", int, g.get("dim", 1)))
 
 
 def _window_from(cfg: dict, key: str) -> WindowSpec:
@@ -110,7 +128,7 @@ def _system_from(cfg: dict) -> GaborSystem:
     for key in ("a", "b"):
         if key not in cfg:
             raise ConfigError(f"config is missing lattice parameter {key!r}")
-    return GaborSystem(g, gamma, float(cfg["a"]), float(cfg["b"]))
+    return GaborSystem(g, gamma, _typed("a", float, cfg["a"]), _typed("b", float, cfg["b"]))
 
 
 def _f_from(cfg: dict, grid: Grid) -> GridFunction:
@@ -118,11 +136,8 @@ def _f_from(cfg: dict, grid: Grid) -> GridFunction:
     from .windows import sample_window
 
     f = sample_window(_window_from(cfg, "f"), grid)
-    shift = cfg.get("f_shift")
-    if shift is not None:
-        shift = [shift] * grid.dim if np.isscalar(shift) else shift
-        f = translate(f, shift)
-    return f
+    shift = _shift_from(cfg, grid.dim)
+    return f if shift is None else translate(f, shift)
 
 
 def _emit(text: str, out_path: str | None, meta: dict | None = None) -> None:
@@ -239,7 +254,7 @@ def _sweep_csv(report) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    from .amalgam import ExponentPair
+    from .amalgam import Exponent, ExponentPair
     from .experiments import SweepSchedule, convergence_sweep, opnorm_sweep
 
     cfg = _load_json(args.config)
@@ -253,17 +268,15 @@ def _cmd_sweep(args) -> int:
     if not isinstance(pairs, list):
         raise ConfigError("sweep config needs a \"pairs\" list of [a, b]")
     f_spec = _window_from(cfg, "f") if "f" in cfg else None
-    shift = cfg.get("f_shift")
-    if shift is not None and np.isscalar(shift):
-        shift = (float(shift),) * grid.dim
     schedule = SweepSchedule(
         grid=grid,
         g_spec=_window_from(cfg, "g"),
         gamma_spec=_window_from(cfg, "gamma") if "gamma" in cfg else _window_from(cfg, "g"),
-        pairs=tuple((float(a), float(b)) for a, b in pairs),
-        pq=ExponentPair.of(cfg.get("p", 2), cfg.get("q", 2)),
+        pairs=_typed("pairs", lambda ps: tuple((float(a), float(b)) for a, b in ps), pairs),
+        pq=ExponentPair(_typed("p", Exponent.of, cfg.get("p", 2)),
+                        _typed("q", Exponent.of, cfg.get("q", 2))),
         f_spec=f_spec,
-        f_shift=tuple(float(s) for s in shift) if shift is not None else None,
+        f_shift=_shift_from(cfg, grid.dim),
     )
     report = (convergence_sweep if kind == "convergence" else opnorm_sweep)(
         schedule, threads=args.threads)

@@ -23,7 +23,8 @@ from .errors import ConfigError
 from .grid import (
     Grid,
     GridFunction,
-    _bounds_box,
+    _meet,
+    _within,
     fold_to_cell,
     inner_product,
     support_index_bounds,
@@ -98,7 +99,9 @@ class SweepSchedule:
             prev = (a, b)
 
     def sample_windows(self) -> tuple[GridFunction, GridFunction]:
-        return sample_window(self.g_spec, self.grid), sample_window(self.gamma_spec, self.grid)
+        """(g, gamma) on the grid; one instance for both when the specs are equal."""
+        g = sample_window(self.g_spec, self.grid)
+        return g, g if self.gamma_spec == self.g_spec else sample_window(self.gamma_spec, self.grid)
 
     def sample_f(self) -> GridFunction:
         if self.f_spec is None:
@@ -243,9 +246,11 @@ def _boundary_residue(sf: GridFunction, sys: GaborSystem, pq: ExponentPair) -> f
     if bounds is None or all(interior.start <= lo and hi < interior.stop for lo, hi in bounds):
         # the strip holds only zeros, whose norm is exactly 0.0
         return 0.0
-    strip = sf.values.copy()
-    strip[(interior,) * grid.dim] = 0.0
-    return amalgam_norm(GridFunction._own(grid, strip, _bounds_box(bounds)), pq)
+    strip = sf.data.copy()
+    inner = _meet((interior,) * grid.dim, sf.box)
+    if inner is not None:
+        strip[_within(inner, sf.box)] = 0.0
+    return amalgam_norm(GridFunction._own(grid, sf.box, strip), pq)
 
 
 def opnorm_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:

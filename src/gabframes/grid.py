@@ -1,9 +1,12 @@
 """Uniform grids on [-T, T)^d and elementary time-frequency operations.
 
 Functions live on a uniform grid over the half-open box [-T, T)^d and are
-implicitly zero outside it (compact support, no wraparound).  All time shifts
-are integer multiples of the spacing h and are performed by exact sample
-relocation; modulations are exact at any frequency.
+implicitly zero outside it (compact support, no wraparound).  A function
+stores only the samples on its support box, so sums, shifts, modulations,
+pairings and norms cost what the support holds, not N^d; the full-grid
+array is built only when asked for.  All time shifts are integer multiples
+of the spacing h and are performed by exact sample relocation (a move of
+the box); modulations are exact at any frequency.
 
 The products behind STFT rows and Walnut members, conj(T_s u) * v, are
 folded into a lattice cell by one kernel that reads only the overlap box of
@@ -38,6 +41,10 @@ _SNAP = 1e-9
 
 # rows formatted per string-formatting call in _write_table
 _CSV_CHUNK = 4096
+
+# the slice of an empty box along one axis, and the default sample off a box
+_EMPTY = (slice(0, 0),)
+_ZERO = np.complex128(0j)
 
 
 def _snap_int(x: float, what: str) -> int:
@@ -158,74 +165,144 @@ class Grid:
 class GridFunction:
     """Complex samples of a compactly supported function on a :class:`Grid`.
 
-    Immutable: the sample array is frozen at construction and every operation
-    returns a new instance, so instances are safe to share across threads.
-    The public constructor copies its input once, so a caller may go on
-    changing the array it passed in.  Operations here and in the package wrap
-    the fresh arrays they compute with :meth:`_own`, which takes them without a
-    copy; a caller that knows a box holding every nonzero sample passes it
-    along, and the support is then scanned on that box only.
+    Stored on a box: ``box`` is a tuple of slices, one per axis, that holds
+    every nonzero sample, and ``data`` is a read-only complex array of the
+    box's shape.  Every sample off the box holds one signed zero, +0 unless
+    the full-grid arithmetic that built the function leaves -0 parts there
+    (c * f for a scalar c, say).  The full-grid ``values`` array is built on
+    first access and cached; ``data`` is then a view into it, so an instance
+    never holds two copies of its samples.
+
+    Immutable: every operation returns a new instance, so instances are safe
+    to share across threads.  The public constructor copies the support box
+    of its input once, so a caller may go on changing the array it passed
+    in.  Operations here and in the package compute samples on a box only
+    and wrap them with :meth:`_own`, which takes them without a copy.
     """
 
-    # _support caches support_index_bounds; unset until first asked for
-    __slots__ = ("grid", "values", "_support")
+    # _zero is the sample off the box; _support holds support_index_bounds;
+    # _values caches the full-grid array
+    __slots__ = ("grid", "box", "data", "_zero", "_support", "_values")
 
     def __init__(self, grid: Grid, values):
-        arr = np.array(values, dtype=complex)
+        arr = np.asarray(values, dtype=complex)
         if arr.shape == (grid.size,):
             arr = arr.reshape(grid.shape)
         if arr.shape != grid.shape:
             raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", arr)
+        bounds = _scan_support(arr, (0,) * grid.dim)
+        box = _bounds_box(bounds) if bounds else _EMPTY * grid.dim
+        self._set(grid, box, arr[box].copy(), _ZERO, bounds)
 
     @classmethod
-    def _own(cls, grid: Grid, arr: np.ndarray, hull=None) -> "GridFunction":
-        """Wrap a fresh complex array of the grid's shape without copying it.
+    def _own(cls, grid: Grid, box, data: np.ndarray, zero=_ZERO) -> "GridFunction":
+        """Wrap the samples on a box of grid slices without copying them.
 
-        The array is frozen in place, so no other reference to it may write
-        to it afterwards.  hull, when given, is a box of slices per axis that
-        holds every nonzero sample; the support is then scanned on the box
-        only and cached as exact bounds.
+        data is frozen in place, so it must be a fresh array or a view of
+        read-only samples.  zero is the sample off the box, +0 by default;
+        an operation passes the one its full-grid form leaves there, so the
+        full-grid values keep their bits.  The support is found by a scan of
+        data only.
         """
-        arr.setflags(write=False)
         f = object.__new__(cls)
-        object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "values", arr)
-        if hull is not None:
-            object.__setattr__(f, "_support", _box_support(arr, hull))
+        f._set(grid, box, data, zero, _scan_support(data, [sl.start for sl in box]))
         return f
+
+    def _set(self, grid: Grid, box, data: np.ndarray, zero, bounds) -> None:
+        data.setflags(write=False)
+        for name, value in (("grid", grid), ("box", box), ("data", data), ("_zero", zero),
+                            ("_support", bounds)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def values(self) -> np.ndarray:
+        """All samples of the grid, read-only; built on first access."""
+        try:
+            return self._values
+        except AttributeError:
+            pass
+        full = np.full(self.grid.shape, self._zero)
+        full[self.box] = self.data
+        full.setflags(write=False)
+        object.__setattr__(self, "data", full[self.box])
+        object.__setattr__(self, "_values", full)
+        return full
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
 
-    def __reduce__(self):  # the support cache is not shipped
+    def __reduce__(self):  # rebuilt through the public constructor
         return GridFunction, (self.grid, self.values)
 
-    def _sum_hull(self, other: "GridFunction") -> tuple[slice, ...]:
-        # a sum or difference is zero outside the hull of both supports
-        both = (support_index_bounds(self), support_index_bounds(other))
-        return _hull([_bounds_box(b) for b in both if b is not None], self.grid.dim)
+    def _combine(self, other: "GridFunction", op) -> "GridFunction":
+        # a sum or difference is computed on the hull of both boxes, where
+        # each operand reads exactly the samples its full grid holds
+        _require_grid(other, self.grid)
+        box = _hull([self.box, other.box], self.grid.dim)
+        return GridFunction._own(self.grid, box, op(_read(self, box), _read(other, box)),
+                                 op(self._zero, other._zero))
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        _require_grid(other, self.grid)
-        return GridFunction._own(self.grid, self.values + other.values, self._sum_hull(other))
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _require_grid(other, self.grid)
-        return GridFunction._own(self.grid, self.values - other.values, self._sum_hull(other))
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "GridFunction":
-        return GridFunction._own(self.grid, self.values * complex(scalar))
+        c = complex(scalar)
+        return GridFunction._own(self.grid, self.box, self.data * c, self._zero * c)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction._own(self.grid, -self.values)
+        return GridFunction._own(self.grid, self.box, -self.data, -self._zero)
 
     def __repr__(self):
-        return f"GridFunction({self.grid!r}, <{self.values.shape} samples>)"
+        return f"GridFunction({self.grid!r}, <{self.data.shape} samples on {self.grid.shape}>)"
+
+
+def _scan_support(data: np.ndarray, starts):
+    # the per-axis (lo, hi) grid indices of the nonzero samples of a box that
+    # starts at grid index starts, or None when the box holds none
+    nz = data != 0
+    if not nz.any():
+        return None
+    bounds = []
+    for ax, start in enumerate(starts):
+        other = tuple(i for i in range(nz.ndim) if i != ax)
+        idx = np.flatnonzero(nz.any(axis=other) if other else nz)
+        bounds.append((int(start + idx[0]), int(start + idx[-1])))
+    return tuple(bounds)
+
+
+def _box_shape(box) -> tuple[int, ...]:
+    return tuple(sl.stop - sl.start for sl in box)
+
+
+def _within(box, outer) -> tuple[slice, ...]:
+    # the slices of box relative to the start of the box outer
+    return tuple(slice(sl.start - o.start, sl.stop - o.start) for sl, o in zip(box, outer))
+
+
+def _meet(box, other):
+    # the intersection of two boxes of slices, or None when it is empty
+    out = tuple(slice(max(s.start, o.start), min(s.stop, o.stop)) for s, o in zip(box, other))
+    return out if all(sl.start < sl.stop for sl in out) else None
+
+
+def _read(f: GridFunction, box) -> np.ndarray:
+    """The samples of f on a box of grid slices.
+
+    A read-only view of f.data when the box lies inside f.box, else a fresh
+    array that holds f's off-box zero off f.box.
+    """
+    if all(o.start <= sl.start and sl.stop <= o.stop for sl, o in zip(box, f.box)):
+        return f.data[_within(box, f.box)]
+    out = np.full(_box_shape(box), f._zero)
+    common = _meet(box, f.box)
+    if common is not None:
+        out[_within(common, box)] = f.data[_within(common, f.box)]
+    return out
 
 
 def _bounds_box(bounds) -> tuple[slice, ...]:
@@ -234,9 +311,11 @@ def _bounds_box(bounds) -> tuple[slice, ...]:
 
 
 def _hull(boxes, dim: int) -> tuple[slice, ...]:
-    # the smallest box of slices holding every given box; empty when none is
+    # the smallest box of slices holding every given nonempty box; empty
+    # when none is
+    boxes = [box for box in boxes if all(sl.start < sl.stop for sl in box)]
     if not boxes:
-        return (slice(0, 0),) * dim
+        return _EMPTY * dim
     return tuple(slice(min(sl.start for sl in axis), max(sl.stop for sl in axis))
                  for axis in zip(*boxes))
 
@@ -312,7 +391,7 @@ def _fold_overlap(u: GridFunction, v: GridFunction, steps, cell_steps: int) -> n
     if overlap is None:
         return np.zeros((cell_steps,) * grid.dim, dtype=complex)
     box, u_box = overlap
-    w = np.conj(u.values[u_box]) * v.values[box]
+    w = np.conj(_read(u, u_box)) * _read(v, box)
     if cell_steps == 1:
         # a one-sample cell is a plain total, which numpy sums pairwise, so its
         # rounding depends on where the zeros sit: sum on the full grid so the
@@ -336,34 +415,45 @@ def _cell_spectrum(cell: np.ndarray, indices) -> np.ndarray:
 def translate(f: GridFunction, t) -> GridFunction:
     """T_t f = f(. - t) for t an exact multiple of the spacing per axis.
 
-    Samples shifted past the boundary are dropped and zeros shifted in.
+    Samples shifted past the boundary are dropped and zeros shifted in: the
+    box of f moves and is clipped to the grid, and the result shares the
+    samples of f that stay on it.  When the zero off the box of f carries a
+    sign, which the +0 shifted in lacks, the whole grid moves instead.
     """
     grid = f.grid
     steps = grid.steps(t)
-    bounds = support_index_bounds(f)
-    moved = None if bounds is None else _shifted_overlap(
-        bounds, steps, [(0, grid.samples_per_axis - 1)] * grid.dim)
-    return GridFunction._own(grid, shift_array(f.values, steps),
-                             _hull([moved[0]] if moved else [], grid.dim))
+    if np.signbit([f._zero.real, f._zero.imag]).any():
+        return GridFunction._own(grid, tuple(slice(0, n) for n in grid.shape),
+                                 shift_array(f.values, steps))
+    moved = None if not f.data.size else _shifted_overlap(
+        [(sl.start, sl.stop - 1) for sl in f.box], steps,
+        [(0, grid.samples_per_axis - 1)] * grid.dim)
+    if moved is None:  # nothing stays on the grid
+        return GridFunction._own(grid, _EMPTY * grid.dim, np.zeros((0,) * grid.dim, dtype=complex))
+    box, src = moved
+    return GridFunction._own(grid, box, _read(f, src))
 
 
-def _phase(grid: Grid, omega) -> np.ndarray:
-    """exp(2*pi*i <omega, x>) as a broadcastable product over axes."""
+def _phase(grid: Grid, omega, box) -> np.ndarray:
+    """exp(2*pi*i <omega, x>) on a box of grid slices, a broadcastable product over axes."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if omega.shape != (grid.dim,):
         raise ValueError(f"frequency must have {grid.dim} component(s), got shape {omega.shape}")
     x = grid.axis_coords()
     out = np.ones((), dtype=complex)
-    for ax in range(grid.dim):
+    for ax, sl in enumerate(box):
         shape = [1] * grid.dim
-        shape[ax] = grid.samples_per_axis
-        out = out * np.exp(2j * np.pi * omega[ax] * x).reshape(shape)
+        shape[ax] = -1
+        out = out * np.exp(2j * np.pi * omega[ax] * x[sl]).reshape(shape)
     return out
 
 
 def modulate(f: GridFunction, omega) -> GridFunction:
-    """M_omega f = exp(2*pi*i <omega, x>) f(x); exact at any frequency."""
-    return GridFunction(f.grid, f.values * _phase(f.grid, omega))
+    """M_omega f = exp(2*pi*i <omega, x>) f(x); exact at any frequency.
+
+    The phase is formed on the box of f only, and the samples off it read +0.
+    """
+    return GridFunction._own(f.grid, f.box, f.data * _phase(f.grid, omega, f.box))
 
 
 def tf_shift(g: GridFunction, t, omega) -> GridFunction:
@@ -384,43 +474,29 @@ def mt_commutation_phase(t, omega) -> complex:
 def inner_product(f: GridFunction, g: GridFunction) -> complex:
     """Riemann-sum pairing h^d * sum f(x) conj(g(x)).
 
-    Raises GridMismatchError when the grids differ.
+    Summed over the intersection of the two boxes only, so its rounding can
+    differ from a full-grid sum in the last bits.  Raises
+    GridMismatchError when the grids differ.
     """
     _require_grid(g, f.grid)
-    return complex(f.grid.cell_measure * np.vdot(g.values, f.values))
+    box = _meet(f.box, g.box)
+    if box is None:
+        return 0j
+    return complex(f.grid.cell_measure * np.vdot(_read(g, box), _read(f, box)))
 
 
 def l2_norm(f: GridFunction) -> float:
-    return float(np.sqrt(f.grid.cell_measure) * np.linalg.norm(f.values))
-
-
-def _box_support(values: np.ndarray, box) -> tuple[tuple[int, int], ...] | None:
-    # per-axis (lo, hi) grid indices of the nonzero samples inside a box of
-    # slices, or None when the box holds none
-    nz = values[box] != 0
-    if not nz.any():
-        return None
-    bounds = []
-    for ax, sl in enumerate(box):
-        other = tuple(i for i in range(nz.ndim) if i != ax)
-        idx = np.flatnonzero(nz.any(axis=other) if other else nz)
-        bounds.append((int(sl.start + idx[0]), int(sl.start + idx[-1])))
-    return tuple(bounds)
+    """sqrt(h^d sum |f(x)|^2), summed over the box of f only."""
+    return float(np.sqrt(f.grid.cell_measure) * np.linalg.norm(f.data))
 
 
 def support_index_bounds(f: GridFunction) -> tuple[tuple[int, int], ...] | None:
     """Per-axis (lo, hi) index bounds of the nonzero samples, or None if f == 0.
 
-    Computed once per instance (the samples are immutable) and then returned
-    as the same object; functions built with a known hull have it already.
+    Found at construction, by a scan of the box the samples were computed on,
+    and returned as the same object on every call.
     """
-    try:
-        return f._support
-    except AttributeError:
-        pass
-    bounds = _box_support(f.values, tuple(slice(0, n) for n in f.grid.shape))
-    object.__setattr__(f, "_support", bounds)
-    return bounds
+    return f._support
 
 
 def _write_table(fp, names, columns, codes) -> None:

@@ -248,11 +248,12 @@ def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> CoefficientLattice:
 
 def _direct_peak_bytes(grid: Grid, r: int) -> int:
     # apply_frame_direct holds three r x N complex phase matrices (N samples
-    # per axis) and, per shift, about six full-grid complex arrays plus the
-    # input and output of the widest mode product, r^k N^(d-k) entries
+    # per axis), the full-grid values of f, g and gamma, and, per shift, about
+    # six full-grid complex arrays plus the input and output of the widest
+    # mode product, r^k N^(d-k) entries
     n, d = grid.samples_per_axis, grid.dim
     widest = max(r ** k * n ** (d - k) for k in range(d + 1))
-    return np.dtype(complex).itemsize * (3 * r * n + 6 * n ** d + 2 * widest)
+    return np.dtype(complex).itemsize * (3 * r * n + 9 * n ** d + 2 * widest)
 
 
 def _physical_memory_bytes() -> int | None:

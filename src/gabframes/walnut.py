@@ -36,16 +36,27 @@ from itertools import product
 import numpy as np
 
 from .amalgam import wiener_norm
+from .errors import ResolutionError
 from .grid import (
     Grid,
     GridFunction,
+    _ZERO,
+    _box_shape,
     _hull,
+    _read,
     _require_grid,
     _shifted_overlap,
+    _within,
     fold_to_cell,
     support_index_bounds,
 )
-from .operators import GaborSystem, correlation_family, correlation_fn, correlation_member_range
+from .operators import (
+    GaborSystem,
+    _physical_memory_bytes,
+    correlation_family,
+    correlation_fn,
+    correlation_member_range,
+)
 
 _BATCH_ENTRIES = 1 << 22  # matrix entries per batched eigvalsh in frame_bounds (64 MiB)
 
@@ -103,28 +114,25 @@ def diagonal_deviation(sys: GaborSystem) -> float:
 
 
 def _walnut_sum(f: GridFunction, cells: dict[tuple[int, ...], np.ndarray],
-                inv_b_steps: int) -> tuple[np.ndarray, tuple[slice, ...]]:
-    # sum_n ext(cells[n]) * f(. - n/b), reduced in sorted n order; term n is
-    # added only on supp(f) + n/b clipped to the grid, where it can be nonzero.
-    # Also returns the hull of those boxes, which holds every nonzero sample.
+                inv_b_steps: int) -> tuple[tuple[slice, ...], np.ndarray]:
+    # sum_n ext(cells[n]) * f(. - n/b), reduced in sorted n order, as a box
+    # of grid slices and the samples on it; term n is added only on
+    # supp(f) + n/b clipped to the grid, where it can be nonzero, and the box
+    # is the hull of those boxes
     grid = f.grid
-    out = np.zeros(grid.shape, dtype=complex)
-    boxes = []
     bounds = support_index_bounds(f)
-    if bounds is None:
-        return out, _hull(boxes, grid.dim)
     limits = [(0, grid.samples_per_axis - 1)] * grid.dim
-    for n in sorted(cells):
-        cell = cells[n]
-        if not cell.any():
-            continue
-        overlap = _shifted_overlap(bounds, [v * inv_b_steps for v in n], limits)
-        if overlap is None:
-            continue
-        box, f_box = overlap
-        out[box] += _cell_on_box(cell, box, grid.half_extent_steps) * f.values[f_box]
-        boxes.append(box)
-    return out, _hull(boxes, grid.dim)
+    terms = []
+    if bounds is not None:
+        for n in sorted(cells):
+            overlap = _shifted_overlap(bounds, [v * inv_b_steps for v in n], limits)
+            if overlap is not None and cells[n].any():
+                terms.append((cells[n],) + overlap)
+    hull = _hull([box for _, box, _ in terms], grid.dim)
+    out = np.zeros(_box_shape(hull), dtype=complex)
+    for cell, box, f_box in terms:
+        out[_within(box, hull)] += _cell_on_box(cell, box, grid.half_extent_steps) * _read(f, f_box)
+    return hull, out
 
 
 def _scaled_walnut(f: GridFunction, sys: GaborSystem, off_diagonal: bool) -> GridFunction:
@@ -136,17 +144,17 @@ def _scaled_walnut(f: GridFunction, sys: GaborSystem, off_diagonal: bool) -> Gri
         zero = (0,) * sys.grid.dim
         cells = {n: cell for n, cell in cells.items() if n != zero}
     scale = sys.a ** sys.grid.dim / sys.pairing
-    out, hull = _walnut_sum(f, cells, sys.inv_b_steps)
-    return GridFunction._own(sys.grid, scale * out, hull)
+    hull, out = _walnut_sum(f, cells, sys.inv_b_steps)
+    return GridFunction._own(sys.grid, hull, scale * out, scale * _ZERO)
 
 
 def walnut_apply(f: GridFunction, sys: GaborSystem) -> GridFunction:
     """Apply the frame operator in its multiplication-and-shift form.
 
     Exact (no frequency truncation); members are reduced in sorted index
-    order for reproducibility.  The result's support is scanned only on the
-    boxes the sum touched.  Raises GridMismatchError when f is not on the
-    system's grid.
+    order for reproducibility.  The result is computed on the hull of the
+    boxes the sum touches and allocates no full-grid array.  Raises
+    GridMismatchError when f is not on the system's grid.
     """
     return _scaled_walnut(f, sys, off_diagonal=False)
 
@@ -170,12 +178,26 @@ def reconstruct_integral(f: GridFunction, g: GridFunction, gamma: GridFunction,
     return walnut_apply(f, GaborSystem(g, gamma, dt, dw))
 
 
-def _residue_classes(samples: int, r: int) -> list[tuple[np.ndarray, int]]:
+def _residue_classes(samples: int, r: int) -> list[tuple[range, int]]:
     # the residues rho mod r of one axis, grouped by their sample count
     # ceil((samples - rho) / r): k + 1 below samples % r, k from there on
     k, extra = divmod(samples, r)
-    classes = [(np.arange(extra), k + 1), (np.arange(extra, min(r, samples)), k)]
-    return [(rho, size) for rho, size in classes if rho.size and size]
+    classes = [(range(extra), k + 1), (range(extra, min(r, samples)), k)]
+    return [(rho, size) for rho, size in classes if rho and size]
+
+
+def _bounds_peak_bytes(grid: Grid, r: int) -> int:
+    # frame_bounds' largest batched eigvalsh: per block shape, a batch of as
+    # many complex blocks as fit in _BATCH_ENTRIES (at least one) and numpy's
+    # copy of one block, plus 40 bytes per block row: the two complex
+    # temporaries of a member's entries and the float eigenvalues
+    peak = 0
+    for classes in product(_residue_classes(grid.samples_per_axis, r), repeat=grid.dim):
+        side = math.prod(size for _, size in classes)
+        count = math.prod(len(rho) for rho, _ in classes)
+        batch = min(count, max(1, _BATCH_ENTRIES // side ** 2))
+        peak = max(peak, 16 * (batch + 1) * side ** 2 + 40 * batch * side)
+    return peak
 
 
 def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
@@ -186,13 +208,23 @@ def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
     scale * ext(G[n])[rho + r k] at (k, k - n), scale = a^d / <g, g>, and is
     Hermitian.  Blocks of equal shape (at most 2^d shapes) go through one
     batched eigvalsh, at most _BATCH_ENTRIES matrix entries at a time.
-    Requires gamma = g (ValueError otherwise).
+    Requires gamma = g (ValueError otherwise).  Raises ResolutionError,
+    before allocating anything, when the largest batch is estimated to
+    exceed the machine's physical memory; blocks have side (2 T b)^d.
     """
-    if not np.array_equal(sys.g.values, sys.gamma.values):
+    box = _hull([sys.g.box, sys.gamma.box], sys.grid.dim)
+    if not np.array_equal(_read(sys.g, box), _read(sys.gamma, box)):
         raise ValueError("frame bounds require the self-dual system (gamma = g)")
     grid = sys.grid
     d = grid.dim
     r = sys.inv_b_steps
+    need = _bounds_peak_bytes(grid, r)
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ResolutionError(
+            f"frame_bounds needs about {need / 2 ** 30:.3g} GiB for its residue blocks at "
+            f"{grid.samples_per_axis} samples per axis and 1/(b h) = {r}, more than the "
+            f"{have / 2 ** 30:.3g} GiB of physical memory; shrink the half extent or b")
     scale = sys.a ** d / sys.pairing
     p = sys.a_steps
     members = {n: cell for n, cell in correlation_family(sys).items() if cell.any()}
@@ -223,9 +255,14 @@ def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
 
 
 def apply_diagonal_defect(f: GridFunction, sys: GaborSystem) -> GridFunction:
-    """The diagonal part of S - I: multiply pointwise by (diagonal correlation - 1)."""
-    mult = periodic_extension(diagonal_correlation(sys), sys.grid) - 1.0
-    return GridFunction(f.grid, mult * f.values)
+    """The diagonal part of S - I: multiply pointwise by (diagonal correlation - 1).
+
+    Computed on the box of f only, so the samples off it read +0.  Raises
+    GridMismatchError when f is not on the system's grid.
+    """
+    _require_grid(f, sys.grid)
+    mult = _cell_on_box(diagonal_correlation(sys), f.box, sys.grid.half_extent_steps) - 1.0
+    return GridFunction._own(f.grid, f.box, mult * f.data)
 
 
 def apply_remainder(f: GridFunction, sys: GaborSystem) -> GridFunction:

@@ -166,7 +166,8 @@ def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
 
     Every family is a product of one axis profile over the axes; the product
     is formed only on the box where the profile is nonzero, which is also the
-    function's support hull.  fat_cantor requires dim = 1
+    function's support box, and no full-grid array is allocated.  fat_cantor
+    requires dim = 1
     (UnsupportedDimensionError otherwise).
     """
     x = grid.axis_coords()
@@ -187,9 +188,7 @@ def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
         shape = [1] * grid.dim
         shape[ax] = -1
         vals = vals * axis[box[ax]].reshape(shape)
-    out = np.zeros(grid.shape, dtype=complex)
-    out[box] = vals
-    return GridFunction._own(grid, out, box)
+    return GridFunction._own(grid, box, vals.astype(complex))
 
 
 def window_library() -> list[WindowSpec]:

@@ -502,6 +502,20 @@ class TestConfigValidation:
         path = write_json(tmp_path / "sweep.json", {**self.SWEEP, **change})
         self.assert_json_error(capsys, error, "sweep", "--config", path)
 
+    @pytest.mark.parametrize("command,change,key", [
+        ("sweep", {"pairs": [1.0, 0.5]}, "pairs"),
+        ("bounds", {"grid": {"half_extent": None, "spacing": 1 / 32}}, "half_extent"),
+        ("apply", {"a": None}, "a"),
+    ], ids=["flat-pairs", "null-half-extent", "null-a"])
+    def test_wrong_json_type_names_its_key(self, capsys, tmp_path, command, change, key):
+        # a value of the wrong JSON type used to escape as a TypeError traceback
+        base = self.SWEEP if command == "sweep" else TestUnknownConfigKeys.DESK
+        path = write_json(tmp_path / "cfg.json", {**base, **change})
+        code, _, err = run_cli(capsys, command, "--config", path)
+        assert code == 1
+        obj = json.loads(err)
+        assert obj["error"] == "ConfigError" and repr(key) in obj["message"]
+
     @pytest.mark.parametrize("change", [{"a": 1e-12}, {"b": 1e12}], ids=["tiny-a", "huge-b"])
     def test_lattice_step_below_one_sample(self, capsys, tmp_path, change):
         path = write_json(tmp_path / "sys.json", {**TestUnknownConfigKeys.DESK, **change})

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gabframes import (
     riemann_uniformity,
     sample_window,
     sum_translates,
+    walnut_apply,
     WindowSpec,
 )
 
@@ -75,6 +77,52 @@ class TestScheduleValidation:
         schedule = make_schedule(grid, [(0.5, 0.25), (0.25, 0.125)])
         with pytest.raises(ConfigError):
             convergence_sweep(schedule)
+
+
+    def test_equal_specs_sample_one_window(self):
+        schedule = make_schedule(Grid(16.0, 1 / 32), [(0.5, 0.5)])
+        g, gamma = schedule.sample_windows()
+        assert g is gamma
+        other = dataclasses.replace(schedule, gamma_spec=WindowSpec.gaussian(1.0, 3.0))
+        g, gamma = other.sample_windows()
+        assert g is not gamma and gamma.data.shape != g.data.shape
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while fn runs, and what it returned."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestSupportBoxMemory:
+    """On the sweep-2d benchmark config (a 640 x 640 grid, windows and f on
+    boxes of about 100 x 100) nothing allocates a full-grid array."""
+
+    GRID = Grid(10.0, 1 / 32, dim=2)
+    FULL_GRID_BYTES = GRID.size * np.dtype(complex).itemsize
+
+    def test_sweep_peak_below_one_full_grid_array(self):
+        schedule = dataclasses.replace(
+            make_schedule(self.GRID, [(1.0, 1.0), (0.5, 0.5), (0.25, 0.25)],
+                          f="bspline"),
+            g_spec=WindowSpec.gaussian(0.5, 1.0), gamma_spec=WindowSpec.gaussian(0.5, 1.0),
+            f_shift=(-1.0, -1.0))
+        peak, report = traced_peak(convergence_sweep, schedule)
+        assert report.passed
+        assert peak < self.FULL_GRID_BYTES
+
+    def test_walnut_apply_allocates_no_full_grid_array(self):
+        g = sample_window(WindowSpec.gaussian(0.5, 1.0), self.GRID)
+        f = sample_window(WindowSpec.bspline(2), self.GRID)
+        sys = GaborSystem(g, g, 0.5, 0.5)
+        peak, out = traced_peak(walnut_apply, f, sys)
+        assert peak < self.FULL_GRID_BYTES
+        peak, values = traced_peak(lambda: out.values)
+        assert peak >= self.FULL_GRID_BYTES and values.shape == self.GRID.shape
 
 
 class TestConvergenceSweep:

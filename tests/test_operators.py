@@ -314,6 +314,32 @@ class TestFrameBounds:
             frame_bounds(GaborSystem(chi, hat, 0.5, 0.5))
 
 
+class TestBoundsPreflight:
+    def test_past_physical_memory_raises_before_allocating(self):
+        # 1024 x 1024 samples and 1/(b h) = 1: one residue block of side 2^20
+        grid = Grid(8.0, 1 / 64, dim=2)
+        g = sample_window(WindowSpec.gaussian(1.0, 1.5), grid)
+        sys = GaborSystem(g, g, 0.5, 64.0)
+        peak, result = traced_peak(frame_bounds, sys)
+        assert isinstance(result, ResolutionError)
+        assert "physical memory" in str(result)
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("half_extent,spacing,dim,b", [
+        (4.0, 1 / 32, 1, 0.5), (4.0, 1 / 32, 1, 2.0), (2.0, 1 / 16, 2, 0.5),
+        (4.0, 1 / 8, 2, 1.0), (3.0, 1 / 8, 2, 2.0)])
+    def test_estimate_tracks_the_traced_peak(self, half_extent, spacing, dim, b):
+        from gabframes.walnut import _bounds_peak_bytes
+
+        grid = Grid(half_extent, spacing, dim)
+        g = sample_window(WindowSpec.gaussian(1.0, 1.5), grid)
+        sys = GaborSystem(g, g, 0.5, b)
+        peak, _ = traced_peak(frame_bounds, sys)
+        estimate = _bounds_peak_bytes(grid, sys.inv_b_steps)
+        # the batch of blocks dominates; the members and index arrays are small
+        assert peak / 2 <= estimate <= 1.1 * peak
+
+
 class TestReconstructIntegral:
     def test_zero_signal(self, gauss):
         z = GridFunction(gauss.grid, np.zeros(gauss.grid.shape))
