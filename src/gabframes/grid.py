@@ -167,17 +167,22 @@ class GridFunction:
 
     Stored on a box: ``box`` is a tuple of slices, one per axis, that holds
     every nonzero sample, and ``data`` is a read-only complex array of the
-    box's shape.  Every sample off the box holds one signed zero, +0 unless
-    the full-grid arithmetic that built the function leaves -0 parts there
-    (c * f for a scalar c, say).  The full-grid ``values`` array is built on
-    first access and cached; ``data`` is then a view into it, so an instance
-    never holds two copies of its samples.
+    box's shape.  Every sample off the box holds one signed zero.  The
+    public constructor, ``translate``, ``modulate``, ``sample_window`` and
+    ``apply_diagonal_defect`` leave +0 there, whatever the sign of the zeros
+    they read.  ``+``, ``-``, scalar ``*``, unary ``-`` and the Walnut and
+    Janssen sums map it as their full-grid arithmetic maps a zero sample, so
+    c * f, say, can hold -0 parts off its box, as the full grid would.  The
+    full-grid ``values`` array is built on first access and cached; ``data``
+    is then a view into it, so an instance never holds two copies of its
+    samples.
 
     Immutable: every operation returns a new instance, so instances are safe
     to share across threads.  The public constructor copies the support box
     of its input once, so a caller may go on changing the array it passed
     in.  Operations here and in the package compute samples on a box only
     and wrap them with :meth:`_own`, which takes them without a copy.
+    Copies and pickles carry the box, its samples and the zero off it.
     """
 
     # _zero is the sample off the box; _support holds support_index_bounds;
@@ -195,15 +200,17 @@ class GridFunction:
         self._set(grid, box, arr[box].copy(), _ZERO, bounds)
 
     @classmethod
-    def _own(cls, grid: Grid, box, data: np.ndarray, zero=_ZERO) -> "GridFunction":
+    def _own(cls, grid: Grid, box, data: np.ndarray, zero=_ZERO, op=None) -> "GridFunction":
         """Wrap the samples on a box of grid slices without copying them.
 
         data is frozen in place, so it must be a fresh array or a view of
-        read-only samples.  zero is the sample off the box, +0 by default;
-        an operation passes the one its full-grid form leaves there, so the
-        full-grid values keep their bits.  The support is found by a scan of
-        data only.
+        read-only samples.  zero is the sample off the box, +0 by default.
+        op, when given, maps data and zero alike (op(data) must be a fresh
+        array), so the full-grid values keep the bits of op applied to the
+        whole grid.  The support is found by a scan of the box only.
         """
+        if op is not None:
+            data, zero = op(data), op(zero)
         f = object.__new__(cls)
         f._set(grid, box, data, zero, _scan_support(data, [sl.start for sl in box]))
         return f
@@ -231,8 +238,8 @@ class GridFunction:
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
 
-    def __reduce__(self):  # rebuilt through the public constructor
-        return GridFunction, (self.grid, self.values)
+    def __reduce__(self):  # rebuilt on the box, without the full-grid cache
+        return _rebuild, (self.grid, self.box, self.data, self._zero)
 
     def _combine(self, other: "GridFunction", op) -> "GridFunction":
         # a sum or difference is computed on the hull of both boxes, where
@@ -250,15 +257,25 @@ class GridFunction:
 
     def __mul__(self, scalar) -> "GridFunction":
         c = complex(scalar)
-        return GridFunction._own(self.grid, self.box, self.data * c, self._zero * c)
+        return GridFunction._own(self.grid, self.box, self.data, self._zero, lambda v: v * c)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction._own(self.grid, self.box, -self.data, -self._zero)
+        return GridFunction._own(self.grid, self.box, self.data, self._zero, np.negative)
 
     def __repr__(self):
         return f"GridFunction({self.grid!r}, <{self.data.shape} samples on {self.grid.shape}>)"
+
+
+def _rebuild(grid: Grid, box, data, zero) -> GridFunction:
+    # the inverse of GridFunction.__reduce__: checks the box fits the grid
+    box = tuple(slice(int(sl.start), int(sl.stop)) for sl in box)
+    data = np.asarray(data, dtype=complex)
+    if (len(box) != grid.dim or data.shape != _box_shape(box)
+            or not all(0 <= sl.start <= sl.stop <= grid.samples_per_axis for sl in box)):
+        raise ValueError(f"a box of shape {data.shape} at {box} does not fit {grid!r}")
+    return GridFunction._own(grid, box, data, np.complex128(zero))
 
 
 def _scan_support(data: np.ndarray, starts):
@@ -415,16 +432,12 @@ def _cell_spectrum(cell: np.ndarray, indices) -> np.ndarray:
 def translate(f: GridFunction, t) -> GridFunction:
     """T_t f = f(. - t) for t an exact multiple of the spacing per axis.
 
-    Samples shifted past the boundary are dropped and zeros shifted in: the
-    box of f moves and is clipped to the grid, and the result shares the
-    samples of f that stay on it.  When the zero off the box of f carries a
-    sign, which the +0 shifted in lacks, the whole grid moves instead.
+    Samples shifted past the boundary are dropped: the box of f moves and is
+    clipped to the grid, the result shares the samples of f that stay on it,
+    and every sample off the moved box reads +0.
     """
     grid = f.grid
     steps = grid.steps(t)
-    if np.signbit([f._zero.real, f._zero.imag]).any():
-        return GridFunction._own(grid, tuple(slice(0, n) for n in grid.shape),
-                                 shift_array(f.values, steps))
     moved = None if not f.data.size else _shifted_overlap(
         [(sl.start, sl.stop - 1) for sl in f.box], steps,
         [(0, grid.samples_per_axis - 1)] * grid.dim)

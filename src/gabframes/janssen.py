@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .grid import _ZERO, GridFunction, _require_grid, fold_to_cell
+from .grid import GridFunction, _require_grid, fold_to_cell
 from .operators import GaborSystem, correlation_family
 from .walnut import _walnut_sum
 
@@ -141,7 +141,7 @@ def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
     cells = {n: _column_cell(lattice, n, sys.a_steps)
              for n in product(range(-lattice.n_radius, lattice.n_radius + 1), repeat=lattice.dim)}
     hull, out = _walnut_sum(f, cells, sys.inv_b_steps)
-    return GridFunction._own(sys.grid, hull, out / sys.pairing, _ZERO / sys.pairing)
+    return GridFunction._own(sys.grid, hull, out, op=lambda v: v / sys.pairing)
 
 
 def fourier_reconstruct_correlation(lattice: JanssenLattice, n) -> np.ndarray:

@@ -40,7 +40,6 @@ from .errors import ResolutionError
 from .grid import (
     Grid,
     GridFunction,
-    _ZERO,
     _box_shape,
     _hull,
     _read,
@@ -145,7 +144,7 @@ def _scaled_walnut(f: GridFunction, sys: GaborSystem, off_diagonal: bool) -> Gri
         cells = {n: cell for n, cell in cells.items() if n != zero}
     scale = sys.a ** sys.grid.dim / sys.pairing
     hull, out = _walnut_sum(f, cells, sys.inv_b_steps)
-    return GridFunction._own(sys.grid, hull, scale * out, scale * _ZERO)
+    return GridFunction._own(sys.grid, hull, out, op=lambda v: scale * v)
 
 
 def walnut_apply(f: GridFunction, sys: GaborSystem) -> GridFunction:

@@ -1,7 +1,6 @@
 import dataclasses
 import inspect
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from gabframes import (
     walnut_apply,
     WindowSpec,
 )
+from test_operators import traced_peak
 
 
 def make_schedule(grid, pairs, pq=(2, 2), g="bspline", f="gaussian"):
@@ -86,16 +86,6 @@ class TestScheduleValidation:
         other = dataclasses.replace(schedule, gamma_spec=WindowSpec.gaussian(1.0, 3.0))
         g, gamma = other.sample_windows()
         assert g is not gamma and gamma.data.shape != g.data.shape
-
-
-def traced_peak(fn, *args):
-    """Peak bytes traced while fn runs, and what it returned."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
 
 
 class TestSupportBoxMemory:

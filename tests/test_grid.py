@@ -108,7 +108,7 @@ class TestGridFunction:
 
 @COPIERS
 class TestCopyAndPickle:
-    """Copies are rebuilt through the public constructor and stay immutable."""
+    """Copies are rebuilt on the support box and stay immutable."""
 
     @pytest.mark.parametrize("grid", [Grid(4.0, 1 / 32), Grid(0.7, 1 / 3, 2)])
     def test_grid(self, duplicate, grid):
@@ -118,14 +118,41 @@ class TestCopyAndPickle:
             twin.dim = 3
 
     def test_grid_function(self, duplicate, interior_f):
-        support_index_bounds(interior_f)  # fills the cache slot, which is not shipped
         twin = duplicate(interior_f)
-        assert twin.grid == interior_f.grid
+        # neither side builds the full-grid array
+        assert not hasattr(interior_f, "_values") and not hasattr(twin, "_values")
+        assert twin.box == interior_f.box and twin.grid == interior_f.grid
         assert twin.values.tobytes() == interior_f.values.tobytes()
         assert support_index_bounds(twin) == support_index_bounds(interior_f)
         assert not twin.values.flags.writeable
         with pytest.raises(AttributeError):
             twin.values = None
+
+    def test_signed_zero_off_the_box(self, duplicate, interior_f):
+        f = -1j * interior_f
+        assert duplicate(f).values.tobytes() == f.values.tobytes()
+
+
+def test_rebuild_rejects_a_box_off_the_grid(interior_f):
+    _, (grid, box, data, zero) = interior_f.__reduce__()
+    moved = tuple(slice(sl.start + grid.samples_per_axis, sl.stop + grid.samples_per_axis)
+                  for sl in box)
+    with pytest.raises(ValueError):
+        grid_module._rebuild(grid, moved, data, zero)
+
+
+def test_which_operations_keep_a_signed_zero_off_the_box(interior_f):
+    f = -1j * interior_f  # -0 imaginary parts wherever interior_f is 0
+    grid = f.grid
+    off = np.ones(grid.shape, dtype=bool)
+    off[f.box] = False
+    assert off.any() and np.signbit(f.values.imag[off]).all()
+    assert np.signbit((-f).values.real[off]).all()
+    for plus_zero in (GridFunction(grid, f.values), translate(f, np.zeros(grid.dim)),
+                      modulate(f, np.zeros(grid.dim))):
+        rest = np.ones(grid.shape, dtype=bool)
+        rest[plus_zero.box] = False
+        assert not np.signbit(plus_zero.values.view(float)[rest.repeat(2, axis=-1)]).any()
 
 
 def full_scan(values):

@@ -89,8 +89,7 @@ def random_box_function(rng, grid):
 
     Per axis the box touches the low or the high end, holds one sample,
     covers the axis or lies inside; one case in ten is the zero function.
-    Negatives and complex multiples carry the signed zero their full-grid
-    arithmetic leaves off the box.
+    Built by the public constructor, so every sample off the box reads +0.
     """
     n = grid.samples_per_axis
     box = []
@@ -103,8 +102,7 @@ def random_box_function(rng, grid):
     if rng.random() >= 0.1:
         shape = values[tuple(box)].shape
         values[tuple(box)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    f = GridFunction(grid, values)
-    return [f, -f, complex(*rng.standard_normal(2)) * f][rng.integers(3)]
+    return GridFunction(grid, values)
 
 
 def full_grid_walnut(f, sys):
@@ -120,16 +118,19 @@ def full_grid_walnut(f, sys):
 def test_box_operations_match_full_grid_definitions(seed):
     grid, g, gamma, a, b, _, _ = random_case(seed % CASES)
     rng = np.random.default_rng(1000 + seed)
-    f, u = random_box_function(rng, grid), random_box_function(rng, grid)
+    f0, u = random_box_function(rng, grid), random_box_function(rng, grid)
     c = complex(*rng.standard_normal(2))
+    # negatives and complex multiples carry the signed zero their full-grid
+    # arithmetic leaves off the box, which every operation but translate keeps
+    f = [f0, -f0, complex(*rng.standard_normal(2)) * f0][rng.integers(3)]
     steps = rng.integers(-grid.samples_per_axis, grid.samples_per_axis + 1, grid.dim)
     sys = GaborSystem(g, gamma, a, b)
     # results first, so each is computed before the full grids exist
-    results = [f + u, f - u, c * f, -f, translate(f, steps * grid.spacing), walnut_apply(f, sys)]
+    results = [f + u, f - u, c * f, -f, translate(f0, steps * grid.spacing), walnut_apply(f, sys)]
     norms = {p: cube_norms(f, p) for p in (1, 2, 3, math.inf)}
     pairing, norm = inner_product(f, u), l2_norm(f)
     wants = [f.values + u.values, f.values - u.values, f.values * c, -f.values,
-             shift_array(f.values, steps), full_grid_walnut(f, sys)]
+             shift_array(f0.values, steps), full_grid_walnut(f, sys)]
     for got, want in zip(results, wants):
         assert same_bits(got.values, want)
     for p, got in norms.items():
