@@ -23,9 +23,9 @@ from .errors import ConfigError
 from .grid import (
     Grid,
     GridFunction,
+    _fold_box,
     _meet,
     _within,
-    fold_to_cell,
     inner_product,
     support_index_bounds,
     translate,
@@ -296,14 +296,15 @@ def riemann_uniformity(f: GridFunction, a_list) -> list[RiemannRecord]:
     """Worst-offset Riemann-sum defect sup_y |a^d sum_n f(y + n a) - integral f|.
 
     The offset y runs over every cell sample of [0, a)^d; the reference
-    integral is the grid Riemann sum h^d sum f.
+    integral is the grid Riemann sum h^d sum f.  Both read the box of f
+    only.
     """
     grid = f.grid
-    integral = grid.cell_measure * complex(f.values.sum())
+    integral = grid.cell_measure * complex(f.data.sum())
     out = []
     for a in a_list:
         p = grid.steps_scalar(a)
-        cell = fold_to_cell(f.values, p, grid.half_extent_steps)
+        cell = _fold_box(grid, f.box, f.data, p)
         dev = float(np.abs(a ** grid.dim * cell - integral).max())
         out.append(RiemannRecord(float(a), dev))
     return out
@@ -318,8 +319,8 @@ class DiagonalDecayRecord:
 def diagonal_decay_sweep(f: GridFunction, p, a_list, g: GridFunction) -> list[DiagonalDecayRecord]:
     """Global L^p norms of the diagonal defect (diag - 1) f along cell sizes, gamma = g.
 
-    Computed with the plain global Riemann sum, independent of the amalgam
-    aggregation machinery.
+    Computed with the plain global Riemann sum over the box of the defect,
+    independent of the amalgam aggregation machinery.
     """
     grid = f.grid
     p = Exponent.of(p)
@@ -329,9 +330,9 @@ def diagonal_decay_sweep(f: GridFunction, p, a_list, g: GridFunction) -> list[Di
     out = []
     for a in a_list:
         sys = GaborSystem(g, g, float(a), b)
-        vals = np.abs(apply_diagonal_defect(f, sys).values)
+        vals = np.abs(apply_diagonal_defect(f, sys).data)
         if p.is_inf:
-            nrm = float(vals.max())
+            nrm = float(vals.max(initial=0.0))
         else:
             nrm = float((grid.cell_measure * np.sum(vals ** p.value)) ** (1.0 / p.value))
         out.append(DiagonalDecayRecord(float(a), nrm))

@@ -42,9 +42,8 @@ _SNAP = 1e-9
 # rows formatted per string-formatting call in _write_table
 _CSV_CHUNK = 4096
 
-# the slice of an empty box along one axis, and the default sample off a box
+# the slice of an empty box along one axis
 _EMPTY = (slice(0, 0),)
-_ZERO = np.complex128(0j)
 
 
 def _snap_int(x: float, what: str) -> int:
@@ -165,29 +164,24 @@ class Grid:
 class GridFunction:
     """Complex samples of a compactly supported function on a :class:`Grid`.
 
-    Stored on a box: ``box`` is a tuple of slices, one per axis, that holds
-    every nonzero sample, and ``data`` is a read-only complex array of the
-    box's shape.  Every sample off the box holds one signed zero.  The
-    public constructor, ``translate``, ``modulate``, ``sample_window`` and
-    ``apply_diagonal_defect`` leave +0 there, whatever the sign of the zeros
-    they read.  ``+``, ``-``, scalar ``*``, unary ``-`` and the Walnut and
-    Janssen sums map it as their full-grid arithmetic maps a zero sample, so
-    c * f, say, can hold -0 parts off its box, as the full grid would.  The
-    full-grid ``values`` array is built on first access and cached; ``data``
-    is then a view into it, so an instance never holds two copies of its
-    samples.
+    Stored on its support box: ``box`` is a tuple of slices, one per axis,
+    the smallest box that holds every nonzero sample (empty for the zero
+    function), and ``data`` is a read-only complex array of the box's shape.
+    Every sample off the box is +0.  On the box, every operation keeps the
+    bits of its full-grid arithmetic.  The full-grid ``values`` array is
+    built on first access and cached; ``data`` is then a view into it, so an
+    instance never holds two copies of its samples.
 
     Immutable: every operation returns a new instance, so instances are safe
     to share across threads.  The public constructor copies the support box
     of its input once, so a caller may go on changing the array it passed
     in.  Operations here and in the package compute samples on a box only
     and wrap them with :meth:`_own`, which takes them without a copy.
-    Copies and pickles carry the box, its samples and the zero off it.
+    Copies and pickles carry the box and its samples.
     """
 
-    # _zero is the sample off the box; _support holds support_index_bounds;
     # _values caches the full-grid array
-    __slots__ = ("grid", "box", "data", "_zero", "_support", "_values")
+    __slots__ = ("grid", "box", "data", "_values")
 
     def __init__(self, grid: Grid, values):
         arr = np.asarray(values, dtype=complex)
@@ -195,30 +189,26 @@ class GridFunction:
             arr = arr.reshape(grid.shape)
         if arr.shape != grid.shape:
             raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
-        bounds = _scan_support(arr, (0,) * grid.dim)
-        box = _bounds_box(bounds) if bounds else _EMPTY * grid.dim
-        self._set(grid, box, arr[box].copy(), _ZERO, bounds)
+        box = _tight(arr, tuple(slice(0, n) for n in arr.shape))
+        self._set(grid, box, arr[box].copy())
 
     @classmethod
-    def _own(cls, grid: Grid, box, data: np.ndarray, zero=_ZERO, op=None) -> "GridFunction":
+    def _own(cls, grid: Grid, box, data: np.ndarray) -> "GridFunction":
         """Wrap the samples on a box of grid slices without copying them.
 
         data is frozen in place, so it must be a fresh array or a view of
-        read-only samples.  zero is the sample off the box, +0 by default.
-        op, when given, maps data and zero alike (op(data) must be a fresh
-        array), so the full-grid values keep the bits of op applied to the
-        whole grid.  The support is found by a scan of the box only.
+        read-only samples.  The box shrinks to the support of data, found by
+        one scan of the box, and the result keeps a view of data on it.
         """
-        if op is not None:
-            data, zero = op(data), op(zero)
+        data.setflags(write=False)
+        tight = _tight(data, box)
         f = object.__new__(cls)
-        f._set(grid, box, data, zero, _scan_support(data, [sl.start for sl in box]))
+        f._set(grid, tight, data[_within(tight, box)])
         return f
 
-    def _set(self, grid: Grid, box, data: np.ndarray, zero, bounds) -> None:
+    def _set(self, grid: Grid, box, data: np.ndarray) -> None:
         data.setflags(write=False)
-        for name, value in (("grid", grid), ("box", box), ("data", data), ("_zero", zero),
-                            ("_support", bounds)):
+        for name, value in (("grid", grid), ("box", box), ("data", data)):
             object.__setattr__(self, name, value)
 
     @property
@@ -228,7 +218,7 @@ class GridFunction:
             return self._values
         except AttributeError:
             pass
-        full = np.full(self.grid.shape, self._zero)
+        full = np.zeros(self.grid.shape, dtype=complex)
         full[self.box] = self.data
         full.setflags(write=False)
         object.__setattr__(self, "data", full[self.box])
@@ -239,15 +229,14 @@ class GridFunction:
         raise AttributeError("GridFunction is immutable")
 
     def __reduce__(self):  # rebuilt on the box, without the full-grid cache
-        return _rebuild, (self.grid, self.box, self.data, self._zero)
+        return _rebuild, (self.grid, self.box, self.data)
 
     def _combine(self, other: "GridFunction", op) -> "GridFunction":
         # a sum or difference is computed on the hull of both boxes, where
         # each operand reads exactly the samples its full grid holds
         _require_grid(other, self.grid)
         box = _hull([self.box, other.box], self.grid.dim)
-        return GridFunction._own(self.grid, box, op(_read(self, box), _read(other, box)),
-                                 op(self._zero, other._zero))
+        return GridFunction._own(self.grid, box, op(_read(self, box), _read(other, box)))
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return self._combine(other, np.add)
@@ -256,40 +245,39 @@ class GridFunction:
         return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "GridFunction":
-        c = complex(scalar)
-        return GridFunction._own(self.grid, self.box, self.data, self._zero, lambda v: v * c)
+        return GridFunction._own(self.grid, self.box, self.data * complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction._own(self.grid, self.box, self.data, self._zero, np.negative)
+        return GridFunction._own(self.grid, self.box, -self.data)
 
     def __repr__(self):
         return f"GridFunction({self.grid!r}, <{self.data.shape} samples on {self.grid.shape}>)"
 
 
-def _rebuild(grid: Grid, box, data, zero) -> GridFunction:
+def _rebuild(grid: Grid, box, data) -> GridFunction:
     # the inverse of GridFunction.__reduce__: checks the box fits the grid
     box = tuple(slice(int(sl.start), int(sl.stop)) for sl in box)
     data = np.asarray(data, dtype=complex)
     if (len(box) != grid.dim or data.shape != _box_shape(box)
             or not all(0 <= sl.start <= sl.stop <= grid.samples_per_axis for sl in box)):
         raise ValueError(f"a box of shape {data.shape} at {box} does not fit {grid!r}")
-    return GridFunction._own(grid, box, data, np.complex128(zero))
+    return GridFunction._own(grid, box, data)
 
 
-def _scan_support(data: np.ndarray, starts):
-    # the per-axis (lo, hi) grid indices of the nonzero samples of a box that
-    # starts at grid index starts, or None when the box holds none
+def _tight(data: np.ndarray, box) -> tuple[slice, ...]:
+    # the smallest box of grid slices that holds every nonzero sample of
+    # data, the samples on box; empty when there is none
     nz = data != 0
     if not nz.any():
-        return None
-    bounds = []
-    for ax, start in enumerate(starts):
+        return _EMPTY * len(box)
+    out = []
+    for ax, sl in enumerate(box):
         other = tuple(i for i in range(nz.ndim) if i != ax)
         idx = np.flatnonzero(nz.any(axis=other) if other else nz)
-        bounds.append((int(start + idx[0]), int(start + idx[-1])))
-    return tuple(bounds)
+        out.append(slice(int(sl.start + idx[0]), int(sl.start + idx[-1] + 1)))
+    return tuple(out)
 
 
 def _box_shape(box) -> tuple[int, ...]:
@@ -307,24 +295,24 @@ def _meet(box, other):
     return out if all(sl.start < sl.stop for sl in out) else None
 
 
+def _moved(box, steps):
+    # the box of slices moved by whole samples, one int per axis
+    return tuple(slice(sl.start + s, sl.stop + s) for sl, s in zip(box, steps))
+
+
 def _read(f: GridFunction, box) -> np.ndarray:
     """The samples of f on a box of grid slices.
 
     A read-only view of f.data when the box lies inside f.box, else a fresh
-    array that holds f's off-box zero off f.box.
+    array that holds +0 off f.box.
     """
     if all(o.start <= sl.start and sl.stop <= o.stop for sl, o in zip(box, f.box)):
         return f.data[_within(box, f.box)]
-    out = np.full(_box_shape(box), f._zero)
+    out = np.zeros(_box_shape(box), dtype=complex)
     common = _meet(box, f.box)
     if common is not None:
         out[_within(common, box)] = f.data[_within(common, f.box)]
     return out
-
-
-def _bounds_box(bounds) -> tuple[slice, ...]:
-    # the box of slices covering inclusive (lo, hi) index bounds
-    return tuple(slice(lo, hi + 1) for lo, hi in bounds)
 
 
 def _hull(boxes, dim: int) -> tuple[slice, ...]:
@@ -375,40 +363,36 @@ def fold_to_cell(values: np.ndarray, cell_steps: int, origin_steps) -> np.ndarra
     pad = [(0, -n % cell_steps) for n in values.shape]
     out = np.pad(values, pad) if any(hi for _, hi in pad) else values
     for ax in range(out.ndim):
-        out = out.reshape(out.shape[:ax] + (-1, cell_steps) + out.shape[ax + 1:]).sum(axis=ax)
+        cells = out.shape[ax] // cell_steps
+        out = out.reshape(out.shape[:ax] + (cells, cell_steps) + out.shape[ax + 1:]).sum(axis=ax)
     return np.roll(out, -np.asarray(origin_steps), axis=tuple(range(out.ndim)))
 
 
-def _shifted_overlap(bounds, steps, limits):
-    # slices of the box (bounds + steps) meet limits, per axis, and of the
-    # same box moved back by steps; None when the two do not meet
-    box, src = [], []
-    for (lo, hi), s, (lim_lo, lim_hi) in zip(bounds, steps, limits):
-        start, stop = max(lo + s, lim_lo), min(hi + s, lim_hi) + 1
-        if start >= stop:
-            return None
-        box.append(slice(start, stop))
-        src.append(slice(start - s, stop - s))
-    return tuple(box), tuple(src)
+def _fold_box(grid: Grid, box, data: np.ndarray, cell_steps: int) -> np.ndarray:
+    """fold_to_cell on the grid origin of the samples data on a box of grid slices.
+
+    When the cell is wider than one sample this keeps the bits of the
+    full-grid fold: each slot is then a sequential sum of the same nonzero
+    terms in the same order.
+    """
+    return fold_to_cell(data, cell_steps, [grid.half_extent_steps - sl.start for sl in box])
 
 
 def _fold_overlap(u: GridFunction, v: GridFunction, steps, cell_steps: int) -> np.ndarray:
     """fold_to_cell of conj(T_steps u) * v on the grid origin, all zero if they miss.
 
-    steps shifts u by whole samples per axis.  Only the overlap box of
-    supp(T_steps u) and supp(v) is multiplied and folded; every sample
-    outside it contributes an exact zero, so the cell has the bits of the
-    full-grid fold.  The operand order is part of those bits: with FMA,
-    numpy's complex product can round differently when its operands swap.
+    steps shifts u by whole samples, one int per axis.  The box of u moves
+    by steps and meets the box of v; only that overlap is multiplied and
+    folded, since every sample off it contributes an exact zero, so the cell
+    has the bits of the full-grid fold.  The operand order is part of those
+    bits: with FMA, numpy's complex product can round differently when its
+    operands swap.
     """
     grid = v.grid
-    ub = support_index_bounds(u)
-    vb = support_index_bounds(v)
-    overlap = None if ub is None or vb is None else _shifted_overlap(ub, steps, vb)
-    if overlap is None:
+    box = _meet(_moved(u.box, steps), v.box)
+    if box is None:
         return np.zeros((cell_steps,) * grid.dim, dtype=complex)
-    box, u_box = overlap
-    w = np.conj(_read(u, u_box)) * _read(v, box)
+    w = np.conj(_read(u, _moved(box, [-s for s in steps]))) * _read(v, box)
     if cell_steps == 1:
         # a one-sample cell is a plain total, which numpy sums pairwise, so its
         # rounding depends on where the zeros sit: sum on the full grid so the
@@ -416,7 +400,7 @@ def _fold_overlap(u: GridFunction, v: GridFunction, steps, cell_steps: int) -> n
         full = np.zeros(grid.shape, dtype=complex)
         full[box] = w
         return fold_to_cell(full, 1, grid.half_extent_steps)
-    return fold_to_cell(w, cell_steps, [grid.half_extent_steps - sl.start for sl in box])
+    return _fold_box(grid, box, w, cell_steps)
 
 
 def _cell_spectrum(cell: np.ndarray, indices) -> np.ndarray:
@@ -432,19 +416,15 @@ def _cell_spectrum(cell: np.ndarray, indices) -> np.ndarray:
 def translate(f: GridFunction, t) -> GridFunction:
     """T_t f = f(. - t) for t an exact multiple of the spacing per axis.
 
-    Samples shifted past the boundary are dropped: the box of f moves and is
-    clipped to the grid, the result shares the samples of f that stay on it,
-    and every sample off the moved box reads +0.
+    Samples shifted past the boundary are dropped: the box of f moves by
+    whole samples and meets the grid, and the result shares the samples of
+    f that stay on it.
     """
     grid = f.grid
-    steps = grid.steps(t)
-    moved = None if not f.data.size else _shifted_overlap(
-        [(sl.start, sl.stop - 1) for sl in f.box], steps,
-        [(0, grid.samples_per_axis - 1)] * grid.dim)
-    if moved is None:  # nothing stays on the grid
-        return GridFunction._own(grid, _EMPTY * grid.dim, np.zeros((0,) * grid.dim, dtype=complex))
-    box, src = moved
-    return GridFunction._own(grid, box, _read(f, src))
+    steps = [int(s) for s in grid.steps(t)]
+    box = _meet(_moved(f.box, steps), (slice(0, grid.samples_per_axis),) * grid.dim)
+    box = box or _EMPTY * grid.dim  # None when nothing stays on the grid
+    return GridFunction._own(grid, box, _read(f, _moved(box, [-s for s in steps])))
 
 
 def _phase(grid: Grid, omega, box) -> np.ndarray:
@@ -464,7 +444,7 @@ def _phase(grid: Grid, omega, box) -> np.ndarray:
 def modulate(f: GridFunction, omega) -> GridFunction:
     """M_omega f = exp(2*pi*i <omega, x>) f(x); exact at any frequency.
 
-    The phase is formed on the box of f only, and the samples off it read +0.
+    The phase is formed on the box of f only.
     """
     return GridFunction._own(f.grid, f.box, f.data * _phase(f.grid, omega, f.box))
 
@@ -506,10 +486,11 @@ def l2_norm(f: GridFunction) -> float:
 def support_index_bounds(f: GridFunction) -> tuple[tuple[int, int], ...] | None:
     """Per-axis (lo, hi) index bounds of the nonzero samples, or None if f == 0.
 
-    Found at construction, by a scan of the box the samples were computed on,
-    and returned as the same object on every call.
+    The first and last grid indices of f.box, the support box.
     """
-    return f._support
+    if not f.data.size:
+        return None
+    return tuple((sl.start, sl.stop - 1) for sl in f.box)
 
 
 def _write_table(fp, names, columns, codes) -> None:

@@ -141,7 +141,7 @@ def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
     cells = {n: _column_cell(lattice, n, sys.a_steps)
              for n in product(range(-lattice.n_radius, lattice.n_radius + 1), repeat=lattice.dim)}
     hull, out = _walnut_sum(f, cells, sys.inv_b_steps)
-    return GridFunction._own(sys.grid, hull, out, op=lambda v: v / sys.pairing)
+    return GridFunction._own(sys.grid, hull, out / sys.pairing)
 
 
 def fourier_reconstruct_correlation(lattice: JanssenLattice, n) -> np.ndarray:

@@ -41,13 +41,14 @@ from .grid import (
     Grid,
     GridFunction,
     _box_shape,
+    _fold_box,
     _hull,
+    _meet,
+    _moved,
     _read,
     _require_grid,
-    _shifted_overlap,
     _within,
     fold_to_cell,
-    support_index_bounds,
 )
 from .operators import (
     GaborSystem,
@@ -115,18 +116,17 @@ def diagonal_deviation(sys: GaborSystem) -> float:
 def _walnut_sum(f: GridFunction, cells: dict[tuple[int, ...], np.ndarray],
                 inv_b_steps: int) -> tuple[tuple[slice, ...], np.ndarray]:
     # sum_n ext(cells[n]) * f(. - n/b), reduced in sorted n order, as a box
-    # of grid slices and the samples on it; term n is added only on
-    # supp(f) + n/b clipped to the grid, where it can be nonzero, and the box
-    # is the hull of those boxes
+    # of grid slices and the samples on it; term n is added only on the box
+    # of f moved by n/b and met with the grid, where it can be nonzero, and
+    # the box is the hull of those boxes
     grid = f.grid
-    bounds = support_index_bounds(f)
-    limits = [(0, grid.samples_per_axis - 1)] * grid.dim
+    whole = (slice(0, grid.samples_per_axis),) * grid.dim
     terms = []
-    if bounds is not None:
-        for n in sorted(cells):
-            overlap = _shifted_overlap(bounds, [v * inv_b_steps for v in n], limits)
-            if overlap is not None and cells[n].any():
-                terms.append((cells[n],) + overlap)
+    for n in sorted(cells):
+        steps = [v * inv_b_steps for v in n]
+        box = _meet(_moved(f.box, steps), whole)
+        if box is not None and cells[n].any():
+            terms.append((cells[n], box, _moved(box, [-s for s in steps])))
     hull = _hull([box for _, box, _ in terms], grid.dim)
     out = np.zeros(_box_shape(hull), dtype=complex)
     for cell, box, f_box in terms:
@@ -144,7 +144,7 @@ def _scaled_walnut(f: GridFunction, sys: GaborSystem, off_diagonal: bool) -> Gri
         cells = {n: cell for n, cell in cells.items() if n != zero}
     scale = sys.a ** sys.grid.dim / sys.pairing
     hull, out = _walnut_sum(f, cells, sys.inv_b_steps)
-    return GridFunction._own(sys.grid, hull, out, op=lambda v: scale * v)
+    return GridFunction._own(sys.grid, hull, scale * out)
 
 
 def walnut_apply(f: GridFunction, sys: GaborSystem) -> GridFunction:
@@ -211,8 +211,7 @@ def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
     before allocating anything, when the largest batch is estimated to
     exceed the machine's physical memory; blocks have side (2 T b)^d.
     """
-    box = _hull([sys.g.box, sys.gamma.box], sys.grid.dim)
-    if not np.array_equal(_read(sys.g, box), _read(sys.gamma, box)):
+    if sys.g.box != sys.gamma.box or not np.array_equal(sys.g.data, sys.gamma.data):
         raise ValueError("frame bounds require the self-dual system (gamma = g)")
     grid = sys.grid
     d = grid.dim
@@ -301,7 +300,7 @@ def sum_translates(g: GridFunction, a: float) -> SumTranslates:
     """Periodization of |g| at step a, checked against (1 + 1/a)^d ||g||_W."""
     grid = g.grid
     p = grid.steps_scalar(a)
-    cell = fold_to_cell(np.abs(g.values), p, grid.half_extent_steps)
+    cell = _fold_box(grid, g.box, np.abs(g.data), p)
     bound = (1.0 + 1.0 / a) ** grid.dim * wiener_norm(g)
     peak = float(cell.max())
     return SumTranslates(cell, bound, peak <= bound * (1.0 + 1e-12))
@@ -323,6 +322,9 @@ class TailSum:
 
 
 def tail_sum(sys: GaborSystem) -> TailSum:
+    """The TailSum of the system's correlation members; within_bound allows
+    1e-12 relative.  Each sum runs over the members in sorted n order, with
+    math.fsum."""
     d = sys.grid.dim
     zero = (0,) * d
     sups = {n: float(np.abs(cell).max()) for n, cell in correlation_family(sys).items()}

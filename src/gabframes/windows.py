@@ -111,12 +111,18 @@ def bspline_profile(order: int, x: np.ndarray) -> np.ndarray:
     """Cardinal B-spline of the given order, supported on [0, order).
 
     Order 1 is the unit indicator; order 2 the unit hat peaking at 1.
+    B_k(x) = (x B_{k-1}(x) + (k - x) B_{k-1}(x - 1)) / (k - 1), computed bottom
+    up at the arguments x, x - 1, ... that the recursion builds, so it keeps
+    the recursion's bits in order (order + 1) / 2 array operations.
     """
-    if order == 1:
-        return ((x >= 0) & (x < 1)).astype(float)
-    prev = bspline_profile(order - 1, x)
-    prev_shift = bspline_profile(order - 1, x - 1)
-    return (x * prev + (order - x) * prev_shift) / (order - 1)
+    args = [x]
+    for _ in range(order - 1):
+        args.append(args[-1] - 1)
+    level = [((t >= 0) & (t < 1)).astype(float) for t in args]
+    for k in range(2, order + 1):
+        level = [(t * prev + (k - t) * shift) / (k - 1)
+                 for t, prev, shift in zip(args, level, level[1:])]
+    return level[0]
 
 
 def fat_cantor_intervals(depth: int) -> list[tuple[Fraction, Fraction]]:

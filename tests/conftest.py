@@ -49,3 +49,30 @@ def shifted_window(spec, grid, shift):
 COPIERS = pytest.mark.parametrize(
     "duplicate", [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
     ids=["copy", "deepcopy", "pickle"])
+
+
+def same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got.view(np.uint8), want.view(np.uint8)))
+
+
+def scan_box(values):
+    """The box of slices a full-grid argwhere scan finds around the nonzero samples."""
+    nz = np.argwhere(values != 0)
+    if not len(nz):
+        return (slice(0, 0),) * values.ndim
+    return tuple(slice(int(lo), int(hi) + 1) for lo, hi in zip(nz.min(axis=0), nz.max(axis=0)))
+
+
+def assert_one_rule(f, want=None):
+    """f.box is the smallest box that holds every nonzero sample and every
+    sample off it is +0; on the box, f has the bits of want, the full-grid
+    array its arithmetic gives, which holds only zeros off the box."""
+    values = f.values
+    assert f.box == scan_box(values)
+    off = np.ones(values.shape, dtype=bool)
+    off[f.box] = False
+    assert not np.signbit(values.view(float).reshape(values.shape + (2,))[off]).any()
+    if want is not None:
+        assert same_bits(f.data, want[f.box])
+        assert not want[off].any()

@@ -114,6 +114,17 @@ class TestSupportBoxMemory:
         peak, values = traced_peak(lambda: out.values)
         assert peak >= self.FULL_GRID_BYTES and values.shape == self.GRID.shape
 
+    @pytest.mark.parametrize("p", [2, math.inf])
+    def test_box_folds_build_no_full_grid_array(self, p):
+        g = sample_window(WindowSpec.gaussian(0.5, 1.0), self.GRID)
+        f = sample_window(WindowSpec.bspline(2), self.GRID)
+        # a = h would fold the diagonal member on the full grid, in _fold_overlap
+        for fn, args in ((sum_translates, (g, 0.5)), (riemann_uniformity, (f, [0.5, 1 / 32])),
+                         (diagonal_decay_sweep, (f, p, [0.5, 0.25], g))):
+            peak, _ = traced_peak(fn, *args)
+            assert peak < self.FULL_GRID_BYTES, fn.__name__
+        assert not hasattr(g, "_values") and not hasattr(f, "_values")
+
 
 class TestConvergenceSweep:
     def test_identity_regime_all_zero(self):

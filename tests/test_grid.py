@@ -21,7 +21,7 @@ from gabframes import (
 )
 from gabframes import grid as grid_module, walnut
 from gabframes.grid import fold_to_cell, support_index_bounds
-from conftest import COPIERS, random_interior
+from conftest import COPIERS, assert_one_rule, random_interior, same_bits
 
 
 class TestGrid:
@@ -91,17 +91,17 @@ class TestGridFunction:
             f.values[1] = 0.0
 
     def test_support_bounds_computed_once(self, grid):
+        # the bounds are read off the box the constructor's one scan found
         f = random_interior(grid, seed=3)
-        first = support_index_bounds(f)
         nz = np.nonzero(f.values)[0]
-        assert first == ((nz[0], nz[-1]),)
-        assert support_index_bounds(f) is first
+        assert support_index_bounds(f) == ((nz[0], nz[-1]),)
+        assert f.box == (slice(nz[0], nz[-1] + 1),)
         z = GridFunction(grid, np.zeros(grid.shape))
-        assert support_index_bounds(z) is None and support_index_bounds(z) is None
+        assert support_index_bounds(z) is None and z.box == (slice(0, 0),)
 
     def test_rejects_attribute_assignment(self, chi):
         support_index_bounds(chi)
-        for name in ("values", "grid", "_support", "other"):
+        for name in ("values", "grid", "box", "data", "other"):
             with pytest.raises(AttributeError):
                 setattr(chi, name, None)
 
@@ -129,30 +129,33 @@ class TestCopyAndPickle:
             twin.values = None
 
     def test_signed_zero_off_the_box(self, duplicate, interior_f):
+        # the box and its samples, -0 parts included, travel; off it is +0
         f = -1j * interior_f
-        assert duplicate(f).values.tobytes() == f.values.tobytes()
+        assert_one_rule(duplicate(f), f.values)
 
 
 def test_rebuild_rejects_a_box_off_the_grid(interior_f):
-    _, (grid, box, data, zero) = interior_f.__reduce__()
+    _, (grid, box, data) = interior_f.__reduce__()
     moved = tuple(slice(sl.start + grid.samples_per_axis, sl.stop + grid.samples_per_axis)
                   for sl in box)
     with pytest.raises(ValueError):
-        grid_module._rebuild(grid, moved, data, zero)
+        grid_module._rebuild(grid, moved, data)
 
 
-def test_which_operations_keep_a_signed_zero_off_the_box(interior_f):
-    f = -1j * interior_f  # -0 imaginary parts wherever interior_f is 0
+def test_no_operation_keeps_a_signed_zero_off_the_box(interior_f):
+    f = -1j * interior_f
     grid = f.grid
+    zeros = np.zeros(grid.dim)
+    loose = np.full(grid.shape, complex(-0.0, -0.0))
+    loose[f.box] = f.data
+    full = -1j * interior_f.values
     off = np.ones(grid.shape, dtype=bool)
     off[f.box] = False
-    assert off.any() and np.signbit(f.values.imag[off]).all()
-    assert np.signbit((-f).values.real[off]).all()
-    for plus_zero in (GridFunction(grid, f.values), translate(f, np.zeros(grid.dim)),
-                      modulate(f, np.zeros(grid.dim))):
-        rest = np.ones(grid.shape, dtype=bool)
-        rest[plus_zero.box] = False
-        assert not np.signbit(plus_zero.values.view(float)[rest.repeat(2, axis=-1)]).any()
+    assert off.any() and np.signbit(full.imag[off]).all()  # -0 parts on the full grid
+    for got, want in ((f, full), (-f, -f.values), (f - f, f.values - f.values),
+                      (GridFunction(grid, loose), loose), (translate(f, zeros), f.values),
+                      (modulate(f, zeros), f.values)):
+        assert_one_rule(got, want)
 
 
 def full_scan(values):
@@ -169,12 +172,14 @@ WINDOWS = [WindowSpec.indicator_cube(1.0), WindowSpec.indicator_cube(9.0),
 
 
 class TestSupportKnownAtConstruction:
-    """Results built on a hull cache exact bounds, equal to a full-grid scan."""
+    """Every result is kept on its support box, the box a full-grid scan finds,
+    and support_index_bounds reads its first and last indices as ints."""
 
-    def assert_known(self, f):
-        assert f._support == full_scan(f.values)
-        assert f._support is None or all(isinstance(v, int) for axis in f._support
-                                         for v in axis)
+    def assert_known(self, f, want=None):
+        assert_one_rule(f, want)
+        bounds = support_index_bounds(f)
+        assert bounds == full_scan(f.values)
+        assert bounds is None or all(type(v) is int for axis in bounds for v in axis)
 
     @pytest.mark.parametrize("spec,dim,half_extent", [
         (spec, dim, half_extent) for spec in WINDOWS
@@ -183,12 +188,17 @@ class TestSupportKnownAtConstruction:
         ids=lambda v: "-".join(map(str, v.to_json().values()))
         if isinstance(v, WindowSpec) else None)
     def test_sample_window(self, spec, dim, half_extent):
-        self.assert_known(sample_window(spec, Grid(half_extent, 1 / 16, dim=dim)))
+        # the window is the product of the axis profile over the axes
+        axis = sample_window(spec, Grid(half_extent, 1 / 16)).values.real
+        want = axis if dim == 1 else np.multiply.outer(axis, axis)
+        self.assert_known(sample_window(spec, Grid(half_extent, 1 / 16, dim=dim)),
+                          want.astype(complex))
 
     def test_window_off_the_grid(self):
         # the hat on [0, 2) vanishes at the only samples x = -1, 0
         f = sample_window(WindowSpec.bspline(2), Grid(1.0, 1.0, dim=2))
-        assert f._support is None and not f.values.any()
+        self.assert_known(f)
+        assert support_index_bounds(f) is None and f.box == (slice(0, 0),) * 2
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_translate_add_sub(self, dim):
@@ -203,7 +213,7 @@ class TestSupportKnownAtConstruction:
                 self.assert_known(h)
         # opposite samples cancel to zero inside the hull
         self.assert_known(f - f)
-        assert (f - f)._support is None
+        assert support_index_bounds(f - f) is None
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_walnut_apply(self, dim):
@@ -328,6 +338,12 @@ class TestFoldToCell:
         want = add_at_fold(v, cell, origin)
         assert got.shape == (cell,) * dim
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_box_folds_to_a_zero_cell(self, dim):
+        # the box of the zero function holds no samples on any axis
+        got = fold_to_cell(np.zeros((0,) * dim, dtype=complex), 4, 3)
+        assert same_bits(got, np.zeros((4,) * dim, dtype=complex))
 
     def test_walnut_reexports_the_grid_kernel(self):
         assert walnut.fold_to_cell is grid_module.fold_to_cell

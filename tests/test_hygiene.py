@@ -33,6 +33,12 @@ The dead-local rule: no function in ``src/gabframes`` or ``tests/`` binds a
 local name with a single-name ``=`` and never loads it.  Loads in nested
 functions count as uses; a nested function's own assignments are checked
 with it, and names declared ``global`` or ``nonlocal`` are not locals.
+
+The full-grid rule: a function in ``src/gabframes`` reads the ``.values``
+attribute, which builds and caches a function's full-grid array, only when
+it is on an allow-list: the CSV writer, which writes every sample, the
+direct form, the plain oracle, and the selftest.  Everything else works on
+support boxes.  A ``.values()`` call is not such a read.
 """
 import ast
 import functools
@@ -306,3 +312,48 @@ def test_no_dead_locals(path):
 ])
 def test_dead_local_checker_itself(source, dead):
     assert dead_locals(source) == dead
+
+
+def values_reads(source: str) -> list[str]:
+    """Dotted names of the functions (``<module>`` for the top level) that
+    load the ``.values`` attribute other than to call it."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    reads = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif (isinstance(child, ast.Attribute) and child.attr == "values"
+                  and isinstance(child.ctx, ast.Load) and id(child) not in called):
+                reads.add(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(tree, [])
+    return sorted(reads)
+
+
+# module.function names allowed to read the full-grid values
+VALUES_READERS = {"grid.write_csv", "operators.apply_frame_direct", "cli._cmd_selftest"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"src/{p.name}")
+def test_full_grid_values_read_only_where_allowed(path):
+    reads = {f"{path.stem}.{name}" for name in values_reads(path.read_text())}
+    assert sorted(reads - VALUES_READERS) == []
+
+
+@pytest.mark.parametrize("source,reads", [
+    ("def f(u):\n    return u.values\n", ["f"]),
+    ("def f(table):\n    return sorted(table.values())\n", []),
+    ("def f(u):\n    return u.values.sum()\n", ["f"]),
+    ("class C:\n    def m(self):\n        return self.values[0]\n", ["C.m"]),
+    ("def f(u):\n    def g():\n        return u.values\n    return g\n", ["f.g"]),
+    ("class C:\n    @property\n    def values(self):\n        return self._values\n", []),
+    ("def f(u):\n    u.values = None\n", []),
+    ("x = u.values\n", ["<module>"]),
+])
+def test_values_checker_itself(source, reads):
+    assert values_reads(source) == reads

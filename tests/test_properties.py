@@ -7,7 +7,10 @@ The properties: A <= <S f, f> / <f, f> <= B for the exact frame bounds, the
 measured Janssen truncation error never exceeds its certificate, and every
 operation on support boxes equals its full-grid definition.
 """
+import copy
 import math
+import pickle
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,21 +20,26 @@ from gabframes import (
     Grid,
     GridFunction,
     WindowSpec,
+    apply_diagonal_defect,
+    apply_remainder,
     correlation_family,
     cube_norms,
+    diagonal_correlation,
     frame_bounds,
     inner_product,
     janssen_apply,
     janssen_coefficients,
     l2_norm,
+    modulate,
     periodic_extension,
     sample_window,
     translate,
     walnut_apply,
 )
+from gabframes import grid as grid_module, janssen
 from gabframes.grid import shift_array
+from conftest import assert_one_rule, same_bits
 from test_amalgam import full_grid_cube_norms
-from test_walnut import same_bits
 
 CASES = 20
 
@@ -84,12 +92,13 @@ def test_janssen_error_within_certificate(seed):
         assert ratio <= lat.truncation_bound + 1e-13, p
 
 
-def random_box_function(rng, grid):
-    """Random complex samples on a random box, zero elsewhere.
+def random_box_values(rng, grid):
+    """Random complex samples on a random box, -0 elsewhere.
 
     Per axis the box touches the low or the high end, holds one sample,
     covers the axis or lies inside; one case in ten is the zero function.
-    Built by the public constructor, so every sample off the box reads +0.
+    About one sample in five on the box is a zero of either sign, so the
+    support box can be smaller than the box.
     """
     n = grid.samples_per_axis
     box = []
@@ -98,41 +107,58 @@ def random_box_function(rng, grid):
         kind = rng.integers(5)
         lo, hi = [(0, hi), (lo, n - 1), (lo, lo), (0, n - 1), (lo, hi)][kind]
         box.append(slice(lo, hi + 1))
-    values = np.zeros(grid.shape, dtype=complex)
+    values = np.full(grid.shape, complex(-0.0, -0.0))
     if rng.random() >= 0.1:
         shape = values[tuple(box)].shape
-        values[tuple(box)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return GridFunction(grid, values)
+        on = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values[tuple(box)] = on * (rng.random(shape) >= 0.2)
+    return values
 
 
-def full_grid_walnut(f, sys):
-    """The Walnut sum of every member over the whole grid, scaled by the system's pairing."""
+def full_grid_walnut(f, sys, cells):
+    """The Walnut sum of cells over the whole grid, in sorted n order."""
     grid = sys.grid
     acc = np.zeros(grid.shape, dtype=complex)
-    for n, cell in sorted(correlation_family(sys).items()):
+    for n, cell in sorted(cells.items()):
         acc += periodic_extension(cell, grid) * shift_array(f.values, np.array(n) * sys.inv_b_steps)
-    return sys.a ** grid.dim / sys.pairing * acc
+    return acc
 
 
 @pytest.mark.parametrize("seed", range(2 * CASES))
 def test_box_operations_match_full_grid_definitions(seed):
-    grid, g, gamma, a, b, _, _ = random_case(seed % CASES)
+    grid, g, gamma, a, b, _, (ell_radius, n_radius) = random_case(seed % CASES)
     rng = np.random.default_rng(1000 + seed)
-    f0, u = random_box_function(rng, grid), random_box_function(rng, grid)
+    f_values, u_values = random_box_values(rng, grid), random_box_values(rng, grid)
+    f0, u = GridFunction(grid, f_values), GridFunction(grid, u_values)
     c = complex(*rng.standard_normal(2))
-    # negatives and complex multiples carry the signed zero their full-grid
-    # arithmetic leaves off the box, which every operation but translate keeps
+    # negatives and complex multiples hold -0 parts on their boxes
     f = [f0, -f0, complex(*rng.standard_normal(2)) * f0][rng.integers(3)]
     steps = rng.integers(-grid.samples_per_axis, grid.samples_per_axis + 1, grid.dim)
+    omega = rng.uniform(-4.0, 4.0, grid.dim)
     sys = GaborSystem(g, gamma, a, b)
+    lat = janssen_coefficients(sys, ell_radius, n_radius)
     # results first, so each is computed before the full grids exist
-    results = [f + u, f - u, c * f, -f, translate(f0, steps * grid.spacing), walnut_apply(f, sys)]
+    results = [f0, f + u, f - u, f - f, c * f, -2.5 * f, -f, translate(f0, steps * grid.spacing),
+               modulate(f, omega), walnut_apply(f, sys), apply_remainder(f, sys),
+               apply_diagonal_defect(f, sys), janssen_apply(f, lat),
+               pickle.loads(pickle.dumps(f)), copy.deepcopy(f)]
     norms = {p: cube_norms(f, p) for p in (1, 2, 3, math.inf)}
     pairing, norm = inner_product(f, u), l2_norm(f)
-    wants = [f.values + u.values, f.values - u.values, f.values * c, -f.values,
-             shift_array(f0.values, steps), full_grid_walnut(f, sys)]
-    for got, want in zip(results, wants):
-        assert same_bits(got.values, want)
+    scale = sys.a ** grid.dim / sys.pairing
+    zero = (0,) * grid.dim
+    members = correlation_family(sys)
+    off_diagonal = {n: cell for n, cell in members.items() if n != zero}
+    columns = {n: janssen._column_cell(lat, n, sys.a_steps)
+               for n in product(range(-n_radius, n_radius + 1), repeat=grid.dim)}
+    whole = (slice(0, grid.samples_per_axis),) * grid.dim
+    wants = [f_values, f.values + u.values, f.values - u.values, f.values - f.values,
+             f.values * c, f.values * complex(-2.5), -f.values, shift_array(f0.values, steps),
+             f.values * grid_module._phase(grid, omega, whole),
+             scale * full_grid_walnut(f, sys, members), scale * full_grid_walnut(f, sys, off_diagonal),
+             (periodic_extension(diagonal_correlation(sys), grid) - 1.0) * f.values,
+             full_grid_walnut(f, sys, columns) / sys.pairing, f.values, f.values]
+    for got, want in zip(results, wants, strict=True):
+        assert_one_rule(got, want)
     for p, got in norms.items():
         assert same_bits(got, full_grid_cube_norms(f, p)), p
     # a sum over the box meets the same terms in another order: the last bits may differ

@@ -32,7 +32,7 @@ from gabframes import (
 )
 from gabframes.grid import _cell_spectrum, _fold_overlap, fold_to_cell, shift_array
 from gabframes.walnut import correlation_member_range, diagonal_deviation
-from conftest import random_interior
+from conftest import assert_one_rule, random_interior, same_bits
 
 PQ_SET = [(1, 1), (2, 2), (1, 2), (2, math.inf)]
 
@@ -216,11 +216,6 @@ class TestDecomposition:
                     ts.tail / abs(sys.pairing) * amalgam_norm(f, pq) * (1 + 1e-9) + 1e-15)
 
 
-def same_bits(got, want):
-    return (got.shape == want.shape and got.dtype == want.dtype
-            and np.array_equal(got.view(np.uint8), want.view(np.uint8)))
-
-
 def box_window(grid, lo, hi, seed):
     """Random complex samples on the index box lo <= i <= hi, zero elsewhere."""
     rng = np.random.default_rng(seed)
@@ -317,7 +312,7 @@ class TestBoxKernels:
             shifted = shift_array(f.values, np.array(n) * sys.inv_b_steps)
             acc += periodic_extension(family[n], grid) * shifted
         want = sys.a ** grid.dim / sys.pairing * acc
-        assert same_bits(walnut_apply(f, sys).values, want)
+        assert_one_rule(walnut_apply(f, sys), want)
 
 
 class TestMemberCache:

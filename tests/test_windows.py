@@ -13,6 +13,7 @@ from gabframes import (
     wiener_norm,
     window_library,
 )
+from gabframes.windows import bspline_profile
 
 
 class TestWindowSpec:
@@ -68,6 +69,27 @@ class TestBspline:
             f = sample_window(WindowSpec.bspline(order), grid)
             mass = grid.cell_measure * f.values.real.sum()
             assert mass == pytest.approx(1.0, abs=2e-2)
+
+    @pytest.mark.parametrize("spacing", [1 / 32, 1 / 7])
+    def test_profile_has_the_bits_of_the_recursion(self, spacing):
+        x = Grid(4.0, spacing).axis_coords()
+        for order in range(1, 13):
+            assert bspline_profile(order, x).tobytes() == recursive_bspline(order, x).tobytes()
+
+    def test_high_order_returns(self):
+        # the recursion makes 2^39 calls at order 40
+        x = Grid(4.0, 1 / 32).axis_coords()
+        vals = bspline_profile(40, x)
+        assert vals.shape == x.shape and np.isfinite(vals).all() and (vals >= 0).all()
+
+
+def recursive_bspline(order, x):
+    """The cardinal B-spline by its recursive definition, the oracle."""
+    if order == 1:
+        return ((x >= 0) & (x < 1)).astype(float)
+    prev = recursive_bspline(order - 1, x)
+    prev_shift = recursive_bspline(order - 1, x - 1)
+    return (x * prev + (order - x) * prev_shift) / (order - 1)
 
 
 class TestGaussian:
