@@ -8,8 +8,11 @@ write a machine-readable JSON object to stderr.  Outputs are deterministic
 for a fixed config and seed; timestamps and per-pair sweep timings live in a
 sidecar .meta.json next to --out files, never in the data itself.
 
-Each subcommand imports the library modules it runs inside its handler, so
-a command loads only what it uses.
+Each subcommand imports numpy and the library modules it runs inside its
+handler, after the config checks that need neither, so a command loads only
+what it uses: --version, --help, usage errors and config-shape errors (an
+unreadable file, bad JSON, a wrong schema, an unknown or missing key) load
+no numpy.
 """
 from __future__ import annotations
 
@@ -19,8 +22,6 @@ import json
 import sys
 import time
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import __version__
 from .errors import ConfigError
@@ -88,13 +89,13 @@ def _shift_from(cfg: dict, dim: int) -> tuple[float, ...] | None:
     shift = cfg.get("f_shift")
     if shift is None:
         return None
-    return _typed("f_shift", lambda s: tuple(map(float, [s] * dim if np.isscalar(s) else s)),
+    # a JSON scalar is a str, an int (bool included) or a float
+    scalar = (str, int, float)
+    return _typed("f_shift", lambda s: tuple(map(float, [s] * dim if isinstance(s, scalar) else s)),
                   shift)
 
 
-def _grid_from(cfg: dict) -> Grid:
-    from .grid import Grid
-
+def _require_grid(cfg: dict) -> dict:
     g = cfg.get("grid")
     if not isinstance(g, dict):
         raise ConfigError("config needs a \"grid\" object with half_extent and spacing")
@@ -102,32 +103,55 @@ def _grid_from(cfg: dict) -> Grid:
     for key in ("half_extent", "spacing"):
         if key not in g:
             raise ConfigError(f"grid config is missing {key!r}")
+    return g
+
+
+def _require_window(cfg: dict, key: str) -> None:
+    if key not in cfg:
+        raise ConfigError(f"config is missing the {key!r} window spec")
+
+
+def _grid_from(cfg: dict) -> Grid:
+    g = _require_grid(cfg)
+    from .grid import Grid
+
     return Grid(_typed("half_extent", float, g["half_extent"]),
                 _typed("spacing", float, g["spacing"]), _typed("dim", int, g.get("dim", 1)))
 
 
 def _window_from(cfg: dict, key: str) -> WindowSpec:
+    _require_window(cfg, key)
     from .windows import WindowSpec
 
-    if key not in cfg:
-        raise ConfigError(f"config is missing the {key!r} window spec")
     try:
         return WindowSpec.from_json(cfg[key])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad {key!r} window spec: {exc}") from exc
 
 
-def _system_from(cfg: dict) -> GaborSystem:
-    from .operators import GaborSystem
-    from .windows import sample_window
-
+def _system_config(path: str, with_f: bool = False) -> dict:
+    """Read a system config and check its shape, loading no library module."""
+    cfg = _load_json(path)
+    _require_schema(cfg, path)
     _require_keys(cfg, _SYSTEM_KEYS, "system config")
-    grid = _grid_from(cfg)
-    g = sample_window(_window_from(cfg, "g"), grid)
-    gamma = sample_window(_window_from(cfg, "gamma"), grid) if "gamma" in cfg else g
+    _require_grid(cfg)
+    _require_window(cfg, "g")
     for key in ("a", "b"):
         if key not in cfg:
             raise ConfigError(f"config is missing lattice parameter {key!r}")
+    if with_f:
+        _require_window(cfg, "f")
+    return cfg
+
+
+def _system_from(cfg: dict) -> GaborSystem:
+    # cfg has passed _system_config
+    from .operators import GaborSystem
+    from .windows import sample_window
+
+    grid = _grid_from(cfg)
+    g = sample_window(_window_from(cfg, "g"), grid)
+    gamma = sample_window(_window_from(cfg, "gamma"), grid) if "gamma" in cfg else g
     return GaborSystem(g, gamma, _typed("a", float, cfg["a"]), _typed("b", float, cfg["b"]))
 
 
@@ -158,11 +182,12 @@ def _emit(text: str, out_path: str | None, meta: dict | None = None) -> None:
 
 
 def _cmd_norm(args) -> int:
+    window = _load_json(args.window)
     from .amalgam import ExponentPair, amalgam_norm
     from .grid import Grid
     from .windows import sample_window
 
-    spec = _window_from({"window": _load_json(args.window)}, "window")
+    spec = _window_from({"window": window}, "window")
     grid = Grid(args.half_extent, args.spacing, args.dim)
     f = sample_window(spec, grid)
     value = amalgam_norm(f, ExponentPair.of(args.p, args.q))
@@ -171,11 +196,12 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_stft(args) -> int:
+    cfg = _system_config(args.config, with_f=True)
+    import numpy as np
+
     from .grid import _write_table
     from .operators import gabor_coefficients
 
-    cfg = _load_json(args.config)
-    _require_schema(cfg, args.config)
     sys_ = _system_from(cfg)
     f = _f_from(cfg, sys_.grid)
     lat = gabor_coefficients(f, sys_)
@@ -193,10 +219,9 @@ def _cmd_stft(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    cfg = _system_config(args.config, with_f=True)
     from .grid import write_csv
 
-    cfg = _load_json(args.config)
-    _require_schema(cfg, args.config)
     sys_ = _system_from(cfg)
     f = _f_from(cfg, sys_.grid)
     if args.method == "direct":
@@ -216,10 +241,9 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    cfg = _system_config(args.config)
     from .walnut import diagonal_deviation, operator_norm_upper_bound, tail_sum
 
-    cfg = _load_json(args.config)
-    _require_schema(cfg, args.config)
     sys_ = _system_from(cfg)
     ts = tail_sum(sys_)
     payload = {
@@ -254,19 +278,21 @@ def _sweep_csv(report) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    from .amalgam import Exponent, ExponentPair
-    from .experiments import SweepSchedule, convergence_sweep, opnorm_sweep
-
     cfg = _load_json(args.config)
     _require_schema(cfg, args.config)
     _require_keys(cfg, _SWEEP_KEYS, "sweep config")
-    grid = _grid_from(cfg)
+    _require_grid(cfg)
     kind = cfg.get("kind", "convergence")
     if kind not in ("convergence", "opnorm"):
         raise ConfigError(f"sweep kind must be 'convergence' or 'opnorm', got {kind!r}")
     pairs = cfg.get("pairs")
     if not isinstance(pairs, list):
         raise ConfigError("sweep config needs a \"pairs\" list of [a, b]")
+    _require_window(cfg, "g")
+    from .amalgam import Exponent, ExponentPair
+    from .experiments import SweepSchedule, convergence_sweep, opnorm_sweep
+
+    grid = _grid_from(cfg)
     f_spec = _window_from(cfg, "f") if "f" in cfg else None
     schedule = SweepSchedule(
         grid=grid,
@@ -295,10 +321,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_wexler_raz(args) -> int:
+    cfg = _system_config(args.system)
     from .janssen import wexler_raz_check
 
-    cfg = _load_json(args.system)
-    _require_schema(cfg, args.system)
     sys_ = _system_from(cfg)
     res = wexler_raz_check(sys_, args.L, args.N, args.tol)
     payload = {
@@ -311,12 +336,12 @@ def _cmd_wexler_raz(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    from .experiments import counterexample_run
-    from .grid import _write_table
-
     depths = [int(tok) for tok in args.depths.split(",") if tok.strip()]
     if not depths:
         raise ConfigError("--depths must list at least one depth, e.g. 1,2,3")
+    from .experiments import counterexample_run
+    from .grid import _write_table
+
     report = counterexample_run(depths, q=args.q, threads=args.threads)
     cols = ["depth", "spacing", "witness_a", "witness_norm", "contrast_a", "contrast_norm"]
     buf = io.StringIO()
@@ -330,6 +355,8 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    import numpy as np
+
     from .grid import Grid, GridFunction, l2_norm
     from .janssen import wexler_raz_check
     from .operators import GaborSystem

@@ -34,7 +34,8 @@ class UnsupportedDimensionError(ValueError):
 
 class ResolutionError(ValueError):
     """The grid is too coarse to resolve the requested construction, or so
-    fine that the construction cannot fit in physical memory."""
+    fine that the construction cannot fit in physical memory, or a window
+    samples to zero on every point of it."""
 
 
 class ConfigError(ValueError):

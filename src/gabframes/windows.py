@@ -11,13 +11,16 @@ Every family samples to a function with finite Wiener norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError
+from .errors import ResolutionError, UnsupportedDimensionError
 from .grid import Grid, GridFunction
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "WindowSpec",
@@ -131,6 +134,8 @@ def fat_cantor_intervals(depth: int) -> list[tuple[Fraction, Fraction]]:
     At step j each of the 2^(j-1) pieces loses its open middle interval of
     length 4^(-j).  Endpoints are exact rationals.
     """
+    from fractions import Fraction
+
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth!r}")
     pieces = [(Fraction(0), Fraction(1))]
@@ -147,6 +152,8 @@ def fat_cantor_intervals(depth: int) -> list[tuple[Fraction, Fraction]]:
 
 def fat_cantor_measure(depth: int) -> Fraction:
     """Exact Lebesgue measure 1 - (1/2)(1 - 2^-k) of the depth-k set."""
+    from fractions import Fraction
+
     return 1 - Fraction(1, 2) * (1 - Fraction(1, 2**depth))
 
 
@@ -173,8 +180,8 @@ def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
     Every family is a product of one axis profile over the axes; the product
     is formed only on the box where the profile is nonzero, which is also the
     function's support box, and no full-grid array is allocated.  fat_cantor
-    requires dim = 1
-    (UnsupportedDimensionError otherwise).
+    requires dim = 1 (UnsupportedDimensionError otherwise), and a window whose
+    samples are all zero on the grid raises ResolutionError.
     """
     x = grid.axis_coords()
     if spec.family == "fat_cantor":
@@ -188,7 +195,9 @@ def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
     else:  # gaussian, truncated to the box |x_j| <= radius
         axis = np.where(np.abs(x) <= spec.radius, np.exp(-np.pi * x**2 / spec.sigma**2), 0.0)
     nz = np.flatnonzero(axis)
-    box = (slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0),) * grid.dim
+    if not nz.size:
+        raise ResolutionError(f"window {spec.to_json()} samples to zero everywhere on {grid!r}")
+    box = (slice(nz[0], nz[-1] + 1),) * grid.dim
     vals = np.ones((), dtype=float)
     for ax in range(grid.dim):
         shape = [1] * grid.dim

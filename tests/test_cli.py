@@ -12,7 +12,8 @@ from gabframes import (
     sample_window,
     translate,
 )
-from gabframes.cli import main
+from gabframes.cli import _shift_from, main
+from gabframes.errors import ConfigError
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +73,15 @@ class TestNorm:
         code, _, err = run_cli(capsys, "norm", "--window", str(tmp_path / "absent.json"))
         assert code == 1
         assert "error" in json.loads(err)
+
+    def test_window_that_samples_to_zero(self, capsys, tmp_path):
+        # B_241 underflows to +0 on the whole default grid; the norm used to print 0.0
+        spec = write_json(tmp_path / "w.json", {"family": "bspline", "order": 241})
+        code, out, err = run_cli(capsys, "norm", "--window", spec)
+        assert code == 1 and out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "ResolutionError"
+        assert "'order': 241}" in obj["message"] and "spacing=1/32" in obj["message"]
 
 
 class TestApply:
@@ -543,6 +553,33 @@ class TestConfigValidation:
             assert code == 0, err
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1] != csvs[2]
+
+
+@pytest.mark.parametrize("shift,dim,want", [
+    (0.5, 2, (0.5, 0.5)),
+    (2, 1, (2.0,)),
+    ([1, -0.5], 2, (1.0, -0.5)),
+    (True, 2, (1.0, 1.0)),
+    ("1.5", 2, (1.5, 1.5)),
+    ({"1": 0}, 2, (1.0,)),
+    ({}, 1, ()),
+    (None, 1, None),
+], ids=["float", "int", "list", "bool", "string", "dict", "empty-dict", "absent"])
+def test_f_shift_parsing(shift, dim, want):
+    # a JSON scalar repeats over the axes; any other value is iterated (a
+    # dict by its keys); the axis count is checked later, by translate
+    assert _shift_from({} if shift is None else {"f_shift": shift}, dim) == want
+
+
+@pytest.mark.parametrize("shift,message", [
+    ("abc", "bad value 'abc': could not convert string to float: 'abc'"),
+    ({"x": 1}, "bad value {'x': 1}: could not convert string to float: 'x'"),
+    ([[1]], "bad value [[1]]: float() argument must be"),
+], ids=["string", "dict", "nested-list"])
+def test_bad_f_shift_names_its_key(shift, message):
+    with pytest.raises(ConfigError) as info:
+        _shift_from({"f_shift": shift}, 2)
+    assert str(info.value).startswith(f"config key 'f_shift' has a {message}")
 
 
 def test_sweep_bound_failure_exits_two(capsys, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from gabframes import (
     Grid,
     GridFunction,
     GridMismatchError,
+    ResolutionError,
     WindowSpec,
     inner_product,
     l2_norm,
@@ -195,10 +196,10 @@ class TestSupportKnownAtConstruction:
                           want.astype(complex))
 
     def test_window_off_the_grid(self):
-        # the hat on [0, 2) vanishes at the only samples x = -1, 0
-        f = sample_window(WindowSpec.bspline(2), Grid(1.0, 1.0, dim=2))
-        self.assert_known(f)
-        assert support_index_bounds(f) is None and f.box == (slice(0, 0),) * 2
+        # the hat on [0, 2) vanishes at the only samples x = -1, 0, so it is
+        # refused; test_translate_add_sub checks the zero function's box via f - f
+        with pytest.raises(ResolutionError, match=r"'order': 2\}.*spacing=1/1, dim=2"):
+            sample_window(WindowSpec.bspline(2), Grid(1.0, 1.0, dim=2))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_translate_add_sub(self, dim):

@@ -39,9 +39,15 @@ attribute, which builds and caches a function's full-grid array, only when
 it is on an allow-list: the CSV writer, which writes every sample, the
 direct form, the plain oracle, and the selftest.  Everything else works on
 support boxes.  A ``.values()`` call is not such a read.
+
+The front-end rule: the CLI's module-level imports are the stdlib,
+``.errors`` and ``__version__`` only, so ``--version``, ``--help`` and
+config errors load no numpy; the handlers import the rest.  The
+``if TYPE_CHECKING:`` block is exempt, since it never runs.
 """
 import ast
 import functools
+import sys
 from pathlib import Path
 
 import pytest
@@ -357,3 +363,53 @@ def test_full_grid_values_read_only_where_allowed(path):
 ])
 def test_values_checker_itself(source, reads):
     assert values_reads(source) == reads
+
+
+def front_end_imports(source: str) -> list[str]:
+    """Modules imported when the module loads, other than the stdlib, ``.errors``
+    and ``__version__``.  Function bodies and ``if TYPE_CHECKING:`` are not entered."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop(0)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] not in sys.stdlib_module_names:
+                found.append(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            found += ["." * node.level + a.name for a in node.names
+                      if a.name not in ("__version__", "errors")]
+        elif isinstance(node, ast.ImportFrom) and node.module != "errors":
+            found.append("." * node.level + node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_cli_front_end_imports_no_library():
+    assert front_end_imports((ROOT / "src" / "gabframes" / "cli.py").read_text()) == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("from __future__ import annotations\nimport os.path\nimport json\n"
+     "from . import __version__\nfrom .errors import ConfigError\n", []),
+    ("import numpy as np\n", ["numpy"]),
+    ("from numpy import pi\n", ["numpy"]),
+    ("from .grid import Grid\n", [".grid"]),
+    ("from . import __version__, errors, walnut\n", [".walnut"]),
+    ("from .errors.sub import X\n", [".errors.sub"]),
+    ("if TYPE_CHECKING:\n    from .grid import Grid\n", []),
+    ("if TYPE_CHECKING:\n    pass\nelse:\n    import numpy\n", ["numpy"]),
+    ("try:\n    import numpy\nexcept ImportError:\n    pass\n", ["numpy"]),
+    ("class C:\n    from .grid import Grid\n", [".grid"]),
+    ("def f():\n    import numpy\n    from .grid import Grid\n", []),
+])
+def test_front_end_checker_itself(source, found):
+    assert front_end_imports(source) == found

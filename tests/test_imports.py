@@ -1,5 +1,6 @@
 """The package namespace loads submodules on first use, and each CLI
-subcommand imports only the library modules it runs.
+subcommand imports only the library modules it runs; exits before any
+computation (--version, --help, usage and config-shape errors) load no numpy.
 
 The import sets are read in fresh interpreters, since this one has already
 loaded everything.
@@ -73,23 +74,33 @@ def test_unknown_name_is_an_attribute_error():
 # import sets in fresh interpreters
 
 _PROBE = """
-import json, sys
+import contextlib, io, json, sys
 from gabframes.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+codes, errs = [], []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        codes.append(main(argv))
+    errs.append(err.getvalue())
+print(json.dumps({"codes": codes, "stderr": errs, "modules": sorted(sys.modules)}))
 """
 
 
-def loaded_after(cwd, *argvs):
-    """Run argvs through ``main`` in one fresh interpreter; its modules at exit."""
+def probe(cwd, *argvs):
+    """Run argvs through ``main`` in one fresh interpreter: each command's exit
+    code and stderr, and the interpreter's modules at exit."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     run = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argvs)], cwd=cwd, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    report = json.loads(run.stdout.strip().splitlines()[-1])
-    assert report["codes"] == [0] * len(argvs), run.stderr
+    return json.loads(run.stdout.strip().splitlines()[-1])
+
+
+def loaded_after(cwd, *argvs):
+    """The modules loaded once argvs have all run and exited 0."""
+    report = probe(cwd, *argvs)
+    assert report["codes"] == [0] * len(argvs), report["stderr"]
     return set(report["modules"])
 
 
@@ -121,9 +132,57 @@ def configs(tmp_path_factory):
     return d, str(window), str(system), str(sweep)
 
 
+FRONT_END = {"gabframes", "gabframes.cli", "gabframes.errors"}
+
+
 def test_version_loads_only_the_cli(tmp_path):
-    assert library(loaded_after(tmp_path, ["--version"])) == {
-        "gabframes", "gabframes.cli", "gabframes.errors"}
+    loaded = loaded_after(tmp_path, ["--version"])
+    assert library(loaded) == FRONT_END
+    assert "numpy" not in loaded
+
+
+DESK = {
+    "schema": "v1",
+    "grid": {"half_extent": 4.0, "spacing": 1 / 32},
+    "g": {"family": "gaussian", "sigma": 1.0, "radius": 3.0},
+    "a": 0.5, "b": 0.5,
+}
+
+
+# argv, exit code, and the error type and message start of the JSON on stderr
+# (None: argparse's own output); file names are relative to the probe's cwd
+@pytest.mark.parametrize("argv,code,error", [
+    (["--help"], 0, None),
+    (["stft", "--help"], 0, None),
+    (["transform"], 1, None),
+    (["stft", "--config", "absent.json"], 1,
+     ("ConfigError", "cannot read config 'absent.json': [Errno 2]")),
+    (["bounds", "--config", "invalid.json"], 1,
+     ("ConfigError", "config 'invalid.json' is not valid JSON: ")),
+    (["apply", "--config", "schema.json"], 1,
+     ("ConfigError", "config 'schema.json' must declare \"schema\": \"v1\"")),
+    (["wexler-raz", "--system", "unknown-key.json"], 1,
+     ("ConfigError", "unknown system config key(s) ['gama']; expected some of")),
+    (["stft", "--config", "no-a.json"], 1,
+     ("ConfigError", "config is missing lattice parameter 'a'")),
+], ids=["help", "stft-help", "unknown-command", "missing-file", "invalid-json",
+        "wrong-schema", "unknown-key", "missing-a"])
+def test_front_end_exits_load_no_numpy(tmp_path, argv, code, error):
+    (tmp_path / "invalid.json").write_text("{\"schema\": ")
+    (tmp_path / "schema.json").write_text(json.dumps({**DESK, "schema": "v0"}))
+    (tmp_path / "unknown-key.json").write_text(json.dumps({**DESK, "gama": DESK["g"]}))
+    (tmp_path / "no-a.json").write_text(json.dumps({k: v for k, v in DESK.items() if k != "a"}))
+    report = probe(tmp_path, argv)
+    assert report["codes"] == [code], report["stderr"]
+    loaded = set(report["modules"])
+    assert library(loaded) == FRONT_END
+    assert "numpy" not in loaded
+    err = report["stderr"][0]
+    if error is None:
+        assert err == "" if code == 0 else err.startswith("usage: gabframes")
+    else:
+        obj = json.loads(err)
+        assert obj["error"] == error[0] and obj["message"].startswith(error[1]), obj
 
 
 def test_norm_skips_the_operator_modules(configs):

@@ -5,6 +5,7 @@ import pytest
 
 from gabframes import (
     Grid,
+    ResolutionError,
     UnsupportedDimensionError,
     WindowSpec,
     fat_cantor_intervals,
@@ -81,6 +82,13 @@ class TestBspline:
         x = Grid(4.0, 1 / 32).axis_coords()
         vals = bspline_profile(40, x)
         assert vals.shape == x.shape and np.isfinite(vals).all() and (vals >= 0).all()
+
+    def test_underflowed_window_is_refused(self):
+        # on [-4, 4) at h = 1/32, B_k underflows to +0 at every sample from k = 241 on
+        grid = Grid(4.0, 1 / 32)
+        assert sample_window(WindowSpec.bspline(240), grid).values.real.max() > 0
+        with pytest.raises(ResolutionError, match=r"'order': 241\}.*half_extent=4.0, spacing=1/32"):
+            sample_window(WindowSpec.bspline(241), grid)
 
 
 def recursive_bspline(order, x):
