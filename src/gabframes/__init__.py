@@ -51,7 +51,6 @@ _EXPORTS = {
     "write_csv": "grid",
     "JanssenLattice": "janssen",
     "WexlerRazResult": "janssen",
-    "fourier_reconstruct_correlation": "janssen",
     "janssen_apply": "janssen",
     "janssen_coefficients": "janssen",
     "wexler_raz_check": "janssen",
@@ -68,7 +67,6 @@ _EXPORTS = {
     "frame_bounds": "walnut",
     "operator_norm_upper_bound": "walnut",
     "periodic_extension": "walnut",
-    "reconstruct_integral": "walnut",
     "sum_translates": "walnut",
     "tail_sum": "walnut",
     "walnut_apply": "walnut",

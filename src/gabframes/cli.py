@@ -80,18 +80,24 @@ def _typed(key: str, convert, value):
     # convert one config value; a value of the wrong JSON type names its key
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
 
 
+def _number(value) -> float:
+    # a JSON number as a float; a bool is not one
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number or a list of numbers, not {type(value).__name__}")
+    return float(value)
+
+
 def _shift_from(cfg: dict, dim: int) -> tuple[float, ...] | None:
-    # f_shift as one float per axis; a scalar moves every axis
+    # f_shift as one float per axis: a list gives one per axis, a number
+    # moves every axis; the axis count is checked later, by translate
     shift = cfg.get("f_shift")
     if shift is None:
         return None
-    # a JSON scalar is a str, an int (bool included) or a float
-    scalar = (str, int, float)
-    return _typed("f_shift", lambda s: tuple(map(float, [s] * dim if isinstance(s, scalar) else s)),
+    return _typed("f_shift", lambda s: tuple(map(_number, s if isinstance(s, list) else [s] * dim)),
                   shift)
 
 

@@ -194,16 +194,16 @@ class GridFunction:
 
     @classmethod
     def _own(cls, grid: Grid, box, data: np.ndarray) -> "GridFunction":
-        """Wrap the samples on a box of grid slices without copying them.
+        """Wrap the samples on a box of grid slices, copying only when the box shrinks.
 
-        data is frozen in place, so it must be a fresh array or a view of
-        read-only samples.  The box shrinks to the support of data, found by
-        one scan of the box, and the result keeps a view of data on it.
+        The box shrinks to the support of data, found by one scan of the box.
+        When nothing is cut, data itself is kept and frozen in place, so it
+        must be a fresh array or a view of read-only samples; otherwise the
+        samples on the support box are copied, so the rest of data is freed.
         """
-        data.setflags(write=False)
         tight = _tight(data, box)
         f = object.__new__(cls)
-        f._set(grid, tight, data[_within(tight, box)])
+        f._set(grid, tight, data if tight == box else data[_within(tight, box)].copy())
         return f
 
     def _set(self, grid: Grid, box, data: np.ndarray) -> None:

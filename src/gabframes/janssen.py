@@ -12,8 +12,10 @@ Like every form of S, it divides by the system's pairing <gamma, g>.
 On the grid both directions are exact cell transforms with the alias period
 p = a/h: column n of the coefficients is h^d times the FFT of the folded
 correlation cell G[n] at bins l mod p, and the truncated l-sum of a column
-is one inverse FFT back onto the cell.  The Janssen form is therefore the
-Walnut loop run on l-filtered correlation cells.
+is one inverse FFT back onto the cell.  The truncated Janssen operator
+S_{L,N} is therefore the Walnut-form value of walnut, the one behind S, its
+remainder R and the frame-bound blocks, on l-filtered cells with scale
+1 / <gamma, g>.
 
 The expansion is a finite sum on the grid: n runs over the correlation
 members and l over one alias period.  So the truncation error of
@@ -28,15 +30,14 @@ from itertools import product
 
 import numpy as np
 
-from .grid import GridFunction, _require_grid, fold_to_cell
+from .grid import GridFunction, fold_to_cell
 from .operators import GaborSystem, correlation_family
-from .walnut import _walnut_sum
+from .walnut import _WalnutForm
 
 __all__ = [
     "JanssenLattice",
     "janssen_coefficients",
     "janssen_apply",
-    "fourier_reconstruct_correlation",
     "WexlerRazResult",
     "wexler_raz_check",
 ]
@@ -115,11 +116,17 @@ def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> Ja
     return JanssenLattice(entries, sys, ell_radius, n_radius, tail / abs(sys.pairing))
 
 
-def _column_cell(lattice: JanssenLattice, n: tuple[int, ...], p: int) -> np.ndarray:
-    # sum_l c[l, n] exp(2 pi i <l, j>/p) at the cell points j in [0, p)^d;
-    # the fold adds every aliased l into its bin l mod p
-    col = lattice.entries[(Ellipsis,) + tuple(v + lattice.n_radius for v in n)]
-    return p ** lattice.dim * np.fft.ifftn(fold_to_cell(col, p, lattice.ell_radius))
+def _janssen_form(lattice: JanssenLattice) -> _WalnutForm:
+    # S_{L,N} = (1 / <gamma, g>) sum_{|n| <= N} ext(C[n]) T_{n/b}, where
+    # C[n](j) = sum_l c[l, n] exp(2 pi i <l, j>/p) at the cell points j in
+    # [0, p)^d is a^d times the partial Fourier synthesis of G[n]: one inverse
+    # FFT of column n after the fold adds every aliased l into its bin l mod p
+    sys = lattice.system
+    p, radius = sys.a_steps, lattice.n_radius
+    cells = {n: p ** lattice.dim * np.fft.ifftn(fold_to_cell(
+                 lattice.entries[(Ellipsis,) + tuple(v + radius for v in n)], p, lattice.ell_radius))
+             for n in product(range(-radius, radius + 1), repeat=lattice.dim)}
+    return _WalnutForm(sys.grid, sys.inv_b_steps, 1 / sys.pairing, cells)
 
 
 def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
@@ -136,28 +143,7 @@ def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
     period unless the out-of-band coefficients vanish.  Raises
     GridMismatchError when f is not on the lattice's grid.
     """
-    sys = lattice.system
-    _require_grid(f, sys.grid)
-    cells = {n: _column_cell(lattice, n, sys.a_steps)
-             for n in product(range(-lattice.n_radius, lattice.n_radius + 1), repeat=lattice.dim)}
-    hull, out = _walnut_sum(f, cells, sys.inv_b_steps)
-    return GridFunction._own(sys.grid, hull, out / sys.pairing)
-
-
-def fourier_reconstruct_correlation(lattice: JanssenLattice, n) -> np.ndarray:
-    """Partial Fourier synthesis of the correlation function G[n] on its cell.
-
-    G[n](x) ~ a^{-d} sum_{|l| <= L} c[l, n] exp(2 pi i <l, x>/a) at the cell
-    samples x in [0, a)^d.  Raises IndexError when row n is not stored.
-    """
-    d = lattice.dim
-    n = (int(n),) if np.isscalar(n) else tuple(int(v) for v in n)
-    if len(n) != d:
-        raise IndexError(f"row index must have {d} components")
-    if any(abs(v) > lattice.n_radius for v in n):
-        raise IndexError(f"row n={n} outside stored radius {lattice.n_radius}")
-    sys = lattice.system
-    return sys.a ** (-d) * _column_cell(lattice, n, sys.a_steps)
+    return _janssen_form(lattice).apply(f)
 
 
 @dataclass

@@ -18,9 +18,10 @@ coefficient m is bin m mod r.  gabor_coefficients uses that kernel, the
 overlap-box fold the Walnut members use too; the direct operator
 deliberately does not, so it stays an independent oracle.
 A GaborSystem is immutable and keeps its Walnut members G[n], which
-correlation_family folds on first use.  Every other evaluation of S (the
-Walnut and Janssen forms, the STFT inversion sum reconstruct_integral and
-the exact frame bounds) lives in walnut and janssen, which read them here.
+correlation_family folds on first use.  Every other evaluation of S lives
+in walnut and janssen, which read them here: S, its remainder R, the
+truncated Janssen operator S_{L,N} and the exact frame-bound blocks are one
+Walnut-form value, walnut._WalnutForm.
 """
 from __future__ import annotations
 

@@ -16,21 +16,24 @@ The frame operator then reads
 an exact finite sum: the time direction needs no approximation because n is
 confined to the support interaction of the windows, and term n is added only
 on the box supp(f) + n/b, outside which it vanishes.  This is the full-period
-operator of operators.apply_frame_direct, and the one loop behind every
-non-oracle evaluation of S here and in janssen: walnut_apply and the STFT
-inversion sum reconstruct_integral (S on the (dt, dw) lattice).  The members
-belong to the immutable GaborSystem: operators.correlation_family folds them
-once per system, and every form of S on that system reads them from there.
+operator of operators.apply_frame_direct.  The members belong to the
+immutable GaborSystem: operators.correlation_family folds them once per
+system, and every form of S on that system reads them from there.
 
-The same members give the spectrum of S exactly: term n moves samples by
-n/b only, so S is block diagonal over the residues of the grid index mod
-1/(b h), and frame_bounds reads the extreme eigenvalues off those small
-banded blocks.
+Every fast operator of the package has this shape, scale * sum_n ext(C[n])
+* T_{n/b} over a map of a-periodic cells C[n], and is one private value,
+_WalnutForm, which holds the Walnut loop and the residue-block assembly:
+S (walnut_apply), its remainder R without member 0 (apply_remainder), the
+truncated Janssen operator S_{L,N} on l-filtered cells (janssen_apply) and
+the blocks of frame_bounds.  Term n moves samples by n/b only, so the
+operator is block diagonal over the residues of the grid index mod 1/(b h),
+and frame_bounds reads the spectrum of S off those small banded blocks.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -68,7 +71,6 @@ __all__ = [
     "diagonal_deviation",
     "periodic_extension",
     "walnut_apply",
-    "reconstruct_integral",
     "frame_bounds",
     "apply_diagonal_defect",
     "apply_remainder",
@@ -113,38 +115,77 @@ def diagonal_deviation(sys: GaborSystem) -> float:
     return float(np.abs(diagonal_correlation(sys) - 1.0).max())
 
 
-def _walnut_sum(f: GridFunction, cells: dict[tuple[int, ...], np.ndarray],
-                inv_b_steps: int) -> tuple[tuple[slice, ...], np.ndarray]:
-    # sum_n ext(cells[n]) * f(. - n/b), reduced in sorted n order, as a box
-    # of grid slices and the samples on it; term n is added only on the box
-    # of f moved by n/b and met with the grid, where it can be nonzero, and
-    # the box is the hull of those boxes
-    grid = f.grid
-    whole = (slice(0, grid.samples_per_axis),) * grid.dim
-    terms = []
-    for n in sorted(cells):
-        steps = [v * inv_b_steps for v in n]
-        box = _meet(_moved(f.box, steps), whole)
-        if box is not None and cells[n].any():
-            terms.append((cells[n], box, _moved(box, [-s for s in steps])))
-    hull = _hull([box for _, box, _ in terms], grid.dim)
-    out = np.zeros(_box_shape(hull), dtype=complex)
-    for cell, box, f_box in terms:
-        out[_within(box, hull)] += _cell_on_box(cell, box, grid.half_extent_steps) * _read(f, f_box)
-    return hull, out
+@dataclass(frozen=True)
+class _WalnutForm:
+    # the operator scale * sum_n ext(cells[n]) * T_{n r}: cells maps member
+    # index n to an a-periodic cell, ext is its periodic extension, and
+    # T_{n r} moves samples by n r grid steps per axis
+    grid: Grid
+    r: int
+    scale: complex
+    cells: Mapping[tuple[int, ...], np.ndarray]
+
+    def apply(self, f: GridFunction) -> GridFunction:
+        # the members reduced in sorted n order; term n is added only on the
+        # box of f moved by n r and met with the grid, where it can be
+        # nonzero, and the sum lives on the hull of those boxes
+        _require_grid(f, self.grid)
+        grid = self.grid
+        whole = (slice(0, grid.samples_per_axis),) * grid.dim
+        terms = []
+        for n in sorted(self.cells):
+            steps = [v * self.r for v in n]
+            box = _meet(_moved(f.box, steps), whole)
+            if box is not None and self.cells[n].any():
+                terms.append((self.cells[n], box, _moved(box, [-s for s in steps])))
+        hull = _hull([box for _, box, _ in terms], grid.dim)
+        out = np.zeros(_box_shape(hull), dtype=complex)
+        for cell, box, f_box in terms:
+            out[_within(box, hull)] += _cell_on_box(cell, box, grid.half_extent_steps) * _read(f, f_box)
+        return GridFunction._own(grid, hull, self.scale * out)
+
+    def off_diagonal(self) -> "_WalnutForm":
+        zero = (0,) * self.grid.dim
+        return replace(self, cells={n: cell for n, cell in self.cells.items() if n != zero})
+
+    def blocks(self):
+        # (apply(f))[i] reads f only at i - n r, so the operator is block
+        # diagonal over the residues rho mod r per axis: the block of rho
+        # holds scale * ext(cells[n])[rho + r k] at (k, k - n).  Yields the
+        # blocks of one shape (at most 2^d shapes) in batches of at most
+        # _BATCH_ENTRIES entries as (rows, blocks): the flat grid index of
+        # every block row, (batch, side), and the blocks, (batch, side, side)
+        grid, r, d = self.grid, self.r, self.grid.dim
+        members = {n: cell for n, cell in self.cells.items() if cell.any()}
+        for classes in product(_residue_classes(grid.samples_per_axis, r), repeat=d):
+            sizes = tuple(size for _, size in classes)
+            side = math.prod(sizes)
+            rhos = np.array(list(product(*[rho for rho, _ in classes])))
+            step = max(1, _BATCH_ENTRIES // side ** 2)
+            for start in range(0, len(rhos), step):
+                rho = rhos[start:start + step]
+                # grid index rho + r k of every block row k, one array per axis
+                index = [rho[:, ax].reshape((-1,) + (1,) * d)
+                         + r * np.arange(size).reshape([-1 if j == ax else 1 for j in range(d)])
+                         for ax, size in enumerate(sizes)]
+                blocks = np.zeros((len(rho),) + sizes * 2, dtype=complex)
+                for n, cell in members.items():
+                    rows = [np.arange(max(0, v), min(k, k + v)) for v, k in zip(n, sizes)]
+                    if not all(row.size for row in rows):
+                        continue
+                    cols = [row - v for row, v in zip(rows, n)]
+                    # the periodic extension of the cell, read at those rows only
+                    at = tuple((np.take(i, row, axis=ax + 1) - grid.half_extent_steps) % cell.shape[0]
+                               for ax, (i, row) in enumerate(zip(index, rows)))
+                    blocks[(slice(None),) + np.ix_(*rows) + np.ix_(*cols)] = self.scale * cell[at]
+                flat = np.ravel_multi_index(index, grid.shape).reshape(len(rho), side)
+                yield flat, blocks.reshape(len(rho), side, side)
 
 
-def _scaled_walnut(f: GridFunction, sys: GaborSystem, off_diagonal: bool) -> GridFunction:
-    # (a^d / <gamma, g>) times the Walnut sum over the system's members, or
-    # over the members n != 0 only
-    _require_grid(f, sys.grid)
-    cells = correlation_family(sys)
-    if off_diagonal:
-        zero = (0,) * sys.grid.dim
-        cells = {n: cell for n, cell in cells.items() if n != zero}
-    scale = sys.a ** sys.grid.dim / sys.pairing
-    hull, out = _walnut_sum(f, cells, sys.inv_b_steps)
-    return GridFunction._own(sys.grid, hull, scale * out)
+def _walnut_form(sys: GaborSystem) -> _WalnutForm:
+    # S = (a^d / <gamma, g>) sum_n ext(G[n]) T_{n/b} over the system's members
+    return _WalnutForm(sys.grid, sys.inv_b_steps, sys.a ** sys.grid.dim / sys.pairing,
+                       correlation_family(sys))
 
 
 def walnut_apply(f: GridFunction, sys: GaborSystem) -> GridFunction:
@@ -155,26 +196,7 @@ def walnut_apply(f: GridFunction, sys: GaborSystem) -> GridFunction:
     boxes the sum touches and allocates no full-grid array.  Raises
     GridMismatchError when f is not on the system's grid.
     """
-    return _scaled_walnut(f, sys, off_diagonal=False)
-
-
-def reconstruct_integral(f: GridFunction, g: GridFunction, gamma: GridFunction,
-                         tf_grid_steps) -> GridFunction:
-    """Riemann-sum approximation of the STFT inversion integral.
-
-    (1/<gamma, g>) * sum_t sum_w (F_g f)(t, w) tau(t, w) gamma * dt^d * dw^d
-    over the lattice (dt Z^d) x (dw Z^d) is, by definition, the frame
-    operator S_{dt,dw} of the pair (g, gamma), so it is computed exactly in
-    the Walnut form.  dt and 1/dw must be integer multiples of the grid
-    spacing (CommensurabilityError otherwise).
-
-    Parameters
-    ----------
-    tf_grid_steps : (float, float)
-        Spacings (dt, dw) of the time-frequency lattice.
-    """
-    dt, dw = tf_grid_steps
-    return walnut_apply(f, GaborSystem(g, gamma, dt, dw))
+    return _walnut_form(sys).apply(f)
 
 
 def _residue_classes(samples: int, r: int) -> list[tuple[range, int]]:
@@ -188,33 +210,30 @@ def _residue_classes(samples: int, r: int) -> list[tuple[range, int]]:
 def _bounds_peak_bytes(grid: Grid, r: int) -> int:
     # frame_bounds' largest batched eigvalsh: per block shape, a batch of as
     # many complex blocks as fit in _BATCH_ENTRIES (at least one) and numpy's
-    # copy of one block, plus 40 bytes per block row: the two complex
-    # temporaries of a member's entries and the float eigenvalues
+    # copy of one block, plus 48 bytes per block row: the two complex
+    # temporaries of a member's entries, the float eigenvalues and the grid
+    # index of the row
     peak = 0
     for classes in product(_residue_classes(grid.samples_per_axis, r), repeat=grid.dim):
         side = math.prod(size for _, size in classes)
         count = math.prod(len(rho) for rho, _ in classes)
         batch = min(count, max(1, _BATCH_ENTRIES // side ** 2))
-        peak = max(peak, 16 * (batch + 1) * side ** 2 + 40 * batch * side)
+        peak = max(peak, 16 * (batch + 1) * side ** 2 + 48 * batch * side)
     return peak
 
 
 def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
     """The optimal frame bounds (A, B): the extreme eigenvalues of S for gamma = g.
 
-    (S f)[i] reads f only at i - n r, r = 1/(b h) per axis, so S is block
-    diagonal over the residues rho mod r.  The block of rho holds
-    scale * ext(G[n])[rho + r k] at (k, k - n), scale = a^d / <g, g>, and is
-    Hermitian.  Blocks of equal shape (at most 2^d shapes) go through one
-    batched eigvalsh, at most _BATCH_ENTRIES matrix entries at a time.
-    Requires gamma = g (ValueError otherwise).  Raises ResolutionError,
+    S is block diagonal over the residues of the grid index mod r = 1/(b h)
+    per axis, and each block is Hermitian; batches of blocks of equal shape
+    go through one eigvalsh each.  Requires gamma = g (ValueError otherwise).  Raises ResolutionError,
     before allocating anything, when the largest batch is estimated to
     exceed the machine's physical memory; blocks have side (2 T b)^d.
     """
     if sys.g.box != sys.gamma.box or not np.array_equal(sys.g.data, sys.gamma.data):
         raise ValueError("frame bounds require the self-dual system (gamma = g)")
     grid = sys.grid
-    d = grid.dim
     r = sys.inv_b_steps
     need = _bounds_peak_bytes(grid, r)
     have = _physical_memory_bytes()
@@ -223,32 +242,10 @@ def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
             f"frame_bounds needs about {need / 2 ** 30:.3g} GiB for its residue blocks at "
             f"{grid.samples_per_axis} samples per axis and 1/(b h) = {r}, more than the "
             f"{have / 2 ** 30:.3g} GiB of physical memory; shrink the half extent or b")
-    scale = sys.a ** d / sys.pairing
-    p = sys.a_steps
-    members = {n: cell for n, cell in correlation_family(sys).items() if cell.any()}
     lower, upper = math.inf, -math.inf
-    for classes in product(_residue_classes(grid.samples_per_axis, r), repeat=d):
-        sizes = tuple(size for _, size in classes)
-        side = math.prod(sizes)
-        rhos = np.array(list(product(*[rho for rho, _ in classes])))
-        step = max(1, _BATCH_ENTRIES // side ** 2)
-        for start in range(0, len(rhos), step):
-            rho = rhos[start:start + step]
-            blocks = np.zeros((len(rho),) + sizes * 2, dtype=complex)
-            for n, cell in members.items():
-                rows = [np.arange(max(0, v), min(k, k + v)) for v, k in zip(n, sizes)]
-                if not all(row.size for row in rows):
-                    continue
-                # grid index rho + r k of every block row k, one array per axis
-                index = tuple(rho[:, ax].reshape((-1,) + (1,) * d)
-                              + r * row.reshape([-1 if j == ax else 1 for j in range(d)])
-                              for ax, row in enumerate(rows))
-                cols = [row - v for row, v in zip(rows, n)]
-                # the periodic extension of the cell, read at those indices only
-                entries = cell[tuple((i - grid.half_extent_steps) % p for i in index)]
-                blocks[(slice(None),) + np.ix_(*rows) + np.ix_(*cols)] = scale * entries
-            eig = np.linalg.eigvalsh(blocks.reshape(len(rho), side, side))
-            lower, upper = min(lower, float(eig[:, 0].min())), max(upper, float(eig[:, -1].max()))
+    for _, blocks in _walnut_form(sys).blocks():
+        eig = np.linalg.eigvalsh(blocks)
+        lower, upper = min(lower, float(eig[:, 0].min())), max(upper, float(eig[:, -1].max()))
     return lower, upper
 
 
@@ -268,7 +265,7 @@ def apply_remainder(f: GridFunction, sys: GaborSystem) -> GridFunction:
 
     S f - f = apply_diagonal_defect(f) + apply_remainder(f) exactly.
     """
-    return _scaled_walnut(f, sys, off_diagonal=True)
+    return _walnut_form(sys).off_diagonal().apply(f)
 
 
 def _walnut_constant(sys: GaborSystem, scale: float = 1.0) -> float:

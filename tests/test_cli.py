@@ -554,32 +554,48 @@ class TestConfigValidation:
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1] != csvs[2]
 
+    @pytest.mark.parametrize("key", ["a", "f_shift"])
+    def test_integer_beyond_float_range(self, capsys, tmp_path, key):
+        # a JSON integer float() cannot hold used to escape as an OverflowError traceback
+        path = write_json(tmp_path / "sys.json", {**TestUnknownConfigKeys.DESK, key: 10 ** 400})
+        self.assert_json_error(capsys, "ConfigError", "apply", "--config", path)
+
+    @pytest.mark.parametrize("shift", [{"0.5": "ignored"}, True], ids=["dict", "bool"])
+    def test_non_numeric_f_shift(self, capsys, tmp_path, shift):
+        # both used to run, as the shift 0.5 and the shift 1
+        path = write_json(tmp_path / "sys.json", {**TestUnknownConfigKeys.DESK, "f_shift": shift})
+        self.assert_json_error(capsys, "ConfigError", "apply", "--config", path)
+
 
 @pytest.mark.parametrize("shift,dim,want", [
     (0.5, 2, (0.5, 0.5)),
     (2, 1, (2.0,)),
     ([1, -0.5], 2, (1.0, -0.5)),
-    (True, 2, (1.0, 1.0)),
-    ("1.5", 2, (1.5, 1.5)),
-    ({"1": 0}, 2, (1.0,)),
-    ({}, 1, ()),
     (None, 1, None),
-], ids=["float", "int", "list", "bool", "string", "dict", "empty-dict", "absent"])
+], ids=["float", "int", "list", "absent"])
 def test_f_shift_parsing(shift, dim, want):
-    # a JSON scalar repeats over the axes; any other value is iterated (a
-    # dict by its keys); the axis count is checked later, by translate
+    # a JSON number repeats over the axes and a list gives one per axis; the
+    # axis count is checked later, by translate
     assert _shift_from({} if shift is None else {"f_shift": shift}, dim) == want
 
 
-@pytest.mark.parametrize("shift,message", [
-    ("abc", "bad value 'abc': could not convert string to float: 'abc'"),
-    ({"x": 1}, "bad value {'x': 1}: could not convert string to float: 'x'"),
-    ([[1]], "bad value [[1]]: float() argument must be"),
-], ids=["string", "dict", "nested-list"])
-def test_bad_f_shift_names_its_key(shift, message):
+@pytest.mark.parametrize("shift,kind", [
+    ("abc", "str"),
+    ("1.5", "str"),
+    (True, "bool"),
+    ([1, False], "bool"),
+    ({"x": 1}, "dict"),
+    ({"1": 0}, "dict"),
+    ({}, "dict"),
+    ([[1]], "list"),
+], ids=["string", "numeric-string", "bool", "bool-in-list", "dict", "numeric-key-dict",
+        "empty-dict", "nested-list"])
+def test_bad_f_shift_names_its_key(shift, kind):
+    # only a JSON number or a list of numbers is a shift; a bool is not a number
     with pytest.raises(ConfigError) as info:
         _shift_from({"f_shift": shift}, 2)
-    assert str(info.value).startswith(f"config key 'f_shift' has a {message}")
+    assert str(info.value) == (f"config key 'f_shift' has a bad value {shift!r}: "
+                               f"expected a number or a list of numbers, not {kind}")
 
 
 def test_sweep_bound_failure_exits_two(capsys, tmp_path, monkeypatch):

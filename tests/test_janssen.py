@@ -12,7 +12,6 @@ from gabframes import (
     amalgam_norm,
     correlation_family,
     correlation_fn,
-    fourier_reconstruct_correlation,
     janssen_apply,
     janssen_coefficients,
     l2_norm,
@@ -25,6 +24,7 @@ from gabframes import (
     sample_window,
 )
 from gabframes.grid import _cell_spectrum, fold_to_cell
+from gabframes.janssen import _janssen_form
 from gabframes.walnut import correlation_member_range
 from conftest import random_interior
 
@@ -280,31 +280,50 @@ class TestOneNormalization:
 
 
 class TestFourierReconstruction:
+    """The Janssen form's filtered cells: cell n is a^d times the partial
+    Fourier synthesis a^{-d} sum_{|l| <= L} c[l, n] exp(2 pi i <l, x>/a) of
+    the correlation function G[n] on its cell."""
+
     def test_gaussian_partial_sums_converge(self, gauss):
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)
         target = correlation_fn(sys, 0)
         h = sys.grid.spacing
         dists = []
         for radius in (1, 2, 4):
-            lat = janssen_coefficients(sys, radius, 3)
-            rec = fourier_reconstruct_correlation(lat, 0)
+            rec = _janssen_form(janssen_coefficients(sys, radius, 3)).cells[(0,)] / sys.a
             dists.append(float(np.sqrt(h * np.sum(np.abs(rec - target) ** 2))))
         assert dists[-1] < 1e-6
         assert dists[1] <= dists[0]
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_full_alias_period_cells_equal_members(self, dim):
+        # p = a/h = 5 is odd, so |l| <= 2 meets every alias bin exactly once
+        grid = Grid(2.0, 1 / 16, dim)
+        g = sample_window(WindowSpec.gaussian(0.6, 1.5), grid)
+        sys = GaborSystem(g, g, 5 / 16, 1.0)
+        members = correlation_family(sys)
+        radius = max(max(map(abs, n)) for n in members)
+        cells = _janssen_form(janssen_coefficients(sys, 2, radius)).cells
+        peak = max(float(np.abs(cell).max()) for cell in members.values())
+        for n, cell in cells.items():
+            want = sys.a ** dim * members.get(n, np.zeros_like(cell))
+            assert np.abs(cell - want).max() <= 1e-14 * peak, n
+
     def test_vanishing_row_reconstructs_zero(self, chi):
         lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 4, 3)
-        assert np.abs(fourier_reconstruct_correlation(lat, 3)).max() <= 1e-14
+        assert np.abs(_janssen_form(lat).cells[(3,)]).max() <= 1e-14
 
     def test_unit_lattice_constant_row(self, chi):
         lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 4, 2)
-        rec = fourier_reconstruct_correlation(lat, 0)
-        assert np.allclose(rec, 1.0, atol=1e-13)
+        assert np.allclose(_janssen_form(lat).cells[(0,)], 1.0, atol=1e-13)
 
     def test_missing_row_raises(self, chi):
+        # the form holds one cell per stored row, and the lattice refuses
+        # every row off its radius
         lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 4, 2)
+        assert sorted(_janssen_form(lat).cells) == [(n,) for n in range(-2, 3)]
         with pytest.raises(IndexError):
-            fourier_reconstruct_correlation(lat, 5)
+            lat.entry(0, 5)
 
     def test_cell_quadrature_recovers_entries(self, gauss):
         # h * sum_cell G[n](x) exp(-2 pi i l x / a) equals the lattice entry:

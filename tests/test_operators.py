@@ -19,7 +19,6 @@ from gabframes import (
     janssen_coefficients,
     l2_norm,
     operator_norm_upper_bound,
-    reconstruct_integral,
     sample_window,
     stft,
     translate,
@@ -341,16 +340,20 @@ class TestBoundsPreflight:
 
 
 class TestReconstructIntegral:
+    """The Riemann sum of the STFT inversion integral over the lattice
+    (dt Z^d) x (dw Z^d) is by definition the frame operator S_{dt,dw} of the
+    pair, which walnut_apply computes exactly."""
+
     def test_zero_signal(self, gauss):
         z = GridFunction(gauss.grid, np.zeros(gauss.grid.shape))
-        out = reconstruct_integral(z, gauss, gauss, (0.25, 0.25))
+        out = walnut_apply(z, GaborSystem(gauss, gauss, 0.25, 0.25))
         assert not out.values.any()
 
     def test_linearity_in_f(self):
         grid = Grid(4.0, 1 / 16)
         gauss = sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
-        one = reconstruct_integral(gauss, gauss, gauss, (0.5, 0.5))
-        two = reconstruct_integral(2.0 * gauss, gauss, gauss, (0.5, 0.5))
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
+        one, two = walnut_apply(gauss, sys), walnut_apply(2.0 * gauss, sys)
         assert l2_norm(two - 2.0 * one) <= 1e-12 * l2_norm(one)
 
     def test_self_reconstruction_converges(self):
@@ -358,7 +361,7 @@ class TestReconstructIntegral:
         gauss = sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
         errs = []
         for step in (0.5, 0.25):
-            rec = reconstruct_integral(gauss, gauss, gauss, (step, step))
+            rec = walnut_apply(gauss, GaborSystem(gauss, gauss, step, step))
             errs.append(l2_norm(rec - gauss) / l2_norm(gauss))
         assert errs[0] <= 0.05  # moderate resolution already under 5%
         assert errs[1] < errs[0]
@@ -366,29 +369,29 @@ class TestReconstructIntegral:
     def test_degenerate_pair(self, grid, chi):
         far = translate(chi, [2.0])
         with pytest.raises(DegenerateWindowPairError):
-            reconstruct_integral(chi, chi, far, (0.5, 0.5))
+            walnut_apply(chi, GaborSystem(chi, far, 0.5, 0.5))
 
     def test_exact_identity_regime_is_not_cut_short(self):
         # S_{1/2,1/2} = I for the unit indicator pair; every coefficient on
         # the frequency shell |w| = 2 vanishes, which must not end the sum
         grid = Grid(4.0, 1 / 16)
         chi = sample_window(WindowSpec.indicator_cube(1.0), grid)
-        rec = reconstruct_integral(chi, chi, chi, (0.5, 0.5))
+        rec = walnut_apply(chi, GaborSystem(chi, chi, 0.5, 0.5))
         assert l2_norm(rec - chi) <= 1e-12 * l2_norm(chi)
 
     def test_equals_the_frame_operator(self):
         # even r = 1/(dw h) = 32: the Nyquist frequency is one index, not two
         grid = Grid(4.0, 1 / 16)
         hat = sample_window(WindowSpec.bspline(2), grid)
-        rec = reconstruct_integral(hat, hat, hat, (0.25, 0.5))
-        want = apply_frame_direct(hat, GaborSystem(hat, hat, 0.25, 0.5))
+        sys = GaborSystem(hat, hat, 0.25, 0.5)
+        rec, want = walnut_apply(hat, sys), apply_frame_direct(hat, sys)
         assert l2_norm(rec - want) <= 1e-12 * l2_norm(want)
 
     def test_incommensurate_frequency_step(self):
         grid = Grid(4.0, 1 / 16)
         gauss = sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
         with pytest.raises(CommensurabilityError):
-            reconstruct_integral(gauss, gauss, gauss, (0.25, 0.3))  # 1/dw = 10/3
+            walnut_apply(gauss, GaborSystem(gauss, gauss, 0.25, 0.3))  # 1/dw = 10/3
 
 
 class TestTwoDimensional:

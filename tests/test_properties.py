@@ -10,7 +10,6 @@ operation on support boxes equals its full-grid definition.
 import copy
 import math
 import pickle
-from itertools import product
 
 import numpy as np
 import pytest
@@ -148,8 +147,7 @@ def test_box_operations_match_full_grid_definitions(seed):
     zero = (0,) * grid.dim
     members = correlation_family(sys)
     off_diagonal = {n: cell for n, cell in members.items() if n != zero}
-    columns = {n: janssen._column_cell(lat, n, sys.a_steps)
-               for n in product(range(-n_radius, n_radius + 1), repeat=grid.dim)}
+    columns = janssen._janssen_form(lat).cells
     whole = (slice(0, grid.samples_per_axis),) * grid.dim
     wants = [f_values, f.values + u.values, f.values - u.values, f.values - f.values,
              f.values * c, f.values * complex(-2.5), -f.values, shift_array(f0.values, steps),

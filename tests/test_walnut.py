@@ -216,6 +216,48 @@ class TestDecomposition:
                     ts.tail / abs(sys.pairing) * amalgam_norm(f, pq) * (1 + 1e-9) + 1e-15)
 
 
+def dense_matrix(apply, grid):
+    """The N^d x N^d matrix of a linear map, read off its unit vectors."""
+    cols = []
+    for k in range(grid.size):
+        unit = np.zeros(grid.size)
+        unit[k] = 1.0
+        cols.append(apply(GridFunction(grid, unit)).values.ravel())
+    return np.array(cols).T
+
+
+def scattered_blocks(form):
+    """The residue blocks of a Walnut form scattered back onto the grid."""
+    out = np.zeros((form.grid.size,) * 2, dtype=complex)
+    seen = np.zeros(form.grid.size, dtype=int)
+    for rows, blocks in form.blocks():
+        assert blocks.shape == rows.shape + rows.shape[-1:]
+        for index, block in zip(rows, blocks):
+            out[np.ix_(index, index)] = block
+            seen[index] += 1
+    assert (seen == 1).all()  # the residue classes partition the grid
+    return out
+
+
+class TestWalnutFormBlocks:
+    # self-dual systems whose residue classes come in two sizes, samples % r != 0
+    @pytest.mark.parametrize("half_extent,spacing,dim,a,inv_b", [
+        (2.0, 1 / 8, 1, 0.5, 0.75),      # 32 samples, r = 6
+        (1.5, 1 / 4, 2, 0.5, 1.25),      # 12 samples per axis, r = 5
+    ], ids=["1d", "2d"])
+    def test_scattered_blocks_are_the_operator(self, half_extent, spacing, dim, a, inv_b):
+        grid = Grid(half_extent, spacing, dim)
+        g = sample_window(WindowSpec.gaussian(0.6, 1.0), grid)
+        sys = GaborSystem(g, g, a, 1 / inv_b)
+        assert grid.samples_per_axis % sys.inv_b_steps != 0
+        form = walnut._walnut_form(sys)
+        assert len(form.cells) > 1
+        full = scattered_blocks(form)
+        assert np.abs(full - dense_matrix(lambda f: walnut_apply(f, sys), grid)).max() <= 1e-13
+        off = scattered_blocks(form.off_diagonal())
+        assert np.abs(off - dense_matrix(lambda f: apply_remainder(f, sys), grid)).max() <= 1e-13
+
+
 def box_window(grid, lo, hi, seed):
     """Random complex samples on the index box lo <= i <= hi, zero elsewhere."""
     rng = np.random.default_rng(seed)
