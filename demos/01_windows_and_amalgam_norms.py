@@ -7,9 +7,9 @@ exactness of the Hoelder pairing bound.
 import math
 
 from gabframes import (
+    Exponent,
     Grid,
     amalgam_norm,
-    conjugate_exponent,
     holder_bound,
     sample_window,
     wiener_norm,
@@ -35,7 +35,7 @@ for spec in window_library():
 
 print("\nConjugate exponents pair the amalgam with its Koethe dual:")
 for p in (1, 4 / 3, 2, 4, math.inf):
-    print(f"  p = {p!s:>18} -> p' = {float(conjugate_exponent(p)):.6g}")
+    print(f"  p = {p!s:>18} -> p' = {float(Exponent.of(p).conjugate()):.6g}")
 
 print("\nHoelder on the (2, 2) / (2, 2) pairing (indicator against itself):")
 chi = sample_window(window_library()[0], grid)

@@ -21,10 +21,8 @@ _EXPORTS = {
     "Exponent": "amalgam",
     "ExponentPair": "amalgam",
     "amalgam_norm": "amalgam",
-    "conjugate_exponent": "amalgam",
     "cube_norms": "amalgam",
     "holder_bound": "amalgam",
-    "lp_norm_on_cube": "amalgam",
     "wiener_norm": "amalgam",
     "CommensurabilityError": "errors",
     "ConfigError": "errors",
@@ -37,15 +35,12 @@ _EXPORTS = {
     "SweepSchedule": "experiments",
     "convergence_sweep": "experiments",
     "counterexample_run": "experiments",
-    "diagonal_decay_sweep": "experiments",
     "opnorm_sweep": "experiments",
-    "riemann_uniformity": "experiments",
     "Grid": "grid",
     "GridFunction": "grid",
     "inner_product": "grid",
     "l2_norm": "grid",
     "modulate": "grid",
-    "mt_commutation_phase": "grid",
     "tf_shift": "grid",
     "translate": "grid",
     "write_csv": "grid",

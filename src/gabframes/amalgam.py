@@ -21,8 +21,6 @@ from .grid import GridFunction, _read, inner_product, support_index_bounds
 __all__ = [
     "Exponent",
     "ExponentPair",
-    "conjugate_exponent",
-    "lp_norm_on_cube",
     "cube_norms",
     "amalgam_norm",
     "wiener_norm",
@@ -89,32 +87,6 @@ class ExponentPair:
 
     def __str__(self) -> str:
         return f"({self.p}, {self.q})"
-
-
-def conjugate_exponent(p) -> Exponent:
-    """p' with 1/p + 1/p' = 1; maps 1 <-> inf and fixes 2."""
-    return Exponent.of(p).conjugate()
-
-
-def lp_norm_on_cube(f: GridFunction, k, p) -> float:
-    """L^p norm of f restricted to the cube [k, k+1)^d (0 if disjoint)."""
-    p = Exponent.of(p)
-    grid = f.grid
-    k = np.atleast_1d(np.asarray(k, dtype=int))
-    if k.shape != (grid.dim,):
-        raise ValueError(f"cube index must have {grid.dim} component(s)")
-    sl = []
-    for kj in k:
-        lo = kj * grid.samples_per_unit + grid.half_extent_steps
-        hi = lo + grid.samples_per_unit
-        lo, hi = max(lo, 0), min(hi, grid.samples_per_axis)
-        if lo >= hi:
-            return 0.0
-        sl.append(slice(lo, hi))
-    block = np.abs(_read(f, tuple(sl)))
-    if p.is_inf:
-        return float(block.max())
-    return float((grid.cell_measure * np.sum(block ** p.value)) ** (1.0 / p.value))
 
 
 def cube_norms(f: GridFunction, p) -> np.ndarray:

@@ -1,5 +1,4 @@
-"""Densification experiments: convergence sweeps, Riemann-sum uniformity,
-and the sup-norm counterexample.
+"""Densification experiments: convergence sweeps and the sup-norm counterexample.
 
 The continuum limit (a, b) -> (0, 0) is realized as finite schedules of
 strictly decreasing commensurate pairs.  Trend acceptance uses the
@@ -16,21 +15,18 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .amalgam import Exponent, ExponentPair, amalgam_norm
-from .errors import ConfigError
+from .errors import ConfigError, ResolutionError
 from .grid import (
     Grid,
     GridFunction,
-    _fold_box,
     _meet,
     _within,
     inner_product,
     support_index_bounds,
     translate,
 )
-from .operators import GaborSystem
+from .operators import GaborSystem, _physical_memory_bytes
 from .walnut import (
     apply_diagonal_defect,
     diagonal_deviation,
@@ -46,10 +42,6 @@ __all__ = [
     "SweepReport",
     "convergence_sweep",
     "opnorm_sweep",
-    "RiemannRecord",
-    "riemann_uniformity",
-    "DiagonalDecayRecord",
-    "diagonal_decay_sweep",
     "CounterexampleRecord",
     "CounterexampleReport",
     "counterexample_run",
@@ -287,59 +279,6 @@ def opnorm_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
 
 
 @dataclass
-class RiemannRecord:
-    a: float
-    deviation: float
-
-
-def riemann_uniformity(f: GridFunction, a_list) -> list[RiemannRecord]:
-    """Worst-offset Riemann-sum defect sup_y |a^d sum_n f(y + n a) - integral f|.
-
-    The offset y runs over every cell sample of [0, a)^d; the reference
-    integral is the grid Riemann sum h^d sum f.  Both read the box of f
-    only.
-    """
-    grid = f.grid
-    integral = grid.cell_measure * complex(f.data.sum())
-    out = []
-    for a in a_list:
-        p = grid.steps_scalar(a)
-        cell = _fold_box(grid, f.box, f.data, p)
-        dev = float(np.abs(a ** grid.dim * cell - integral).max())
-        out.append(RiemannRecord(float(a), dev))
-    return out
-
-
-@dataclass
-class DiagonalDecayRecord:
-    a: float
-    norm: float
-
-
-def diagonal_decay_sweep(f: GridFunction, p, a_list, g: GridFunction) -> list[DiagonalDecayRecord]:
-    """Global L^p norms of the diagonal defect (diag - 1) f along cell sizes, gamma = g.
-
-    Computed with the plain global Riemann sum over the box of the defect,
-    independent of the amalgam aggregation machinery.
-    """
-    grid = f.grid
-    p = Exponent.of(p)
-    # the diagonal does not depend on b; a shift 1/b as wide as the domain
-    # leaves member 0 the only one the system folds
-    b = 1.0 / (2.0 * grid.half_extent)
-    out = []
-    for a in a_list:
-        sys = GaborSystem(g, g, float(a), b)
-        vals = np.abs(apply_diagonal_defect(f, sys).data)
-        if p.is_inf:
-            nrm = float(vals.max(initial=0.0))
-        else:
-            nrm = float((grid.cell_measure * np.sum(vals ** p.value)) ** (1.0 / p.value))
-        out.append(DiagonalDecayRecord(float(a), nrm))
-    return out
-
-
-@dataclass
 class CounterexampleRecord:
     depth: int
     spacing: float
@@ -367,6 +306,15 @@ class CounterexampleReport:
 _CELL_SIZES = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
+def _counterexample_peak_bytes(depth: int) -> int:
+    # depth k samples [-2, 2) at N = 32 * 4^k points and peaks while sampling the
+    # contrast window next to the fat-Cantor one: float coordinates and profile
+    # on all N points, and on the unit interval's N/4 points the two complex
+    # windows, the float samples and two int index arrays
+    n = 32 * 4 ** depth
+    return 16 * n + (16 + 16 + 8 + 2 * 8) * n // 4
+
+
 def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleReport:
     """Witness the sup-norm failure with fat-Cantor windows.
 
@@ -377,10 +325,21 @@ def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleRepor
     norm at 1.  The same schedule
     with g = gamma = chi_[0,1) (Riemann integrable) is the contrast curve; at
     its finest a the deviation collapses, so the two curves separate.
-    Raises ConfigError when threads < 1.
+    Raises ConfigError when threads < 1, and ResolutionError, before any
+    grid is built, when the ``threads`` deepest depths, which may run at
+    once, are estimated to exceed the machine's physical memory.
     """
     _require_threads(threads)
     depths = [int(k) for k in depths]
+    need = sum(sorted(map(_counterexample_peak_bytes, depths))[-threads:])
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        from decimal import Decimal  # exact at any depth, where a float overflows
+
+        raise ResolutionError(
+            f"counterexample depths {depths} need about {Decimal(need) / 2 ** 30:.3g} GiB "
+            f"with {threads} thread(s), more than the {have / 2 ** 30:.3g} GiB of physical "
+            f"memory; lower the depths or the threads")
     q_pair = ExponentPair.of((math.inf, q))
 
     def run_depth(k: int) -> CounterexampleRecord:

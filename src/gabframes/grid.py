@@ -30,7 +30,6 @@ __all__ = [
     "tf_shift",
     "inner_product",
     "l2_norm",
-    "mt_commutation_phase",
     "support_index_bounds",
     "fold_to_cell",
     "write_csv",
@@ -383,24 +382,21 @@ def _fold_overlap(u: GridFunction, v: GridFunction, steps, cell_steps: int) -> n
 
     steps shifts u by whole samples, one int per axis.  The box of u moves
     by steps and meets the box of v; only that overlap is multiplied and
-    folded, since every sample off it contributes an exact zero, so the cell
-    has the bits of the full-grid fold.  The operand order is part of those
-    bits: with FMA, numpy's complex product can round differently when its
-    operands swap.
+    folded, since every sample off it contributes an exact zero, so a cell
+    wider than one sample has the bits of the full-grid fold.  The operand
+    order is part of those bits: with FMA, numpy's complex product can round
+    differently when its operands swap.  A one-sample cell is the pairing
+    sum np.vdot makes over the overlap box, as inner_product does, so at
+    a = h the diagonal member has the bits of <gamma, g>.
     """
     grid = v.grid
     box = _meet(_moved(u.box, steps), v.box)
     if box is None:
         return np.zeros((cell_steps,) * grid.dim, dtype=complex)
-    w = np.conj(_read(u, _moved(box, [-s for s in steps]))) * _read(v, box)
+    shifted = _read(u, _moved(box, [-s for s in steps]))
     if cell_steps == 1:
-        # a one-sample cell is a plain total, which numpy sums pairwise, so its
-        # rounding depends on where the zeros sit: sum on the full grid so the
-        # cell has the bits of the grid-wide fold
-        full = np.zeros(grid.shape, dtype=complex)
-        full[box] = w
-        return fold_to_cell(full, 1, grid.half_extent_steps)
-    return _fold_box(grid, box, w, cell_steps)
+        return np.full((1,) * grid.dim, np.vdot(shifted, _read(v, box)), dtype=complex)
+    return _fold_box(grid, box, np.conj(shifted) * _read(v, box), cell_steps)
 
 
 def _cell_spectrum(cell: np.ndarray, indices) -> np.ndarray:
@@ -455,13 +451,6 @@ def tf_shift(g: GridFunction, t, omega) -> GridFunction:
     Equals M_omega T_t g; the phase multiplies by x, not x - t.
     """
     return modulate(translate(g, t), omega)
-
-
-def mt_commutation_phase(t, omega) -> complex:
-    """Scalar c with T_t M_omega = c * M_omega T_t, namely exp(-2*pi*i <omega, t>)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    return complex(np.exp(-2j * np.pi * float(np.dot(omega, t))))
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> complex:

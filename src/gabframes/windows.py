@@ -11,7 +11,7 @@ Every family samples to a function with finite Wiener norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, lgamma, log
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _FAMILIES = ("indicator_cube", "bspline", "gaussian", "fat_cantor")
+_LOG_TINY = -1074 * log(2.0)  # log of the least positive double, 2^-1074
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,11 @@ def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
     elif spec.family == "indicator_cube":
         axis = ((x >= 0) & (x < spec.side)).astype(float)
     elif spec.family == "bspline":
-        axis = bspline_profile(spec.order, x)
+        # B_k(x) <= x^(k-1) / (k-1)! for x >= 0: an order whose bound at the largest
+        # coordinate is below the least double samples to zero, without the recursion
+        k, x_max = spec.order, x[-1]
+        tiny = k > 1 and (x_max <= 0 or (k - 1) * log(x_max) - lgamma(k) < _LOG_TINY)
+        axis = np.zeros_like(x) if tiny else bspline_profile(k, x)
     else:  # gaussian, truncated to the box |x_j| <= radius
         axis = np.where(np.abs(x) <= spec.radius, np.exp(-np.pi * x**2 / spec.sigma**2), 0.0)
     nz = np.flatnonzero(axis)

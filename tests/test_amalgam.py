@@ -10,11 +10,9 @@ from gabframes import (
     Grid,
     GridFunction,
     amalgam_norm,
-    conjugate_exponent,
     cube_norms,
     holder_bound,
     inner_product,
-    lp_norm_on_cube,
     sample_window,
     translate,
     wiener_norm,
@@ -30,7 +28,7 @@ PQ_SET = [(1, 1), (2, 2), (1, 2), (2, math.inf), (math.inf, 1), (math.inf, math.
 class TestExponents:
     @pytest.mark.parametrize("p,expected", [(1, math.inf), (2, 2), (4, 4 / 3), (math.inf, 1)])
     def test_conjugate(self, p, expected):
-        assert float(conjugate_exponent(p)) == pytest.approx(expected, rel=1e-15)
+        assert float(Exponent.of(p).conjugate()) == pytest.approx(expected, rel=1e-15)
 
     def test_conjugate_involution(self):
         rng = np.random.default_rng(0)
@@ -50,13 +48,16 @@ class TestExponents:
 
 
 class TestCubeNorm:
-    def test_indicator_own_cube(self, chi):
+    def test_indicator_own_cube(self, grid, chi):
+        zero = int(grid.half_extent)  # the entry of the cube [0, 1)
         for p in (1, 2, 3.5, math.inf):
-            assert lp_norm_on_cube(chi, [0], p) == pytest.approx(1.0, abs=1e-14)
+            assert cube_norms(chi, p)[zero] == pytest.approx(1.0, abs=1e-14)
 
-    def test_disjoint_cube(self, chi):
+    def test_disjoint_cube(self, grid, chi):
+        zero = int(grid.half_extent)
         for p in (1, 2, math.inf):
-            assert lp_norm_on_cube(chi, [5], p) == 0.0
+            local = cube_norms(chi, p)
+            assert not local[:zero].any() and not local[zero + 1:].any()
 
     def test_linear_ramp_against_closed_form(self, grid):
         # f(x) = x on [0, 1): left Riemann sum of x^2 is h^3 (m-1) m (2m-1) / 6
@@ -65,22 +66,28 @@ class TestCubeNorm:
         m = grid.samples_per_unit
         h = grid.spacing
         exact_discrete = math.sqrt(h ** 3 * (m - 1) * m * (2 * m - 1) / 6)
-        got = lp_norm_on_cube(f, [0], 2)
+        got = cube_norms(f, 2)[int(grid.half_extent)]
         assert got == pytest.approx(exact_discrete, rel=1e-14)
         assert abs(got - math.sqrt(1 / 3)) < h  # converges to the integral value
 
     @pytest.mark.parametrize("half_extent,dim", [(2.5, 1), (2.75, 1), (1.25, 2)])
     def test_padded_cubes_match_per_cube_norms(self, half_extent, dim):
         # a non-integer T leaves partial cubes at both ends; each entry must be
-        # the L^p norm of f on that cube, as lp_norm_on_cube computes it alone
+        # the L^p norm of f on that cube, a Riemann sum over its samples alone
         grid = Grid(half_extent, 1 / 8, dim=dim)
         f = random_interior(grid, seed=9, envelope_sigma=1.0, envelope_radius=half_extent)
         ks = range(math.floor(-half_extent), math.ceil(half_extent))
+        x = grid.axis_coords()
         for p in (1, 2, math.inf):
             got = cube_norms(f, p)
             assert got.shape == (len(ks),) * dim
             for idx in np.ndindex(got.shape):
-                want = lp_norm_on_cube(f, [ks[i] for i in idx], p)
+                axes = [(x >= ks[i]) & (x < ks[i] + 1) for i in idx]
+                block = np.abs(f.values[np.ix_(*axes)])
+                if math.isinf(p):
+                    want = block.max()
+                else:
+                    want = (grid.cell_measure * np.sum(block ** p)) ** (1 / p)
                 assert got[idx] == pytest.approx(want, rel=1e-14, abs=0.0), (p, idx)
 
 

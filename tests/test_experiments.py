@@ -11,18 +11,23 @@ from gabframes import (
     ExponentPair,
     GaborSystem,
     Grid,
+    GridFunction,
+    ResolutionError,
     SweepSchedule,
     amalgam_norm,
+    apply_diagonal_defect,
     convergence_sweep,
     counterexample_run,
-    diagonal_decay_sweep,
+    diagonal_correlation,
     opnorm_sweep,
-    riemann_uniformity,
+    periodic_extension,
     sample_window,
     sum_translates,
     walnut_apply,
     WindowSpec,
 )
+from gabframes.experiments import _counterexample_peak_bytes
+from gabframes.walnut import diagonal_deviation
 from test_operators import traced_peak
 
 
@@ -118,11 +123,18 @@ class TestSupportBoxMemory:
     def test_box_folds_build_no_full_grid_array(self, p):
         g = sample_window(WindowSpec.gaussian(0.5, 1.0), self.GRID)
         f = sample_window(WindowSpec.bspline(2), self.GRID)
-        # a = h would fold the diagonal member on the full grid, in _fold_overlap
-        for fn, args in ((sum_translates, (g, 0.5)), (riemann_uniformity, (f, [0.5, 1 / 32])),
-                         (diagonal_decay_sweep, (f, p, [0.5, 0.25], g))):
-            peak, _ = traced_peak(fn, *args)
-            assert peak < self.FULL_GRID_BYTES, fn.__name__
+        b = 1 / (2 * self.GRID.half_extent)  # member 0 alone
+        h = self.GRID.spacing
+        runs = {
+            "sum_translates": lambda: sum_translates(g, 0.5),
+            # a one-sample cell, a = h, is a pairing sum on the overlap box
+            "diagonal_deviation": lambda: diagonal_deviation(GaborSystem(g, g, h, b)),
+            "diagonal_defect": lambda: [amalgam_norm(apply_diagonal_defect(
+                f, GaborSystem(g, g, a, b)), (p, p)) for a in (0.5, 0.25)],
+        }
+        for name, run in runs.items():
+            peak, _ = traced_peak(run)
+            assert peak < self.FULL_GRID_BYTES, name
         assert not hasattr(g, "_values") and not hasattr(f, "_values")
 
 
@@ -190,25 +202,43 @@ class TestOpnormSweep:
             opnorm_sweep(schedule)
 
 
+def riemann_defects(f, a_list):
+    """Worst-offset Riemann-sum defects sup_y |a^d sum_n f(y + n a) / integral f - 1|.
+
+    The diagonal deviation of the system (f, 1): with gamma = 1 on the grid,
+    a^d G[0] / <gamma, f> is the conjugate of a^d sum_n f(. + n a) / integral f.
+    """
+    grid = f.grid
+    one = GridFunction(grid, np.ones(grid.shape))
+    b = 1 / (2 * grid.half_extent)  # member 0 alone
+    return [diagonal_deviation(GaborSystem(f, one, a, b)) for a in a_list]
+
+
+def diagonal_defect_norms(f, p, a_list, g):
+    """||(diag - 1) f||_{L^p} along the cell sizes, gamma = g, as the W(L^p, l^p) norm."""
+    b = 1 / (2 * f.grid.half_extent)
+    return [amalgam_norm(apply_diagonal_defect(f, GaborSystem(g, g, a, b)), (p, p))
+            for a in a_list]
+
+
 class TestRiemannUniformity:
     def test_indicator_exact_at_unit_fractions(self, grid, chi):
-        for rec in riemann_uniformity(chi, [0.5, 0.25, 0.125]):
-            assert rec.deviation == 0.0
+        assert riemann_defects(chi, [0.5, 0.25, 0.125]) == [0.0] * 3
 
     def test_hat_exact_at_divisor_steps(self, grid, hat):
         # B-splines vanish at nonzero integer frequencies, so their
         # periodization at steps 1/m reproduces the integral exactly
-        for rec in riemann_uniformity(hat, [0.5, 0.25, 0.125]):
-            assert rec.deviation <= 1e-13
+        for dev in riemann_defects(hat, [0.5, 0.25, 0.125]):
+            assert dev <= 1e-13
 
     def test_hat_quadratic_rate_off_divisors(self, grid, hat):
-        devs = [r.deviation for r in riemann_uniformity(hat, [3 / 8, 3 / 16, 3 / 32])]
+        devs = riemann_defects(hat, [3 / 8, 3 / 16, 3 / 32])
         assert devs[0] > 1e-3
         for a, b in zip(devs, devs[1:]):
             assert b <= 0.3 * a  # observed rate: exact quartering
 
     def test_gaussian_decreasing(self, grid, gauss):
-        devs = [r.deviation for r in riemann_uniformity(gauss, [0.5, 0.25, 0.125])]
+        devs = riemann_defects(gauss, [0.5, 0.25, 0.125])
         assert all(b <= a + 1e-13 for a, b in zip(devs, devs[1:]))
         assert devs[-1] < 1e-10
 
@@ -216,31 +246,28 @@ class TestRiemannUniformity:
 @pytest.mark.parametrize("a", [0.0, -0.5])
 def test_cell_size_must_be_positive(hat, a):
     with pytest.raises(CommensurabilityError, match="positive"):
-        riemann_uniformity(hat, [a])
-    with pytest.raises(CommensurabilityError, match="positive"):
         sum_translates(hat, a)
 
 
 class TestDiagonalDecay:
     def test_indicator_identically_zero(self, grid, chi, hat):
-        for rec in diagonal_decay_sweep(hat, 1, [0.5, 0.25, 0.125], chi):
-            assert rec.norm == 0.0
+        assert diagonal_defect_norms(hat, 1, [0.5, 0.25, 0.125], chi) == [0.0] * 3
 
     def test_gaussian_windows_decay(self, grid, gauss, hat):
-        records = diagonal_decay_sweep(hat, 1, [0.5, 0.25, 0.125], gauss)
-        norms = [r.norm for r in records]
+        norms = diagonal_defect_norms(hat, 1, [0.5, 0.25, 0.125], gauss)
         f_mass = amalgam_norm(hat, (1, 1))
         assert all(b <= a + 1e-13 for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1e-3 * f_mass
 
     def test_p2_matches_amalgam_machinery(self, grid, gauss, interior_f):
-        from gabframes import GridFunction, diagonal_correlation, periodic_extension
+        # W(L^2, l^2) = L^2: the amalgam norm of the defect is its plain
+        # global Riemann sum on the full grid
         a = 0.25
-        records = diagonal_decay_sweep(interior_f, 2, [a], gauss)
+        [norm] = diagonal_defect_norms(interior_f, 2, [a], gauss)
         sys = GaborSystem(gauss, gauss, a, 1.0)
         mult = periodic_extension(diagonal_correlation(sys), grid) - 1.0
-        via_amalgam = amalgam_norm(GridFunction(grid, mult * interior_f.values), (2, 2))
-        assert records[0].norm == pytest.approx(via_amalgam, rel=1e-12)
+        plain = np.sqrt(grid.cell_measure * np.sum(np.abs(mult * interior_f.values) ** 2))
+        assert norm == pytest.approx(plain, rel=1e-12)
 
 
 @pytest.mark.parametrize("threads", [0, -4])
@@ -281,15 +308,41 @@ class TestCounterexample:
         grid = Grid(2.0, 1 / 32)
         fat = sample_window(WindowSpec.fat_cantor(1), grid)
         sys = GaborSystem(fat, fat, 1.0, 1.0)
-        from gabframes import diagonal_correlation, periodic_extension
         ext = periodic_extension(diagonal_correlation(sys), grid)
         x = grid.axis_coords()
         assert ext[np.nonzero(x == 0.5)][0] == 0.0
 
 
+class TestCounterexamplePreflight:
+    @pytest.mark.parametrize("depth", [5, 6, 7, 8])
+    def test_estimate_tracks_the_traced_peak(self, depth):
+        peak, report = traced_peak(counterexample_run, [depth])
+        assert report.passed
+        estimate = _counterexample_peak_bytes(depth)
+        assert estimate / 2 <= peak <= 1.1 * estimate
+
+    def test_past_physical_memory_raises_before_any_grid(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("a grid was built before the memory check")
+
+        monkeypatch.setattr("gabframes.experiments.Grid", unbuilt)
+        # depth 20 samples 32 * 4^20 points, about a petabyte at its peak
+        peak, result = traced_peak(counterexample_run, [1, 20])
+        assert isinstance(result, ResolutionError)
+        assert "physical memory" in str(result)
+        assert peak < 2 ** 20
+
+    def test_depths_run_at_once_are_summed(self, monkeypatch):
+        room = 3 * _counterexample_peak_bytes(3) // 2
+        monkeypatch.setattr("gabframes.experiments._physical_memory_bytes", lambda: room)
+        assert counterexample_run([3, 1, 3], threads=1).passed
+        with pytest.raises(ResolutionError, match="2 thread"):
+            counterexample_run([3, 1, 3], threads=2)
+        assert counterexample_run([3, 1, 1], threads=2).passed
+
+
 @pytest.mark.parametrize("fn,params", [
     (counterexample_run, [("depths", None), ("q", "inf"), ("threads", 1)]),
-    (diagonal_decay_sweep, [("f", None), ("p", None), ("a_list", None), ("g", None)]),
 ])
 def test_no_option_without_a_caller(fn, params):
     empty = inspect.Parameter.empty

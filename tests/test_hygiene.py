@@ -24,6 +24,13 @@ an existing submodule and a name listed in that submodule's ``__all__``.
 Both rules above skip ``__init__.py`` in effect, so without this a renamed
 function would leave a stale lazy name that fails only on first access.
 
+The caller rule: every name of ``_EXPORTS`` is read, as a loaded name or an
+attribute, in a module of ``src/gabframes``, a demo, ``perfbench/`` or
+``tests/test_acceptance.py``, outside the top-level def or class that
+defines it.  The ``__all__`` and ``_EXPORTS`` lists hold strings, so they
+never count, and neither does an import alone.  A public name that only unit
+tests reach re-spells another or has no use.
+
 The dead-method rule: every non-dunder method of a module-level class in
 ``src/gabframes`` is read somewhere in ``src/``, ``tests/``, ``demos/`` or
 ``perfbench/``, by the same test as the dead-code rule.  Matching is by name
@@ -56,8 +63,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (ROOT / "src" / "gabframes").glob("*.py") if p.name != "__init__.py")
 FILES += sorted((ROOT / "tests").glob("*.py"))
 PACKAGE = sorted((ROOT / "src" / "gabframes").glob("*.py"))
-CALLERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted(
-    p for sub in ("demos", "perfbench") for p in (ROOT / sub).glob("*.py"))
+SCRIPTS = sorted(p for sub in ("demos", "perfbench") for p in (ROOT / sub).glob("*.py"))
+CALLERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + SCRIPTS
 
 
 def unused_imports(source: str) -> list[str]:
@@ -197,14 +204,19 @@ def module_all(source: str) -> list[str]:
     return []
 
 
-def stale_lazy_names(init_source: str, modules: dict[str, str]) -> list[str]:
-    """``_EXPORTS`` entries whose submodule is not in ``modules`` (name -> source)
-    or whose name that submodule's ``__all__`` does not list."""
-    table = {}
+def export_table(init_source: str) -> dict[str, str]:
+    """The package's ``_EXPORTS`` table: public name -> submodule."""
     for node in ast.parse(init_source).body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)):
-            table = ast.literal_eval(node.value)
+            return ast.literal_eval(node.value)
+    return {}
+
+
+def stale_lazy_names(init_source: str, modules: dict[str, str]) -> list[str]:
+    """``_EXPORTS`` entries whose submodule is not in ``modules`` (name -> source)
+    or whose name that submodule's ``__all__`` does not list."""
+    table = export_table(init_source)
     return [f"{name} -> {sub}" for name, sub in table.items()
             if sub not in modules or name not in module_all(modules[sub])]
 
@@ -227,6 +239,51 @@ def test_lazy_table_names_exist():
 ])
 def test_lazy_table_checker_itself(init_source, modules, stale):
     assert stale_lazy_names(init_source, modules) == stale
+
+
+def reads(source: str) -> frozenset[str]:
+    """Names loaded or read as an attribute, each outside the top-level def or
+    class of that name."""
+    found = set()
+    for top in ast.parse(source).body:
+        here = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                here.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                here.add(node.attr)
+        here.discard(getattr(top, "name", None))  # a def or class reads not itself
+        found |= here
+    return frozenset(found)
+
+
+def uncalled_exports(init_source: str, sources: list[str]) -> list[str]:
+    """``_EXPORTS`` names that none of ``sources`` reads."""
+    read = set().union(*map(reads, sources))
+    return [name for name in export_table(init_source) if name not in read]
+
+
+def test_every_export_has_a_caller():
+    init = (ROOT / "src" / "gabframes" / "__init__.py").read_text()
+    callers = PACKAGE + SCRIPTS + [ROOT / "tests" / "test_acceptance.py"]
+    assert uncalled_exports(init, [p.read_text() for p in callers]) == []
+
+
+@pytest.mark.parametrize("init_source,sources,uncalled", [
+    ("_EXPORTS = {'f': 'm'}\n", ["def f():\n    pass\n"], ["f"]),
+    ("_EXPORTS = {'f': 'm'}\n", ["def f():\n    pass\n", "def g():\n    return f()\n"], []),
+    ("_EXPORTS = {'f': 'm'}\n", ["def g():\n    return f()\ndef f():\n    pass\n"], []),
+    ("_EXPORTS = {'f': 'm'}\n", ["def f(n):\n    return f(n - 1)\n"], ["f"]),
+    ("_EXPORTS = {'f': 'm'}\n", ["__all__ = ['f']\ndef f():\n    pass\n"], ["f"]),
+    ("_EXPORTS = {'f': 'm'}\n", ["from m import f\n"], ["f"]),
+    ("_EXPORTS = {'f': 'm'}\n", ["import gabframes as gf\ngf.f(1)\n"], []),
+    ("_EXPORTS = {'C': 'm'}\n",
+     ["class C:\n    @classmethod\n    def of(cls):\n        return C()\n"], ["C"]),
+    ("_EXPORTS = {'R': 'm'}\n", ["class R:\n    pass\ndef run():\n    return R()\n"], []),
+    ("_EXPORTS = {'f': 'm', 'g': 'm'}\n", ["x = [f]\n"], ["g"]),
+])
+def test_caller_checker_itself(init_source, sources, uncalled):
+    assert uncalled_exports(init_source, sources) == uncalled
 
 
 def method_definitions(source: str) -> list[str]:

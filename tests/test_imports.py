@@ -19,15 +19,14 @@ import gabframes as gf
 ROOT = Path(__file__).resolve().parent.parent
 
 NAMES = {
-    "amalgam": ["Exponent", "ExponentPair", "amalgam_norm", "conjugate_exponent",
-                "cube_norms", "holder_bound", "lp_norm_on_cube", "wiener_norm"],
+    "amalgam": ["Exponent", "ExponentPair", "amalgam_norm", "cube_norms", "holder_bound",
+                "wiener_norm"],
     "errors": ["CommensurabilityError", "ConfigError", "DegenerateWindowPairError",
                "GridMismatchError", "ResolutionError", "UnsupportedDimensionError"],
     "experiments": ["CounterexampleReport", "SweepReport", "SweepSchedule",
-                    "convergence_sweep", "counterexample_run", "diagonal_decay_sweep",
-                    "opnorm_sweep", "riemann_uniformity"],
-    "grid": ["Grid", "GridFunction", "inner_product", "l2_norm", "modulate",
-             "mt_commutation_phase", "tf_shift", "translate", "write_csv"],
+                    "convergence_sweep", "counterexample_run", "opnorm_sweep"],
+    "grid": ["Grid", "GridFunction", "inner_product", "l2_norm", "modulate", "tf_shift",
+             "translate", "write_csv"],
     "janssen": ["JanssenLattice", "WexlerRazResult", "janssen_apply", "janssen_coefficients",
                 "wexler_raz_check"],
     "operators": ["CoefficientLattice", "GaborSystem", "apply_frame_direct",
@@ -45,7 +44,7 @@ PUBLIC = [name for names in NAMES.values() for name in names]
 
 
 def test_name_counts():
-    assert len(PUBLIC) == len(set(PUBLIC)) == 57
+    assert len(PUBLIC) == len(set(PUBLIC)) == 52
     assert sorted(NAMES) == SUBMODULES
 
 

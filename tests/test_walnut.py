@@ -32,7 +32,7 @@ from gabframes import (
 )
 from gabframes.grid import _cell_spectrum, _fold_overlap, fold_to_cell, shift_array
 from gabframes.walnut import correlation_member_range, diagonal_deviation
-from conftest import assert_one_rule, random_interior, same_bits
+from conftest import assert_one_rule, random_interior, same_bits, scan_box
 
 PQ_SET = [(1, 1), (2, 2), (1, 2), (2, math.inf)]
 
@@ -295,15 +295,31 @@ def box_system(case, seed=0):
                        p * h, 1 / (ibs * h))
 
 
+def full_grid_fold(u, v, steps, cell_steps, origin):
+    """The fold of the full-grid product conj(T_steps u) * v into a cell of side
+    cell_steps; for a one-sample cell, the np.vdot of the two over the meet of
+    their support boxes."""
+    shifted = shift_array(u, steps)
+    if cell_steps > 1:
+        return fold_to_cell(np.conj(shifted) * v, cell_steps, origin)
+    box = tuple(slice(max(s.start, o.start), min(s.stop, o.stop))
+                for s, o in zip(scan_box(shifted), scan_box(v)))
+    cell = np.zeros((1,) * v.ndim, dtype=complex)
+    if all(sl.start < sl.stop for sl in box):
+        cell[...] = np.vdot(shifted[box], v[box])
+    return cell
+
+
 def full_grid_member(sys, n):
-    """G[n] as the fold of the full-grid product conj(T_{n/b} g) * gamma."""
-    w = np.conj(shift_array(sys.g.values, np.array(n) * sys.inv_b_steps)) * sys.gamma.values
-    return fold_to_cell(w, sys.a_steps, sys.grid.half_extent_steps)
+    """G[n] from the full-grid product conj(T_{n/b} g) * gamma."""
+    return full_grid_fold(sys.g.values, sys.gamma.values, np.array(n) * sys.inv_b_steps,
+                          sys.a_steps, sys.grid.half_extent_steps)
 
 
 class TestBoxKernels:
     """The overlap-box members and STFT rows and the support-box Walnut sum
-    give the bits of the full-grid computations they replace."""
+    give the bits of the full-grid computations they replace; a one-sample
+    cell gives the bits of np.vdot over the overlap."""
 
     @pytest.mark.parametrize("case", BOX_CASES)
     def test_members_match_full_grid_fold(self, case):
@@ -321,8 +337,8 @@ class TestBoxKernels:
             n = sys.time_indices[list(pos)]  # the outer rows move g off the grid
             # conj(T g) first, as in the kernel: with FMA, numpy's complex
             # product can round differently when its operands are swapped
-            w = np.conj(shift_array(sys.g.values, n * sys.a_steps)) * f.values
-            cell = fold_to_cell(w, sys.inv_b_steps, grid.half_extent_steps)
+            cell = full_grid_fold(sys.g.values, f.values, n * sys.a_steps, sys.inv_b_steps,
+                                  grid.half_extent_steps)
             want = grid.cell_measure * _cell_spectrum(cell, sys.freq_indices)
             assert same_bits(lat.entries[pos], want), n
 

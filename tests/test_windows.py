@@ -91,6 +91,58 @@ class TestBspline:
             sample_window(WindowSpec.bspline(241), grid)
 
 
+# grids for the order bound: 1-D and 2-D, whole and fractional T, and T = h,
+# where the largest coordinate is 0
+ORDER_BOUND_GRIDS = [Grid(4.0, 1 / 32), Grid(2.75, 1 / 16), Grid(1.25, 1 / 8, dim=2),
+                     Grid(1 / 32, 1 / 32)]
+
+
+class TestOrderBound:
+    """B_k(x) <= x^(k-1) / (k-1)! refuses high orders before the recursion runs."""
+
+    def test_refuses_before_the_recursion(self, monkeypatch):
+        def unsampled(order, x):
+            raise AssertionError("the recursion ran")
+
+        monkeypatch.setattr("gabframes.windows.bspline_profile", unsampled)
+        for order in (241, 2000):
+            with pytest.raises(ResolutionError,
+                               match=rf"'order': {order}\}}.*half_extent=4.0, spacing=1/32"):
+                sample_window(WindowSpec.bspline(order), Grid(4.0, 1 / 32))
+
+    @pytest.mark.parametrize("grid", ORDER_BOUND_GRIDS, ids=repr)
+    def test_refuses_only_windows_that_sample_to_zero(self, grid, monkeypatch):
+        x = grid.axis_coords()
+        profiles = list(bspline_orders(x, 400))
+        for order in (1, 2, 7, 40):
+            assert profiles[order - 1].tobytes() == bspline_profile(order, x).tobytes()
+        sampled = []
+        monkeypatch.setattr("gabframes.windows.bspline_profile",
+                            lambda order, x: sampled.append(order) or np.zeros_like(x))
+        for order in range(1, 401):
+            with pytest.raises(ResolutionError):
+                sample_window(WindowSpec.bspline(order), grid)
+        refused = sorted(set(range(1, 401)) - set(sampled))
+        assert refused and refused == list(range(refused[0], 401))
+        for order in refused:
+            assert not profiles[order - 1].any(), order
+
+
+def bspline_orders(x, top):
+    """bspline_profile(k, x) for k = 1..top from one pass of its recursion:
+    after step k, row 0 holds order k, computed by the same operations."""
+    args = [x]
+    for _ in range(top - 1):
+        args.append(args[-1] - 1)
+    args = np.array(args)
+    level = ((args >= 0) & (args < 1)).astype(float)
+    yield level[0]
+    for k in range(2, top + 1):
+        t = args[:len(level) - 1]
+        level = (t * level[:-1] + (k - t) * level[1:]) / (k - 1)
+        yield level[0]
+
+
 def recursive_bspline(order, x):
     """The cardinal B-spline by its recursive definition, the oracle."""
     if order == 1:
