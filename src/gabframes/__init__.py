@@ -49,7 +49,6 @@ _EXPORTS = {
     "janssen_apply": "janssen",
     "janssen_coefficients": "janssen",
     "wexler_raz_check": "janssen",
-    "CoefficientLattice": "operators",
     "GaborSystem": "operators",
     "apply_frame_direct": "operators",
     "gabor_coefficients": "operators",
@@ -57,7 +56,6 @@ _EXPORTS = {
     "apply_remainder": "walnut",
     "apply_diagonal_defect": "walnut",
     "correlation_family": "walnut",
-    "correlation_fn": "walnut",
     "diagonal_correlation": "walnut",
     "frame_bounds": "walnut",
     "operator_norm_upper_bound": "walnut",

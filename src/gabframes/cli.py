@@ -210,13 +210,13 @@ def _cmd_stft(args) -> int:
 
     sys_ = _system_from(cfg)
     f = _f_from(cfg, sys_.grid)
-    lat = gabor_coefficients(f, sys_)
+    entries = gabor_coefficients(f, sys_)
     d = sys_.grid.dim
     names = ["n", "m"] if d == 1 else (
         [f"n_{j+1}" for j in range(d)] + [f"m_{j+1}" for j in range(d)])
-    pos = np.indices(lat.entries.shape).reshape(2 * d, -1)
-    labels = [lat.time_indices[i] for i in pos[:d]] + [lat.freq_indices[i] for i in pos[d:]]
-    v = lat.entries.reshape(-1)
+    pos = np.indices(entries.shape).reshape(2 * d, -1)
+    labels = [sys_.time_indices[i] for i in pos[:d]] + [sys_.freq_indices[i] for i in pos[d:]]
+    v = entries.reshape(-1)
     buf = io.StringIO()
     _write_table(buf, names + ["re", "im"], labels + [v.real, v.imag],
                  ["%d"] * (2 * d) + ["%.17g"] * 2)
@@ -458,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default="inf")
     p.set_defaults(fn=_cmd_counterexample)
 
-    p = sub.add_parser("selftest", parents=[common], help="run the built-in sanity checks")
+    p = sub.add_parser("selftest", help="run the built-in sanity checks")
     p.add_argument("--seed", type=int, default=0, help="seed for the random test function")
     p.set_defaults(fn=_cmd_selftest)
     return parser

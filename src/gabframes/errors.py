@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one memory preflight."""
+import os
 
 __all__ = [
     "CommensurabilityError",
@@ -40,3 +41,22 @@ class ResolutionError(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration failed validation before any computation."""
+
+
+def _physical_memory_bytes() -> int | None:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        return None
+
+
+def _require_memory(need: int, what: str, advice: str) -> None:
+    """Raise ResolutionError when ``what``, estimated to peak at ``need``
+    bytes, would not fit in physical memory; called before allocating."""
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        from decimal import Decimal  # exact at any size, where a float overflows
+
+        raise ResolutionError(
+            f"{what} needs about {Decimal(need) / 2 ** 30:.3g} GiB, more than the "
+            f"{have / 2 ** 30:.3g} GiB of physical memory; {advice}")

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .amalgam import Exponent, ExponentPair, amalgam_norm
-from .errors import ConfigError, ResolutionError
+from .errors import ConfigError, _require_memory
 from .grid import (
     Grid,
     GridFunction,
@@ -26,7 +26,7 @@ from .grid import (
     support_index_bounds,
     translate,
 )
-from .operators import GaborSystem, _physical_memory_bytes
+from .operators import GaborSystem
 from .walnut import (
     apply_diagonal_defect,
     diagonal_deviation,
@@ -307,12 +307,12 @@ _CELL_SIZES = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
 def _counterexample_peak_bytes(depth: int) -> int:
-    # depth k samples [-2, 2) at N = 32 * 4^k points and peaks while sampling the
-    # contrast window next to the fat-Cantor one: float coordinates and profile
-    # on all N points, and on the unit interval's N/4 points the two complex
-    # windows, the float samples and two int index arrays
+    # depth k samples [-2, 2) at N = 32 * 4^k points and peaks in the norm of
+    # the defect at a = 1: on [0, 1) (N/4 points) two complex windows, the
+    # complex G[0] and defect and the int frequency indices (r = N/4), and on
+    # the two unit cubes cube_norms reads a complex copy and its modulus
     n = 32 * 4 ** depth
-    return 16 * n + (16 + 16 + 8 + 2 * 8) * n // 4
+    return (4 * 16 + 8) * n // 4 + (16 + 8) * n // 2
 
 
 def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleReport:
@@ -331,15 +331,9 @@ def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleRepor
     """
     _require_threads(threads)
     depths = [int(k) for k in depths]
-    need = sum(sorted(map(_counterexample_peak_bytes, depths))[-threads:])
-    have = _physical_memory_bytes()
-    if have is not None and need > have:
-        from decimal import Decimal  # exact at any depth, where a float overflows
-
-        raise ResolutionError(
-            f"counterexample depths {depths} need about {Decimal(need) / 2 ** 30:.3g} GiB "
-            f"with {threads} thread(s), more than the {have / 2 ** 30:.3g} GiB of physical "
-            f"memory; lower the depths or the threads")
+    _require_memory(sum(sorted(map(_counterexample_peak_bytes, depths))[-threads:]),
+                    f"the counterexample at depths {depths} with {threads} thread(s)",
+                    "lower the depths or the threads")
     q_pair = ExponentPair.of((math.inf, q))
 
     def run_depth(k: int) -> CounterexampleRecord:

@@ -119,9 +119,10 @@ class Grid:
     def cell_measure(self) -> float:
         return self.spacing ** self.dim
 
-    def axis_coords(self) -> np.ndarray:
-        """Coordinates along one axis: (i - T/h) * h for i = 0..N-1."""
-        return (np.arange(self.samples_per_axis) - self.half_extent_steps) * self.spacing
+    def axis_coords(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Coordinates along one axis: (i - T/h) * h for i = lo..hi-1 (all N by default)."""
+        hi = self.samples_per_axis if hi is None else hi
+        return (np.arange(lo, hi) - self.half_extent_steps) * self.spacing
 
     def steps(self, t) -> np.ndarray:
         """Convert a shift vector to exact integer grid steps.
@@ -428,12 +429,12 @@ def _phase(grid: Grid, omega, box) -> np.ndarray:
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if omega.shape != (grid.dim,):
         raise ValueError(f"frequency must have {grid.dim} component(s), got shape {omega.shape}")
-    x = grid.axis_coords()
     out = np.ones((), dtype=complex)
     for ax, sl in enumerate(box):
         shape = [1] * grid.dim
         shape[ax] = -1
-        out = out * np.exp(2j * np.pi * omega[ax] * x[sl]).reshape(shape)
+        x = grid.axis_coords(sl.start, sl.stop)
+        out = out * np.exp(2j * np.pi * omega[ax] * x).reshape(shape)
     return out
 
 

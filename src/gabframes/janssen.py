@@ -10,9 +10,10 @@ coefficients of the frame operator,
 Like every form of S, it divides by the system's pairing <gamma, g>.
 
 On the grid both directions are exact cell transforms with the alias period
-p = a/h: column n of the coefficients is h^d times the FFT of the folded
-correlation cell G[n] at bins l mod p, and the truncated l-sum of a column
-is one inverse FFT back onto the cell.  The truncated Janssen operator
+p = a/h: column n of the coefficients is h^d times the cell spectrum of the
+Walnut member G[n] = correlation_family(sys)[n], read at bins l mod p by
+grid._cell_spectrum as the STFT rows are, and the truncated l-sum of a
+column is one inverse FFT back onto the cell.  The truncated Janssen operator
 S_{L,N} is therefore the Walnut-form value of walnut, the one behind S, its
 remainder R and the frame-bound blocks, on l-filtered cells with scale
 1 / <gamma, g>.
@@ -22,6 +23,8 @@ members and l over one alias period.  So the truncation error of
 |l| <= L, |n| <= N is known exactly term by term, and since M and T have
 norm <= 1 on every L^p of the grid, the summed magnitude of the terms the
 truncation misses or repeats bounds ||S - S_{L,N}|| there (truncation_bound).
+The radii L and N are sizes the caller picks: each function here passes
+its peak-byte estimate to errors._require_memory before allocating.
 """
 from __future__ import annotations
 
@@ -30,7 +33,8 @@ from itertools import product
 
 import numpy as np
 
-from .grid import GridFunction, fold_to_cell
+from .errors import _require_memory
+from .grid import GridFunction, _cell_spectrum, fold_to_cell
 from .operators import GaborSystem, correlation_family
 from .walnut import _WalnutForm
 
@@ -91,28 +95,39 @@ class JanssenLattice:
         return complex(self.entries[idx])
 
 
+def _lattice_peak_bytes(sys: GaborSystem, ell_radius: int, n_radius: int) -> int:
+    # janssen_coefficients: the entries and their frozen copy, 32 B each, or
+    # beside the entries the folded (2L+1)^d ones, one stored column's
+    # spectrum and its copy, and a cell's FFT, its copy and two float arrays
+    d = sys.grid.dim
+    column = (2 * ell_radius + 1) ** d
+    return 32 * column * (2 * n_radius + 1) ** d + 32 * column + 64 * sys.a_steps ** d
+
+
 def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> JanssenLattice:
     """Compute c[l, n] = <gamma, M_{l/a} T_{n/b} g> over the given radii,
-    with the truncation_bound of the stored ranges."""
+    with the truncation_bound of the stored ranges.  Raises ResolutionError,
+    before allocating, when they would not fit in physical memory."""
     if ell_radius < 0 or n_radius < 0:
         raise ValueError("radii must be nonnegative")
-    grid = sys.grid
+    grid, p = sys.grid, sys.a_steps
     d = grid.dim
-    p = sys.a_steps
+    _require_memory(_lattice_peak_bytes(sys, ell_radius, n_radius),
+                    f"the dual-lattice expansion at L = {ell_radius}, N = {n_radius} and "
+                    f"a/h = {p}", "lower L or N")
     ls = np.arange(-ell_radius, ell_radius + 1)
-    shape = (2 * ell_radius + 1,) * d + (2 * n_radius + 1,) * d
-    entries = np.zeros(shape, dtype=complex)
+    entries = np.zeros((len(ls),) * d + (2 * n_radius + 1,) * d, dtype=complex)
     # |1 - count| per alias bin, count being the stored l that janssen_apply
     # folds into the bin
     miss = np.abs(1.0 - fold_to_cell(np.ones((2 * ell_radius + 1,) * d), p, ell_radius))
     tail = 0.0
-    bins = np.ix_(*[ls % p] * d)  # the FFT bin of each stored l
     for n, cell in correlation_family(sys).items():
         stored = max(map(abs, n)) <= n_radius
         c_hat = grid.cell_measure * np.fft.fftn(cell)
         tail += float(((miss if stored else 1.0) * np.abs(c_hat)).sum())
         if stored:
-            entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = c_hat[bins]
+            entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = \
+                grid.cell_measure * _cell_spectrum(cell, ls)
     return JanssenLattice(entries, sys, ell_radius, n_radius, tail / abs(sys.pairing))
 
 
@@ -123,6 +138,11 @@ def _janssen_form(lattice: JanssenLattice) -> _WalnutForm:
     # FFT of column n after the fold adds every aliased l into its bin l mod p
     sys = lattice.system
     p, radius = sys.a_steps, lattice.n_radius
+    # the (2N+1)^d cells and one column folded to whole cells, before the
+    # Walnut sum checks its own bytes
+    column = -(-(2 * lattice.ell_radius + 1) // p) * p
+    _require_memory(16 * (((2 * radius + 1) * p) ** lattice.dim + column ** lattice.dim),
+                    f"the Janssen cells at N = {radius} and a/h = {p}", "lower N")
     cells = {n: p ** lattice.dim * np.fft.ifftn(fold_to_cell(
                  lattice.entries[(Ellipsis,) + tuple(v + radius for v in n)], p, lattice.ell_radius))
              for n in product(range(-radius, radius + 1), repeat=lattice.dim)}
@@ -141,7 +161,9 @@ def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
     (frequencies l/a and l/a + 1/h sample identically), so an l range
     reaching a nonvanishing alias duplicates content; keep 2L+1 within one
     period unless the out-of-band coefficients vanish.  Raises
-    GridMismatchError when f is not on the lattice's grid.
+    GridMismatchError when f is not on the lattice's grid, and
+    ResolutionError, before allocating, when the cells or the sum would not
+    fit in physical memory.
     """
     return _janssen_form(lattice).apply(f)
 
@@ -162,15 +184,20 @@ def wexler_raz_check(sys: GaborSystem, ell_radius: int, n_radius: int,
     """Test c[l, n] / <gamma, g> = delta_{l 0} delta_{n 0} on the stored ranges.
 
     diag is c[0, 0], an FFT bin, over the system's pairing <gamma, g>.
+    Raises ResolutionError, before allocating, when the coefficients and
+    the two arrays normalized from them (40 B per entry) would not fit.
     """
+    _require_memory(_lattice_peak_bytes(sys, ell_radius, n_radius)
+                    + 8 * ((2 * ell_radius + 1) * (2 * n_radius + 1)) ** sys.grid.dim,
+                    f"the Wexler-Raz check at L = {ell_radius}, N = {n_radius} and "
+                    f"a/h = {sys.a_steps}", "lower L or N")
     lattice = janssen_coefficients(sys, ell_radius, n_radius)
     normalized = lattice.entries / sys.pairing
     d = lattice.dim
     center = (ell_radius,) * d + (n_radius,) * d
-    mags = np.abs(normalized)
     diag = complex(normalized[center])
-    mags_off = mags.copy()
-    mags_off[center] = 0.0
-    max_offdiag = float(mags_off.max())
+    mags = np.abs(normalized)
+    mags[center] = 0.0
+    max_offdiag = float(mags.max())
     ok = abs(diag - 1.0) <= tol and max_offdiag <= tol
     return WexlerRazResult(normalized, bool(ok), max_offdiag, diag)

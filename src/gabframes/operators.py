@@ -1,4 +1,4 @@
-"""STFT, Gabor coefficient lattices, and the direct frame operator.
+"""STFT coefficients, the Walnut members, and the direct frame operator.
 
 The direct operator is the definitional double lattice sum
 
@@ -10,7 +10,9 @@ per axis (an integer by the commensurability contract), because frequencies
 m b and m b + 1/h are indistinguishable on samples.  One full period of
 frequency indices therefore covers the grid's Nyquist band exactly, and
 every system uses it; the time indices are every n whose shift of g meets
-the grid.  So a GaborSystem names one operator, whichever form evaluates it.
+the grid.  So a GaborSystem names one operator, whichever form evaluates it,
+and its time_indices and freq_indices index the array gabor_coefficients
+returns.
 
 The same periodicity turns every frequency sum into one exact kernel: fold
 the product conj(T_{na} g) * f into a cell of side r and take its FFT, so
@@ -18,21 +20,21 @@ coefficient m is bin m mod r.  gabor_coefficients uses that kernel, the
 overlap-box fold the Walnut members use too; the direct operator
 deliberately does not, so it stays an independent oracle.
 A GaborSystem is immutable and keeps its Walnut members G[n], which
-correlation_family folds on first use.  Every other evaluation of S lives
-in walnut and janssen, which read them here: S, its remainder R, the
-truncated Janssen operator S_{L,N} and the exact frame-bound blocks are one
-Walnut-form value, walnut._WalnutForm.
+correlation_family folds on first use; a member is correlation_family(sys)[n].
+Every other evaluation of S lives in walnut and janssen, which read them
+here: S, its remainder R, the truncated Janssen operator S_{L,N} and the
+exact frame-bound blocks are one Walnut-form value, walnut._WalnutForm.
+Sizes the caller picks go through errors._require_memory before allocating.
 """
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+import math
 from itertools import product
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DegenerateWindowPairError, ResolutionError
+from .errors import DegenerateWindowPairError, _require_memory
 from .grid import (
     Grid,
     GridFunction,
@@ -47,7 +49,6 @@ from .grid import (
 
 __all__ = [
     "GaborSystem",
-    "CoefficientLattice",
     "stft",
     "gabor_coefficients",
     "apply_frame_direct",
@@ -127,17 +128,6 @@ class GaborSystem:
                 f"freq_indices={len(self.freq_indices)} per axis)")
 
 
-def _as_tuple(n, dim: int) -> tuple[int, ...]:
-    if np.isscalar(n):
-        if dim != 1:
-            raise ValueError(f"lattice index must have {dim} components, got scalar {n!r}")
-        return (int(n),)
-    n = tuple(int(v) for v in n)
-    if len(n) != dim:
-        raise ValueError(f"lattice index must have {dim} components, got {n!r}")
-    return n
-
-
 def correlation_member_range(sys: GaborSystem) -> list[range]:
     """Per-axis ranges of n with T_{n/b} g and gamma overlapping on the grid.
 
@@ -154,14 +144,13 @@ def correlation_member_range(sys: GaborSystem) -> list[range]:
     return out
 
 
-def correlation_fn(sys: GaborSystem, n) -> np.ndarray:
-    """Samples of G[n] on the fundamental cell [0, a)^d (zero if no overlap).
-
-    Only the overlap box of supp(T_{n/b} g) and supp(gamma) is multiplied
-    and folded; every sample outside it contributes an exact zero.
-    """
-    steps = [v * sys.inv_b_steps for v in _as_tuple(n, sys.grid.dim)]
-    return _fold_overlap(sys.g, sys.gamma, steps, sys.a_steps)
+def _fold_peak_bytes(u: GridFunction, v: GridFunction, cell_steps: int) -> int:
+    # one _fold_overlap of u against v at any shift: the complex product on
+    # the overlap box, no wider per axis than either support box, beside its
+    # conjugate or its copy padded to whole cells
+    widths = [min(a.stop - a.start, b.stop - b.start) for a, b in zip(u.box, v.box)]
+    box = math.prod(widths)
+    return 16 * (box + max(box, math.prod(-(-w // cell_steps) * cell_steps for w in widths)))
 
 
 def correlation_family(sys: GaborSystem) -> MappingProxyType:
@@ -169,45 +158,22 @@ def correlation_family(sys: GaborSystem) -> MappingProxyType:
 
     The band matrix of S.  Computed on the first call and kept on the
     system, so each member is folded once however many forms of S read it;
-    the mapping and its cells are read-only.
+    the mapping and its cells are read-only.  Member n folds conj(T_{n/b} g)
+    * gamma on the overlap box of their supports into the cell [0, a)^d.
+    Raises ResolutionError, before folding, when the cells would not fit.
     """
     if getattr(sys, "_members", None) is None:
+        ranges, p = correlation_member_range(sys), sys.a_steps
+        _require_memory(16 * math.prod(map(len, ranges)) * p ** sys.grid.dim
+                        + _fold_peak_bytes(sys.g, sys.gamma, p),
+                        f"folding the Walnut members at a/h = {p}", "shrink a")
         members = {}
-        for n in product(*correlation_member_range(sys)):
-            cell = correlation_fn(sys, n)
+        for n in product(*ranges):
+            cell = _fold_overlap(sys.g, sys.gamma, [v * sys.inv_b_steps for v in n], p)
             cell.setflags(write=False)
             members[n] = cell
         object.__setattr__(sys, "_members", MappingProxyType(members))
     return sys._members
-
-
-@dataclass
-class CoefficientLattice:
-    """Gabor coefficients <f, tau(na, mb) g> over the system's index ranges.
-
-    entries has the d time axes first (lengths matching time_indices) and
-    the d frequency axes last (lengths matching freq_indices).
-    """
-
-    entries: np.ndarray
-    time_indices: np.ndarray
-    freq_indices: np.ndarray
-
-    def __post_init__(self):
-        d = self.entries.ndim // 2
-        want = (len(self.time_indices),) * d + (len(self.freq_indices),) * d
-        if self.entries.shape != want:
-            raise ValueError(f"entries shape {self.entries.shape} does not match index ranges {want}")
-
-    def entry(self, n, m) -> complex:
-        d = self.entries.ndim // 2
-        n = np.atleast_1d(np.asarray(n, dtype=int))
-        m = np.atleast_1d(np.asarray(m, dtype=int))
-        idx = tuple(int(np.nonzero(self.time_indices == nj)[0][0]) for nj in n)
-        idx += tuple(int(np.nonzero(self.freq_indices == mj)[0][0]) for mj in m)
-        if len(idx) != 2 * d:
-            raise IndexError("index arity does not match lattice dimension")
-        return complex(self.entries[idx])
 
 
 def stft(f: GridFunction, g: GridFunction, t, omega) -> complex:
@@ -228,23 +194,28 @@ def _apply_axes(mat: np.ndarray, ten: np.ndarray) -> np.ndarray:
     return ten
 
 
-def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> CoefficientLattice:
+def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> np.ndarray:
     """All coefficients <f, tau(na, mb) g> over the system's index ranges.
 
-    Row n is the FFT of conj(T_{na} g) * f folded into a cell of side r,
-    formed on the overlap box of the two supports only.  Raises
-    GridMismatchError when f is not on the system's grid.
+    The d time axes, indexed by sys.time_indices, come before the d
+    frequency axes, indexed by sys.freq_indices.  Row n is the FFT of
+    conj(T_{na} g) * f folded into a cell of side r, formed on the overlap
+    box of the two supports only.  Raises GridMismatchError when f is not
+    on the system's grid, and ResolutionError when the array would not fit.
     """
     _require_grid(f, sys.grid)
     grid = sys.grid
-    d = grid.dim
+    d, r = grid.dim, sys.inv_b_steps
     n_count = len(sys.time_indices)
-    m_count = len(sys.freq_indices)
-    entries = np.zeros((n_count,) * d + (m_count,) * d, dtype=complex)
+    # the array, then per row the fold, or the cell, its FFT and two r^d copies
+    _require_memory(16 * (n_count * r) ** d + max(_fold_peak_bytes(sys.g, f, r), 64 * r ** d),
+                    f"the STFT at {n_count} shifts and frequency period {r} per axis",
+                    "shrink the grid or b")
+    entries = np.zeros((n_count,) * d + (r,) * d, dtype=complex)
     for pos, n in zip(np.ndindex((n_count,) * d), product(sys.time_indices, repeat=d)):
-        cell = _fold_overlap(sys.g, f, np.array(n) * sys.a_steps, sys.inv_b_steps)
+        cell = _fold_overlap(sys.g, f, [int(v) * sys.a_steps for v in n], r)
         entries[pos] = grid.cell_measure * _cell_spectrum(cell, sys.freq_indices)
-    return CoefficientLattice(entries, sys.time_indices, sys.freq_indices)
+    return entries
 
 
 def _direct_peak_bytes(grid: Grid, r: int) -> int:
@@ -255,13 +226,6 @@ def _direct_peak_bytes(grid: Grid, r: int) -> int:
     n, d = grid.samples_per_axis, grid.dim
     widest = max(r ** k * n ** (d - k) for k in range(d + 1))
     return np.dtype(complex).itemsize * (3 * r * n + 9 * n ** d + 2 * widest)
-
-
-def _physical_memory_bytes() -> int | None:
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
-        return None
 
 
 def apply_frame_direct(f: GridFunction, sys: GaborSystem) -> GridFunction:
@@ -276,20 +240,15 @@ def apply_frame_direct(f: GridFunction, sys: GaborSystem) -> GridFunction:
     _require_grid(f, sys.grid)
     grid = sys.grid
     d = grid.dim
-    need = _direct_peak_bytes(grid, len(sys.freq_indices))
-    have = _physical_memory_bytes()
-    if have is not None and need > have:
-        raise ResolutionError(
-            f"the direct form needs about {need / 2 ** 30:.3g} GiB at "
-            f"{grid.samples_per_axis} samples per axis and frequency period "
-            f"{len(sys.freq_indices)}, more than the {have / 2 ** 30:.3g} GiB of physical "
-            f"memory; use the walnut or janssen form")
+    _require_memory(_direct_peak_bytes(grid, sys.inv_b_steps),
+                    f"the direct form at {grid.samples_per_axis} samples per axis and "
+                    f"frequency period {sys.inv_b_steps}", "use the walnut or janssen form")
     phases = _freq_phase_matrix(grid, sys.b, sys.freq_indices)
     p_conj = np.conj(phases)
     p_t = phases.T.copy()
     out = np.zeros(grid.shape, dtype=complex)
     for n in product(sys.time_indices, repeat=d):
-        steps = np.array(n) * sys.a_steps
+        steps = [int(v) * sys.a_steps for v in n]
         gs = shift_array(sys.g.values, steps)
         if not gs.any():
             continue

@@ -18,7 +18,8 @@ confined to the support interaction of the windows, and term n is added only
 on the box supp(f) + n/b, outside which it vanishes.  This is the full-period
 operator of operators.apply_frame_direct.  The members belong to the
 immutable GaborSystem: operators.correlation_family folds them once per
-system, and every form of S on that system reads them from there.
+system, member n is correlation_family(sys)[n], and every form of S on
+that system reads them from there.
 
 Every fast operator of the package has this shape, scale * sum_n ext(C[n])
 * T_{n/b} over a map of a-periodic cells C[n], and is one private value,
@@ -39,7 +40,7 @@ from itertools import product
 import numpy as np
 
 from .amalgam import wiener_norm
-from .errors import ResolutionError
+from .errors import _require_memory
 from .grid import (
     Grid,
     GridFunction,
@@ -53,19 +54,12 @@ from .grid import (
     _within,
     fold_to_cell,
 )
-from .operators import (
-    GaborSystem,
-    _physical_memory_bytes,
-    correlation_family,
-    correlation_fn,
-    correlation_member_range,
-)
+from .operators import GaborSystem, correlation_family, correlation_member_range
 
 _BATCH_ENTRIES = 1 << 22  # matrix entries per batched eigvalsh in frame_bounds (64 MiB)
 
 __all__ = [
     "correlation_member_range",
-    "correlation_fn",
     "correlation_family",
     "diagonal_correlation",
     "diagonal_deviation",
@@ -139,6 +133,10 @@ class _WalnutForm:
             if box is not None and self.cells[n].any():
                 terms.append((self.cells[n], box, _moved(box, [-s for s in steps])))
         hull = _hull([box for _, box, _ in terms], grid.dim)
+        # 48 B a sample: the sum, its scaled copy and the index of its nonzero
+        # samples, or the sum beside one term's arrays
+        size = math.prod(_box_shape(hull))
+        _require_memory(48 * size, f"the Walnut sum on {size} samples", "shrink the grid")
         out = np.zeros(_box_shape(hull), dtype=complex)
         for cell, box, f_box in terms:
             out[_within(box, hull)] += _cell_on_box(cell, box, grid.half_extent_steps) * _read(f, f_box)
@@ -193,8 +191,8 @@ def walnut_apply(f: GridFunction, sys: GaborSystem) -> GridFunction:
 
     Exact (no frequency truncation); members are reduced in sorted index
     order for reproducibility.  The result is computed on the hull of the
-    boxes the sum touches and allocates no full-grid array.  Raises
-    GridMismatchError when f is not on the system's grid.
+    boxes the sum touches.  Raises GridMismatchError when f is not on the
+    system's grid, and ResolutionError when the hull would not fit in memory.
     """
     return _walnut_form(sys).apply(f)
 
@@ -233,15 +231,10 @@ def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
     """
     if sys.g.box != sys.gamma.box or not np.array_equal(sys.g.data, sys.gamma.data):
         raise ValueError("frame bounds require the self-dual system (gamma = g)")
-    grid = sys.grid
-    r = sys.inv_b_steps
-    need = _bounds_peak_bytes(grid, r)
-    have = _physical_memory_bytes()
-    if have is not None and need > have:
-        raise ResolutionError(
-            f"frame_bounds needs about {need / 2 ** 30:.3g} GiB for its residue blocks at "
-            f"{grid.samples_per_axis} samples per axis and 1/(b h) = {r}, more than the "
-            f"{have / 2 ** 30:.3g} GiB of physical memory; shrink the half extent or b")
+    grid, r = sys.grid, sys.inv_b_steps
+    _require_memory(_bounds_peak_bytes(grid, r),
+                    f"frame_bounds at {grid.samples_per_axis} samples per axis "
+                    f"and 1/(b h) = {r}", "shrink the half extent or b")
     lower, upper = math.inf, -math.inf
     for _, blocks in _walnut_form(sys).blocks():
         eig = np.linalg.eigvalsh(blocks)

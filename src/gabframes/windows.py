@@ -65,14 +65,16 @@ class WindowSpec:
             if name in need:
                 if val is None:
                     raise ValueError(f"{self.family} window requires parameter {name!r}")
-                if val <= 0:
-                    raise ValueError(f"window parameter {name}={val!r} must be strictly positive")
+                if isinstance(val, bool) or not val > 0:  # a JSON true is not the number 1
+                    raise ValueError(f"window parameter {name}={val!r} must be a positive number")
             elif val is not None:
                 raise ValueError(f"{self.family} window does not take parameter {name!r}")
-        if self.order is not None and int(self.order) != self.order:
-            raise ValueError(f"bspline order must be an integer, got {self.order!r}")
-        if self.depth is not None and (int(self.depth) != self.depth or self.depth < 1):
-            raise ValueError(f"fat_cantor depth must be an integer >= 1, got {self.depth!r}")
+        for name in ("order", "depth"):  # a whole float is kept as its int: 3.0 samples as 3
+            val = getattr(self, name)
+            if val is not None and (val % 1 or val < 1):  # nan % 1 for an infinite value
+                raise ValueError(f"{self.family} {name} must be an integer >= 1, got {val!r}")
+            if val is not None:
+                object.__setattr__(self, name, int(val))
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -158,37 +160,41 @@ def fat_cantor_measure(depth: int) -> Fraction:
     return 1 - Fraction(1, 2) * (1 - Fraction(1, 2**depth))
 
 
-def _fat_cantor_axis(depth: int, grid: Grid) -> np.ndarray:
-    # each construction interval is sampled half-open [lo, hi), matching the
-    # package-wide cube convention; endpoints are compared as exact rationals
-    m = grid.samples_per_unit
-    th = grid.half_extent_steps
-    n = grid.samples_per_axis
-    vals = np.zeros(n)
-    for lo, hi in fat_cantor_intervals(depth):
-        start = ceil(lo * m) + th
-        stop = ceil(hi * m) + th
-        start = max(start, 0)
-        stop = min(stop, n)
+def _fat_cantor_axis(depth: int, grid: Grid, lo: int, hi: int) -> np.ndarray:
+    # the grid indices lo..hi-1, which hold [0, 1]; each construction interval
+    # is sampled half-open, matching the package-wide cube convention, and its
+    # endpoints are compared as exact rationals
+    m, th = grid.samples_per_unit, grid.half_extent_steps
+    vals = np.zeros(hi - lo)
+    for start, stop in fat_cantor_intervals(depth):
+        start = max(ceil(start * m) + th, lo)
+        stop = min(ceil(stop * m) + th, hi)
         if start < stop:
-            vals[start:stop] = 1.0
+            vals[start - lo:stop - lo] = 1.0
     return vals
 
 
 def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
     """Pointwise samples of the window on the grid.
 
-    Every family is a product of one axis profile over the axes; the product
-    is formed only on the box where the profile is nonzero, which is also the
-    function's support box, and no full-grid array is allocated.  fat_cantor
+    Every family is a product of one axis profile over the axes, computed
+    only on the family's support interval ([0, side), [0, order),
+    [-radius, radius] or [0, 1]) widened by one sample; the product is formed
+    only on the support box, so no full-axis array is allocated.  fat_cantor
     requires dim = 1 (UnsupportedDimensionError otherwise), and a window whose
     samples are all zero on the grid raises ResolutionError.
     """
-    x = grid.axis_coords()
+    if spec.family == "fat_cantor" and grid.dim != 1:
+        raise UnsupportedDimensionError("fat_cantor windows are one-dimensional")
+    start, stop = (-spec.radius, spec.radius) if spec.family == "gaussian" else (
+        0, {"indicator_cube": spec.side, "bspline": spec.order, "fat_cantor": 1}[spec.family])
+    # the indices lo..hi-1 whose coordinate may lie in [start, stop], one
+    # sample wider on each side and clipped to the axis
+    m, th, n = grid.samples_per_unit, grid.half_extent_steps, grid.samples_per_axis
+    lo, hi = int(min(max(start * m + th - 1, 0), n)), ceil(min(max(stop * m + th + 2, 0), n))
+    x = grid.axis_coords(lo, hi)
     if spec.family == "fat_cantor":
-        if grid.dim != 1:
-            raise UnsupportedDimensionError("fat_cantor windows are one-dimensional")
-        axis = _fat_cantor_axis(spec.depth, grid)
+        axis = _fat_cantor_axis(spec.depth, grid, lo, hi)
     elif spec.family == "indicator_cube":
         axis = ((x >= 0) & (x < spec.side)).astype(float)
     elif spec.family == "bspline":
@@ -202,12 +208,12 @@ def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
     nz = np.flatnonzero(axis)
     if not nz.size:
         raise ResolutionError(f"window {spec.to_json()} samples to zero everywhere on {grid!r}")
-    box = (slice(nz[0], nz[-1] + 1),) * grid.dim
+    box = (slice(lo + nz[0], lo + nz[-1] + 1),) * grid.dim
     vals = np.ones((), dtype=float)
     for ax in range(grid.dim):
         shape = [1] * grid.dim
         shape[ax] = -1
-        vals = vals * axis[box[ax]].reshape(shape)
+        vals = vals * axis[nz[0]:nz[-1] + 1].reshape(shape)
     return GridFunction._own(grid, box, vals.astype(complex))
 
 

@@ -25,7 +25,7 @@ from gabframes import (
     janssen_coefficients,
     l2_norm,
     operator_norm_upper_bound,
-    correlation_fn,
+    correlation_family,
     sample_window,
     sum_translates,
     tail_sum,
@@ -190,7 +190,7 @@ def test_criterion_07_fourier_coefficients_of_G(grid):
     xs = np.arange(sys.a_steps) * h
     worst = 0.0
     for n in members:
-        cell = correlation_fn(sys, n)
+        cell = correlation_family(sys)[(n,)]
         for l in range(-16, 17):
             quad = (1.0 / sys.a) * h * np.sum(cell * np.exp(-2j * np.pi * l * xs / sys.a))
             want = (1.0 / sys.a) * lat.entry(l, n)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,12 +152,13 @@ class TestStft:
         grid = Grid(1.0, 1 / 16, dim=2)
         g = sample_window(WindowSpec.gaussian(0.3, 0.5), grid)
         f = translate(sample_window(WindowSpec.bspline(2), grid), [-0.5, -0.5])
-        lat = gabor_coefficients(f, GaborSystem(g, g, 0.5, 1.0))
+        sys = GaborSystem(g, g, 0.5, 1.0)
+        entries = gabor_coefficients(f, sys)
         want = ["n_1,n_2,m_1,m_2,re,im\n"]
-        for pos in np.ndindex(lat.entries.shape):
-            labels = [str(lat.time_indices[i]) for i in pos[:2]]
-            labels += [str(lat.freq_indices[i]) for i in pos[2:]]
-            v = lat.entries[pos]
+        for pos in np.ndindex(entries.shape):
+            labels = [str(sys.time_indices[i]) for i in pos[:2]]
+            labels += [str(sys.freq_indices[i]) for i in pos[2:]]
+            v = entries[pos]
             want.append(",".join(labels) + f",{v.real:.17g},{v.imag:.17g}\n")
         assert out.read_text() == "".join(want)
 
@@ -398,13 +400,76 @@ def test_direct_form_past_physical_memory_is_a_json_error(capsys, tmp_path):
     assert obj["error"] == "ResolutionError" and "physical memory" in obj["message"]
 
 
+@pytest.mark.parametrize("argv,change", [
+    (["bounds", "--config"], {"a": 1e20}),
+    (["wexler-raz", "--L", "1000000000000", "--system"], {}),
+], ids=["cell-side", "modulation-radius"])
+def test_huge_sizes_fail_before_allocating(capsys, tmp_path, argv, change):
+    # a = 1e20 used to die in np.pad folding a 3.2e21-sample member cell
+    path = write_json(tmp_path / "sys.json", {**TestUnknownConfigKeys.DESK, **change})
+    run_cli(capsys, *argv, path)  # the first run imports the modules the command reads
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "ResolutionError" and "physical memory" in obj["message"]
+    assert peak < 2 ** 20
+
+
+class TestWindowParameterTypes:
+    """A whole-number float order or depth samples as the integer, and a
+    bool is not a number; both used to run (or fail with a traceback)."""
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "bspline", "order": 3},
+        {"family": "fat_cantor", "depth": 2},
+    ], ids=["bspline", "fat_cantor"])
+    def test_whole_float_norm_window(self, capsys, tmp_path, spec):
+        outs = []
+        key = "order" if "order" in spec else "depth"
+        for value in (float, int):
+            path = write_json(tmp_path / "w.json", {**spec, key: value(spec[key])})
+            code, out, err = run_cli(capsys, "norm", "--window", path)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_whole_float_order_of_f(self, capsys, tmp_path):
+        outs = []
+        for order in (3.0, 3):
+            path = write_json(tmp_path / "sys.json", {
+                **TestUnknownConfigKeys.DESK, "f": {"family": "bspline", "order": order}})
+            code, out, err = run_cli(capsys, "apply", "--config", path)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "bspline", "order": True},
+        {"family": "indicator_cube", "side": True},
+    ], ids=["order", "side"])
+    def test_bool_parameter(self, capsys, tmp_path, spec):
+        code, out, err = run_cli(capsys, "norm", "--window", write_json(tmp_path / "w.json", spec))
+        assert code == 1
+        assert out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "ConfigError" and "must be a positive number" in obj["message"]
+
+
 def test_unknown_command_exits_one(capsys):
     assert main(["frobnicate"]) == 1
 
 
 def test_options_only_where_read(capsys, indicator_spec, apply_config):
-    # --threads belongs to sweep and counterexample, --seed to selftest
+    # --threads belongs to sweep and counterexample, --seed to selftest, and
+    # --out to the commands that write data, which selftest does not
     assert main(["norm", "--window", indicator_spec, "--seed", "1"]) == 1
+    assert main(["selftest", "--out", "selftest.txt"]) == 1
     assert main(["stft", "--config", apply_config, "--threads", "2"]) == 1
     assert main(["selftest", "--seed", "1"]) == 0
     assert main(["counterexample", "--depths", "1", "--threads", "2"]) == 0

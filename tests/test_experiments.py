@@ -334,7 +334,7 @@ class TestCounterexamplePreflight:
 
     def test_depths_run_at_once_are_summed(self, monkeypatch):
         room = 3 * _counterexample_peak_bytes(3) // 2
-        monkeypatch.setattr("gabframes.experiments._physical_memory_bytes", lambda: room)
+        monkeypatch.setattr("gabframes.errors._physical_memory_bytes", lambda: room)
         assert counterexample_run([3, 1, 3], threads=1).passed
         with pytest.raises(ResolutionError, match="2 thread"):
             counterexample_run([3, 1, 3], threads=2)

@@ -47,6 +47,10 @@ it is on an allow-list: the CSV writer, which writes every sample, the
 direct form, the plain oracle, and the selftest.  Everything else works on
 support boxes.  A ``.values()`` call is not such a read.
 
+The memory rule: only ``errors.py`` calls ``os.sysconf``, in the one
+memory preflight ``_require_memory``, so every size check reads physical
+memory the same way and a test patches one name to change it.
+
 The front-end rule: the CLI's module-level imports are the stdlib,
 ``.errors`` and ``__version__`` only, so ``--version``, ``--help`` and
 config errors load no numpy; the handlers import the rest.  The
@@ -470,3 +474,38 @@ def test_cli_front_end_imports_no_library():
 ])
 def test_front_end_checker_itself(source, found):
     assert front_end_imports(source) == found
+
+
+def sysconf_calls(source: str) -> list[int]:
+    """Lines that call ``os.sysconf``, through ``os`` or a name imported from it."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "os"
+               for alias in node.names if alias.name == "sysconf"}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if (isinstance(fn, ast.Attribute) and fn.attr == "sysconf"
+                and isinstance(fn.value, ast.Name) and fn.value.id == "os") \
+                or (isinstance(fn, ast.Name) and fn.id in aliases):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_physical_memory_is_read_only_in_errors():
+    callers = {p.name for p in PACKAGE if sysconf_calls(p.read_text())}
+    assert callers == {"errors.py"}
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("import os\nos.sysconf('SC_PAGE_SIZE')\n", [2]),
+    ("import os\ndef f():\n    return os.sysconf('a') * os.sysconf('b')\n", [3, 3]),
+    ("from os import sysconf\nsysconf('SC_PAGE_SIZE')\n", [2]),
+    ("from os import sysconf as pages\npages('SC_PHYS_PAGES')\n", [2]),
+    ("import os\nos.cpu_count()\n", []),
+    ("def sysconf(name):\n    pass\nsysconf('x')\n", []),
+])
+def test_sysconf_checker_itself(source, lines):
+    assert sysconf_calls(source) == lines

@@ -11,7 +11,6 @@ from gabframes import (
     WindowSpec,
     amalgam_norm,
     correlation_family,
-    correlation_fn,
     janssen_apply,
     janssen_coefficients,
     l2_norm,
@@ -285,7 +284,7 @@ class TestFourierReconstruction:
 
     def test_gaussian_partial_sums_converge(self, gauss):
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)
-        target = correlation_fn(sys, 0)
+        target = correlation_family(sys)[(0,)]
         h = sys.grid.spacing
         dists = []
         for radius in (1, 2, 4):
@@ -332,7 +331,7 @@ class TestFourierReconstruction:
         h = sys.grid.spacing
         xs = np.arange(sys.a_steps) * h
         for n in correlation_member_range(sys)[0]:
-            cell = correlation_fn(sys, n)
+            cell = correlation_family(sys)[(n,)]
             for l in range(-16, 17):
                 quad = h * np.sum(cell * np.exp(-2j * np.pi * l * xs / sys.a))
                 assert quad == pytest.approx(lat.entry(l, n), abs=1e-8)

@@ -12,6 +12,7 @@ from gabframes import (
     GridMismatchError,
     ResolutionError,
     apply_frame_direct,
+    correlation_family,
     frame_bounds,
     gabor_coefficients,
     inner_product,
@@ -23,9 +24,10 @@ from gabframes import (
     stft,
     translate,
     walnut_apply,
+    wexler_raz_check,
     WindowSpec,
 )
-from gabframes import walnut
+from gabframes import janssen, operators, walnut
 from conftest import COPIERS, random_interior
 
 
@@ -132,20 +134,18 @@ class TestCoefficients:
     def test_zero_lattice(self, grid, chi):
         sys = GaborSystem(chi, chi, 0.5, 0.5)
         z = GridFunction(grid, np.zeros(grid.shape))
-        lat = gabor_coefficients(z, sys)
-        assert not lat.entries.any()
+        assert not gabor_coefficients(z, sys).any()
 
     def test_origin_entry(self, grid, chi, interior_f):
         sys = GaborSystem(chi, chi, 0.5, 0.5)
-        lat = gabor_coefficients(interior_f, sys)
-        assert lat.entry(0, 0) == pytest.approx(
+        entries = gabor_coefficients(interior_f, sys)
+        assert entries[sys.time_indices == 0, sys.freq_indices == 0][0] == pytest.approx(
             inner_product(interior_f, chi), abs=1e-14)
 
     def test_bessel_bound_identity_regime(self, grid, chi, interior_f):
         # S = I exactly, so sum |c|^2 = ||g||^2 / (ab)^d * ||f||^2
         sys = GaborSystem(chi, chi, 0.25, 0.5)
-        lat = gabor_coefficients(interior_f, sys)
-        total = float(np.sum(np.abs(lat.entries) ** 2))
+        total = float(np.sum(np.abs(gabor_coefficients(interior_f, sys)) ** 2))
         bound = frame_bounds(sys)[1] * l2_norm(chi) ** 2 / (0.25 * 0.5)
         assert total <= bound * l2_norm(interior_f) ** 2 * (1 + 1e-10)
         assert total == pytest.approx(bound * l2_norm(interior_f) ** 2, rel=1e-10)
@@ -156,14 +156,14 @@ class TestCoefficientKernel:
 
     @staticmethod
     def assert_matches_stft(f, sys):
-        lat = gabor_coefficients(f, sys)
+        entries = gabor_coefficients(f, sys)
         d = sys.grid.dim
-        tol = 1e-12 * np.abs(lat.entries).max()
-        for pos in np.ndindex(lat.entries.shape):
-            n = lat.time_indices[list(pos[:d])]
-            m = lat.freq_indices[list(pos[d:])]
+        tol = 1e-12 * np.abs(entries).max()
+        for pos in np.ndindex(entries.shape):
+            n = sys.time_indices[list(pos[:d])]
+            m = sys.freq_indices[list(pos[d:])]
             want = stft(f, sys.g, n * sys.a, m * sys.b)
-            assert abs(lat.entries[pos] - want) <= tol, (n, m)
+            assert abs(entries[pos] - want) <= tol, (n, m)
 
     def test_one_dimensional_full_period(self, grid, gauss):
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)
@@ -253,6 +253,88 @@ class TestDirectPreflight:
         estimate = _direct_peak_bytes(grid, len(sys.freq_indices))
         # the phase matrices dominate; the rest is a few grid-sized arrays
         assert estimate / 2 <= peak <= 1.1 * estimate
+
+
+def spied_peak(monkeypatch, modules, fn, *args):
+    """The traced peak of fn(*args) and the sum of the estimates it passed
+    to _require_memory, once per module of ``modules``."""
+    needs = {}
+    for module in modules:
+        def spy(need, *rest, module=module, check=module._require_memory):
+            needs.setdefault(module, need)
+            return check(need, *rest)
+
+        monkeypatch.setattr(module, "_require_memory", spy)
+    peak, _ = traced_peak(fn, *args)
+    return peak, sum(needs.values())
+
+
+class TestSizePreflights:
+    """Each size a caller picks (the cell side a/h, the period r, the radii
+    L and N) is estimated before allocating, and the estimate tracks the
+    traced peak."""
+
+    @pytest.mark.parametrize("half_extent,spacing,dim,a,b,window", [
+        (4.0, 1 / 256, 1, 2.0, 0.25, WindowSpec.gaussian(1.0, 3.0)),
+        (16.0, 1 / 1024, 1, 0.5, 0.5, WindowSpec.gaussian(1.0, 3.0)),
+        (2.0, 1 / 32, 2, 1.0, 0.5, WindowSpec.gaussian(0.5, 1.0))])
+    def test_estimates_track_the_traced_peaks(self, monkeypatch, half_extent, spacing, dim,
+                                              a, b, window):
+        np.fft.fftn(np.ones(2))  # numpy.fft loads on first use; keep that out of the peaks
+        grid = Grid(half_extent, spacing, dim)
+        g = sample_window(window, grid)
+        f = sample_window(WindowSpec.bspline(2), grid)
+        peaks = {"members": spied_peak(monkeypatch, [operators], correlation_family,
+                                       GaborSystem(g, g, a, b)),
+                 "stft": spied_peak(monkeypatch, [operators], gabor_coefficients, f,
+                                    GaborSystem(g, g, a, b))}
+        sys = GaborSystem(g, g, a, b)
+        correlation_family(sys)  # the members are not the expansion's own bytes
+        for radii in ((6, 6), (64, 8), (2, 0)):
+            peaks[f"coefficients {radii}"] = spied_peak(monkeypatch, [janssen],
+                                                        janssen_coefficients, sys, *radii)
+            # the cells, then the Walnut sum beside them
+            peaks[f"janssen {radii}"] = spied_peak(monkeypatch, [janssen, walnut], janssen_apply,
+                                                   f, janssen_coefficients(sys, *radii))
+            peaks[f"wexler-raz {radii}"] = spied_peak(monkeypatch, [janssen], wexler_raz_check,
+                                                      sys, *radii)
+            peaks[f"walnut {radii}"] = spied_peak(monkeypatch, [walnut], walnut_apply, f, sys)
+        for name, (peak, estimate) in peaks.items():
+            assert estimate / 2 <= peak <= 1.1 * estimate, name
+
+    def test_huge_sizes_raise_before_allocating(self):
+        grid = Grid(4.0, 1 / 32)
+        g = sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
+        sys = GaborSystem(g, g, 0.5, 0.5)
+        # a/h = 3.2e21 samples per member cell; |l| <= 10^12
+        runs = [(correlation_family, GaborSystem(g, g, 1e20, 0.5)),
+                (janssen_coefficients, sys, 10 ** 12, 4), (wexler_raz_check, sys, 10 ** 12, 4)]
+        # 262144 shifts a = h apart and frequency period 524288: petabytes
+        fine = Grid(16.0, 1 / 8192)
+        chi = sample_window(WindowSpec.indicator_cube(1.0), fine)
+        runs.append((gabor_coefficients, chi, GaborSystem(chi, chi, 1 / 8192, 1 / 64)))
+        for fn, *args in runs:
+            peak, result = traced_peak(fn, *args)
+            assert isinstance(result, ResolutionError), fn.__name__
+            assert "physical memory" in str(result)
+            assert peak < 2 ** 20, fn.__name__
+
+    def test_janssen_sum_raises_before_allocating(self, monkeypatch):
+        # no lattice this machine can hold has cells or a sum it cannot, so
+        # the physical memory is made one byte too small for the cells, then
+        # for the Walnut sum beside them (on a 512 x 512 grid)
+        grid = Grid(4.0, 1 / 64, dim=2)
+        g = sample_window(WindowSpec.gaussian(1.0, 1.5), grid)
+        f = sample_window(WindowSpec.bspline(2), grid)
+        lattice = janssen_coefficients(GaborSystem(g, g, 0.5, 0.5), 4, 4)
+        _, cells = spied_peak(monkeypatch, [janssen], janssen_apply, f, lattice)
+        peak, both = spied_peak(monkeypatch, [janssen, walnut], janssen_apply, f, lattice)
+        # nothing, then only the cells, is allocated before the check fails
+        for room, allocated in ((cells - 1, 0), (both - cells - 1, cells)):
+            monkeypatch.setattr("gabframes.errors._physical_memory_bytes", lambda: room)
+            small, result = traced_peak(janssen_apply, f, lattice)
+            assert isinstance(result, ResolutionError) and "physical memory" in str(result)
+            assert small < 1.1 * allocated + 2 ** 16 < peak / 4
 
 
 def dense_frame_operator(sys):

@@ -13,7 +13,6 @@ from gabframes import (
     apply_remainder,
     apply_diagonal_defect,
     correlation_family,
-    correlation_fn,
     diagonal_correlation,
     frame_bounds,
     gabor_coefficients,
@@ -51,9 +50,14 @@ def brute_correlation(sys, n, x_index):
     return total
 
 
+def fold_member(sys, n):
+    """G[n] folded afresh by the kernel, for any n: zero off the member range."""
+    return _fold_overlap(sys.g, sys.gamma, [v * sys.inv_b_steps for v in n], sys.a_steps)
+
+
 class TestCorrelationFn:
     def test_half_step_indicator_counts_two_overlaps(self, chi):
-        cell = correlation_fn(GaborSystem(chi, chi, 0.5, 1.0), 0)
+        cell = correlation_family(GaborSystem(chi, chi, 0.5, 1.0))[(0,)]
         assert np.allclose(cell, 2.0, atol=1e-15)
 
     def test_members_vanish_for_wide_shifts(self, chi):
@@ -61,7 +65,7 @@ class TestCorrelationFn:
         for b in (1.0, 0.5):
             ranges = correlation_member_range(GaborSystem(chi, chi, 0.5, b))
             assert list(ranges[0]) == [0]
-        far = correlation_fn(GaborSystem(chi, chi, 0.5, 1.0), 7)
+        far = fold_member(GaborSystem(chi, chi, 0.5, 1.0), (7,))
         assert not far.any()
 
     def test_gaussian_member_range_tracks_support(self, gauss):
@@ -74,7 +78,7 @@ class TestCorrelationFn:
         sys = GaborSystem(gauss, hat, 0.25, 0.5)
         rng = np.random.default_rng(0)
         for n in (-1, 0, 2):
-            ext = periodic_extension(correlation_fn(sys, n), grid)
+            ext = periodic_extension(correlation_family(sys)[(n,)], grid)
             for x_index in rng.integers(0, grid.samples_per_axis, size=8):
                 want = brute_correlation(sys, n, int(x_index))
                 assert ext[x_index] == pytest.approx(want, abs=1e-12)
@@ -326,13 +330,13 @@ class TestBoxKernels:
         sys = box_system(case)
         ranges = [range(r.start - 3, r.stop + 3) for r in correlation_member_range(sys)]
         for n in product(*ranges):  # runs past the boundary, where the cell is zero
-            assert same_bits(correlation_fn(sys, n), full_grid_member(sys, n)), n
+            assert same_bits(fold_member(sys, n), full_grid_member(sys, n)), n
 
     @pytest.mark.parametrize("case", BOX_CASES)
     def test_coefficients_match_full_grid_fold(self, case):
         sys = box_system(case)
         f, grid = sys.gamma, sys.grid
-        lat = gabor_coefficients(f, sys)
+        entries = gabor_coefficients(f, sys)
         for pos in np.ndindex((len(sys.time_indices),) * grid.dim):
             n = sys.time_indices[list(pos)]  # the outer rows move g off the grid
             # conj(T g) first, as in the kernel: with FMA, numpy's complex
@@ -340,7 +344,7 @@ class TestBoxKernels:
             cell = full_grid_fold(sys.g.values, f.values, n * sys.a_steps, sys.inv_b_steps,
                                   grid.half_extent_steps)
             want = grid.cell_measure * _cell_spectrum(cell, sys.freq_indices)
-            assert same_bits(lat.entries[pos], want), n
+            assert same_bits(entries[pos], want), n
 
     def test_zero_window_gives_zero_cells(self):
         # a system refuses a zero window, so fold one against gamma directly
@@ -403,7 +407,7 @@ class TestMemberCache:
         assert members is correlation_family(sys)
         assert list(members) == sorted(members)
         for n, cell in members.items():
-            assert same_bits(cell, correlation_fn(sys, n))
+            assert same_bits(cell, fold_member(sys, n))
         with pytest.raises(ValueError):
             members[(0,)][0] = 1.0
         with pytest.raises(TypeError):
@@ -419,7 +423,7 @@ class TestMemberCache:
         assert same_bits(walnut_apply(interior_f, sys).values, before.values)
 
     def test_walnut_names_are_the_operators_definitions(self):
-        for name in ("correlation_member_range", "correlation_fn", "correlation_family"):
+        for name in ("correlation_member_range", "correlation_family"):
             assert getattr(walnut, name) is getattr(operators, name)
 
     def test_decomposition_on_kept_members(self, gauss, interior_f):
