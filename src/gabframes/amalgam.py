@@ -4,10 +4,11 @@ The local norm on the cube [k, k+1)^d is a plain Riemann sum with cell
 weight h^d (for p < inf) or the max over grid samples (the discrete
 essential sup, a lower bound for the true one).  Cube-local norms are then
 aggregated in l^q over all integer k; compact support makes the aggregation
-finite exactly.  Norms read only the cubes that meet the support box of
-the function, so their cost follows the support, not the grid; the cubes
-off it hold exact zeros.  The same h^d weight is used by the pairing, so
-the Hoelder-type inequalities hold exactly in the discrete model.
+finite exactly.  Norms write |f| once into a zeroed float block of the
+whole cubes that meet the support box of the function, so their cost
+follows the support, not the grid; the cubes off it hold exact zeros.  The
+same h^d weight is used by the pairing, so the Hoelder-type inequalities
+hold exactly in the discrete model.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, _read, inner_product, support_index_bounds
+from .grid import GridFunction, _box_shape, _within, inner_product, support_index_bounds
 
 __all__ = [
     "Exponent",
@@ -99,30 +100,28 @@ def cube_norms(f: GridFunction, p) -> np.ndarray:
     p = Exponent.of(p)
     grid = f.grid
     m = grid.samples_per_unit
-    n = grid.samples_per_axis
     # a non-integer half extent leaves partial cubes at both ends: index i
     # sits at i + pad among whole cubes, and the missing samples read zero
     pad = -grid.half_extent_steps % m
-    c = (n + 2 * pad) // m
+    c = (grid.samples_per_axis + 2 * pad) // m
     out = np.zeros((c,) * grid.dim)
     bounds = support_index_bounds(f)
     if bounds is None:
         return out
-    cubes, src, pads = [], [], []
+    cubes = []
     for lo, hi in bounds:
         k_lo, k_hi = (lo + pad) // m, (hi + pad) // m + 1
         if k_hi - k_lo < 2 <= c:
             # keep two cubes per axis: with one, numpy merges the intra-cube
             # axes of a 2D block and sums its samples in another order
             k_lo, k_hi = (k_lo, k_lo + 2) if k_hi < c else (k_lo - 1, k_hi)
-        start, stop = k_lo * m - pad, k_hi * m - pad
         cubes.append(slice(k_lo, k_hi))
-        src.append(slice(max(start, 0), min(stop, n)))
-        pads.append((max(-start, 0), max(stop - n, 0)))
-    block = np.abs(_read(f, tuple(src)))
-    if any(hi or lo for lo, hi in pads):
-        block = np.pad(block, pads)
-    block = block.reshape(sum(((sl.stop - sl.start, m) for sl in cubes), ()))
+    # the whole cubes as grid slices, reaching pad samples past the grid at a
+    # partial cube; |f| is written once into them on the box of f, +0 elsewhere
+    region = tuple(slice(k.start * m - pad, k.stop * m - pad) for k in cubes)
+    block = np.zeros(_box_shape(region))
+    np.abs(f.data, out=block[_within(f.box, region)])
+    block = block.reshape(sum(((k.stop - k.start, m) for k in cubes), ()))
     intra = tuple(range(1, 2 * grid.dim, 2))
     if p.is_inf:
         out[tuple(cubes)] = block.max(axis=intra)

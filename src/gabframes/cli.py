@@ -215,7 +215,8 @@ def _cmd_stft(args) -> int:
     names = ["n", "m"] if d == 1 else (
         [f"n_{j+1}" for j in range(d)] + [f"m_{j+1}" for j in range(d)])
     pos = np.indices(entries.shape).reshape(2 * d, -1)
-    labels = [sys_.time_indices[i] for i in pos[:d]] + [sys_.freq_indices[i] for i in pos[d:]]
+    labels = ([i + sys_.time_indices[0] for i in pos[:d]]
+              + [i + sys_.freq_indices[0] for i in pos[d:]])
     v = entries.reshape(-1)
     buf = io.StringIO()
     _write_table(buf, names + ["re", "im"], labels + [v.real, v.imag],
@@ -270,16 +271,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _sweep_csv(report) -> str:
+    from .grid import _write_table
+
     cols = ["a", "b", "err_f", "diag_dev", "tail", "norm_bound", "weakstar",
             "proxy_upper", "proxy_lower", "residue"]
+    columns = [[getattr(r, c) for r in report.records] for c in cols]
+    # a column the sweep kind leaves None is written as blank cells
     buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for r in report.records:
-        row = []
-        for c in cols:
-            v = getattr(r, c)
-            row.append("" if v is None else f"{v:.17g}")
-        buf.write(",".join(row) + "\n")
+    _write_table(buf, cols, [[""] * len(col) if col[0] is None else col for col in columns],
+                 ["%s" if col[0] is None else "%.17g" for col in columns])
     return buf.getvalue()
 
 

@@ -96,11 +96,14 @@ class SweepSchedule:
         return g, g if self.gamma_spec == self.g_spec else sample_window(self.gamma_spec, self.grid)
 
     def sample_f(self) -> GridFunction:
+        """The test function; ConfigError without a spec or when f_shift moves it off the grid."""
         if self.f_spec is None:
             raise ConfigError("this schedule has no test-function spec")
         f = sample_window(self.f_spec, self.grid)
         if self.f_shift is not None:
             f = translate(f, self.f_shift)
+            if not f.data.size:
+                raise ConfigError(f"f_shift {self.f_shift} moves the test function off the grid")
         return f
 
 
@@ -138,19 +141,14 @@ def _trend(values: list[float]) -> tuple[float, bool, bool]:
 
 
 def _boundary_margin(f: GridFunction) -> float:
-    bounds = support_index_bounds(f)
-    if bounds is None:
-        return math.inf
-    grid = f.grid
-    margin_steps = min(min(lo, grid.samples_per_axis - 1 - hi) for lo, hi in bounds)
-    return margin_steps * grid.spacing
+    # f is not zero: sample_window and sample_f refuse a zero function
+    n = f.grid.samples_per_axis
+    return min(min(lo, n - 1 - hi) for lo, hi in support_index_bounds(f)) * f.grid.spacing
 
 
 def _support_diameter(f: GridFunction) -> float:
-    bounds = support_index_bounds(f)
-    if bounds is None:
-        return 0.0
-    return max(hi - lo for lo, hi in bounds) * f.grid.spacing
+    # f is a window or a test function, never zero
+    return max(hi - lo for lo, hi in support_index_bounds(f)) * f.grid.spacing
 
 
 def _require_margin(schedule: SweepSchedule, f: GridFunction,
@@ -307,12 +305,12 @@ _CELL_SIZES = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
 def _counterexample_peak_bytes(depth: int) -> int:
-    # depth k samples [-2, 2) at N = 32 * 4^k points and peaks in the norm of
-    # the defect at a = 1: on [0, 1) (N/4 points) two complex windows, the
-    # complex G[0] and defect and the int frequency indices (r = N/4), and on
-    # the two unit cubes cube_norms reads a complex copy and its modulus
+    # depth k samples [-2, 2) at N = 32 * 4^k points and peaks in the defect
+    # at a = 1, where everything lives on [0, 1) (N/4 points): two complex
+    # windows, the complex G[0], its scaled copy and that copy's periodic
+    # extension on the box of f, beside the int index the extension reads
     n = 32 * 4 ** depth
-    return (4 * 16 + 8) * n // 4 + (16 + 8) * n // 2
+    return (5 * 16 + 8) * n // 4
 
 
 def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleReport:

@@ -4,17 +4,18 @@ Functions live on a uniform grid over the half-open box [-T, T)^d and are
 implicitly zero outside it (compact support, no wraparound).  A function
 stores only the samples on its support box, so sums, shifts, modulations,
 pairings and norms cost what the support holds, not N^d; the full-grid
-array is built only when asked for.  All time shifts are integer multiples
-of the spacing h and are performed by exact sample relocation (a move of
-the box); modulations are exact at any frequency.
+array is built anew on each read and never kept.  All time shifts are
+integer multiples of the spacing h and are performed by exact sample
+relocation (a move of the box); modulations are exact at any frequency.
 
 The products behind STFT rows and Walnut members, conj(T_s u) * v, are
 folded into a lattice cell by one kernel that reads only the overlap box of
 the two supports.
 
-Dense numeric tables (grid samples here, coefficient lattices and witness
-tables in the CLI) are written by one CSV writer that formats a chunk of
-rows per string-formatting call, with 17 significant digits per value.
+Dense numeric tables (grid samples here; coefficient lattices, sweep
+records and witness tables in the CLI) are written by one CSV writer that
+formats a chunk of rows per string-formatting call, with 17 significant
+digits per value.
 """
 from __future__ import annotations
 
@@ -169,8 +170,8 @@ class GridFunction:
     function), and ``data`` is a read-only complex array of the box's shape.
     Every sample off the box is +0.  On the box, every operation keeps the
     bits of its full-grid arithmetic.  The full-grid ``values`` array is
-    built on first access and cached; ``data`` is then a view into it, so an
-    instance never holds two copies of its samples.
+    built on every read and kept nowhere, so an instance holds its samples
+    once and never changes after construction.
 
     Immutable: every operation returns a new instance, so instances are safe
     to share across threads.  The public constructor copies the support box
@@ -180,8 +181,7 @@ class GridFunction:
     Copies and pickles carry the box and its samples.
     """
 
-    # _values caches the full-grid array
-    __slots__ = ("grid", "box", "data", "_values")
+    __slots__ = ("grid", "box", "data")
 
     def __init__(self, grid: Grid, values):
         arr = np.asarray(values, dtype=complex)
@@ -213,22 +213,16 @@ class GridFunction:
 
     @property
     def values(self) -> np.ndarray:
-        """All samples of the grid, read-only; built on first access."""
-        try:
-            return self._values
-        except AttributeError:
-            pass
+        """All samples of the grid, read-only; a new array on every read."""
         full = np.zeros(self.grid.shape, dtype=complex)
         full[self.box] = self.data
         full.setflags(write=False)
-        object.__setattr__(self, "data", full[self.box])
-        object.__setattr__(self, "_values", full)
         return full
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
 
-    def __reduce__(self):  # rebuilt on the box, without the full-grid cache
+    def __reduce__(self):  # rebuilt on the box
         return _rebuild, (self.grid, self.box, self.data)
 
     def _combine(self, other: "GridFunction", op) -> "GridFunction":
@@ -487,9 +481,10 @@ def _write_table(fp, names, columns, codes) -> None:
     """Write equal-length 1-D columns as CSV under a header of ``names``.
 
     ``codes`` holds one printf code per column (``%d`` for indices,
-    ``%.17g`` for values).  Each chunk of _CSV_CHUNK rows is formatted by a
-    single ``%`` call on Python scalars, which gives the same text as
-    ``str(int)`` and ``f"{x:.17g}"`` row by row.
+    ``%.17g`` for values, ``%s`` for a column of blank cells).  Each chunk
+    of _CSV_CHUNK rows is formatted by a single ``%`` call on Python
+    scalars, which gives the same text as ``str(int)`` and ``f"{x:.17g}"``
+    row by row.
     """
     fp.write(",".join(names) + "\n")
     row = ",".join(codes) + "\n"

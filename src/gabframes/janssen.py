@@ -28,7 +28,7 @@ its peak-byte estimate to errors._require_memory before allocating.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -73,6 +73,18 @@ class JanssenLattice:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", np.array(self.entries))
+        self._freeze()
+
+    @classmethod
+    def _own(cls, *values) -> "JanssenLattice":
+        # the constructor without the copy, for a fresh entries array no caller keeps
+        lattice = object.__new__(cls)
+        for field, value in zip(fields(cls), values, strict=True):
+            object.__setattr__(lattice, field.name, value)
+        lattice._freeze()
+        return lattice
+
+    def _freeze(self) -> None:
         self.entries.setflags(write=False)
         d = self.entries.ndim // 2
         want = (2 * self.ell_radius + 1,) * d + (2 * self.n_radius + 1,) * d
@@ -96,12 +108,12 @@ class JanssenLattice:
 
 
 def _lattice_peak_bytes(sys: GaborSystem, ell_radius: int, n_radius: int) -> int:
-    # janssen_coefficients: the entries and their frozen copy, 32 B each, or
-    # beside the entries the folded (2L+1)^d ones, one stored column's
-    # spectrum and its copy, and a cell's FFT, its copy and two float arrays
+    # janssen_coefficients: the entries, 16 B each, frozen without a copy,
+    # and beside them the folded (2L+1)^d ones, one stored column's spectrum
+    # and its copy, and a cell's FFT, its copy and two float arrays
     d = sys.grid.dim
     column = (2 * ell_radius + 1) ** d
-    return 32 * column * (2 * n_radius + 1) ** d + 32 * column + 64 * sys.a_steps ** d
+    return 16 * column * (2 * n_radius + 1) ** d + 32 * column + 64 * sys.a_steps ** d
 
 
 def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> JanssenLattice:
@@ -128,7 +140,7 @@ def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> Ja
         if stored:
             entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = \
                 grid.cell_measure * _cell_spectrum(cell, ls)
-    return JanssenLattice(entries, sys, ell_radius, n_radius, tail / abs(sys.pairing))
+    return JanssenLattice._own(entries, sys, ell_radius, n_radius, tail / abs(sys.pairing))
 
 
 def _janssen_form(lattice: JanssenLattice) -> _WalnutForm:
@@ -188,7 +200,7 @@ def wexler_raz_check(sys: GaborSystem, ell_radius: int, n_radius: int,
     the two arrays normalized from them (40 B per entry) would not fit.
     """
     _require_memory(_lattice_peak_bytes(sys, ell_radius, n_radius)
-                    + 8 * ((2 * ell_radius + 1) * (2 * n_radius + 1)) ** sys.grid.dim,
+                    + 24 * ((2 * ell_radius + 1) * (2 * n_radius + 1)) ** sys.grid.dim,
                     f"the Wexler-Raz check at L = {ell_radius}, N = {n_radius} and "
                     f"a/h = {sys.a_steps}", "lower L or N")
     lattice = janssen_coefficients(sys, ell_radius, n_radius)

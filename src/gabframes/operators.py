@@ -11,8 +11,8 @@ m b and m b + 1/h are indistinguishable on samples.  One full period of
 frequency indices therefore covers the grid's Nyquist band exactly, and
 every system uses it; the time indices are every n whose shift of g meets
 the grid.  So a GaborSystem names one operator, whichever form evaluates it,
-and its time_indices and freq_indices index the array gabor_coefficients
-returns.
+and its time_indices and freq_indices, two ranges that allocate nothing of
+size r, index the array gabor_coefficients returns.
 
 The same periodicity turns every frequency sum into one exact kernel: fold
 the product conj(T_{na} g) * f into a cell of side r and take its FFT, so
@@ -62,9 +62,9 @@ class GaborSystem:
 
     Requirements checked at construction: g and gamma share the grid, the
     pairing <gamma, g> is nondegenerate, and a and 1/b are integer multiples
-    of the spacing.  time_indices are the symmetric range of n covering
-    every lattice shift of g whose support meets the domain; freq_indices
-    are one full period r = 1/(b h) of m.  Immutable, so the members that
+    of the spacing.  time_indices is the range of n covering every lattice
+    shift of g whose support meets the domain; freq_indices is the range
+    of one full period r = 1/(b h) of m.  Immutable, so the members that
     correlation_family keeps on it always belong to these windows and steps.
 
     Parameters
@@ -97,10 +97,8 @@ class GaborSystem:
                 f"|<gamma, g>| = {abs(self.pairing):.3e} <= {DEGENERACY_FLOOR}")
         radius = self._min_time_radius()
         r = self.inv_b_steps
-        for name, indices in (("time_indices", np.arange(-radius, radius + 1)),
-                              ("freq_indices", np.arange(-(r // 2), r - r // 2))):
-            indices.setflags(write=False)
-            object.__setattr__(self, name, indices)
+        object.__setattr__(self, "time_indices", range(-radius, radius + 1))
+        object.__setattr__(self, "freq_indices", range(-(r // 2), r - r // 2))
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("GaborSystem is immutable")
@@ -181,12 +179,6 @@ def stft(f: GridFunction, g: GridFunction, t, omega) -> complex:
     return inner_product(f, tf_shift(g, t, omega))
 
 
-def _freq_phase_matrix(grid: Grid, b: float, freq_indices: np.ndarray) -> np.ndarray:
-    # P[j, i] = exp(2*pi*i * m_j * b * x_i), one axis
-    x = grid.axis_coords()
-    return np.exp(2j * np.pi * b * np.outer(freq_indices, x))
-
-
 def _apply_axes(mat: np.ndarray, ten: np.ndarray) -> np.ndarray:
     # multiply along every axis of ten by mat (mode product), preserving order
     for ax in range(ten.ndim):
@@ -213,7 +205,7 @@ def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> np.ndarray:
                     "shrink the grid or b")
     entries = np.zeros((n_count,) * d + (r,) * d, dtype=complex)
     for pos, n in zip(np.ndindex((n_count,) * d), product(sys.time_indices, repeat=d)):
-        cell = _fold_overlap(sys.g, f, [int(v) * sys.a_steps for v in n], r)
+        cell = _fold_overlap(sys.g, f, [v * sys.a_steps for v in n], r)
         entries[pos] = grid.cell_measure * _cell_spectrum(cell, sys.freq_indices)
     return entries
 
@@ -243,17 +235,20 @@ def apply_frame_direct(f: GridFunction, sys: GaborSystem) -> GridFunction:
     _require_memory(_direct_peak_bytes(grid, sys.inv_b_steps),
                     f"the direct form at {grid.samples_per_axis} samples per axis and "
                     f"frequency period {sys.inv_b_steps}", "use the walnut or janssen form")
-    phases = _freq_phase_matrix(grid, sys.b, sys.freq_indices)
+    # phases[j, i] = exp(2*pi*i * m_j * b * x_i), one axis
+    phases = np.exp(2j * np.pi * sys.b * np.outer(sys.freq_indices, grid.axis_coords()))
     p_conj = np.conj(phases)
     p_t = phases.T.copy()
+    # each .values read builds a full-grid array, so read each one once
+    fv, gv, gamv = f.values, sys.g.values, sys.gamma.values
     out = np.zeros(grid.shape, dtype=complex)
     for n in product(sys.time_indices, repeat=d):
-        steps = [int(v) * sys.a_steps for v in n]
-        gs = shift_array(sys.g.values, steps)
+        steps = [v * sys.a_steps for v in n]
+        gs = shift_array(gv, steps)
         if not gs.any():
             continue
-        gams = shift_array(sys.gamma.values, steps)
-        coeff = grid.cell_measure * _apply_axes(p_conj, f.values * np.conj(gs))
+        gams = shift_array(gamv, steps)
+        coeff = grid.cell_measure * _apply_axes(p_conj, fv * np.conj(gs))
         out += gams * _apply_axes(p_t, coeff)
     out *= (sys.a * sys.b) ** d / sys.pairing
     return GridFunction(grid, out)

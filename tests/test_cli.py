@@ -572,7 +572,9 @@ class TestConfigValidation:
         ({"pairs": [[0.5, 0]]}, "ConfigError"),
         # rejected before any window is sampled, not by the margin check
         ({"pairs": [[-0.5, 0.5]]}, "CommensurabilityError"),
-    ], ids=["kind", "pairs-not-list", "zero-b", "negative-a"])
+        # f was the zero function, so every error read 0 and the sweep passed
+        ({"f_shift": 100}, "ConfigError"),
+    ], ids=["kind", "pairs-not-list", "zero-b", "negative-a", "f-off-the-grid"])
     def test_sweep_config(self, capsys, tmp_path, change, error):
         path = write_json(tmp_path / "sweep.json", {**self.SWEEP, **change})
         self.assert_json_error(capsys, error, "sweep", "--config", path)
@@ -590,6 +592,15 @@ class TestConfigValidation:
         assert code == 1
         obj = json.loads(err)
         assert obj["error"] == "ConfigError" and repr(key) in obj["message"]
+
+    def test_tiny_b(self, capsys, tmp_path):
+        # a frequency period of 3.2e10 used to fail in numpy while the
+        # system was built; only the STFT allocates per frequency
+        path = write_json(tmp_path / "sys.json", {**TestUnknownConfigKeys.DESK, "b": 1e-9})
+        for argv in (["bounds"], ["apply", "--method", "walnut"]):
+            code, out, err = run_cli(capsys, *argv, "--config", path)
+            assert code == 0 and out and not err, argv
+        self.assert_json_error(capsys, "ResolutionError", "stft", "--config", path)
 
     @pytest.mark.parametrize("change", [{"a": 1e-12}, {"b": 1e12}], ids=["tiny-a", "huge-b"])
     def test_lattice_step_below_one_sample(self, capsys, tmp_path, change):

@@ -76,6 +76,18 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError, match="test-function"):
             convergence_sweep(schedule)
 
+    def test_test_function_off_the_grid_rejected(self, monkeypatch):
+        # the shift leaves f zero on the grid, where every error reads 0
+        schedule = dataclasses.replace(make_schedule(Grid(4.0, 1 / 32), [(0.5, 0.5)]),
+                                       f_shift=(100.0,))
+
+        def unbuilt(*args):
+            raise AssertionError("a system was built before the check")
+
+        monkeypatch.setattr("gabframes.experiments.GaborSystem", unbuilt)
+        with pytest.raises(ConfigError, match="off the grid"):
+            convergence_sweep(schedule)
+
     def test_boundary_margin_enforced(self):
         # 1/b = 8 plus support diameters exceeds the distance to the boundary
         grid = Grid(4.0, 1 / 32)
@@ -135,7 +147,6 @@ class TestSupportBoxMemory:
         for name, run in runs.items():
             peak, _ = traced_peak(run)
             assert peak < self.FULL_GRID_BYTES, name
-        assert not hasattr(g, "_values") and not hasattr(f, "_values")
 
 
 class TestConvergenceSweep:

@@ -72,6 +72,16 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             chi.values[0] = 1.0
 
+    def test_values_rebuilt_on_each_read(self, interior_f):
+        # the samples are held once, on the box; a read keeps nothing and
+        # changes nothing, so the instance stays as it was built
+        assert GridFunction.__slots__ == ("grid", "box", "data")
+        data = interior_f.data
+        first, second = interior_f.values, interior_f.values
+        assert first is not second and first.tobytes() == second.tobytes()
+        assert interior_f.data is data and data.base is None
+        assert_one_rule(interior_f, first)
+
     def test_arithmetic(self, grid, chi):
         two = chi + chi
         assert np.allclose(two.values, 2 * chi.values)
@@ -119,8 +129,6 @@ class TestCopyAndPickle:
 
     def test_grid_function(self, duplicate, interior_f):
         twin = duplicate(interior_f)
-        # neither side builds the full-grid array
-        assert not hasattr(interior_f, "_values") and not hasattr(twin, "_values")
         assert twin.box == interior_f.box and twin.grid == interior_f.grid
         assert twin.values.tobytes() == interior_f.values.tobytes()
         assert support_index_bounds(twin) == support_index_bounds(interior_f)

@@ -42,10 +42,15 @@ functions count as uses; a nested function's own assignments are checked
 with it, and names declared ``global`` or ``nonlocal`` are not locals.
 
 The full-grid rule: a function in ``src/gabframes`` reads the ``.values``
-attribute, which builds and caches a function's full-grid array, only when
-it is on an allow-list: the CSV writer, which writes every sample, the
-direct form, the plain oracle, and the selftest.  Everything else works on
-support boxes.  A ``.values()`` call is not such a read.
+attribute, which builds a function's full-grid array anew on every read,
+only when it is on an allow-list: the CSV writer, which writes every sample,
+the direct form, the plain oracle, and the selftest.  Everything else works
+on support boxes.  A ``.values()`` call is not such a read.
+
+The loop rule: no function in ``src/gabframes`` reads ``.values`` where it
+runs once per iteration: in the body or test of a ``for`` or ``while`` loop,
+or in a comprehension anywhere but its first iterable.  Each such read
+would build all N^d samples again; read once before the loop instead.
 
 The memory rule: only ``errors.py`` calls ``os.sysconf``, in the one
 memory preflight ``_require_memory``, so every size check reads physical
@@ -424,6 +429,70 @@ def test_full_grid_values_read_only_where_allowed(path):
 ])
 def test_values_checker_itself(source, reads):
     assert values_reads(source) == reads
+
+
+def _per_iteration(node) -> list:
+    # the child nodes of node that run once per iteration of its loop
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return node.body
+    if isinstance(node, ast.While):
+        return [node.test, *node.body]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        first, *rest = node.generators
+        elts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+        return [*elts, first.target, *first.ifs, *rest]
+    return []
+
+
+def values_reads_in_loops(source: str) -> list[str]:
+    """Dotted names of the functions (``<module>`` for the top level) that
+    load the ``.values`` attribute, other than to call it, in a part of a
+    loop or comprehension that runs once per iteration.  A def or class
+    starts afresh: its body is checked as its own function."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    repeated = set()
+    reads = set()
+
+    def visit(node, scope, looping):
+        repeated.update(map(id, _per_iteration(node)))
+        for child in ast.iter_child_nodes(node):
+            inner, loop = scope, looping or id(child) in repeated
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner, loop = scope + [child.name], False
+            elif (loop and isinstance(child, ast.Attribute) and child.attr == "values"
+                  and isinstance(child.ctx, ast.Load) and id(child) not in called):
+                reads.add(".".join(scope) or "<module>")
+            visit(child, inner, loop)
+
+    visit(tree, [], False)
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"src/{p.name}")
+def test_no_full_grid_values_read_in_a_loop(path):
+    assert values_reads_in_loops(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source,reads", [
+    # the direct form's loop as it read the windows before they were hoisted
+    ("def apply_frame_direct(f, sys):\n    for n in product(sys.time_indices, repeat=d):\n"
+     "        gs = shift_array(sys.g.values, steps)\n", ["apply_frame_direct"]),
+    ("def f(u):\n    v = u.values\n    for _ in range(3):\n        v.sum()\n", []),
+    ("def f(u):\n    for x in u.values:\n        pass\n", []),
+    ("def f(u):\n    while u.values.any():\n        pass\n", ["f"]),
+    ("def f(us):\n    for u in us:\n        pass\n    else:\n        return us.values\n", []),
+    ("def f(us):\n    return [u.values for u in us]\n", ["f"]),
+    ("def f(u):\n    return [x for x in u.values]\n", []),
+    ("def f(u, vs):\n    return [x for v in vs for x in u.values]\n", ["f"]),
+    ("def f(us):\n    return [u for u in us if u.values.any()]\n", ["f"]),
+    ("def f(us):\n    return {k: u.values for k, u in us}\n", ["f"]),
+    ("def f(tables):\n    for t in tables:\n        t.values()\n", []),
+    ("class C:\n    def m(self, us):\n        for u in us:\n            u.values\n", ["C.m"]),
+    ("for u in us:\n    u.values\n", ["<module>"]),
+])
+def test_loop_values_checker_itself(source, reads):
+    assert values_reads_in_loops(source) == reads
 
 
 def front_end_imports(source: str) -> list[str]:

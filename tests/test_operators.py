@@ -97,10 +97,9 @@ class TestGaborSystem:
         sys = GaborSystem(gauss, hat, 0.5, 0.25)
         want = walnut_apply(interior_f, sys).values
         twin = duplicate(sys)
-        for name in ("a", "b", "a_steps", "inv_b_steps", "pairing"):
+        for name in ("a", "b", "a_steps", "inv_b_steps", "pairing", "time_indices",
+                     "freq_indices"):
             assert getattr(twin, name) == getattr(sys, name)
-        for name in ("time_indices", "freq_indices"):
-            assert np.array_equal(getattr(twin, name), getattr(sys, name))
         assert twin.g.values.tobytes() == gauss.values.tobytes()
         assert twin.gamma.values.tobytes() == hat.values.tobytes()
         assert not hasattr(twin, "_members")  # the members are folded again
@@ -108,11 +107,20 @@ class TestGaborSystem:
         with pytest.raises(AttributeError):
             twin.a = 1.0
 
+    def test_tiny_b_allocates_nothing_of_size_r(self, gauss):
+        # r = 1/(b h) = 3.2e10 frequencies: int64 indices would take 238 GiB
+        peak, sys = traced_peak(GaborSystem, gauss, gauss, 0.5, 1e-9)
+        assert peak < 2 ** 20
+        assert len(sys.freq_indices) == sys.inv_b_steps == 32 * 10 ** 9
+
     def test_index_arrays_are_read_only(self, gauss):
+        # the index sets are ranges, which allocate nothing and cannot change
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)
-        with pytest.raises(ValueError):
+        assert sys.time_indices == range(-14, 15)
+        assert sys.freq_indices == range(-32, 32)
+        with pytest.raises(TypeError):
             sys.time_indices[0] = 99
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             sys.freq_indices[0] = 99
 
 
@@ -139,7 +147,8 @@ class TestCoefficients:
     def test_origin_entry(self, grid, chi, interior_f):
         sys = GaborSystem(chi, chi, 0.5, 0.5)
         entries = gabor_coefficients(interior_f, sys)
-        assert entries[sys.time_indices == 0, sys.freq_indices == 0][0] == pytest.approx(
+        origin = np.asarray(sys.time_indices) == 0, np.asarray(sys.freq_indices) == 0
+        assert entries[origin][0] == pytest.approx(
             inner_product(interior_f, chi), abs=1e-14)
 
     def test_bessel_bound_identity_regime(self, grid, chi, interior_f):
@@ -160,8 +169,8 @@ class TestCoefficientKernel:
         d = sys.grid.dim
         tol = 1e-12 * np.abs(entries).max()
         for pos in np.ndindex(entries.shape):
-            n = sys.time_indices[list(pos[:d])]
-            m = sys.freq_indices[list(pos[d:])]
+            n = np.asarray(sys.time_indices)[list(pos[:d])]
+            m = np.asarray(sys.freq_indices)[list(pos[d:])]
             want = stft(f, sys.g, n * sys.a, m * sys.b)
             assert abs(entries[pos] - want) <= tol, (n, m)
 
@@ -301,6 +310,17 @@ class TestSizePreflights:
             peaks[f"walnut {radii}"] = spied_peak(monkeypatch, [walnut], walnut_apply, f, sys)
         for name, (peak, estimate) in peaks.items():
             assert estimate / 2 <= peak <= 1.1 * estimate, name
+
+    def test_coefficients_hold_their_entries_once(self, monkeypatch):
+        # 4001 x 41 entries outweigh every per-column array: the lattice takes
+        # the fresh array without a copy, so the peak stays near 16 B an entry
+        grid = Grid(4.0, 1 / 32)
+        g = sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
+        sys = GaborSystem(g, g, 0.5, 0.5)
+        correlation_family(sys)
+        peak, estimate = spied_peak(monkeypatch, [janssen], janssen_coefficients, sys, 2000, 20)
+        assert estimate / 2 <= peak <= 1.1 * estimate
+        assert peak < 20 * 4001 * 41
 
     def test_huge_sizes_raise_before_allocating(self):
         grid = Grid(4.0, 1 / 32)

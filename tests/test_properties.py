@@ -6,6 +6,12 @@ complex f from one numpy generator, so every run checks the same cases.
 The properties: A <= <S f, f> / <f, f> <= B for the exact frame bounds, the
 measured Janssen truncation error never exceeds its certificate, and every
 operation on support boxes equals its full-grid definition.
+
+Every window those cases draw in 2-D is a tensor product of one profile, so
+the last properties draw non-separable ones: random complex samples on a
+rectangle with a different side per axis, often at the grid's edge.  On
+them the Walnut form equals the direct oracle, the frame bounds equal a
+dense eigvalsh, and cube norms equal a plain full-grid reduction bit for bit.
 """
 import copy
 import math
@@ -20,6 +26,7 @@ from gabframes import (
     GridFunction,
     WindowSpec,
     apply_diagonal_defect,
+    apply_frame_direct,
     apply_remainder,
     correlation_family,
     cube_norms,
@@ -39,6 +46,7 @@ from gabframes import grid as grid_module, janssen
 from gabframes.grid import shift_array
 from conftest import assert_one_rule, same_bits
 from test_amalgam import full_grid_cube_norms
+from test_operators import dense_frame_operator
 
 CASES = 20
 
@@ -165,3 +173,62 @@ def test_box_operations_match_full_grid_definitions(seed):
     assert abs(pairing - want) <= 1e-15 * max(abs(want), 1e-300)
     want = math.sqrt(h) * np.linalg.norm(f.values)
     assert abs(norm - want) <= 1e-15 * want
+
+
+# 2-D grids for the non-separable windows: a whole number of units per half
+# extent, and two with partial cubes at both ends (T = 1.5 and 1.25)
+RECTANGLE_GRIDS = (Grid(2.0, 1 / 6, dim=2), Grid(1.5, 1 / 8, dim=2), Grid(1.25, 1 / 8, dim=2))
+
+
+def random_rectangle(rng, grid):
+    """Random complex samples on a rectangle with a different side per axis,
+    zero elsewhere: a window that is no tensor product of one profile.  Per
+    axis the rectangle touches the low end, the high end or neither."""
+    n = grid.samples_per_axis
+    box = []
+    for side in rng.choice(np.arange(2, n // 2 + 1), grid.dim, replace=False):
+        lo = [0, n - side, int(rng.integers(1, n - side))][rng.integers(3)]
+        box.append(slice(int(lo), int(lo + side)))
+    values = np.zeros(grid.shape, dtype=complex)
+    shape = values[tuple(box)].shape
+    values[tuple(box)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return GridFunction(grid, values)
+
+
+def rectangle_case(seed):
+    rng = np.random.default_rng(2000 + seed)
+    grid = RECTANGLE_GRIDS[seed % len(RECTANGLE_GRIDS)]
+    m = grid.samples_per_unit
+    g = random_rectangle(rng, grid)
+    a = int(rng.integers(1, m + 1)) / m
+    inv_b = int(rng.integers(2, 2 * m + 1)) / m
+    return rng, grid, g, a, 1 / inv_b
+
+
+@pytest.mark.parametrize("seed", range(CASES // 2))
+def test_nonseparable_walnut_equals_direct(seed):
+    rng, grid, g, a, b = rectangle_case(seed)
+    # gamma overlaps g, so the pairing stays away from zero
+    gamma = g + random_rectangle(rng, grid)
+    f = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    sys = GaborSystem(g, gamma, a, b)
+    want = apply_frame_direct(f, sys).values
+    assert np.abs(walnut_apply(f, sys).values - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("seed", range(CASES // 2))
+def test_nonseparable_frame_bounds_equal_dense_eigvalsh(seed):
+    _, _, g, a, b = rectangle_case(seed)
+    sys = GaborSystem(g, g, a, b)
+    eig = np.linalg.eigvalsh(dense_frame_operator(sys))
+    lower, upper = frame_bounds(sys)
+    assert abs(lower - eig[0]) <= 1e-13 * eig[-1]
+    assert abs(upper - eig[-1]) <= 1e-13 * eig[-1]
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_nonseparable_cube_norms_equal_full_grid_reduction(seed):
+    rng, grid, g, _, _ = rectangle_case(seed)
+    for f in (g, -g, g + random_rectangle(rng, grid)):
+        for p in (1, 2, 3, math.inf):
+            assert same_bits(cube_norms(f, p), full_grid_cube_norms(f, p)), p

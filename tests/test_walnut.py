@@ -338,7 +338,7 @@ class TestBoxKernels:
         f, grid = sys.gamma, sys.grid
         entries = gabor_coefficients(f, sys)
         for pos in np.ndindex((len(sys.time_indices),) * grid.dim):
-            n = sys.time_indices[list(pos)]  # the outer rows move g off the grid
+            n = np.asarray(sys.time_indices)[list(pos)]  # the outer rows move g off the grid
             # conj(T g) first, as in the kernel: with FMA, numpy's complex
             # product can round differently when its operands are swapped
             cell = full_grid_fold(sys.g.values, f.values, n * sys.a_steps, sys.inv_b_steps,
