@@ -71,9 +71,27 @@ def _require_keys(obj: dict, allowed: frozenset, what: str) -> None:
                           f"expected some of {sorted(allowed)}")
 
 
-def _require_schema(cfg: dict, path: str) -> None:
+def _config(path: str, keys: frozenset, what: str, needs: tuple[str, ...]) -> dict:
+    """Read a config and check its shape before any library module loads: the
+    schema, no key outside keys (``what`` names the config in the message), a
+    grid object with both sizes and no other key, and every key of needs, each
+    a window spec or the lattice parameter a or b.  The builders below only build."""
+    cfg = _load_json(path)
     if cfg.get("schema") != SCHEMA:
         raise ConfigError(f"config {path!r} must declare \"schema\": \"{SCHEMA}\"")
+    _require_keys(cfg, keys, what)
+    grid = cfg.get("grid")
+    if not isinstance(grid, dict):
+        raise ConfigError("config needs a \"grid\" object with half_extent and spacing")
+    _require_keys(grid, _GRID_KEYS, "grid")
+    for key in ("half_extent", "spacing"):
+        if key not in grid:
+            raise ConfigError(f"grid config is missing {key!r}")
+    for key in needs:
+        if key not in cfg:
+            raise ConfigError(f"config is missing lattice parameter {key!r}" if key in ("a", "b")
+                              else f"config is missing the {key!r} window spec")
+    return cfg
 
 
 def _typed(key: str, convert, value):
@@ -84,11 +102,18 @@ def _typed(key: str, convert, value):
         raise ConfigError(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
 
 
-def _number(value) -> float:
+def _number(value, expected: str = "a number") -> float:
     # a JSON number as a float; a bool is not one
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number or a list of numbers, not {type(value).__name__}")
+        raise TypeError(f"expected {expected}, not {type(value).__name__}")
     return float(value)
+
+
+def _whole(value) -> int:
+    # a JSON number without a fraction as an int: 2.0 reads as 2, 1.5 and inf fail
+    if not _number(value).is_integer():
+        raise ValueError("expected a whole number")
+    return int(value)
 
 
 def _shift_from(cfg: dict, dim: int) -> tuple[float, ...] | None:
@@ -97,36 +122,20 @@ def _shift_from(cfg: dict, dim: int) -> tuple[float, ...] | None:
     shift = cfg.get("f_shift")
     if shift is None:
         return None
-    return _typed("f_shift", lambda s: tuple(map(_number, s if isinstance(s, list) else [s] * dim)),
+    return _typed("f_shift", lambda s: tuple(_number(v, "a number or a list of numbers")
+                                             for v in (s if isinstance(s, list) else [s] * dim)),
                   shift)
 
 
-def _require_grid(cfg: dict) -> dict:
-    g = cfg.get("grid")
-    if not isinstance(g, dict):
-        raise ConfigError("config needs a \"grid\" object with half_extent and spacing")
-    _require_keys(g, _GRID_KEYS, "grid")
-    for key in ("half_extent", "spacing"):
-        if key not in g:
-            raise ConfigError(f"grid config is missing {key!r}")
-    return g
-
-
-def _require_window(cfg: dict, key: str) -> None:
-    if key not in cfg:
-        raise ConfigError(f"config is missing the {key!r} window spec")
-
-
 def _grid_from(cfg: dict) -> Grid:
-    g = _require_grid(cfg)
     from .grid import Grid
 
-    return Grid(_typed("half_extent", float, g["half_extent"]),
-                _typed("spacing", float, g["spacing"]), _typed("dim", int, g.get("dim", 1)))
+    g = cfg["grid"]
+    return Grid(_typed("half_extent", _number, g["half_extent"]),
+                _typed("spacing", _number, g["spacing"]), _typed("dim", _whole, g.get("dim", 1)))
 
 
 def _window_from(cfg: dict, key: str) -> WindowSpec:
-    _require_window(cfg, key)
     from .windows import WindowSpec
 
     try:
@@ -135,39 +144,20 @@ def _window_from(cfg: dict, key: str) -> WindowSpec:
         raise ConfigError(f"bad {key!r} window spec: {exc}") from exc
 
 
-def _system_config(path: str, with_f: bool = False) -> dict:
-    """Read a system config and check its shape, loading no library module."""
-    cfg = _load_json(path)
-    _require_schema(cfg, path)
-    _require_keys(cfg, _SYSTEM_KEYS, "system config")
-    _require_grid(cfg)
-    _require_window(cfg, "g")
-    for key in ("a", "b"):
-        if key not in cfg:
-            raise ConfigError(f"config is missing lattice parameter {key!r}")
-    if with_f:
-        _require_window(cfg, "f")
-    return cfg
-
-
 def _system_from(cfg: dict) -> GaborSystem:
-    # cfg has passed _system_config
     from .operators import GaborSystem
     from .windows import sample_window
 
     grid = _grid_from(cfg)
     g = sample_window(_window_from(cfg, "g"), grid)
     gamma = sample_window(_window_from(cfg, "gamma"), grid) if "gamma" in cfg else g
-    return GaborSystem(g, gamma, _typed("a", float, cfg["a"]), _typed("b", float, cfg["b"]))
+    return GaborSystem(g, gamma, _typed("a", _number, cfg["a"]), _typed("b", _number, cfg["b"]))
 
 
 def _f_from(cfg: dict, grid: Grid) -> GridFunction:
-    from .grid import translate
-    from .windows import sample_window
+    from .windows import _test_function
 
-    f = sample_window(_window_from(cfg, "f"), grid)
-    shift = _shift_from(cfg, grid.dim)
-    return f if shift is None else translate(f, shift)
+    return _test_function(_window_from(cfg, "f"), grid, _shift_from(cfg, grid.dim))
 
 
 def _emit(text: str, out_path: str | None, meta: dict | None = None) -> None:
@@ -202,7 +192,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_stft(args) -> int:
-    cfg = _system_config(args.config, with_f=True)
+    cfg = _config(args.config, _SYSTEM_KEYS, "system config", ("g", "a", "b", "f"))
     import numpy as np
 
     from .grid import _write_table
@@ -226,7 +216,7 @@ def _cmd_stft(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    cfg = _system_config(args.config, with_f=True)
+    cfg = _config(args.config, _SYSTEM_KEYS, "system config", ("g", "a", "b", "f"))
     from .grid import write_csv
 
     sys_ = _system_from(cfg)
@@ -248,7 +238,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = _system_config(args.config)
+    cfg = _config(args.config, _SYSTEM_KEYS, "system config", ("g", "a", "b"))
     from .walnut import diagonal_deviation, operator_norm_upper_bound, tail_sum
 
     sys_ = _system_from(cfg)
@@ -284,30 +274,26 @@ def _sweep_csv(report) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_json(args.config)
-    _require_schema(cfg, args.config)
-    _require_keys(cfg, _SWEEP_KEYS, "sweep config")
-    _require_grid(cfg)
+    cfg = _config(args.config, _SWEEP_KEYS, "sweep config", ("g",))
     kind = cfg.get("kind", "convergence")
     if kind not in ("convergence", "opnorm"):
         raise ConfigError(f"sweep kind must be 'convergence' or 'opnorm', got {kind!r}")
     pairs = cfg.get("pairs")
     if not isinstance(pairs, list):
         raise ConfigError("sweep config needs a \"pairs\" list of [a, b]")
-    _require_window(cfg, "g")
     from .amalgam import Exponent, ExponentPair
     from .experiments import SweepSchedule, convergence_sweep, opnorm_sweep
 
     grid = _grid_from(cfg)
-    f_spec = _window_from(cfg, "f") if "f" in cfg else None
+    g_spec = _window_from(cfg, "g")
     schedule = SweepSchedule(
         grid=grid,
-        g_spec=_window_from(cfg, "g"),
-        gamma_spec=_window_from(cfg, "gamma") if "gamma" in cfg else _window_from(cfg, "g"),
-        pairs=_typed("pairs", lambda ps: tuple((float(a), float(b)) for a, b in ps), pairs),
-        pq=ExponentPair(_typed("p", Exponent.of, cfg.get("p", 2)),
-                        _typed("q", Exponent.of, cfg.get("q", 2))),
-        f_spec=f_spec,
+        g_spec=g_spec,
+        gamma_spec=_window_from(cfg, "gamma") if "gamma" in cfg else g_spec,
+        pairs=_typed("pairs", lambda ps: tuple((_number(a), _number(b)) for a, b in ps), pairs),
+        pq=ExponentPair(*(_typed(k, lambda v: Exponent.of(v if isinstance(v, str) else _number(v)),
+                                 cfg.get(k, 2)) for k in ("p", "q"))),
+        f_spec=_window_from(cfg, "f") if "f" in cfg else None,
         f_shift=_shift_from(cfg, grid.dim),
     )
     report = (convergence_sweep if kind == "convergence" else opnorm_sweep)(
@@ -327,7 +313,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_wexler_raz(args) -> int:
-    cfg = _system_config(args.system)
+    cfg = _config(args.system, _SYSTEM_KEYS, "system config", ("g", "a", "b"))
     from .janssen import wexler_raz_check
 
     sys_ = _system_from(cfg)
@@ -343,8 +329,6 @@ def _cmd_wexler_raz(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     depths = [int(tok) for tok in args.depths.split(",") if tok.strip()]
-    if not depths:
-        raise ConfigError("--depths must list at least one depth, e.g. 1,2,3")
     from .experiments import counterexample_run
     from .grid import _write_table
 

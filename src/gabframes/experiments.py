@@ -24,7 +24,6 @@ from .grid import (
     _within,
     inner_product,
     support_index_bounds,
-    translate,
 )
 from .operators import GaborSystem
 from .walnut import (
@@ -34,7 +33,7 @@ from .walnut import (
     tail_sum,
     walnut_apply,
 )
-from .windows import WindowSpec, sample_window
+from .windows import WindowSpec, _test_function, sample_window
 
 __all__ = [
     "SweepSchedule",
@@ -99,12 +98,7 @@ class SweepSchedule:
         """The test function; ConfigError without a spec or when f_shift moves it off the grid."""
         if self.f_spec is None:
             raise ConfigError("this schedule has no test-function spec")
-        f = sample_window(self.f_spec, self.grid)
-        if self.f_shift is not None:
-            f = translate(f, self.f_shift)
-            if not f.data.size:
-                raise ConfigError(f"f_shift {self.f_shift} moves the test function off the grid")
-        return f
+        return _test_function(self.f_spec, self.grid, self.f_shift)
 
 
 @dataclass
@@ -305,12 +299,12 @@ _CELL_SIZES = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
 def _counterexample_peak_bytes(depth: int) -> int:
-    # depth k samples [-2, 2) at N = 32 * 4^k points and peaks in the defect
-    # at a = 1, where everything lives on [0, 1) (N/4 points): two complex
-    # windows, the complex G[0], its scaled copy and that copy's periodic
-    # extension on the box of f, beside the int index the extension reads
+    # depth k samples [-2, 2) at N = 32 * 4^k points and peaks at a = 1, on
+    # [0, 1) (N/4 points), where folding G[0] ties with the norm of the
+    # defect: two complex windows, G[0] and the defect on the box of f, and
+    # the float block of the two whole cubes the norm reduces
     n = 32 * 4 ** depth
-    return (5 * 16 + 8) * n // 4
+    return (4 * 16 + 2 * 8) * n // 4
 
 
 def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleReport:
@@ -323,12 +317,15 @@ def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleRepor
     norm at 1.  The same schedule
     with g = gamma = chi_[0,1) (Riemann integrable) is the contrast curve; at
     its finest a the deviation collapses, so the two curves separate.
-    Raises ConfigError when threads < 1, and ResolutionError, before any
-    grid is built, when the ``threads`` deepest depths, which may run at
-    once, are estimated to exceed the machine's physical memory.
+    Raises ConfigError when depths is empty or threads < 1, and
+    ResolutionError, before any grid is built, when the ``threads`` deepest
+    depths, which may run at once, are estimated to exceed the machine's
+    physical memory.
     """
-    _require_threads(threads)
     depths = [int(k) for k in depths]
+    if not depths:
+        raise ConfigError("the counterexample needs at least one depth")
+    _require_threads(threads)
     _require_memory(sum(sorted(map(_counterexample_peak_bytes, depths))[-threads:]),
                     f"the counterexample at depths {depths} with {threads} thread(s)",
                     "lower the depths or the threads")

@@ -249,8 +249,14 @@ def apply_diagonal_defect(f: GridFunction, sys: GaborSystem) -> GridFunction:
     GridMismatchError when f is not on the system's grid.
     """
     _require_grid(f, sys.grid)
-    mult = _cell_on_box(diagonal_correlation(sys), f.box, sys.grid.half_extent_steps) - 1.0
-    return GridFunction._own(f.grid, f.box, mult * f.data)
+    d = sys.grid.dim
+    # G[0] extended onto the box of f, then scaled to the diagonal
+    # correlation, less 1 and times f in place: one array of the box
+    out = _cell_on_box(correlation_family(sys)[(0,) * d], f.box, sys.grid.half_extent_steps)
+    out *= sys.a ** d / sys.pairing
+    out -= 1.0
+    out *= f.data
+    return GridFunction._own(f.grid, f.box, out)
 
 
 def apply_remainder(f: GridFunction, sys: GaborSystem) -> GridFunction:

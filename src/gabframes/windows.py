@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ResolutionError, UnsupportedDimensionError
-from .grid import Grid, GridFunction
+from .errors import ConfigError, ResolutionError, UnsupportedDimensionError
+from .grid import Grid, GridFunction, translate
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -215,6 +215,17 @@ def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
         shape[ax] = -1
         vals = vals * axis[nz[0]:nz[-1] + 1].reshape(shape)
     return GridFunction._own(grid, box, vals.astype(complex))
+
+
+def _test_function(spec: WindowSpec, grid: Grid, shift) -> GridFunction:
+    # the test function f of a run: the window moved by shift, when one is
+    # given; ConfigError when the shift moves every sample off the grid
+    f = sample_window(spec, grid)
+    if shift is not None:
+        f = translate(f, shift)
+        if not f.data.size:
+            raise ConfigError(f"f_shift {shift} moves the test function off the grid")
+    return f
 
 
 def window_library() -> list[WindowSpec]:

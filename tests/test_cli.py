@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from gabframes import (
     sample_window,
     translate,
 )
-from gabframes.cli import _shift_from, main
+from gabframes.cli import _GRID_KEYS, _SWEEP_KEYS, _SYSTEM_KEYS, _shift_from, main
 from gabframes.errors import ConfigError
 
 
@@ -275,8 +276,12 @@ class TestCounterexampleCommand:
         assert len(lines) == 3
 
     def test_empty_depths_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "counterexample", "--depths", ",")
+        # the library refuses an empty depth list, which used to pass with no records
+        code, out, err = run_cli(capsys, "counterexample", "--depths", ",")
         assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "ConfigError",
+                                   "message": "the counterexample needs at least one depth"}
 
     def test_threads_below_one_rejected(self, capsys):
         # used to exit 0 and run serially
@@ -583,9 +588,20 @@ class TestConfigValidation:
         ("sweep", {"pairs": [1.0, 0.5]}, "pairs"),
         ("bounds", {"grid": {"half_extent": None, "spacing": 1 / 32}}, "half_extent"),
         ("apply", {"a": None}, "a"),
-    ], ids=["flat-pairs", "null-half-extent", "null-a"])
+        ("bounds", {"b": "0.5"}, "b"),
+        ("bounds", {"grid": {"half_extent": "4", "spacing": 1 / 32}}, "half_extent"),
+        ("bounds", {"grid": {"half_extent": 4.0, "spacing": 1 / 32, "dim": 1.5}}, "dim"),
+        ("bounds", {"grid": {"half_extent": 4.0, "spacing": 1 / 32, "dim": "2"}}, "dim"),
+        ("bounds", {"grid": {"half_extent": 4.0, "spacing": 1 / 32, "dim": math.inf}}, "dim"),
+        ("sweep", {"pairs": [[True, 0.5], [0.25, 0.25]]}, "pairs"),
+        ("sweep", {"pairs": [[0.5, 0.5], [0.25, "0.25"]]}, "pairs"),
+    ], ids=["flat-pairs", "null-half-extent", "null-a", "string-b", "string-half-extent",
+            "fractional-dim", "string-dim", "infinite-dim", "true-in-pair", "string-in-pair"])
     def test_wrong_json_type_names_its_key(self, capsys, tmp_path, command, change, key):
-        # a value of the wrong JSON type used to escape as a TypeError traceback
+        # a value of the wrong JSON type used to escape as a TypeError traceback,
+        # and a string, a fractional dim or a true in a pair used to run, as the
+        # number, in one dimension or as 1; json writes math.inf as Infinity,
+        # which reads back as 1e999 does
         base = self.SWEEP if command == "sweep" else TestUnknownConfigKeys.DESK
         path = write_json(tmp_path / "cfg.json", {**base, **change})
         code, _, err = run_cli(capsys, command, "--config", path)
@@ -641,6 +657,53 @@ class TestConfigValidation:
         # both used to run, as the shift 0.5 and the shift 1
         path = write_json(tmp_path / "sys.json", {**TestUnknownConfigKeys.DESK, "f_shift": shift})
         self.assert_json_error(capsys, "ConfigError", "apply", "--config", path)
+
+
+@pytest.mark.parametrize("key", sorted(_GRID_KEYS | _SYSTEM_KEYS | _SWEEP_KEYS))
+def test_true_is_no_config_value(capsys, tmp_path, key):
+    # every key of every config refuses a JSON true; a, b, p, q and the grid
+    # sizes used to read it as 1, so a key added later meets the same rule
+    runs = []
+    for command, keys, base in (("apply", _SYSTEM_KEYS, TestUnknownConfigKeys.DESK),
+                                ("sweep", _SWEEP_KEYS, TestConfigValidation.SWEEP)):
+        if key in _GRID_KEYS:
+            cfg = {**base, "grid": {**base["grid"], key: True}}
+        elif key in keys:
+            cfg = {**base, key: True}
+        else:
+            continue
+        code, out, err = run_cli(capsys, command, "--config",
+                                 write_json(tmp_path / "cfg.json", cfg))
+        assert code == 1 and out == "", command
+        obj = json.loads(err)
+        assert obj["error"] == "ConfigError", obj
+        # the message names the key in quotes; the kind message names it as a word
+        assert re.search(rf"['\"]{key}['\"]|^sweep {key} ", obj["message"]), obj
+        runs.append(command)
+    assert runs
+
+
+def test_whole_float_dim_is_the_integer(capsys, tmp_path):
+    outs = []
+    for dim in (1.0, 1):
+        path = write_json(tmp_path / "sys.json", {
+            **TestUnknownConfigKeys.DESK, "grid": {"half_extent": 4.0, "spacing": 1 / 32, "dim": dim}})
+        code, out, err = run_cli(capsys, "bounds", "--config", path)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stft"], ["apply", "--method", "direct"], ["apply", "--method", "walnut"],
+    ["apply", "--method", "janssen"]])
+def test_f_off_the_grid_fails_on_every_command(capsys, tmp_path, argv):
+    # stft wrote 1,856 all-zero rows and apply 256; a sweep already failed
+    path = write_json(tmp_path / "sys.json", {**TestUnknownConfigKeys.DESK, "f_shift": 100})
+    code, out, err = run_cli(capsys, argv[0], "--config", path, *argv[1:])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": "f_shift (100.0,) moves the test function off the grid"}
 
 
 @pytest.mark.parametrize("shift,dim,want", [

@@ -343,6 +343,16 @@ class TestCounterexamplePreflight:
         assert "physical memory" in str(result)
         assert peak < 2 ** 20
 
+    def test_no_depths_fail_before_the_preflight(self, monkeypatch):
+        # an empty depth list used to pass with no records
+        def unchecked(*args):
+            raise AssertionError("the memory preflight ran before the depths were checked")
+
+        monkeypatch.setattr("gabframes.experiments._require_memory", unchecked)
+        for depths in ([], ()):
+            with pytest.raises(ConfigError, match="at least one depth"):
+                counterexample_run(depths)
+
     def test_depths_run_at_once_are_summed(self, monkeypatch):
         room = 3 * _counterexample_peak_bytes(3) // 2
         monkeypatch.setattr("gabframes.errors._physical_memory_bytes", lambda: room)

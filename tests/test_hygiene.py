@@ -52,6 +52,10 @@ runs once per iteration: in the body or test of a ``for`` or ``while`` loop,
 or in a comprehension anywhere but its first iterable.  Each such read
 would build all N^d samples again; read once before the loop instead.
 
+The one-reader rule: in ``cli.py`` only the config reader ``_config`` and
+``norm``'s window read call ``_load_json``, so every config passes the same
+schema, key and grid checks once, and the builders behind it only build.
+
 The memory rule: only ``errors.py`` calls ``os.sysconf``, in the one
 memory preflight ``_require_memory``, so every size check reads physical
 memory the same way and a test patches one name to change it.
@@ -493,6 +497,40 @@ def test_no_full_grid_values_read_in_a_loop(path):
 ])
 def test_loop_values_checker_itself(source, reads):
     assert values_reads_in_loops(source) == reads
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The top-level defs (``<module>`` for other statements) that call
+    ``name``, as a bare name or an attribute, each once, in sorted order."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+                found.add(getattr(top, "name", "<module>"))
+    return sorted(found)
+
+
+def test_configs_have_one_reader():
+    source = (ROOT / "src" / "gabframes" / "cli.py").read_text()
+    assert callers(source, "_load_json") == ["_cmd_norm", "_config"]
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def _config(path):\n    return _load_json(path)\n", ["_config"]),
+    # two readers: the system configs' and an inline one in the sweep command
+    ("def _system_config(path):\n    cfg = _load_json(path)\n    return cfg\n"
+     "def _cmd_sweep(args):\n    cfg = _load_json(args.config)\n    return cfg\n",
+     ["_cmd_sweep", "_system_config"]),
+    ("def f():\n    def g():\n        return _load_json('x')\n    return g\n", ["f"]),
+    ("def f():\n    return cli._load_json('x')\n", ["f"]),
+    ("def f():\n    return _load_json\n", []),
+    ("def f():\n    return json.load(fp)\n", []),
+    ("cfg = _load_json('x')\n", ["<module>"]),
+    ("class C:\n    def m(self):\n        return _load_json('x')\n", ["C"]),
+])
+def test_callers_checker_itself(source, found):
+    assert callers(source, "_load_json") == found
 
 
 def front_end_imports(source: str) -> list[str]:
