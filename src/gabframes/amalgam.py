@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _number
 from .grid import GridFunction, _box_shape, _within, inner_product, support_index_bounds
 
 __all__ = [
@@ -59,7 +60,7 @@ class Exponent:
             if s in ("inf", "infinity", "oo"):
                 return cls(math.inf)
             return cls(float(s))
-        return cls(float(p))
+        return cls(_number(p))
 
     def __float__(self) -> float:
         return self.value

@@ -24,7 +24,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, _number, _typed
 
 if TYPE_CHECKING:
     from .grid import Grid, GridFunction
@@ -94,28 +94,6 @@ def _config(path: str, keys: frozenset, what: str, needs: tuple[str, ...]) -> di
     return cfg
 
 
-def _typed(key: str, convert, value):
-    # convert one config value; a value of the wrong JSON type names its key
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
-
-
-def _number(value, expected: str = "a number") -> float:
-    # a JSON number as a float; a bool is not one
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected {expected}, not {type(value).__name__}")
-    return float(value)
-
-
-def _whole(value) -> int:
-    # a JSON number without a fraction as an int: 2.0 reads as 2, 1.5 and inf fail
-    if not _number(value).is_integer():
-        raise ValueError("expected a whole number")
-    return int(value)
-
-
 def _shift_from(cfg: dict, dim: int) -> tuple[float, ...] | None:
     # f_shift as one float per axis: a list gives one per axis, a number
     # moves every axis; the axis count is checked later, by translate
@@ -130,9 +108,7 @@ def _shift_from(cfg: dict, dim: int) -> tuple[float, ...] | None:
 def _grid_from(cfg: dict) -> Grid:
     from .grid import Grid
 
-    g = cfg["grid"]
-    return Grid(_typed("half_extent", _number, g["half_extent"]),
-                _typed("spacing", _number, g["spacing"]), _typed("dim", _whole, g.get("dim", 1)))
+    return Grid(**cfg["grid"])  # its keys are Grid's parameters, checked by _config
 
 
 def _window_from(cfg: dict, key: str) -> WindowSpec:
@@ -151,7 +127,7 @@ def _system_from(cfg: dict) -> GaborSystem:
     grid = _grid_from(cfg)
     g = sample_window(_window_from(cfg, "g"), grid)
     gamma = sample_window(_window_from(cfg, "gamma"), grid) if "gamma" in cfg else g
-    return GaborSystem(g, gamma, _typed("a", _number, cfg["a"]), _typed("b", _number, cfg["b"]))
+    return GaborSystem(g, gamma, cfg["a"], cfg["b"])
 
 
 def _f_from(cfg: dict, grid: Grid) -> GridFunction:
@@ -290,9 +266,8 @@ def _cmd_sweep(args) -> int:
         grid=grid,
         g_spec=g_spec,
         gamma_spec=_window_from(cfg, "gamma") if "gamma" in cfg else g_spec,
-        pairs=_typed("pairs", lambda ps: tuple((_number(a), _number(b)) for a, b in ps), pairs),
-        pq=ExponentPair(*(_typed(k, lambda v: Exponent.of(v if isinstance(v, str) else _number(v)),
-                                 cfg.get(k, 2)) for k in ("p", "q"))),
+        pairs=pairs,
+        pq=ExponentPair(*(_typed(k, Exponent.of, cfg.get(k, 2)) for k in ("p", "q"))),
         f_spec=_window_from(cfg, "f") if "f" in cfg else None,
         f_shift=_shift_from(cfg, grid.dim),
     )

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one memory preflight."""
+"""Exception types shared across the package, the one number rule that every
+number a caller hands the package goes through, and the one memory preflight."""
 import os
 
 __all__ = [
@@ -41,6 +42,30 @@ class ResolutionError(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration failed validation before any computation."""
+
+
+def _typed(key: str, convert, value):
+    # convert one config value; a value of the wrong JSON type names its key
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
+
+
+def _number(value, expected: str = "a number") -> float:
+    # a real number as a float, numpy scalars included; a bool is not one
+    import numbers  # here, so the CLI's front end loads no module for it
+
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected {expected}, not {type(value).__name__}")
+    return float(value)
+
+
+def _whole(value) -> int:
+    # a number without a fraction as an int: 2.0 reads as 2, 1.5 and inf fail
+    if not _number(value).is_integer():
+        raise ValueError("expected a whole number")
+    return int(value)
 
 
 def _physical_memory_bytes() -> int | None:

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .amalgam import Exponent, ExponentPair, amalgam_norm
-from .errors import ConfigError, _require_memory
+from .errors import ConfigError, _number, _require_memory, _typed, _whole
 from .grid import (
     Grid,
     GridFunction,
@@ -76,7 +76,8 @@ class SweepSchedule:
     def __post_init__(self):
         if not self.pairs:
             raise ConfigError("schedule needs at least one (a, b) pair")
-        object.__setattr__(self, "pairs", tuple((float(a), float(b)) for a, b in self.pairs))
+        object.__setattr__(self, "pairs", _typed(
+            "pairs", lambda ps: tuple((_number(a), _number(b)) for a, b in ps), self.pairs))
         object.__setattr__(self, "pq", ExponentPair.of(self.pq))
         prev = None
         for a, b in self.pairs:
@@ -156,9 +157,11 @@ def _require_margin(schedule: SweepSchedule, f: GridFunction,
             f"margin of at least {need:g}; enlarge the grid or shrink the shifts")
 
 
-def _require_threads(threads: int) -> None:
+def _require_threads(threads: int) -> int:
+    threads = _typed("threads", _whole, threads)
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads!r}")
+    return threads
 
 
 def _map_ordered(fn, items, threads: int):
@@ -177,9 +180,9 @@ def convergence_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
     window support diameters, so truncation cannot pollute the limit.
     Each record also carries the multiplier/tail split of the error bound
     and a weak*-pairing column against a fixed dual test set.  Raises
-    ConfigError when threads < 1.
+    ConfigError when threads is not a whole number >= 1.
     """
-    _require_threads(threads)
+    threads = _require_threads(threads)
     g, gamma = schedule.sample_windows()
     f = schedule.sample_f()
     _require_margin(schedule, f, g, gamma)
@@ -241,10 +244,10 @@ def opnorm_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
     """Track the operator-norm proxy: diagonal deviation +/- tail/|<gamma,g>|.
 
     Requires window families whose product is Riemann integrable
-    (indicator, bspline, gaussian); fat_cantor is rejected, and so is
-    threads < 1.
+    (indicator, bspline, gaussian); fat_cantor is rejected, and so is a
+    threads that is not a whole number >= 1.
     """
-    _require_threads(threads)
+    threads = _require_threads(threads)
     for spec in (schedule.g_spec, schedule.gamma_spec):
         if spec.family == "fat_cantor":
             raise ConfigError("opnorm sweeps need Riemann-integrable window products; "
@@ -317,15 +320,15 @@ def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleRepor
     norm at 1.  The same schedule
     with g = gamma = chi_[0,1) (Riemann integrable) is the contrast curve; at
     its finest a the deviation collapses, so the two curves separate.
-    Raises ConfigError when depths is empty or threads < 1, and
-    ResolutionError, before any grid is built, when the ``threads`` deepest
-    depths, which may run at once, are estimated to exceed the machine's
-    physical memory.
+    Raises ConfigError when depths is empty, a depth or threads is not a
+    whole number or threads < 1, and ResolutionError, before any grid is
+    built, when the ``threads`` deepest depths, which may run at once, are
+    estimated to exceed the machine's physical memory.
     """
-    depths = [int(k) for k in depths]
+    depths = [_typed("depths", _whole, k) for k in depths]
     if not depths:
         raise ConfigError("the counterexample needs at least one depth")
-    _require_threads(threads)
+    threads = _require_threads(threads)
     _require_memory(sum(sorted(map(_counterexample_peak_bytes, depths))[-threads:]),
                     f"the counterexample at depths {depths} with {threads} thread(s)",
                     "lower the depths or the threads")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CommensurabilityError, GridMismatchError
+from .errors import CommensurabilityError, GridMismatchError, _number, _typed, _whole
 
 __all__ = [
     "Grid",
@@ -75,7 +75,10 @@ class Grid:
     __slots__ = ("dim", "samples_per_unit", "half_extent_steps")
 
     def __init__(self, half_extent: float, spacing: float, dim: int = 1):
-        if dim < 1 or int(dim) != dim:
+        half_extent = _typed("half_extent", _number, half_extent)
+        spacing = _typed("spacing", _number, spacing)
+        dim = _typed("dim", _whole, dim)
+        if dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
         if spacing <= 0 or spacing > 1:
             raise ValueError(f"spacing must lie in (0, 1], got {spacing!r}")
@@ -85,7 +88,7 @@ class Grid:
         steps = round(half_extent * m)
         if steps < 1:
             raise ValueError(f"half_extent {half_extent!r} is below one spacing {1.0 / m!r}")
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "samples_per_unit", m)
         object.__setattr__(self, "half_extent_steps", steps)
 
@@ -131,9 +134,10 @@ class Grid:
         Raises CommensurabilityError when any component of ``t`` is not an
         integer multiple of the spacing.
         """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        t = np.atleast_1d(np.asarray(t, dtype=object))  # the rule sees each component as given
         if t.shape != (self.dim,):
             raise ValueError(f"shift must have {self.dim} component(s), got shape {t.shape}")
+        t = np.array([_typed("t", _number, ti) for ti in t])
         return np.array([_snap_int(ti * self.samples_per_unit, "shift/spacing") for ti in t])
 
     def steps_scalar(self, t: float) -> int:
@@ -294,6 +298,12 @@ def _moved(box, steps):
     return tuple(slice(sl.start + s, sl.stop + s) for sl, s in zip(box, steps))
 
 
+def _shift_range(u, v, step: int) -> list[range]:
+    # per axis, every n for which the box u moved by n * step samples meets the box v
+    return [range(-((a.stop - 1 - b.start) // step), (b.stop - 1 - a.start) // step + 1)
+            for a, b in zip(u, v)]
+
+
 def _read(f: GridFunction, box) -> np.ndarray:
     """The samples of f on a box of grid slices.
 
@@ -394,14 +404,12 @@ def _fold_overlap(u: GridFunction, v: GridFunction, steps, cell_steps: int) -> n
     return _fold_box(grid, box, np.conj(shifted) * _read(v, box), cell_steps)
 
 
-def _cell_spectrum(cell: np.ndarray, indices) -> np.ndarray:
-    """sum_j cell[j] exp(-2*pi*i <k, j>/p) for k in indices along every axis.
-
-    p is the cell side; frequencies alias with period p, so entry k is the
-    FFT bin k mod p.
-    """
-    bins = np.asarray(indices) % cell.shape[0]
-    return np.fft.fftn(cell)[np.ix_(*[bins] * cell.ndim)]
+def _cell_spectrum(spectrum: np.ndarray, indices) -> np.ndarray:
+    """sum_j cell[j] exp(-2*pi*i <k, j>/p) for k in indices along every axis,
+    read off spectrum = np.fft.fftn(cell): p is the cell side, frequencies
+    alias with period p, so entry k is the FFT bin k mod p."""
+    bins = np.asarray(indices) % spectrum.shape[0]
+    return spectrum[np.ix_(*[bins] * spectrum.ndim)]
 
 
 def translate(f: GridFunction, t) -> GridFunction:

@@ -11,12 +11,12 @@ Like every form of S, it divides by the system's pairing <gamma, g>.
 
 On the grid both directions are exact cell transforms with the alias period
 p = a/h: column n of the coefficients is h^d times the cell spectrum of the
-Walnut member G[n] = correlation_family(sys)[n], read at bins l mod p by
-grid._cell_spectrum as the STFT rows are, and the truncated l-sum of a
-column is one inverse FFT back onto the cell.  The truncated Janssen operator
-S_{L,N} is therefore the Walnut-form value of walnut, the one behind S, its
-remainder R and the frame-bound blocks, on l-filtered cells with scale
-1 / <gamma, g>.
+Walnut member G[n] = correlation_family(sys)[n]: one FFT per member, read
+at bins l mod p by grid._cell_spectrum as the STFT rows are and whole by
+truncation_bound.  The truncated l-sum of a column is one inverse FFT back
+onto the cell.  The truncated Janssen operator S_{L,N} is therefore the
+Walnut-form value of walnut, the one behind S, its remainder R and the
+frame-bound blocks, on l-filtered cells with scale 1 / <gamma, g>.
 
 The expansion is a finite sum on the grid: n runs over the correlation
 members and l over one alias period.  So the truncation error of
@@ -33,7 +33,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import _require_memory
+from .errors import ConfigError, _number, _require_memory, _typed, _whole
 from .grid import GridFunction, _cell_spectrum, fold_to_cell
 from .operators import GaborSystem, correlation_family
 from .walnut import _WalnutForm
@@ -120,6 +120,8 @@ def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> Ja
     """Compute c[l, n] = <gamma, M_{l/a} T_{n/b} g> over the given radii,
     with the truncation_bound of the stored ranges.  Raises ResolutionError,
     before allocating, when they would not fit in physical memory."""
+    ell_radius, n_radius = _typed("ell_radius", _whole, ell_radius), \
+        _typed("n_radius", _whole, n_radius)
     if ell_radius < 0 or n_radius < 0:
         raise ValueError("radii must be nonnegative")
     grid, p = sys.grid, sys.a_steps
@@ -138,8 +140,7 @@ def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> Ja
         c_hat = grid.cell_measure * np.fft.fftn(cell)
         tail += float(((miss if stored else 1.0) * np.abs(c_hat)).sum())
         if stored:
-            entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = \
-                grid.cell_measure * _cell_spectrum(cell, ls)
+            entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = _cell_spectrum(c_hat, ls)
     return JanssenLattice._own(entries, sys, ell_radius, n_radius, tail / abs(sys.pairing))
 
 
@@ -196,9 +197,14 @@ def wexler_raz_check(sys: GaborSystem, ell_radius: int, n_radius: int,
     """Test c[l, n] / <gamma, g> = delta_{l 0} delta_{n 0} on the stored ranges.
 
     diag is c[0, 0], an FFT bin, over the system's pairing <gamma, g>.
-    Raises ResolutionError, before allocating, when the coefficients and
-    the two arrays normalized from them (40 B per entry) would not fit.
+    Raises ConfigError, before any work, when tol is nan or negative, and
+    ResolutionError, before allocating, when the coefficients and the two
+    arrays normalized from them (40 B per entry) would not fit.
     """
+    if not _typed("tol", _number, tol) >= 0:  # a nan fails too: no deviation is <= nan
+        raise ConfigError(f"tol must be a nonnegative number, got {tol!r}")
+    ell_radius, n_radius = _typed("ell_radius", _whole, ell_radius), \
+        _typed("n_radius", _whole, n_radius)
     _require_memory(_lattice_peak_bytes(sys, ell_radius, n_radius)
                     + 24 * ((2 * ell_radius + 1) * (2 * n_radius + 1)) ** sys.grid.dim,
                     f"the Wexler-Raz check at L = {ell_radius}, N = {n_radius} and "

@@ -34,16 +34,16 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DegenerateWindowPairError, _require_memory
+from .errors import DegenerateWindowPairError, _number, _require_memory, _typed
 from .grid import (
     Grid,
     GridFunction,
     _cell_spectrum,
     _fold_overlap,
     _require_grid,
+    _shift_range,
     inner_product,
     shift_array,
-    support_index_bounds,
     tf_shift,
 )
 
@@ -80,6 +80,7 @@ class GaborSystem:
                  "time_indices", "freq_indices", "_members")
 
     def __init__(self, g: GridFunction, gamma: GridFunction, a: float, b: float):
+        a, b = _typed("a", _number, a), _typed("b", _number, b)
         if g.grid != gamma.grid:
             raise DegenerateWindowPairError("windows must share a grid")
         if a <= 0 or b <= 0:
@@ -87,15 +88,16 @@ class GaborSystem:
         grid = g.grid
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "a_steps", grid.steps_scalar(a))          # a / h
         object.__setattr__(self, "inv_b_steps", grid.steps_scalar(1 / b))  # r = (1/b) / h
         object.__setattr__(self, "pairing", inner_product(gamma, g))
         if abs(self.pairing) <= DEGENERACY_FLOOR:
             raise DegenerateWindowPairError(
                 f"|<gamma, g>| = {abs(self.pairing):.3e} <= {DEGENERACY_FLOOR}")
-        radius = self._min_time_radius()
+        whole = (slice(0, grid.samples_per_axis),) * grid.dim  # every n moving g onto the grid
+        radius = max(max(-ns[0], ns[-1]) for ns in _shift_range(g.box, whole, self.a_steps))
         r = self.inv_b_steps
         object.__setattr__(self, "time_indices", range(-radius, radius + 1))
         object.__setattr__(self, "freq_indices", range(-(r // 2), r - r // 2))
@@ -110,36 +112,16 @@ class GaborSystem:
     def grid(self) -> Grid:
         return self.g.grid
 
-    def _min_time_radius(self) -> int:
-        # a pairing above DEGENERACY_FLOOR means g is not zero, so it has bounds
-        n = self.grid.samples_per_axis
-        need = 0
-        for lo, hi in support_index_bounds(self.g):
-            # supp(g) + n*a meets [0, N) iff -hi <= n*a_steps <= N - 1 - lo
-            n_lo = -(hi // self.a_steps)
-            n_hi = (n - 1 - lo) // self.a_steps
-            need = max(need, abs(int(n_lo)), abs(int(n_hi)))
-        return need
-
     def __repr__(self):
         return (f"GaborSystem(a={self.a}, b={self.b}, time_radius={self.time_indices[-1]}, "
                 f"freq_indices={len(self.freq_indices)} per axis)")
 
 
 def correlation_member_range(sys: GaborSystem) -> list[range]:
-    """Per-axis ranges of n with T_{n/b} g and gamma overlapping on the grid.
-
-    Exact: n/b must lie in the Minkowski difference supp(gamma) - supp(g),
-    evaluated in integer index arithmetic, so every nonzero member is
-    enumerated and nothing else.
-    """
-    ibs = sys.inv_b_steps
-    out = []
-    for (gl, gh), (cl, ch) in zip(support_index_bounds(sys.g), support_index_bounds(sys.gamma)):
-        lo = -((gh - cl) // ibs)  # ceil((cl - gh) / ibs)
-        hi = (ch - gl) // ibs
-        out.append(range(int(lo), int(hi) + 1))
-    return out
+    """Per-axis ranges of n with T_{n/b} g and gamma overlapping on the grid:
+    exactly the n that move the support box of g onto that of gamma, so every
+    nonzero member is enumerated and nothing else."""
+    return _shift_range(sys.g.box, sys.gamma.box, sys.inv_b_steps)
 
 
 def _fold_peak_bytes(u: GridFunction, v: GridFunction, cell_steps: int) -> int:
@@ -206,7 +188,7 @@ def gabor_coefficients(f: GridFunction, sys: GaborSystem) -> np.ndarray:
     entries = np.zeros((n_count,) * d + (r,) * d, dtype=complex)
     for pos, n in zip(np.ndindex((n_count,) * d), product(sys.time_indices, repeat=d)):
         cell = _fold_overlap(sys.g, f, [v * sys.a_steps for v in n], r)
-        entries[pos] = grid.cell_measure * _cell_spectrum(cell, sys.freq_indices)
+        entries[pos] = grid.cell_measure * _cell_spectrum(np.fft.fftn(cell), sys.freq_indices)
     return entries
 
 

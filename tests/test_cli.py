@@ -263,6 +263,22 @@ class TestWexlerRazCommand:
         assert payload["is_biorthogonal"] is False
         assert payload["max_offdiag"] >= 0.1
 
+    @pytest.mark.parametrize("tol,shown", [("nan", "nan"), ("-1e-10", "-1e-10"),
+                                           ("-inf", "-inf")])
+    def test_nan_or_negative_tol_fails(self, capsys, tmp_path, tol, shown):
+        # the exact integer lattice used to print "is_biorthogonal": false and exit 0
+        cfg = self.system_config(tmp_path, 1.0, 1.0)
+        code, out, err = run_cli(capsys, "wexler-raz", "--system", cfg, f"--tol={tol}")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ConfigError",
+                                   "message": f"tol must be a nonnegative number, got {shown}"}
+
+    def test_zero_tol_runs(self, capsys, tmp_path):
+        cfg = self.system_config(tmp_path, 1.0, 1.0)
+        code, out, err = run_cli(capsys, "wexler-raz", "--system", cfg, "--tol", "0")
+        assert code == 0 and not err
+        assert json.loads(out)["is_biorthogonal"] is True
+
 
 class TestCounterexampleCommand:
     def test_table_and_exit(self, capsys, tmp_path):

@@ -60,6 +60,11 @@ The memory rule: only ``errors.py`` calls ``os.sysconf``, in the one
 memory preflight ``_require_memory``, so every size check reads physical
 memory the same way and a test patches one name to change it.
 
+The number rule: ``_number``, ``_whole`` and ``_typed``, the one rule that
+turns a caller's value into a float or an int, are defined only in
+``errors.py``, so the CLI and every library entry point refuse the same
+values with the same messages.
+
 The front-end rule: the CLI's module-level imports are the stdlib,
 ``.errors`` and ``__version__`` only, so ``--version``, ``--help`` and
 config errors load no numpy; the handlers import the rest.  The
@@ -616,3 +621,39 @@ def test_physical_memory_is_read_only_in_errors():
 ])
 def test_sysconf_checker_itself(source, lines):
     assert sysconf_calls(source) == lines
+
+
+NUMBER_RULE = frozenset({"_number", "_whole", "_typed"})
+
+
+def number_rule_definitions(source: str) -> list[str]:
+    """The names of NUMBER_RULE that a def, a class or an assignment binds,
+    at any depth, once per binding, in sorted order; an import binds none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                found += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return sorted(name for name in found if name in NUMBER_RULE)
+
+
+def test_number_rule_is_defined_only_in_errors():
+    found = {p.name: number_rule_definitions(p.read_text()) for p in CALLERS}
+    assert {name: defs for name, defs in found.items() if defs} == {
+        "errors.py": ["_number", "_typed", "_whole"]}
+
+
+@pytest.mark.parametrize("source,names", [
+    ("def _number(value):\n    return float(value)\n", ["_number"]),
+    ("def _cmd(args):\n    def _whole(v):\n        return int(v)\n", ["_whole"]),
+    ("_typed = lambda key, convert, value: convert(value)\n", ["_typed"]),
+    ("_number: object = float\n", ["_number"]),
+    ("class _whole:\n    pass\n", ["_whole"]),
+    ("a, (_number, b) = 1, (2, 3)\n", ["_number"]),
+    ("from .errors import _number, _typed, _whole\nx = _typed('a', _number, 1)\n", []),
+    ("def _numbers(v):\n    pass\nnumber = 1\n", []),
+])
+def test_number_rule_checker_itself(source, names):
+    assert number_rule_definitions(source) == names

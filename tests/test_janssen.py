@@ -114,10 +114,11 @@ class TestOneTransformPerMember:
         tail = 0.0
         for n, cell in correlation_family(sys).items():
             stored = max(map(abs, n)) <= n_radius
-            c_hat = h * _cell_spectrum(cell, np.arange(p))
+            c_hat = h * _cell_spectrum(np.fft.fftn(cell), np.arange(p))
             tail += float(((miss if stored else 1.0) * np.abs(c_hat)).sum())
             if stored:
-                entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = h * _cell_spectrum(cell, ls)
+                entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = \
+                    h * _cell_spectrum(np.fft.fftn(cell), ls)
         return entries, tail / abs(sys.pairing)
 
     @pytest.mark.parametrize("ell_radius,n_radius", [(0, 0), (3, 1), (10, 3), (20, 5)])
@@ -127,6 +128,16 @@ class TestOneTransformPerMember:
         entries, bound = self.two_transforms(sys, ell_radius, n_radius)
         assert lat.entries.tobytes() == entries.tobytes()
         assert lat.truncation_bound == bound
+
+    @pytest.mark.parametrize("ell_radius,n_radius", [(16, 4), (3, 1), (0, 0)])
+    def test_one_fftn_call_per_member(self, gauss, hat, monkeypatch, ell_radius, n_radius):
+        # the bound and the stored bins used to take one transform each
+        sys = GaborSystem(gauss, hat, 0.5, 0.5)
+        members = correlation_family(sys)
+        calls, fftn = [], np.fft.fftn
+        monkeypatch.setattr(np.fft, "fftn", lambda cell: calls.append(cell.shape) or fftn(cell))
+        janssen_coefficients(sys, ell_radius, n_radius)
+        assert len(calls) == len(members)
 
     def test_two_dimensional(self):
         grid2 = Grid(1.0, 1 / 8, dim=2)

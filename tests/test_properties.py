@@ -12,6 +12,10 @@ the last properties draw non-separable ones: random complex samples on a
 rectangle with a different side per axis, often at the grid's edge.  On
 them the Walnut form equals the direct oracle, the frame bounds equal a
 dense eigvalsh, and cube norms equal a plain full-grid reduction bit for bit.
+
+The shift ranges behind the Walnut members and the time radius come from
+one rule on support boxes, checked against moving random boxes one step at
+a time.
 """
 import copy
 import math
@@ -232,3 +236,20 @@ def test_nonseparable_cube_norms_equal_full_grid_reduction(seed):
     for f in (g, -g, g + random_rectangle(rng, grid)):
         for p in (1, 2, 3, math.inf):
             assert same_bits(cube_norms(f, p), full_grid_cube_norms(f, p)), p
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_shift_range_equals_brute_force(seed):
+    # the n that move one support box by n * step onto another, per axis,
+    # against every n tried one by one; boxes are grid slices in [0, 89), so
+    # no |n| * step beyond 89 can meet
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        lo, width = rng.integers(0, 60, size=(2, 2)), rng.integers(1, 30, size=(2, 2))
+        u, v = (tuple(slice(int(s), int(s + w)) for s, w in zip(lo[k], width[k])) for k in (0, 1))
+        step = int(rng.integers(1, 13))
+        reach = 89 // step + 1
+        want = [[n for n in range(-reach, reach + 1)
+                 if grid_module._meet(grid_module._moved((a,), [n * step]), (b,))]
+                for a, b in zip(u, v)]
+        assert [list(r) for r in grid_module._shift_range(u, v, step)] == want, (u, v, step)
