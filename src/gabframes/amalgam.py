@@ -32,12 +32,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Exponent:
-    """An exponent in [1, inf]; infinity is math.inf, kept symbolic."""
+    """An exponent in [1, inf], read by the number rule; infinity is math.inf."""
 
     value: float
 
     def __post_init__(self):
-        if not (self.value >= 1.0):  # also rejects nan
+        object.__setattr__(self, "value", _number(self.value))
+        if not self.value >= 1.0:  # also rejects nan
             raise ValueError(f"exponent must satisfy p >= 1, got {self.value!r}")
 
     @property
@@ -55,12 +56,7 @@ class Exponent:
     def of(cls, p) -> "Exponent":
         if isinstance(p, Exponent):
             return p
-        if isinstance(p, str):
-            s = p.strip().lower()
-            if s in ("inf", "infinity", "oo"):
-                return cls(math.inf)
-            return cls(float(s))
-        return cls(_number(p))
+        return cls(float(p) if isinstance(p, str) else p)  # "2", "inf", "Infinity"
 
     def __float__(self) -> float:
         return self.value

@@ -68,6 +68,28 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _at_least_one(key: str, value) -> int:
+    # a count, order or depth: a whole number >= 1
+    value = _typed(key, _whole, value)
+    if value < 1:
+        raise ConfigError(f"{key} must be at least 1, got {value!r}")
+    return value
+
+
+def _per_axis(key: str, convert, value, dim: int) -> tuple:
+    # one number per axis, each through convert: a sequence of dim of them, or
+    # on a 1-D grid a scalar; a wrong count is a bad value of key, too
+    import numpy as np  # here, so the CLI's front end loads no numpy
+
+    def axes(v):
+        parts = np.atleast_1d(np.asarray(v, dtype=object))  # each component as given
+        if parts.shape != (dim,):
+            raise ValueError(f"expected {dim} component(s), got shape {parts.shape}")
+        return parts
+
+    return tuple(_typed(key, convert, part) for part in _typed(key, axes, value))
+
+
 def _physical_memory_bytes() -> int | None:
     try:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

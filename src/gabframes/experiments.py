@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .amalgam import Exponent, ExponentPair, amalgam_norm
-from .errors import ConfigError, _number, _require_memory, _typed, _whole
+from .errors import ConfigError, _at_least_one, _number, _require_memory, _typed
 from .grid import (
     Grid,
     GridFunction,
@@ -157,13 +157,6 @@ def _require_margin(schedule: SweepSchedule, f: GridFunction,
             f"margin of at least {need:g}; enlarge the grid or shrink the shifts")
 
 
-def _require_threads(threads: int) -> int:
-    threads = _typed("threads", _whole, threads)
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads!r}")
-    return threads
-
-
 def _map_ordered(fn, items, threads: int):
     if threads == 1:
         return [fn(it) for it in items]
@@ -182,7 +175,7 @@ def convergence_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
     and a weak*-pairing column against a fixed dual test set.  Raises
     ConfigError when threads is not a whole number >= 1.
     """
-    threads = _require_threads(threads)
+    threads = _at_least_one("threads", threads)
     g, gamma = schedule.sample_windows()
     f = schedule.sample_f()
     _require_margin(schedule, f, g, gamma)
@@ -247,7 +240,7 @@ def opnorm_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
     (indicator, bspline, gaussian); fat_cantor is rejected, and so is a
     threads that is not a whole number >= 1.
     """
-    threads = _require_threads(threads)
+    threads = _at_least_one("threads", threads)
     for spec in (schedule.g_spec, schedule.gamma_spec):
         if spec.family == "fat_cantor":
             raise ConfigError("opnorm sweeps need Riemann-integrable window products; "
@@ -301,13 +294,16 @@ class CounterexampleReport:
 _CELL_SIZES = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
+def _counterexample_samples_per_unit(depth: int) -> int:
+    return 8 * 4 ** depth
+
+
 def _counterexample_peak_bytes(depth: int) -> int:
-    # depth k samples [-2, 2) at N = 32 * 4^k points and peaks at a = 1, on
-    # [0, 1) (N/4 points), where folding G[0] ties with the norm of the
-    # defect: two complex windows, G[0] and the defect on the box of f, and
-    # the float block of the two whole cubes the norm reduces
-    n = 32 * 4 ** depth
-    return (4 * 16 + 2 * 8) * n // 4
+    # the run peaks at a = 1, on the samples of [0, 1), where folding G[0] ties
+    # with the norm of the defect: two complex windows, G[0] and the defect on
+    # the box of f, and the norm's float block of two whole cubes; past depth
+    # 64 it exceeds any memory, so the exponent is capped, not computed
+    return (4 * 16 + 2 * 8) * _counterexample_samples_per_unit(min(depth, 64))
 
 
 def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleReport:
@@ -320,22 +316,22 @@ def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleRepor
     norm at 1.  The same schedule
     with g = gamma = chi_[0,1) (Riemann integrable) is the contrast curve; at
     its finest a the deviation collapses, so the two curves separate.
-    Raises ConfigError when depths is empty, a depth or threads is not a
-    whole number or threads < 1, and ResolutionError, before any grid is
+    Raises ConfigError when depths is empty or a depth or threads is not a
+    whole number >= 1, and ResolutionError, before any grid is
     built, when the ``threads`` deepest depths, which may run at once, are
     estimated to exceed the machine's physical memory.
     """
-    depths = [_typed("depths", _whole, k) for k in depths]
+    depths = [_at_least_one("depths", k) for k in depths]
     if not depths:
         raise ConfigError("the counterexample needs at least one depth")
-    threads = _require_threads(threads)
+    threads = _at_least_one("threads", threads)
     _require_memory(sum(sorted(map(_counterexample_peak_bytes, depths))[-threads:]),
                     f"the counterexample at depths {depths} with {threads} thread(s)",
                     "lower the depths or the threads")
     q_pair = ExponentPair.of((math.inf, q))
 
     def run_depth(k: int) -> CounterexampleRecord:
-        grid = Grid(2.0, 4.0 ** (-k) / 8.0)
+        grid = Grid(2.0, 1 / _counterexample_samples_per_unit(k))
         fat = sample_window(WindowSpec.fat_cantor(k), grid)
         flat = sample_window(WindowSpec.indicator_cube(1.0), grid)
         f0 = flat  # chi_[0,1) doubles as the test function

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CommensurabilityError, GridMismatchError, _number, _typed, _whole
+from .errors import CommensurabilityError, GridMismatchError, _number, _per_axis, _typed, _whole
 
 __all__ = [
     "Grid",
@@ -134,16 +134,13 @@ class Grid:
         Raises CommensurabilityError when any component of ``t`` is not an
         integer multiple of the spacing.
         """
-        t = np.atleast_1d(np.asarray(t, dtype=object))  # the rule sees each component as given
-        if t.shape != (self.dim,):
-            raise ValueError(f"shift must have {self.dim} component(s), got shape {t.shape}")
-        t = np.array([_typed("t", _number, ti) for ti in t])
+        t = np.array(_per_axis("t", _number, t, self.dim))  # np.float64, as the messages show
         return np.array([_snap_int(ti * self.samples_per_unit, "shift/spacing") for ti in t])
 
     def steps_scalar(self, t: float) -> int:
-        """Grid steps of a lattice length (a or 1/b): CommensurabilityError
-        unless it is a positive integer multiple of the spacing."""
-        n = _snap_int(float(t) * self.samples_per_unit, "length/spacing")
+        """Grid steps of a lattice length (a or 1/b, key 'a' to the number rule):
+        CommensurabilityError unless it is a positive multiple of the spacing."""
+        n = _snap_int(_typed("a", _number, t) * self.samples_per_unit, "length/spacing")
         if n < 1:
             raise CommensurabilityError(f"length {t!r} is not a positive multiple of the spacing")
         return n
@@ -336,8 +333,7 @@ def _require_grid(f: GridFunction, grid: Grid) -> None:
 
 
 def shift_array(values: np.ndarray, steps) -> np.ndarray:
-    """Shift samples by integer steps per axis; vacated slots become zero."""
-    steps = np.atleast_1d(np.asarray(steps, dtype=int))
+    """Shift samples by integer steps, one int per axis; vacated slots become zero."""
     out = np.zeros_like(values)
     src, dst = [], []
     for s, n in zip(steps, values.shape):
@@ -428,9 +424,7 @@ def translate(f: GridFunction, t) -> GridFunction:
 
 def _phase(grid: Grid, omega, box) -> np.ndarray:
     """exp(2*pi*i <omega, x>) on a box of grid slices, a broadcastable product over axes."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if omega.shape != (grid.dim,):
-        raise ValueError(f"frequency must have {grid.dim} component(s), got shape {omega.shape}")
+    omega = _per_axis("omega", _number, omega, grid.dim)
     out = np.ones((), dtype=complex)
     for ax, sl in enumerate(box):
         shape = [1] * grid.dim

@@ -33,7 +33,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError, _number, _require_memory, _typed, _whole
+from .errors import ConfigError, _number, _per_axis, _require_memory, _typed, _whole
 from .grid import GridFunction, _cell_spectrum, fold_to_cell
 from .operators import GaborSystem, correlation_family
 from .walnut import _WalnutForm
@@ -96,11 +96,7 @@ class JanssenLattice:
         return self.entries.ndim // 2
 
     def entry(self, l, n) -> complex:
-        d = self.dim
-        l = (int(l),) if np.isscalar(l) else tuple(int(v) for v in l)
-        n = (int(n),) if np.isscalar(n) else tuple(int(v) for v in n)
-        if len(l) != d or len(n) != d:
-            raise IndexError(f"indices must have {d} components each")
+        l, n = _per_axis("l", _whole, l, self.dim), _per_axis("n", _whole, n, self.dim)
         idx = tuple(v + self.ell_radius for v in l) + tuple(v + self.n_radius for v in n)
         if any(not 0 <= i < s for i, s in zip(idx, self.entries.shape)):
             raise IndexError(f"lattice index (l={l}, n={n}) outside stored radii")

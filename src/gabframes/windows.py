@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError, UnsupportedDimensionError
+from .errors import (ConfigError, ResolutionError, UnsupportedDimensionError, _at_least_one,
+                     _number, _require_memory, _typed, _whole)
 from .grid import Grid, GridFunction, translate
 
 if TYPE_CHECKING:
@@ -31,7 +32,10 @@ __all__ = [
     "window_library",
 ]
 
-_FAMILIES = ("indicator_cube", "bspline", "gaussian", "fat_cantor")
+# each family and the rule that reads each of its parameters
+_FAMILIES = {"indicator_cube": {"side": _number}, "bspline": {"order": _whole},
+             "gaussian": {"sigma": _number, "radius": _number}, "fat_cantor": {"depth": _whole}}
+_PARAMETERS = ("side", "order", "sigma", "radius", "depth")
 _LOG_TINY = -1074 * log(2.0)  # log of the least positive double, 2^-1074
 
 
@@ -52,29 +56,22 @@ class WindowSpec:
     depth: int | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown window family {self.family!r}; expected one of {_FAMILIES}")
-        need = {
-            "indicator_cube": ("side",),
-            "bspline": ("order",),
-            "gaussian": ("sigma", "radius"),
-            "fat_cantor": ("depth",),
-        }[self.family]
-        for name in ("side", "order", "sigma", "radius", "depth"):
+        families = tuple(_FAMILIES)  # compared by ==, so a JSON list or object fails here too
+        if self.family not in families:
+            raise ValueError(f"unknown window family {self.family!r}; expected one of {families}")
+        takes = _FAMILIES[self.family]
+        for name in _PARAMETERS:
             val = getattr(self, name)
-            if name in need:
-                if val is None:
-                    raise ValueError(f"{self.family} window requires parameter {name!r}")
-                if isinstance(val, bool) or not val > 0:  # a JSON true is not the number 1
+            if name not in takes:
+                if val is not None:
+                    raise ValueError(f"{self.family} window does not take parameter {name!r}")
+            elif val is None:
+                raise ValueError(f"{self.family} window requires parameter {name!r}")
+            else:
+                val = _typed(name, takes[name], val)
+                if not val > 0:  # nan too
                     raise ValueError(f"window parameter {name}={val!r} must be a positive number")
-            elif val is not None:
-                raise ValueError(f"{self.family} window does not take parameter {name!r}")
-        for name in ("order", "depth"):  # a whole float is kept as its int: 3.0 samples as 3
-            val = getattr(self, name)
-            if val is not None and (val % 1 or val < 1):  # nan % 1 for an infinite value
-                raise ValueError(f"{self.family} {name} must be an integer >= 1, got {val!r}")
-            if val is not None:
-                object.__setattr__(self, name, int(val))
+                object.__setattr__(self, name, val)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -95,19 +92,14 @@ class WindowSpec:
 
     # -- JSON --------------------------------------------------------------
     def to_json(self) -> dict:
-        out = {"family": self.family}
-        for name in ("side", "order", "sigma", "radius", "depth"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
+        return {"family": self.family,
+                **{name: getattr(self, name) for name in _FAMILIES[self.family]}}
 
     @classmethod
     def from_json(cls, obj) -> "WindowSpec":
         if not isinstance(obj, dict) or "family" not in obj:
             raise ValueError(f"window spec must be an object with a 'family' key, got {obj!r}")
-        known = {"family", "side", "order", "sigma", "radius", "depth"}
-        extra = set(obj) - known
+        extra = set(obj) - {"family", *_PARAMETERS}
         if extra:
             raise ValueError(f"unknown window spec key(s): {sorted(extra)}")
         return cls(**obj)
@@ -121,6 +113,7 @@ def bspline_profile(order: int, x: np.ndarray) -> np.ndarray:
     up at the arguments x, x - 1, ... that the recursion builds, so it keeps
     the recursion's bits in order (order + 1) / 2 array operations.
     """
+    order = _at_least_one("order", order)
     args = [x]
     for _ in range(order - 1):
         args.append(args[-1] - 1)
@@ -135,12 +128,15 @@ def fat_cantor_intervals(depth: int) -> list[tuple[Fraction, Fraction]]:
     """Closed intervals of the depth-k Smith-Volterra-Cantor set in [0, 1].
 
     At step j each of the 2^(j-1) pieces loses its open middle interval of
-    length 4^(-j).  Endpoints are exact rationals.
+    length 4^(-j).  Endpoints are exact rationals; a depth past memory is a ResolutionError.
     """
     from fractions import Fraction
 
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth!r}")
+    depth = _at_least_one("depth", depth)
+    # about 330 B per interval (traced at depths 10-14); past depth 64 it
+    # exceeds any memory, so the exponent is capped, not computed
+    _require_memory(330 * 2 ** min(depth, 64), f"building the 2^{depth} fat-Cantor intervals",
+                    "lower the depth")
     pieces = [(Fraction(0), Fraction(1))]
     for j in range(1, depth + 1):
         half_gap = Fraction(1, 2 * 4**j)
@@ -157,7 +153,7 @@ def fat_cantor_measure(depth: int) -> Fraction:
     """Exact Lebesgue measure 1 - (1/2)(1 - 2^-k) of the depth-k set."""
     from fractions import Fraction
 
-    return 1 - Fraction(1, 2) * (1 - Fraction(1, 2**depth))
+    return 1 - Fraction(1, 2) * (1 - Fraction(1, 2 ** _at_least_one("depth", depth)))
 
 
 def _fat_cantor_axis(depth: int, grid: Grid, lo: int, hi: int) -> np.ndarray:

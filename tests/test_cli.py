@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -444,7 +445,7 @@ def test_huge_sizes_fail_before_allocating(capsys, tmp_path, argv, change):
 
 class TestWindowParameterTypes:
     """A whole-number float order or depth samples as the integer, and a
-    bool is not a number; both used to run (or fail with a traceback)."""
+    bool is not a number: the number rule refuses it and names its key."""
 
     @pytest.mark.parametrize("spec", [
         {"family": "bspline", "order": 3},
@@ -479,7 +480,9 @@ class TestWindowParameterTypes:
         assert code == 1
         assert out == ""
         obj = json.loads(err)
-        assert obj["error"] == "ConfigError" and "must be a positive number" in obj["message"]
+        key = next(k for k in spec if k != "family")
+        assert obj == {"error": "ConfigError", "message": f"bad 'window' window spec: config key "
+                       f"{key!r} has a bad value True: expected a number, not bool"}
 
 
 def test_unknown_command_exits_one(capsys):
@@ -768,3 +771,56 @@ def test_sweep_bound_failure_exits_two(capsys, tmp_path, monkeypatch):
     obj = json.loads(err)
     assert obj["error"] == "contract" and "(0.5, 0.5)" in obj["message"]
     assert len(out_csv.read_text().splitlines()) == 4  # the data is written first
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--window", {"family": "fat_cantor", "depth": 40}],
+    ["bounds", "--config",
+     {**TestUnknownConfigKeys.DESK, "g": {"family": "fat_cantor", "depth": 40}}],
+    ["counterexample", "--depths", "1000000000000"],
+], ids=["norm-fat-cantor", "bounds-fat-cantor", "counterexample"])
+def test_unbuildable_depths_fail_before_allocating(capsys, tmp_path, argv):
+    # the first two built 2^40 exact intervals until killed; the third computed
+    # 4^(10^12) for its memory estimate and died with a bare MemoryError
+    argv = [write_json(tmp_path / "in.json", v) if isinstance(v, dict) else v for v in argv]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "ResolutionError" and "physical memory" in obj["message"]
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("command", ["bounds", "counterexample", "selftest"])
+def test_contract_violation_exits_two(capsys, monkeypatch, apply_config, command):
+    # each command's contract check is forced to fail; its result is printed first
+    from gabframes import experiments, walnut
+
+    if command == "bounds":
+        exact = walnut.tail_sum
+        monkeypatch.setattr(walnut, "tail_sum",
+                            lambda sys: dataclasses.replace(exact(sys), within_bound=False))
+        argv, message = ["--config", apply_config], "correlation sup-sum"
+    elif command == "counterexample":
+        exact = experiments.counterexample_run
+
+        def failed(*args, **kwargs):
+            report = exact(*args, **kwargs)
+            report.passed = False
+            return report
+
+        monkeypatch.setattr(experiments, "counterexample_run", failed)
+        argv, message = ["--depths", "1"], "counterexample curves failed to separate"
+    else:
+        monkeypatch.setattr(walnut, "operator_norm_upper_bound", lambda sys: 9.0)
+        argv, message = [], "selftest failed"
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert out
+    obj = json.loads(err)
+    assert obj["error"] == "contract" and obj["message"].startswith(message)

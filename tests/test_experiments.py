@@ -343,6 +343,14 @@ class TestCounterexamplePreflight:
         assert "physical memory" in str(result)
         assert peak < 2 ** 20
 
+    def test_huge_depths_are_estimated_without_building_the_number(self):
+        # 4^(10^12) has 2 * 10^12 bits: the estimate used to raise MemoryError
+        for depth in (10 ** 12, 10 ** 300):
+            peak, result = traced_peak(counterexample_run, [depth])
+            assert isinstance(result, ResolutionError)
+            assert "physical memory" in str(result)
+            assert peak < 2 ** 20
+
     def test_no_depths_fail_before_the_preflight(self, monkeypatch):
         # an empty depth list used to pass with no records
         def unchecked(*args):

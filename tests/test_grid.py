@@ -5,6 +5,7 @@ import pytest
 
 from gabframes import (
     CommensurabilityError,
+    ConfigError,
     GaborSystem,
     Grid,
     GridFunction,
@@ -46,6 +47,24 @@ class TestGrid:
     def test_rejects_bad_parameters(self, he, sp):
         with pytest.raises((ValueError, CommensurabilityError)):
             Grid(he, sp)
+
+    def test_rejects_dim_below_one(self):
+        for dim in (0, -1):
+            with pytest.raises(ValueError, match=f"^dim must be a positive integer, got {dim}$"):
+                Grid(4.0, 1 / 32, dim)
+
+    def test_equal_grids_hash_alike(self):
+        assert hash(Grid(4.0, 1 / 32)) == hash(Grid(4, 0.03125))
+        assert len({Grid(4.0, 1 / 32), Grid(4, 0.03125), Grid(4.0, 1 / 32, 2)}) == 2
+
+    @pytest.mark.parametrize("op,key", [(translate, "t"), (modulate, "omega")])
+    @pytest.mark.parametrize("value", [0.5, [0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]],
+                             ids=["scalar", "one", "three", "nested"])
+    def test_one_component_per_axis(self, op, key, value):
+        f = sample_window(WindowSpec.indicator_cube(1.0), Grid(2.0, 1 / 8, 2))
+        with pytest.raises(ConfigError, match=f"^config key '{key}' has a bad value .*: "
+                                              f"expected 2 component"):
+            op(f, value)
 
     def test_immutability(self, grid):
         with pytest.raises(AttributeError):

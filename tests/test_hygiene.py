@@ -61,9 +61,18 @@ memory preflight ``_require_memory``, so every size check reads physical
 memory the same way and a test patches one name to change it.
 
 The number rule: ``_number``, ``_whole`` and ``_typed``, the one rule that
-turns a caller's value into a float or an int, are defined only in
-``errors.py``, so the CLI and every library entry point refuse the same
-values with the same messages.
+turns a caller's value into a float or an int, ``_at_least_one`` for a whole
+number >= 1, and ``_per_axis``, which reads one number per grid axis, are
+defined only in ``errors.py``, so
+the CLI and every library entry point refuse the same values with the same
+messages.
+
+The coercion rule: outside ``errors.py``, no function in ``src/gabframes``
+converts one of its own parameters with ``float``, ``int`` or an
+``np.asarray`` / ``np.array`` of ``dtype`` float or int, which would take a
+bool, a numeric string or a fraction the number rule refuses.  The one
+exception, listed in ``PARSERS``, is ``Exponent.of``'s parse of a string
+exponent such as ``"inf"``.
 
 The front-end rule: the CLI's module-level imports are the stdlib,
 ``.errors`` and ``__version__`` only, so ``--version``, ``--help`` and
@@ -623,7 +632,7 @@ def test_sysconf_checker_itself(source, lines):
     assert sysconf_calls(source) == lines
 
 
-NUMBER_RULE = frozenset({"_number", "_whole", "_typed"})
+NUMBER_RULE = frozenset({"_number", "_whole", "_typed", "_per_axis", "_at_least_one"})
 
 
 def number_rule_definitions(source: str) -> list[str]:
@@ -642,7 +651,7 @@ def number_rule_definitions(source: str) -> list[str]:
 def test_number_rule_is_defined_only_in_errors():
     found = {p.name: number_rule_definitions(p.read_text()) for p in CALLERS}
     assert {name: defs for name, defs in found.items() if defs} == {
-        "errors.py": ["_number", "_typed", "_whole"]}
+        "errors.py": ["_at_least_one", "_number", "_per_axis", "_typed", "_whole"]}
 
 
 @pytest.mark.parametrize("source,names", [
@@ -654,6 +663,66 @@ def test_number_rule_is_defined_only_in_errors():
     ("a, (_number, b) = 1, (2, 3)\n", ["_number"]),
     ("from .errors import _number, _typed, _whole\nx = _typed('a', _number, 1)\n", []),
     ("def _numbers(v):\n    pass\nnumber = 1\n", []),
+    ("def _per_axis(key, convert, value, dim):\n    return convert(value)\n", ["_per_axis"]),
 ])
 def test_number_rule_checker_itself(source, names):
     assert number_rule_definitions(source) == names
+
+
+# (module, function) pairs that may parse a parameter: Exponent.of reads a
+# string exponent ("2", "inf") with float
+PARSERS = frozenset({("amalgam.py", "of")})
+
+
+def coerced_parameters(source: str) -> list[str]:
+    """Lines where a function or lambda converts one of its own parameters
+    with ``float(x)``, ``int(x)`` or ``np.asarray`` / ``np.array(x,
+    dtype=float or int)``, as ``line N: name``; nested scopes are checked
+    with their own parameters."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        spec = fn.args
+        params = {a.arg for a in spec.posonlyargs + spec.args + spec.kwonlyargs
+                  + [spec.vararg, spec.kwarg] if a is not None}
+        scope = _scope_nodes(fn) if isinstance(fn.body, list) else ast.walk(fn.body)
+        for node in scope:
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id in params):
+                continue
+            func = node.func
+            cast = isinstance(func, ast.Name) and func.id in ("float", "int")
+            array = (isinstance(func, ast.Attribute) and func.attr in ("asarray", "array")
+                     and isinstance(func.value, ast.Name) and func.value.id == "np"
+                     and any(k.arg == "dtype" and isinstance(k.value, ast.Name)
+                             and k.value.id in ("float", "int") for k in node.keywords))
+            if cast or array:
+                found.append((node.lineno, getattr(fn, "name", "<lambda>")))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_parameters_are_read_by_the_number_rule(path):
+    found = [site for site in coerced_parameters(path.read_text())
+             if (path.name, site.rsplit(": ", 1)[1]) not in PARSERS]
+    assert found == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def f(t):\n    return float(t)\n", ["line 2: f"]),
+    ("def f(self, l, n):\n    return int(l), int(n)\n", ["line 2: f", "line 2: f"]),
+    ("def f(omega):\n    return np.asarray(omega, dtype=float)\n", ["line 2: f"]),
+    ("def f(steps):\n    return np.atleast_1d(np.array(steps, dtype=int))\n", ["line 2: f"]),
+    ("g = lambda v: float(v)\n", ["line 1: <lambda>"]),
+    ("def f(*ts, **kw):\n    return int(ts), float(kw)\n", ["line 2: f", "line 2: f"]),
+    ("def f(t):\n    s = t.strip()\n    return float(s)\n", []),
+    ("def f(t):\n    return float(t * 2), float(t[0])\n", []),
+    ("def f(data):\n    return np.asarray(data, dtype=complex), np.asarray(data)\n", []),
+    ("def f(x):\n    return _typed('x', _number, x)\n", []),
+    ("def f(x):\n    def g(y):\n        return float(x)\n    return g\n", []),
+    ("x = 1\nfloat(x)\n", []),
+])
+def test_coercion_checker_itself(source, found):
+    assert coerced_parameters(source) == found

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gabframes import (
+    ConfigError,
     GaborSystem,
     Grid,
     GridFunction,
@@ -159,6 +160,20 @@ class TestFrozenLattice:
             lat.truncation_bound = 0.0
         with pytest.raises(ValueError):
             lat.entries[...] = 0.0
+
+    def test_replaced_entries_must_match_the_radii(self, gauss):
+        lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 2, 2)
+        with pytest.raises(ValueError, match="does not match radii"):
+            dataclasses.replace(lat, entries=lat.entries[1:])
+        with pytest.raises(ValueError, match="does not match radii"):
+            dataclasses.replace(lat, n_radius=1)
+
+    def test_one_index_per_axis(self, gauss):
+        lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 2, 2)
+        assert lat.entry([1], np.array([0])) == lat.entry(1, 0)
+        for l, n, key in (((0, 0), 0, "l"), (0, [], "n")):
+            with pytest.raises(ConfigError, match=f"^config key '{key}' .*expected 1 component"):
+                lat.entry(l, n)
 
     def test_entries_are_copied_once(self, gauss):
         lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 2, 2)

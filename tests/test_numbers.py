@@ -6,8 +6,8 @@ the same numbers: a bool (Python's or numpy's), a numeric string, a fraction
 where a whole number is needed, or an integer beyond float range is a
 ConfigError that names the parameter in quotes, while numpy int and float
 scalars read as the Python numbers they hold.  A non-string
-``Exponent.of`` raises the rule's bare TypeError, which the CLI wraps with
-the config key ``p`` or ``q``.
+``Exponent.of`` and the ``Exponent`` constructor raise the rule's bare
+TypeError, which the CLI wraps with the config key ``p`` or ``q``.
 """
 import math
 
@@ -23,17 +23,26 @@ from gabframes import (
     SweepSchedule,
     WindowSpec,
     counterexample_run,
+    fat_cantor_intervals,
+    fat_cantor_measure,
     janssen_coefficients,
+    modulate,
     opnorm_sweep,
     sample_window,
+    stft,
+    sum_translates,
     translate,
     wexler_raz_check,
 )
+from gabframes.windows import bspline_profile
 
 GRID = Grid(4.0, 1 / 32)
 CHI = sample_window(WindowSpec.indicator_cube(1.0), GRID)
 SYS = GaborSystem(CHI, CHI, 1.0, 1.0)
 SPEC = WindowSpec.bspline(2)
+HAT = sample_window(SPEC, GRID)
+LATTICE = janssen_coefficients(GaborSystem(HAT, HAT, 0.5, 1.0), 2, 2)  # entries (1, 0), (0, 1) != 0
+X = GRID.axis_coords()
 
 
 def schedule(pairs):
@@ -55,13 +64,25 @@ ENTRIES = {
     "ell_radius": (lambda v: janssen_coefficients(SYS, v, 1).entries.tobytes(), 1, True),
     "n_radius": (lambda v: janssen_coefficients(SYS, 1, v).entries.tobytes(), 1, True),
     "tol": (lambda v: wexler_raz_check(SYS, 1, 1, v).is_biorthogonal, 1, False),
+    "omega": (lambda v: modulate(CHI, v).data.tobytes(), 1, False),
+    "side": (lambda v: WindowSpec.indicator_cube(v), 1, False),
+    "order": (lambda v: WindowSpec.bspline(v), 1, True),
+    "sigma": (lambda v: WindowSpec.gaussian(v, 3.0), 1, False),
+    "radius": (lambda v: WindowSpec.gaussian(1.0, v), 1, False),
+    "depth": (lambda v: WindowSpec.fat_cantor(v), 1, True),
+    "l": (lambda v: LATTICE.entry(v, 0), 1, True),
+    "n": (lambda v: LATTICE.entry(0, v), 1, True),
 }
-# the same rule where a second entry point takes the parameter
+# the same rule where other entry points take the parameter
 ALSO = {
-    "pairs": lambda v: schedule(((1.0, 1.0), (0.5, v))).pairs,
-    "ell_radius": lambda v: wexler_raz_check(SYS, v, 1).max_offdiag,
-    "n_radius": lambda v: wexler_raz_check(SYS, 1, v).max_offdiag,
-    "threads": lambda v: opnorm_sweep(schedule(((1.0, 1.0),)), threads=v).passed,
+    "pairs": [lambda v: schedule(((1.0, 1.0), (0.5, v))).pairs],
+    "ell_radius": [lambda v: wexler_raz_check(SYS, v, 1).max_offdiag],
+    "n_radius": [lambda v: wexler_raz_check(SYS, 1, v).max_offdiag],
+    "threads": [lambda v: opnorm_sweep(schedule(((1.0, 1.0),)), threads=v).passed],
+    "a": [lambda v: sum_translates(CHI, v).within_bound],
+    "omega": [lambda v: stft(CHI, CHI, 0.0, v)],
+    "order": [lambda v: bspline_profile(v, X).tobytes()],
+    "depth": [lambda v: fat_cantor_intervals(v), lambda v: fat_cantor_measure(v)],
 }
 BAD = {"true": True, "numpy-true": np.True_, "numeric-string": "1",
        "beyond-float-range": 10 ** 400}
@@ -69,7 +90,8 @@ BAD = {"true": True, "numpy-true": np.True_, "numeric-string": "1",
 
 def cases():
     for key, (call, _, whole) in ENTRIES.items():
-        calls = [(key, call)] + ([(key + "-again", ALSO[key])] if key in ALSO else [])
+        calls = [(key, call)] + [(key + "-again" + (f"-{i + 1}" if i else ""), fn)
+                                 for i, fn in enumerate(ALSO.get(key, []))]
         for name, fn in calls:
             bad = {**BAD, "fraction": 1.5} if whole else BAD
             for label, value in bad.items():
@@ -83,13 +105,18 @@ def test_refused_with_the_parameter_named(key, call, value):
     assert str(info.value).startswith(f"config key {key!r} has a bad value ")
 
 
-@pytest.mark.parametrize("value,error", [
-    (True, TypeError), (np.True_, TypeError), (10 ** 400, OverflowError), (None, TypeError),
-], ids=["true", "numpy-true", "beyond-float-range", "none"])
-def test_exponent_of_a_non_string(value, error):
-    # a string is Exponent.of's own input ("inf", "2"); anything else is a number
+@pytest.mark.parametrize("make,value,error", [
+    pytest.param(make, value, error, id=prefix + label)
+    for make, prefix in [(Exponent.of, ""), (Exponent, "constructor-")]
+    for label, value, error in [("true", True, TypeError), ("numpy-true", np.True_, TypeError),
+                                ("beyond-float-range", 10 ** 400, OverflowError),
+                                ("none", None, TypeError)]
+    if not (prefix and value is None)])
+def test_exponent_of_a_non_string(make, value, error):
+    # a string is Exponent.of's own input ("inf", "2"); anything else is a number;
+    # None is left out for the constructor, whose p >= 1 test always refused it
     with pytest.raises(error):
-        Exponent.of(value)
+        make(value)
 
 
 @pytest.mark.parametrize("key", list(ENTRIES))
@@ -101,7 +128,8 @@ def test_numpy_scalars_read_as_their_numbers(key, kind):
 
 @pytest.mark.parametrize("kind", [np.int64, np.float64])
 def test_numpy_exponent(kind):
-    assert Exponent.of(kind(2)) == Exponent.of(2) == Exponent(2.0)
+    assert Exponent.of(kind(2)) == Exponent.of(2) == Exponent(2.0) == Exponent(kind(2))
+    assert type(Exponent(kind(2)).value) is float
 
 
 def test_a_non_pair_entry_names_pairs():

@@ -14,7 +14,9 @@ from gabframes import (
     wiener_norm,
     window_library,
 )
+from gabframes import windows
 from gabframes.windows import bspline_profile
+from test_operators import spied_peak, traced_peak
 
 
 class TestWindowSpec:
@@ -185,6 +187,26 @@ class TestFatCantor:
         measured = grid.cell_measure * np.count_nonzero(f.values)
         assert measured == pytest.approx(float(fat_cantor_measure(depth)), abs=grid.spacing)
         assert measured == float(fat_cantor_measure(depth))  # aligned: exact
+
+    @pytest.mark.parametrize("fn", [fat_cantor_intervals, fat_cantor_measure])
+    def test_depth_below_one_rejected(self, fn):
+        for depth in (0, -3):
+            with pytest.raises(ValueError, match=f"^depth must be at least 1, got {depth}$"):
+                fn(depth)
+
+    @pytest.mark.parametrize("depth", [10, 11, 12, 13, 14])
+    def test_estimate_tracks_the_traced_peak(self, monkeypatch, depth):
+        peak, estimate = spied_peak(monkeypatch, [windows], fat_cantor_intervals, depth)
+        assert estimate / 2 <= peak <= 1.1 * estimate
+
+    def test_deep_sets_refused_before_any_interval(self):
+        # 2^40 intervals, about 330 TiB; 10^12 must not compute 2^(10^12) to say so
+        for depth in (40, 10 ** 12):
+            peak, result = traced_peak(fat_cantor_intervals, depth)
+            assert isinstance(result, ResolutionError) and "physical memory" in str(result)
+            assert peak < 2 ** 20
+        with pytest.raises(ResolutionError, match="2\\^40 fat-Cantor intervals"):
+            sample_window(WindowSpec.fat_cantor(40), Grid(2.0, 1 / 8))
 
     def test_requires_dimension_one(self):
         grid = Grid(1.0, 1 / 8, dim=2)
