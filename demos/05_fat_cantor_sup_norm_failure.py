@@ -1,10 +1,10 @@
 """Why the sup-norm convergence fails: a fat-Cantor window.
 
-A Smith-Volterra-Cantor set keeps positive measure while its complement's
-gaps survive every lattice step: some point's whole a-orbit misses the set,
-pinning the sup of |diag - 1| at 1 no matter how fine the lattice.  A solid
-indicator window on the same schedule collapses the same quantity to zero;
-the two curves separate by orders of magnitude.
+A Smith-Volterra-Cantor set keeps positive measure while its gaps grow
+dense: where a point's whole a-orbit misses the set, the diagonal function
+vanishes and |diag - 1| reaches 1.  The witness table shows this at the
+coarsest cell size a = 1, where diag = chi_E / |E|, against a solid
+indicator window at a = 1/16, where the same quantity is zero.
 """
 import numpy as np
 

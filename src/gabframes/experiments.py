@@ -313,9 +313,8 @@ def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleRepor
     maximizes the W(L^inf, l^q) norm of (diag - 1) chi_[0,1) over the candidate
     cell sizes with g = gamma = chi_{E_k}; a gap point of E_k whose a-orbit
     misses the set makes the diagonal correlation vanish there, pinning the
-    norm at 1.  The same schedule
-    with g = gamma = chi_[0,1) (Riemann integrable) is the contrast curve; at
-    its finest a the deviation collapses, so the two curves separate.
+    norm at 1.  The witness, the first maximum, is taken at the coarsest a = 1,
+    where diag = chi_{E_k} / |E_k|, and compared with the solid chi_[0,1) at a = 1/16.
     Raises ConfigError when depths is empty or a depth or threads is not a
     whole number >= 1, and ResolutionError, before any grid is
     built, when the ``threads`` deepest depths, which may run at once, are

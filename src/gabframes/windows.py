@@ -11,7 +11,7 @@ Every family samples to a function with finite Wiener norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, lgamma, log
+from math import ceil, gcd, lcm, lgamma, log
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -124,6 +124,19 @@ def bspline_profile(order: int, x: np.ndarray) -> np.ndarray:
     return level[0]
 
 
+def _fat_cantor_table(depth: int, interval_bytes: int) -> tuple[int, np.ndarray]:
+    # U = 2*4^k and the depth-k set's sorted endpoints lo, hi, lo, ... in units of 1/U,
+    # all whole: step j splits each piece at its midpoint and cuts 4^(k-j) units from
+    # each side.  int64 holds U to depth 30; interval_bytes is the caller's traced peak
+    _require_memory(interval_bytes * 2 ** min(depth, 64),
+                    f"building the 2^{depth} fat-Cantor intervals", "lower the depth")
+    ends = np.array([0, 2 * 4**depth], dtype=np.int64 if depth <= 30 else object)
+    for j in range(1, depth + 1):
+        mid, cut = (ends[0::2] + ends[1::2]) // 2, 4 ** (depth - j)
+        ends = np.column_stack([ends[0::2], mid - cut, mid + cut, ends[1::2]]).ravel()
+    return 2 * 4**depth, ends
+
+
 def fat_cantor_intervals(depth: int) -> list[tuple[Fraction, Fraction]]:
     """Closed intervals of the depth-k Smith-Volterra-Cantor set in [0, 1].
 
@@ -132,42 +145,30 @@ def fat_cantor_intervals(depth: int) -> list[tuple[Fraction, Fraction]]:
     """
     from fractions import Fraction
 
-    depth = _at_least_one("depth", depth)
-    # about 330 B per interval (traced at depths 10-14); past depth 64 it
-    # exceeds any memory, so the exponent is capped, not computed
-    _require_memory(330 * 2 ** min(depth, 64), f"building the 2^{depth} fat-Cantor intervals",
-                    "lower the depth")
-    pieces = [(Fraction(0), Fraction(1))]
-    for j in range(1, depth + 1):
-        half_gap = Fraction(1, 2 * 4**j)
-        nxt = []
-        for lo, hi in pieces:
-            mid = (lo + hi) / 2
-            nxt.append((lo, mid - half_gap))
-            nxt.append((mid + half_gap, hi))
-        pieces = nxt
-    return pieces
+    units, ends = _fat_cantor_table(_at_least_one("depth", depth), 420)
+    return [(Fraction(a, units), Fraction(b, units)) for a, b in ends.reshape(-1, 2).tolist()]
 
 
 def fat_cantor_measure(depth: int) -> Fraction:
-    """Exact Lebesgue measure 1 - (1/2)(1 - 2^-k) of the depth-k set."""
+    """Exact Lebesgue measure (2^k + 1) / 2^(k+1) of the depth-k set; a depth whose
+    integers (about five of depth bits) pass memory is a ResolutionError."""
     from fractions import Fraction
 
-    return 1 - Fraction(1, 2) * (1 - Fraction(1, 2 ** _at_least_one("depth", depth)))
+    depth = _at_least_one("depth", depth)
+    _require_memory(5 * depth // 8, f"the depth-{depth} fat-Cantor measure", "lower the depth")
+    return Fraction(2**depth + 1, 2 ** (depth + 1))
 
 
 def _fat_cantor_axis(depth: int, grid: Grid, lo: int, hi: int) -> np.ndarray:
-    # the grid indices lo..hi-1, which hold [0, 1]; each construction interval
-    # is sampled half-open, matching the package-wide cube convention, and its
-    # endpoints are compared as exact rationals
+    # indices lo..hi-1 hold [0, 1]; [a, b] is sampled half-open (the cube convention):
+    # i is in it when ceil(a m/U) <= i - th < ceil(b m/U), so when an odd number of
+    # the sorted cuts lie at or below i - th; past int64 the products are Python ints
     m, th = grid.samples_per_unit, grid.half_extent_steps
-    vals = np.zeros(hi - lo)
-    for start, stop in fat_cantor_intervals(depth):
-        start = max(ceil(start * m) + th, lo)
-        stop = min(ceil(stop * m) + th, hi)
-        if start < stop:
-            vals[start - lo:stop - lo] = 1.0
-    return vals
+    wide = depth > 30 or lcm(m, 2 * 4**depth) >= 2**63  # lcm(m, U) is the largest product
+    units, ends = _fat_cantor_table(depth, 200 if wide else 48)
+    m, reduced = m // (common := gcd(m, units)), units // common
+    cuts = (-(-ends.astype(object if wide else np.int64) * m // reduced)).astype(np.int64)
+    return (np.searchsorted(cuts, np.arange(lo - th, hi - th), side="right") % 2).astype(float)
 
 
 def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:

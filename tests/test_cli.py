@@ -72,6 +72,13 @@ class TestNorm:
         assert code == 0
         assert json.loads(out)["norm"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("depth", [14, 16])
+    def test_fat_cantor_norm_settles(self, capsys, tmp_path, depth):
+        spec = write_json(tmp_path / "w.json", {"family": "fat_cantor", "depth": depth})
+        code, out, err = run_cli(capsys, "norm", "--window", spec)
+        assert code == 0, err
+        assert out == '{"norm": 0.7905694150420949}\n'
+
     def test_missing_window_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "norm", "--window", str(tmp_path / "absent.json"))
         assert code == 1

@@ -192,6 +192,15 @@ def test_norm_skips_the_operator_modules(configs):
                          "gabframes.experiments"}
 
 
+def test_fat_cantor_runs_load_no_fractions(tmp_path):
+    # the windows are sampled from the integer endpoint table, not Fraction intervals
+    (tmp_path / "fat.json").write_text(json.dumps({"family": "fat_cantor", "depth": 3}))
+    loaded = loaded_after(tmp_path, ["norm", "--window", "fat.json"],
+                          ["counterexample", "--depths", "1,2"])
+    assert "gabframes.windows" in loaded
+    assert "fractions" not in loaded
+
+
 def test_walnut_apply_skips_janssen_and_experiments(configs):
     d, _, system, _ = configs
     loaded = library(loaded_after(d, ["apply", "--config", system, "--method", "walnut"]))

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from gabframes import (
 )
 from gabframes import windows
 from gabframes.windows import bspline_profile
+from conftest import same_bits
 from test_operators import spied_peak, traced_peak
 
 
@@ -163,6 +166,29 @@ class TestGaussian:
         assert np.allclose(f.values.real[x == 1.0], np.exp(-np.pi))
 
 
+def fraction_axis(depth, grid, lo, hi):
+    """The samples lo..hi-1 of the depth-k fat-Cantor window, from every one
+    of its 2^k intervals built and compared as exact rationals: the reference
+    for the integer table."""
+    pieces = [(Fraction(0), Fraction(1))]
+    for j in range(1, depth + 1):
+        half_gap = Fraction(1, 2 * 4 ** j)
+        nxt = []
+        for a, b in pieces:
+            mid = (a + b) / 2
+            nxt.append((a, mid - half_gap))
+            nxt.append((mid + half_gap, b))
+        pieces = nxt
+    m, th = grid.samples_per_unit, grid.half_extent_steps
+    vals = np.zeros(hi - lo)
+    for start, stop in pieces:
+        start = max(math.ceil(start * m) + th, lo)
+        stop = min(math.ceil(stop * m) + th, hi)
+        if start < stop:
+            vals[start - lo:stop - lo] = 1.0
+    return vals
+
+
 class TestFatCantor:
     def test_depth_one_intervals(self):
         # removing the open middle quarter of [0,1] by hand
@@ -188,6 +214,40 @@ class TestFatCantor:
         assert measured == pytest.approx(float(fat_cantor_measure(depth)), abs=grid.spacing)
         assert measured == float(fat_cantor_measure(depth))  # aligned: exact
 
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_samples_match_the_fraction_oracle(self, depth):
+        # on 1/h = 8 * 4^k, k <= 9, these are the counterexample's grids
+        for m in (32, 30, 1000, 8 * 4 ** min(depth, 9)):
+            grid = Grid(2.0, 1 / m)
+            f = sample_window(WindowSpec.fat_cantor(depth), grid)
+            lo = grid.half_extent_steps - 1  # the one-sample-wide range sample_window reads
+            want = fraction_axis(depth, grid, lo, lo + m + 3)
+            nz = np.flatnonzero(want)
+            assert f.box == (slice(lo + nz[0], lo + nz[-1] + 1),)
+            assert same_bits(f.data, want[nz[0]:nz[-1] + 1].astype(complex))
+
+    @pytest.mark.parametrize("m", [2 ** 26 + 1, 2 ** 26 + 2])
+    def test_cuts_past_int64_are_exact(self, m):
+        # a m passes 2^63 at the top of [0, 1], depth 18: on 1/h = 2^26 + 1 the
+        # cuts are taken in Python ints, on 1/h = 2^26 + 2 they fit int64 once m
+        # and U are divided by their gcd 2; both checked against Python ints
+        depth = 18
+        grid, units = Grid(2.0, 1 / m), 2 * 4 ** depth
+        th = grid.half_extent_steps
+        assert units * m >= 2 ** 63
+        table = windows._fat_cantor_table(depth, 0)[1].reshape(-1, 2)
+        for lo in (th - 1, th + m - 20000):
+            hi = lo + 20003
+            # the intervals that may reach the samples lo..hi-1, read as Python ints
+            near = (table[:, 1] >= (lo - th) * units // m) & (table[:, 0] <= (hi - th) * units // m)
+            want = np.zeros(hi - lo)
+            for a, b in table[near].tolist():
+                start = max(-(-a * m // units) + th, lo)
+                stop = min(-(-b * m // units) + th, hi)
+                if start < stop:
+                    want[start - lo:stop - lo] = 1.0
+            assert same_bits(windows._fat_cantor_axis(depth, grid, lo, hi), want)
+
     @pytest.mark.parametrize("fn", [fat_cantor_intervals, fat_cantor_measure])
     def test_depth_below_one_rejected(self, fn):
         for depth in (0, -3):
@@ -196,13 +256,24 @@ class TestFatCantor:
 
     @pytest.mark.parametrize("depth", [10, 11, 12, 13, 14])
     def test_estimate_tracks_the_traced_peak(self, monkeypatch, depth):
-        peak, estimate = spied_peak(monkeypatch, [windows], fat_cantor_intervals, depth)
+        # the sampling path (the integer table and its cuts), then the Fraction view
+        for build, args in ((sample_window, (WindowSpec.fat_cantor(depth), Grid(2.0, 1 / 32))),
+                            (fat_cantor_intervals, (depth,))):
+            peak, estimate = spied_peak(monkeypatch, [windows], build, *args)
+            assert estimate / 2 <= peak <= 1.1 * estimate
+
+    @pytest.mark.parametrize("depth", [10 ** 6, 10 ** 7])
+    def test_measure_estimate_tracks_the_traced_peak(self, monkeypatch, depth):
+        peak, estimate = spied_peak(monkeypatch, [windows], fat_cantor_measure, depth)
         assert estimate / 2 <= peak <= 1.1 * estimate
 
     def test_deep_sets_refused_before_any_interval(self):
-        # 2^40 intervals, about 330 TiB; 10^12 must not compute 2^(10^12) to say so
-        for depth in (40, 10 ** 12):
-            peak, result = traced_peak(fat_cantor_intervals, depth)
+        # 2^40 Fraction intervals, about 420 TiB; 10^11 and 10^12 must not compute 2^depth
+        for fn, depth in ((fat_cantor_intervals, 40), (fat_cantor_intervals, 10 ** 12),
+                          (fat_cantor_measure, 10 ** 11), (fat_cantor_measure, 10 ** 12)):
+            start = time.perf_counter()
+            peak, result = traced_peak(fn, depth)
+            assert time.perf_counter() - start < 1.0
             assert isinstance(result, ResolutionError) and "physical memory" in str(result)
             assert peak < 2 ** 20
         with pytest.raises(ResolutionError, match="2\\^40 fat-Cantor intervals"):
