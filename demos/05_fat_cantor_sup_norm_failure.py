@@ -4,7 +4,9 @@ A Smith-Volterra-Cantor set keeps positive measure while its gaps grow
 dense: where a point's whole a-orbit misses the set, the diagonal function
 vanishes and |diag - 1| reaches 1.  The witness table shows this at the
 coarsest cell size a = 1, where diag = chi_E / |E|, against a solid
-indicator window at a = 1/16, where the same quantity is zero.
+indicator window at a = 1/16, where the same quantity is zero.  The table
+builds no grid: it is read exactly off the endpoint table of E, and its
+values equal those of the sampled operator on the grid of spacing h.
 """
 import numpy as np
 

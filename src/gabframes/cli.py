@@ -307,7 +307,7 @@ def _cmd_counterexample(args) -> int:
     from .experiments import counterexample_run
     from .grid import _write_table
 
-    report = counterexample_run(depths, q=args.q, threads=args.threads)
+    report = counterexample_run(depths, q=args.q)
     cols = ["depth", "spacing", "witness_a", "witness_norm", "contrast_a", "contrast_norm"]
     buf = io.StringIO()
     _write_table(buf, cols, [[getattr(r, c) for r in report.records] for c in cols],
@@ -372,9 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the result to this file")
-    pooled = argparse.ArgumentParser(add_help=False, parents=[common])
-    pooled.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent schedule points")
 
     p = sub.add_parser("norm", parents=[common], help="amalgam norm of a window")
     p.add_argument("--window", required=True, help="window spec JSON file")
@@ -400,8 +397,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("sweep", parents=[pooled], help="densification sweep")
+    p = sub.add_parser("sweep", parents=[common], help="densification sweep")
     p.add_argument("--config", required=True)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for independent schedule points")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("wexler-raz", parents=[common], help="biorthogonality check")
@@ -411,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=_cmd_wexler_raz)
 
-    p = sub.add_parser("counterexample", parents=[pooled],
+    p = sub.add_parser("counterexample", parents=[common],
                        help="sup-norm failure witness table")
     p.add_argument("--depths", required=True, help="comma-separated depths, e.g. 1,2,3")
     p.add_argument("--q", default="inf")

@@ -4,16 +4,20 @@ The continuum limit (a, b) -> (0, 0) is realized as finite schedules of
 strictly decreasing commensurate pairs.  Trend acceptance uses the
 last-over-first ratio (< 0.2) rather than per-step monotonicity, because
 Riemann-sum errors oscillate at commensurate resonances; per-step
-monotonicity is still recorded.  Schedule points are independent and may be
+monotonicity is still recorded.  Sweep points are independent and may be
 evaluated by a thread pool, built only when more than one thread is asked
 for; reports are assembled in schedule order, so results do not depend on
-the pool size.
+the pool size.  The counterexample builds no grid: its sup norms are read
+exactly off the fat-Cantor endpoint table, and equal those of the sampled
+operator on the grid of spacing 4^-k / 8.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .amalgam import Exponent, ExponentPair, amalgam_norm
 from .errors import ConfigError, _at_least_one, _number, _require_memory, _typed
@@ -27,13 +31,12 @@ from .grid import (
 )
 from .operators import GaborSystem
 from .walnut import (
-    apply_diagonal_defect,
     diagonal_deviation,
     operator_norm_upper_bound,
     tail_sum,
     walnut_apply,
 )
-from .windows import WindowSpec, _test_function, sample_window
+from .windows import WindowSpec, _fat_cantor_table, _test_function, sample_window
 
 __all__ = [
     "SweepSchedule",
@@ -290,71 +293,67 @@ class CounterexampleReport:
                           for r in self.records)
 
 
-# the cell sizes a that counterexample_run searches, coarsest first
-_CELL_SIZES = (1.0, 0.5, 0.25, 0.125, 0.0625)
+# the cell sizes a = 2^-j that counterexample_run searches, coarsest first
+_HALVINGS = range(5)
+# bytes per interval at the peak of one depth: the ends in samples, the sorted
+# residues, the points read and the counts there (traced at depths 10-18: 96-114)
+_SWEEP_BYTES = 112
 
 
-def _counterexample_samples_per_unit(depth: int) -> int:
-    return 8 * 4 ** depth
+def _defect_sups(depth: int, m: int, halvings) -> list[float]:
+    # sup over the samples x of [0, 1) of |a G[0](x) / <g, g> - 1| at each a = 2^-j, bit for
+    # bit, for g = chi_E sampled m per unit, E the depth-k set ([0, 1] at depth 0).  It is
+    # count(x) p / n - 1: p = a m, n the samples of E, count(x) those that are x mod p.  A
+    # run [s, t) of them gives t//p - s//p to each residue r, one more when s mod p <= r
+    # and one less when t mod p <= r: count changes only at the ends' residues, read there
+    units, ends = _fat_cantor_table(depth, _SWEEP_BYTES)
+    ends = ends.astype(np.int64 if m < 2**63 else object) * (m // units)  # the ends reach m
+    lo, hi = ends[0::2], ends[1::2]
+    n = int((hi - lo).sum())
+    sups = []
+    for p in (m >> j for j in halvings):
+        starts, stops = np.sort(lo % p), np.sort(hi % p)
+        at = np.concatenate([starts, stops])
+        counts = (int((hi // p - lo // p).sum()) + np.searchsorted(starts, at, "right")
+                  - np.searchsorted(stops, at, "right"))
+        sups.append(float(np.abs(counts * (p / n) - 1.0).max()))
+    return sups
 
 
-def _counterexample_peak_bytes(depth: int) -> int:
-    # the run peaks at a = 1, on the samples of [0, 1), where folding G[0] ties
-    # with the norm of the defect: two complex windows, G[0] and the defect on
-    # the box of f, and the norm's float block of two whole cubes; past depth
-    # 64 it exceeds any memory, so the exponent is capped, not computed
-    return (4 * 16 + 2 * 8) * _counterexample_samples_per_unit(min(depth, 64))
-
-
-def counterexample_run(depths, q="inf", threads: int = 1) -> CounterexampleReport:
+def counterexample_run(depths, q="inf") -> CounterexampleReport:
     """Witness the sup-norm failure with fat-Cantor windows.
 
-    For each depth k, on the grid [-2, 2) with spacing 4^-k / 8, the search
-    maximizes the W(L^inf, l^q) norm of (diag - 1) chi_[0,1) over the candidate
-    cell sizes with g = gamma = chi_{E_k}; a gap point of E_k whose a-orbit
-    misses the set makes the diagonal correlation vanish there, pinning the
-    norm at 1.  The witness, the first maximum, is taken at the coarsest a = 1,
-    where diag = chi_{E_k} / |E_k|, and compared with the solid chi_[0,1) at a = 1/16.
-    Raises ConfigError when depths is empty or a depth or threads is not a
-    whole number >= 1, and ResolutionError, before any grid is
-    built, when the ``threads`` deepest depths, which may run at once, are
-    estimated to exceed the machine's physical memory.
+    For each depth k the search maximizes the W(L^inf, l^q) norm of (diag - 1)
+    chi_[0,1) over the candidate cell sizes with g = gamma = chi_{E_k}; a gap
+    point of E_k whose a-orbit misses the set makes the diagonal correlation
+    vanish there, pinning the norm at 1.  The witness, the first maximum, is
+    taken at the coarsest a = 1, where diag = chi_{E_k} / |E_k|, and compared
+    with the solid chi_[0,1) at a = 1/16.  The function fills one unit cube, so
+    its norm is the sup for every q.  The sups are read off the endpoint table
+    of E_k, with no grid built, and equal those of the sampled operator on the
+    grid of ``spacing`` 4^-k / 8.  Raises ConfigError when depths is empty or a
+    depth is not a whole number >= 1, and ResolutionError, before any table is
+    built, when the deepest depth would exceed the machine's physical memory.
     """
     depths = [_at_least_one("depths", k) for k in depths]
     if not depths:
         raise ConfigError("the counterexample needs at least one depth")
-    threads = _at_least_one("threads", threads)
-    _require_memory(sum(sorted(map(_counterexample_peak_bytes, depths))[-threads:]),
-                    f"the counterexample at depths {depths} with {threads} thread(s)",
-                    "lower the depths or the threads")
-    q_pair = ExponentPair.of((math.inf, q))
-
-    def run_depth(k: int) -> CounterexampleRecord:
-        grid = Grid(2.0, 1 / _counterexample_samples_per_unit(k))
-        fat = sample_window(WindowSpec.fat_cantor(k), grid)
-        flat = sample_window(WindowSpec.indicator_cube(1.0), grid)
-        f0 = flat  # chi_[0,1) doubles as the test function
-
-        def deviation(window: GridFunction, a: float) -> float:
-            sys = GaborSystem(window, window, a, 1.0)
-            return amalgam_norm(apply_diagonal_defect(f0, sys), q_pair)
-
-        witness_a, witness_norm = _CELL_SIZES[0], -math.inf
-        for a in _CELL_SIZES:
-            val = deviation(fat, a)
-            if val > witness_norm:
-                witness_a, witness_norm = a, val
-        contrast_a = _CELL_SIZES[-1]
-        contrast_norm = deviation(flat, contrast_a)
+    _require_memory(_SWEEP_BYTES * 2 ** min(max(depths), 64),
+                    f"the counterexample at depths {depths}", "lower the depths")
+    q = Exponent.of(q)
+    records = []
+    for k in depths:
+        m = 8 * 4**k  # samples per unit of the grid
+        sups = _defect_sups(k, m, _HALVINGS)
+        witness_norm = max(sups)
+        [contrast_norm] = _defect_sups(0, m, _HALVINGS[-1:])
         separation = witness_norm / contrast_norm if contrast_norm > 0 else math.inf
-        return CounterexampleRecord(
-            depth=k, spacing=grid.spacing,
-            witness_a=witness_a, witness_norm=witness_norm,
-            contrast_a=contrast_a, contrast_norm=contrast_norm,
-            witness_ok=witness_norm >= 1.0 - 2.0 * grid.spacing,
+        records.append(CounterexampleRecord(
+            depth=k, spacing=1 / m,
+            witness_a=2.0 ** -_HALVINGS[sups.index(witness_norm)], witness_norm=witness_norm,
+            contrast_a=2.0 ** -_HALVINGS[-1], contrast_norm=contrast_norm,
+            witness_ok=witness_norm >= 1.0 - 2.0 / m,
             contrast_ok=contrast_norm <= 0.05,
             separation_ok=separation >= 10.0,
-        )
-
-    records = _map_ordered(run_depth, depths, threads)
-    return CounterexampleReport(str(Exponent.of(q)), records)
+        ))
+    return CounterexampleReport(str(q), records)

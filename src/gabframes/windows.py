@@ -167,7 +167,9 @@ def _fat_cantor_axis(depth: int, grid: Grid, lo: int, hi: int) -> np.ndarray:
     wide = depth > 30 or lcm(m, 2 * 4**depth) >= 2**63  # lcm(m, U) is the largest product
     units, ends = _fat_cantor_table(depth, 200 if wide else 48)
     m, reduced = m // (common := gcd(m, units)), units // common
-    cuts = (-(-ends.astype(object if wide else np.int64) * m // reduced)).astype(np.int64)
+    split = np.searchsorted(ends, (2**63 - 1) // m, side="right")
+    cuts = np.concatenate([-(-ends[:split].astype(np.int64) * m // reduced),
+                           (-(-ends[split:].astype(object) * m // reduced)).astype(np.int64)])
     return (np.searchsorted(cuts, np.arange(lo - th, hi - th), side="right") % 2).astype(float)
 
 

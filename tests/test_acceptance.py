@@ -263,9 +263,5 @@ def test_criterion_11_thread_count_determinism():
     for r1, r8 in zip(seq.records, par.records):
         for field in ("err_f", "diag_dev", "tail", "norm_bound", "weakstar"):
             worst = max(worst, abs(getattr(r1, field) - getattr(r8, field)))
-    rep1 = counterexample_run([1, 2], threads=1)
-    rep8 = counterexample_run([1, 2], threads=8)
-    for a, b in zip(rep1.records, rep8.records):
-        worst = max(worst, abs(a.witness_norm - b.witness_norm))
     report(11, worst <= 1e-12,
-           f"--threads 1 vs 8: sweep and counterexample results agree to {worst:.1e} (<=1e-12)")
+           f"--threads 1 vs 8: sweep results agree to {worst:.1e} (<=1e-12)")

@@ -307,15 +307,13 @@ class TestCounterexampleCommand:
         assert json.loads(err) == {"error": "ConfigError",
                                    "message": "the counterexample needs at least one depth"}
 
-    def test_threads_below_one_rejected(self, capsys):
-        # used to exit 0 and run serially
-        for threads in ("0", "-4"):
-            code, out, err = run_cli(capsys, "counterexample", "--depths", "1,2",
-                                     "--q", "inf", "--threads", threads)
-            assert code == 1
-            assert out == ""
-            obj = json.loads(err)
-            assert obj["error"] == "ConfigError" and "threads" in obj["message"]
+    def test_depth_sixteen_runs(self, capsys, tmp_path):
+        # the grid of 8 * 4^16 samples per unit was refused; the endpoint table is not
+        out_csv = tmp_path / "witness.csv"
+        code, out, err = run_cli(capsys, "counterexample", "--depths", "16", "--out", str(out_csv))
+        assert code == 0 and not err
+        assert json.loads(out) == {"passed": True}
+        assert out_csv.read_text().splitlines()[1].startswith("16,")
 
 
 class TestSelftest:
@@ -497,13 +495,13 @@ def test_unknown_command_exits_one(capsys):
 
 
 def test_options_only_where_read(capsys, indicator_spec, apply_config):
-    # --threads belongs to sweep and counterexample, --seed to selftest, and
-    # --out to the commands that write data, which selftest does not
+    # --threads belongs to sweep, --seed to selftest, and --out to the commands
+    # that write data, which selftest does not
     assert main(["norm", "--window", indicator_spec, "--seed", "1"]) == 1
     assert main(["selftest", "--out", "selftest.txt"]) == 1
     assert main(["stft", "--config", apply_config, "--threads", "2"]) == 1
     assert main(["selftest", "--seed", "1"]) == 0
-    assert main(["counterexample", "--depths", "1", "--threads", "2"]) == 0
+    assert main(["counterexample", "--depths", "1", "--threads", "2"]) == 1
 
 
 class TestUnknownConfigKeys:

@@ -26,7 +26,7 @@ from gabframes import (
     walnut_apply,
     WindowSpec,
 )
-from gabframes.experiments import _counterexample_peak_bytes
+from gabframes.experiments import _SWEEP_BYTES, _defect_sups
 from gabframes.walnut import diagonal_deviation
 from test_operators import traced_peak
 
@@ -289,8 +289,7 @@ def test_threads_below_one_rejected_before_sampling(monkeypatch, threads):
     monkeypatch.setattr("gabframes.experiments.sample_window", unsampled)
     schedule = make_schedule(Grid(64.0, 1 / 32), [(0.5, 0.5), (0.25, 0.25)])
     for run in (lambda: convergence_sweep(schedule, threads=threads),
-                lambda: opnorm_sweep(schedule, threads=threads),
-                lambda: counterexample_run([1], threads=threads)):
+                lambda: opnorm_sweep(schedule, threads=threads)):
         with pytest.raises(ConfigError, match="threads"):
             run()
 
@@ -324,21 +323,45 @@ class TestCounterexample:
         assert ext[np.nonzero(x == 0.5)][0] == 0.0
 
 
+    @pytest.mark.parametrize("depth", range(1, 8))
+    def test_exact_sups_equal_the_grid_operator(self, depth):
+        # the grid path, kept as the oracle: sup |diag - 1| on the samples of [0, 1)
+        # for the fat and the solid window at every commensurate a = 2^-j
+        m = 8 * 4 ** depth
+        grid = Grid(2.0, 1 / m)
+        chi = sample_window(WindowSpec.indicator_cube(1.0), grid)
+        fat = sample_window(WindowSpec.fat_cantor(depth), grid)
+        halvings = range(2 * depth + 4)  # a = 2^-j down to one sample
+
+        def on_grid(window, a):
+            sys = GaborSystem(window, window, a, 1.0)
+            return amalgam_norm(apply_diagonal_defect(chi, sys), (math.inf, math.inf))
+
+        for window, table_depth in ((fat, depth), (chi, 0)):
+            want = [on_grid(window, 2.0 ** -j) for j in halvings]
+            assert _defect_sups(table_depth, m, halvings) == want
+
+    @pytest.mark.parametrize("depth,sup", [(8, 0.2529), (12, 0.5001), (16, 0.5000)])
+    def test_sup_at_a_sixteenth_grows_with_depth(self, depth, sup):
+        [got] = _defect_sups(depth, 8 * 4 ** depth, [4])
+        assert got == pytest.approx(sup, abs=1e-4)
+
+
 class TestCounterexamplePreflight:
-    @pytest.mark.parametrize("depth", [5, 6, 7, 8])
+    @pytest.mark.parametrize("depth", [10, 12, 14, 16])
     def test_estimate_tracks_the_traced_peak(self, depth):
         peak, report = traced_peak(counterexample_run, [depth])
         assert report.passed
-        estimate = _counterexample_peak_bytes(depth)
+        estimate = _SWEEP_BYTES * 2 ** depth
         assert estimate / 2 <= peak <= 1.1 * estimate
 
     def test_past_physical_memory_raises_before_any_grid(self, monkeypatch):
         def unbuilt(*args):
-            raise AssertionError("a grid was built before the memory check")
+            raise AssertionError("a table was built before the memory check")
 
-        monkeypatch.setattr("gabframes.experiments.Grid", unbuilt)
-        # depth 20 samples 32 * 4^20 points, about a petabyte at its peak
-        peak, result = traced_peak(counterexample_run, [1, 20])
+        monkeypatch.setattr("gabframes.experiments._fat_cantor_table", unbuilt)
+        # depth 70 has 2^70 intervals, beyond any memory
+        peak, result = traced_peak(counterexample_run, [1, 70])
         assert isinstance(result, ResolutionError)
         assert "physical memory" in str(result)
         assert peak < 2 ** 20
@@ -361,17 +384,9 @@ class TestCounterexamplePreflight:
             with pytest.raises(ConfigError, match="at least one depth"):
                 counterexample_run(depths)
 
-    def test_depths_run_at_once_are_summed(self, monkeypatch):
-        room = 3 * _counterexample_peak_bytes(3) // 2
-        monkeypatch.setattr("gabframes.errors._physical_memory_bytes", lambda: room)
-        assert counterexample_run([3, 1, 3], threads=1).passed
-        with pytest.raises(ResolutionError, match="2 thread"):
-            counterexample_run([3, 1, 3], threads=2)
-        assert counterexample_run([3, 1, 1], threads=2).passed
-
 
 @pytest.mark.parametrize("fn,params", [
-    (counterexample_run, [("depths", None), ("q", "inf"), ("threads", 1)]),
+    (counterexample_run, [("depths", None), ("q", "inf")]),
 ])
 def test_no_option_without_a_caller(fn, params):
     empty = inspect.Parameter.empty

@@ -221,7 +221,6 @@ def test_no_thread_pool_for_one_thread(configs):
         ["sweep", "--config", sweep],
         ["sweep", "--config", sweep, "--threads", "1"],
         ["counterexample", "--depths", "1,2"],
-        ["counterexample", "--depths", "1,2", "--threads", "1"],
         ["selftest"],
     )
     assert "gabframes.experiments" in loaded
@@ -229,6 +228,5 @@ def test_no_thread_pool_for_one_thread(configs):
 
 
 def test_thread_pool_for_two_threads(configs):
-    d = configs[0]
-    assert "concurrent.futures" in loaded_after(
-        d, ["counterexample", "--depths", "1,2", "--threads", "2"])
+    d, _, _, sweep = configs
+    assert "concurrent.futures" in loaded_after(d, ["sweep", "--config", sweep, "--threads", "2"])

@@ -22,6 +22,7 @@ from gabframes import (
     Grid,
     SweepSchedule,
     WindowSpec,
+    convergence_sweep,
     counterexample_run,
     fat_cantor_intervals,
     fat_cantor_measure,
@@ -60,7 +61,7 @@ ENTRIES = {
     "b": (lambda v: repr(GaborSystem(CHI, CHI, 1.0, v)), 1, False),
     "pairs": (lambda v: schedule(((v, 1.0),)).pairs, 1, False),
     "depths": (lambda v: counterexample_run([v]).records, 1, True),
-    "threads": (lambda v: counterexample_run([1], threads=v).records, 1, True),
+    "threads": (lambda v: opnorm_sweep(schedule(((1.0, 1.0),)), threads=v).passed, 1, True),
     "ell_radius": (lambda v: janssen_coefficients(SYS, v, 1).entries.tobytes(), 1, True),
     "n_radius": (lambda v: janssen_coefficients(SYS, 1, v).entries.tobytes(), 1, True),
     "tol": (lambda v: wexler_raz_check(SYS, 1, 1, v).is_biorthogonal, 1, False),
@@ -78,7 +79,7 @@ ALSO = {
     "pairs": [lambda v: schedule(((1.0, 1.0), (0.5, v))).pairs],
     "ell_radius": [lambda v: wexler_raz_check(SYS, v, 1).max_offdiag],
     "n_radius": [lambda v: wexler_raz_check(SYS, 1, v).max_offdiag],
-    "threads": [lambda v: opnorm_sweep(schedule(((1.0, 1.0),)), threads=v).passed],
+    "threads": [lambda v: convergence_sweep(schedule(((1.0, 1.0),)), threads=v)],
     "a": [lambda v: sum_translates(CHI, v).within_bound],
     "omega": [lambda v: stft(CHI, CHI, 0.0, v)],
     "order": [lambda v: bspline_profile(v, X).tobytes()],

@@ -216,7 +216,8 @@ class TestFatCantor:
 
     @pytest.mark.parametrize("depth", range(1, 13))
     def test_samples_match_the_fraction_oracle(self, depth):
-        # on 1/h = 8 * 4^k, k <= 9, these are the counterexample's grids
+        # on 1/h = 8 * 4^k, k <= 9, the grids whose sampled operator the
+        # counterexample's exact values equal
         for m in (32, 30, 1000, 8 * 4 ** min(depth, 9)):
             grid = Grid(2.0, 1 / m)
             f = sample_window(WindowSpec.fat_cantor(depth), grid)
