@@ -39,7 +39,7 @@ class Exponent:
     def __post_init__(self):
         object.__setattr__(self, "value", _number(self.value))
         if not self.value >= 1.0:  # also rejects nan
-            raise ValueError(f"exponent must satisfy p >= 1, got {self.value!r}")
+            raise ValueError(f"an exponent must be at least 1, got {self.value!r}")
 
     @property
     def is_inf(self) -> bool:

@@ -303,7 +303,7 @@ def _cmd_wexler_raz(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    depths = [int(tok) for tok in args.depths.split(",") if tok.strip()]
+    depths = [_typed("depths", json.loads, tok) for tok in args.depths.split(",") if tok.strip()]
     from .experiments import counterexample_run
     from .grid import _write_table
 

@@ -169,6 +169,25 @@ def _map_ordered(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _sweep(schedule: SweepSchedule, g: GridFunction, gamma: GridFunction, threads: int,
+           columns, trended: str) -> SweepReport:
+    # the one densification loop: per pair, the system, its diagonal deviation, tail
+    # and spread = tail / |<gamma, g>|, the kind's own columns(sys, dev, spread), the
+    # closed-form bound and the time; then the trend of the kind's trended column
+    def run_pair(ab: tuple[float, float]) -> SweepRecord:
+        t0 = time.perf_counter()
+        sys = GaborSystem(g, gamma, *ab)
+        dev = diagonal_deviation(sys)
+        tail = tail_sum(sys).tail
+        own = columns(sys, dev, tail / abs(sys.pairing))
+        return SweepRecord(*ab, diag_dev=dev, tail=tail,
+                           norm_bound=operator_norm_upper_bound(sys),
+                           wall_time=time.perf_counter() - t0, **own)
+
+    records = _map_ordered(run_pair, schedule.pairs, threads)
+    return SweepReport(records, *_trend([getattr(r, trended) for r in records]))
+
+
 def convergence_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
     """Measure ||S f - f||_{W(p,q)} along the schedule.
 
@@ -189,32 +208,18 @@ def convergence_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
         h = sample_window(spec, schedule.grid)
         duals.append((h, amalgam_norm(h, pq.conjugate())))
 
-    def run_pair(ab: tuple[float, float]) -> SweepRecord:
-        a, b = ab
-        t0 = time.perf_counter()
-        sys = GaborSystem(g, gamma, a, b)
+    def columns(sys: GaborSystem, dev: float, spread: float) -> dict:
         sf = walnut_apply(f, sys)
         # before diff exists, so the residue's strip arrays and diff are
         # never live at once
         residue = _boundary_residue(sf, sys, pq)
         diff = sf - f
         err = amalgam_norm(diff, pq)
-        dev = diagonal_deviation(sys)
-        ts = tail_sum(sys)
-        weak = max(abs(inner_product(diff, h)) / hn for h, hn in duals)
-        bound = (dev + ts.tail / abs(sys.pairing)) * f_norm + residue
-        record = SweepRecord(
-            a=a, b=b, diag_dev=dev, tail=ts.tail,
-            norm_bound=operator_norm_upper_bound(sys),
-            wall_time=time.perf_counter() - t0,
-            err_f=err, weakstar=weak, residue=residue,
-            bound_ok=err <= bound + 1e-12 * (1.0 + f_norm),
-        )
-        return record
+        bound = (dev + spread) * f_norm + residue
+        return dict(err_f=err, weakstar=max(abs(inner_product(diff, h)) / hn for h, hn in duals),
+                    residue=residue, bound_ok=err <= bound + 1e-12 * (1.0 + f_norm))
 
-    records = _map_ordered(run_pair, schedule.pairs, threads)
-    ratio, monotone, passed = _trend([r.err_f for r in records])
-    return SweepReport(records, ratio, monotone, passed)
+    return _sweep(schedule, g, gamma, threads, columns, "err_f")
 
 
 def _boundary_residue(sf: GridFunction, sys: GaborSystem, pq: ExponentPair) -> float:
@@ -248,25 +253,10 @@ def opnorm_sweep(schedule: SweepSchedule, threads: int = 1) -> SweepReport:
         if spec.family == "fat_cantor":
             raise ConfigError("opnorm sweeps need Riemann-integrable window products; "
                               "fat_cantor windows are the counterexample, not the subject")
-    g, gamma = schedule.sample_windows()
-
-    def run_pair(ab: tuple[float, float]) -> SweepRecord:
-        a, b = ab
-        t0 = time.perf_counter()
-        sys = GaborSystem(g, gamma, a, b)
-        dev = diagonal_deviation(sys)
-        ts = tail_sum(sys)
-        spread = ts.tail / abs(sys.pairing)
-        return SweepRecord(
-            a=a, b=b, diag_dev=dev, tail=ts.tail,
-            norm_bound=operator_norm_upper_bound(sys),
-            wall_time=time.perf_counter() - t0,
-            proxy_upper=dev + spread, proxy_lower=max(dev - spread, 0.0),
-        )
-
-    records = _map_ordered(run_pair, schedule.pairs, threads)
-    ratio, monotone, passed = _trend([r.proxy_upper for r in records])
-    return SweepReport(records, ratio, monotone, passed)
+    return _sweep(schedule, *schedule.sample_windows(), threads,
+                  lambda sys, dev, spread: dict(proxy_upper=dev + spread,
+                                                proxy_lower=max(dev - spread, 0.0)),
+                  "proxy_upper")
 
 
 @dataclass

@@ -61,8 +61,10 @@ class JanssenLattice:
     over all correlation members n and one alias period beta mod a/h, where
     c_hat[., n] is h^d times the FFT of G[n], count_beta is the number of
     stored l = beta mod a/h (the fold of janssen_apply), and a member with
-    |n| > N counts with count 0.  Frozen, with entries copied once and
-    read-only, so the bound always certifies the stored entries.
+    |n| > N counts with count 0; it certifies the coefficients that
+    janssen_coefficients computed.  Frozen, with entries copied once and
+    read-only: that guards them against mutation, not against replacement,
+    as dataclasses.replace(lattice, entries=...) keeps the old bound.
     """
 
     entries: np.ndarray

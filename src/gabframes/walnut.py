@@ -155,11 +155,9 @@ class _WalnutForm:
         # every block row, (batch, side), and the blocks, (batch, side, side)
         grid, r, d = self.grid, self.r, self.grid.dim
         members = {n: cell for n, cell in self.cells.items() if cell.any()}
-        for classes in product(_residue_classes(grid.samples_per_axis, r), repeat=d):
-            sizes = tuple(size for _, size in classes)
+        for residues, sizes, step in _batch_plan(grid, r):
             side = math.prod(sizes)
-            rhos = np.array(list(product(*[rho for rho, _ in classes])))
-            step = max(1, _BATCH_ENTRIES // side ** 2)
+            rhos = np.array(list(product(*residues)))
             for start in range(0, len(rhos), step):
                 rho = rhos[start:start + step]
                 # grid index rho + r k of every block row k, one array per axis
@@ -197,25 +195,29 @@ def walnut_apply(f: GridFunction, sys: GaborSystem) -> GridFunction:
     return _walnut_form(sys).apply(f)
 
 
-def _residue_classes(samples: int, r: int) -> list[tuple[range, int]]:
-    # the residues rho mod r of one axis, grouped by their sample count
-    # ceil((samples - rho) / r): k + 1 below samples % r, k from there on
-    k, extra = divmod(samples, r)
-    classes = [(range(extra), k + 1), (range(extra, min(r, samples)), k)]
-    return [(rho, size) for rho, size in classes if rho and size]
+def _batch_plan(grid: Grid, r: int):
+    # frame_bounds' batches, one per block shape (at most 2^d): per axis the
+    # residues rho mod r with ceil((N - rho) / r) samples each (k + 1 below
+    # N % r, k from there on) and that count, the block size; and the blocks
+    # per batched eigvalsh, as many as fit in _BATCH_ENTRIES, at least one
+    n = grid.samples_per_axis
+    k, extra = divmod(n, r)
+    classes = [(rho, size) for rho, size in ((range(extra), k + 1), (range(extra, min(r, n)), k))
+               if rho and size]
+    for axes in product(classes, repeat=grid.dim):
+        sizes = tuple(size for _, size in axes)
+        yield [rho for rho, _ in axes], sizes, max(1, _BATCH_ENTRIES // math.prod(sizes) ** 2)
 
 
 def _bounds_peak_bytes(grid: Grid, r: int) -> int:
-    # frame_bounds' largest batched eigvalsh: per block shape, a batch of as
-    # many complex blocks as fit in _BATCH_ENTRIES (at least one) and numpy's
-    # copy of one block, plus 48 bytes per block row: the two complex
-    # temporaries of a member's entries, the float eigenvalues and the grid
-    # index of the row
+    # frame_bounds' largest batched eigvalsh: per block shape, a batch of
+    # complex blocks and numpy's copy of one block, plus 48 bytes per block
+    # row: the two complex temporaries of a member's entries, the float
+    # eigenvalues and the grid index of the row
     peak = 0
-    for classes in product(_residue_classes(grid.samples_per_axis, r), repeat=grid.dim):
-        side = math.prod(size for _, size in classes)
-        count = math.prod(len(rho) for rho, _ in classes)
-        batch = min(count, max(1, _BATCH_ENTRIES // side ** 2))
+    for residues, sizes, step in _batch_plan(grid, r):
+        side = math.prod(sizes)
+        batch = min(math.prod(map(len, residues)), step)
         peak = max(peak, 16 * (batch + 1) * side ** 2 + 48 * batch * side)
     return peak
 

@@ -180,8 +180,8 @@ def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
     only on the family's support interval ([0, side), [0, order),
     [-radius, radius] or [0, 1]) widened by one sample; the product is formed
     only on the support box, so no full-axis array is allocated.  fat_cantor
-    requires dim = 1 (UnsupportedDimensionError otherwise), and a window whose
-    samples are all zero on the grid raises ResolutionError.
+    requires dim = 1 (UnsupportedDimensionError otherwise); ResolutionError when
+    the samples are all zero or the box's product would pass physical memory.
     """
     if spec.family == "fat_cantor" and grid.dim != 1:
         raise UnsupportedDimensionError("fat_cantor windows are one-dimensional")
@@ -208,6 +208,11 @@ def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
     if not nz.size:
         raise ResolutionError(f"window {spec.to_json()} samples to zero everywhere on {grid!r}")
     box = (slice(lo + nz[0], lo + nz[-1] + 1),) * grid.dim
+    # 25 B a box sample, traced in 2-D and 3-D: the float product, its complex
+    # copy and the support scan
+    size = int(nz[-1] - nz[0] + 1) ** grid.dim
+    _require_memory(25 * size, f"the window {spec.to_json()} on {size} samples",
+                    "coarsen the spacing or lower the dimension")
     vals = np.ones((), dtype=float)
     for ax in range(grid.dim):
         shape = [1] * grid.dim

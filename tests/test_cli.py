@@ -72,6 +72,14 @@ class TestNorm:
         assert code == 0
         assert json.loads(out)["norm"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("axis", ["--p", "--q"])
+    def test_bad_exponent_names_no_axis(self, capsys, indicator_spec, axis):
+        # the message said "p >= 1" for a bad q too
+        code, out, err = run_cli(capsys, "norm", "--window", indicator_spec, axis, "-1")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "an exponent must be at least 1, got -1.0"}
+
     @pytest.mark.parametrize("depth", [14, 16])
     def test_fat_cantor_norm_settles(self, capsys, tmp_path, depth):
         spec = write_json(tmp_path / "w.json", {"family": "fat_cantor", "depth": depth})
@@ -186,7 +194,7 @@ class TestBounds:
 
 
 class TestSweep:
-    def sweep_config(self, tmp_path, pairs):
+    def sweep_config(self, tmp_path, pairs, **change):
         return write_json(tmp_path / "sweep.json", {
             "schema": "v1",
             "kind": "convergence",
@@ -195,6 +203,7 @@ class TestSweep:
             "f": {"family": "gaussian", "sigma": 1.0, "radius": 3.0},
             "pairs": pairs,
             "p": 2, "q": 2,
+            **change,
         })
 
     def test_passing_trend(self, capsys, tmp_path):
@@ -229,6 +238,15 @@ class TestSweep:
             assert out == ""
             obj = json.loads(err)
             assert obj["error"] == "ConfigError" and "threads" in obj["message"]
+
+    def test_bad_q_names_its_key_only(self, capsys, tmp_path):
+        # the message said "p >= 1" for a bad q
+        cfg = self.sweep_config(tmp_path, [[0.5, 0.5]], q=0.5)
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": "config key 'q' has a bad value 0.5: an exponent must be at least 1, got 0.5"}
 
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         cfg = self.sweep_config(tmp_path, [[2.0 ** -j, 2.0 ** -j] for j in range(1, 4)])
@@ -306,6 +324,26 @@ class TestCounterexampleCommand:
         assert out == ""
         assert json.loads(err) == {"error": "ConfigError",
                                    "message": "the counterexample needs at least one depth"}
+
+    @pytest.mark.parametrize("depths,bad", [("1.5", "1.5"), ("x", "'x'"), ("2,x", "'x'")])
+    def test_bad_depth_names_its_key(self, capsys, depths, bad):
+        # int() of each token used to exit with a bare ValueError
+        code, out, err = run_cli(capsys, "counterexample", "--depths", depths)
+        assert code == 1 and out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "ConfigError"
+        assert obj["message"].startswith(f"config key 'depths' has a bad value {bad}: ")
+
+    def test_whole_float_depth_is_the_integer(self, capsys, tmp_path):
+        # a depth reads as a config value does, so 2.0 runs as depth 2
+        outs = []
+        for depths in ("2.0,1", "2,1"):
+            out_csv = tmp_path / "witness.csv"
+            code, out, err = run_cli(capsys, "counterexample", "--depths", depths,
+                                     "--out", str(out_csv))
+            assert code == 0, err
+            outs.append((out, out_csv.read_text()))
+        assert outs[0] == outs[1]
 
     def test_depth_sixteen_runs(self, capsys, tmp_path):
         # the grid of 8 * 4^16 samples per unit was refused; the endpoint table is not
@@ -438,6 +476,24 @@ def test_huge_sizes_fail_before_allocating(capsys, tmp_path, argv, change):
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, *argv, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "ResolutionError" and "physical memory" in obj["message"]
+    assert peak < 2 ** 20
+
+
+def test_huge_window_box_fails_before_allocating(capsys, indicator_spec):
+    # the 4-D product of 256^4 samples died with a bare MemoryError after the
+    # 2-D product was built
+    argv = ["norm", "--window", indicator_spec, "--dim", "4", "--spacing", "0.00390625"]
+    run_cli(capsys, *argv)  # the first run imports the modules the command reads
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -186,6 +186,26 @@ class TestConvergenceSweep:
             assert abs(r1.tail - r8.tail) <= 1e-12
 
 
+class TestOneSweepLoop:
+    """Both sweep kinds measure the numbers of S they share in one loop."""
+
+    def test_shared_columns_are_equal(self):
+        schedule = make_schedule(Grid(64.0, 1 / 32), [(2.0 ** -j, 2.0 ** -j) for j in range(1, 4)])
+        conv, opnorm = convergence_sweep(schedule), opnorm_sweep(schedule)
+        for rc, ro in zip(conv.records, opnorm.records, strict=True):
+            for name in ("a", "b", "diag_dev", "tail", "norm_bound"):
+                assert getattr(rc, name) == getattr(ro, name), name
+
+    def test_opnorm_thread_count_invariance(self):
+        schedule = make_schedule(
+            Grid(8.0, 1 / 32), [(2.0 ** -j, 2.0 ** -j) for j in range(1, 6)], g="gaussian")
+        seq, par = opnorm_sweep(schedule, threads=1), opnorm_sweep(schedule, threads=2)
+        untimed = [[dataclasses.replace(r, wall_time=0.0) for r in rep.records] for rep in (seq, par)]
+        assert untimed[0] == untimed[1]
+        assert (seq.trend_ratio, seq.monotone, seq.passed) == (par.trend_ratio, par.monotone,
+                                                               par.passed)
+
+
 class TestOpnormSweep:
     def test_indicator_partition_of_unity(self):
         grid = Grid(16.0, 1 / 32)

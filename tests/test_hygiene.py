@@ -530,6 +530,15 @@ def test_configs_have_one_reader():
     assert callers(source, "_load_json") == ["_cmd_norm", "_config"]
 
 
+@pytest.mark.parametrize("name", ["GaborSystem", "diagonal_deviation", "tail_sum",
+                                  "operator_norm_upper_bound", "_map_ordered"])
+def test_sweeps_measure_each_pair_in_one_loop(name):
+    # convergence_sweep and opnorm_sweep keep only their own columns; the
+    # system, the numbers every sweep reports and the pool live in one driver
+    source = (ROOT / "src" / "gabframes" / "experiments.py").read_text()
+    assert callers(source, name) == ["_sweep"]
+
+
 @pytest.mark.parametrize("source,found", [
     ("def _config(path):\n    return _load_json(path)\n", ["_config"]),
     # two readers: the system configs' and an inline one in the sweep command

@@ -286,6 +286,28 @@ class TestFatCantor:
             sample_window(WindowSpec.fat_cantor(1), grid)
 
 
+class TestSamplePreflight:
+    """sample_window estimates the product on the window's box before it forms it."""
+
+    @pytest.mark.parametrize("spec,grid", [
+        (WindowSpec.gaussian(1.0, 1.5), Grid(2.0, 1 / 64, 2)),
+        (WindowSpec.bspline(2), Grid(2.0, 1 / 16, 3)),
+    ], ids=["gaussian-2d", "bspline-3d"])
+    def test_estimate_tracks_the_traced_peak(self, monkeypatch, spec, grid):
+        sample_window(spec, grid)  # the first call imports what the number rule reads
+        peak, estimate = spied_peak(monkeypatch, [windows], sample_window, spec, grid)
+        # the product, its complex copy and the support scan dominate
+        assert peak / 2 <= estimate <= 1.1 * peak
+
+    def test_past_physical_memory_raises_before_allocating(self):
+        # 256^4 samples of the unit cube: about 100 GiB
+        peak, result = traced_peak(sample_window, WindowSpec.indicator_cube(1.0),
+                                   Grid(4.0, 1 / 256, 4))
+        assert isinstance(result, ResolutionError)
+        assert "physical memory" in str(result)
+        assert peak < 2 ** 20
+
+
 def test_every_library_window_has_finite_wiener_norm(grid):
     for spec in window_library():
         value = wiener_norm(sample_window(spec, grid))
