@@ -2,11 +2,11 @@
 
 Subcommands: norm, stft, apply, bounds, sweep, wexler-raz, counterexample,
 selftest.  Configs are JSON with a top-level {"schema": "v1"}; bulk numbers
-go to CSV (17 significant digits), scalar summaries to JSON.  Exit codes:
-0 success, 1 validation error, 2 numerical-contract violation; failures
-write a machine-readable JSON object to stderr.  Outputs are deterministic
-for a fixed config and seed; timestamps and per-pair sweep timings live in a
-sidecar .meta.json next to --out files, never in the data itself.
+go to CSV (format: see the ``grid`` module), scalar summaries to JSON.  Exit
+codes: 0 success, 1 validation error, 2 numerical-contract violation;
+failures write a machine-readable JSON object to stderr.  Outputs are
+deterministic for a fixed config and seed; timestamps and per-pair sweep
+timings live in a sidecar .meta.json next to --out files, never in the data.
 
 Each subcommand imports numpy and the library modules it runs inside its
 handler, after the config checks that need neither, so a command loads only
@@ -169,24 +169,17 @@ def _cmd_norm(args) -> int:
 
 def _cmd_stft(args) -> int:
     cfg = _config(args.config, _SYSTEM_KEYS, "system config", ("g", "a", "b", "f"))
-    import numpy as np
-
-    from .grid import _write_table
+    from .grid import _write_array
     from .operators import gabor_coefficients
 
     sys_ = _system_from(cfg)
     f = _f_from(cfg, sys_.grid)
-    entries = gabor_coefficients(f, sys_)
     d = sys_.grid.dim
     names = ["n", "m"] if d == 1 else (
         [f"n_{j+1}" for j in range(d)] + [f"m_{j+1}" for j in range(d)])
-    pos = np.indices(entries.shape).reshape(2 * d, -1)
-    labels = ([i + sys_.time_indices[0] for i in pos[:d]]
-              + [i + sys_.freq_indices[0] for i in pos[d:]])
-    v = entries.reshape(-1)
     buf = io.StringIO()
-    _write_table(buf, names + ["re", "im"], labels + [v.real, v.imag],
-                 ["%d"] * (2 * d) + ["%.17g"] * 2)
+    _write_array(buf, names + ["re", "im"], [sys_.time_indices] * d + [sys_.freq_indices] * d,
+                 gabor_coefficients(f, sys_))
     _emit(buf.getvalue(), args.out)
     return 0
 
@@ -236,16 +229,12 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _sweep_csv(report) -> str:
+def _records_csv(records, cols) -> str:
+    """The CSV table of the fields ``cols`` of each record, one row per record."""
     from .grid import _write_table
 
-    cols = ["a", "b", "err_f", "diag_dev", "tail", "norm_bound", "weakstar",
-            "proxy_upper", "proxy_lower", "residue"]
-    columns = [[getattr(r, c) for r in report.records] for c in cols]
-    # a column the sweep kind leaves None is written as blank cells
     buf = io.StringIO()
-    _write_table(buf, cols, [[""] * len(col) if col[0] is None else col for col in columns],
-                 ["%s" if col[0] is None else "%.17g" for col in columns])
+    _write_table(buf, cols, [[getattr(r, c) for r in records] for c in cols])
     return buf.getvalue()
 
 
@@ -273,7 +262,9 @@ def _cmd_sweep(args) -> int:
     )
     report = (convergence_sweep if kind == "convergence" else opnorm_sweep)(
         schedule, threads=args.threads)
-    _emit(_sweep_csv(report), args.out,
+    cols = ["a", "b", "err_f", "diag_dev", "tail", "norm_bound", "weakstar",
+            "proxy_upper", "proxy_lower", "residue"]
+    _emit(_records_csv(report.records, cols), args.out,
           {"wall_time": [r.wall_time for r in report.records]})
     summary = {"passed": report.passed, "trend_ratio": report.trend_ratio,
                "monotone": report.monotone}
@@ -305,14 +296,10 @@ def _cmd_wexler_raz(args) -> int:
 def _cmd_counterexample(args) -> int:
     depths = [_typed("depths", json.loads, tok) for tok in args.depths.split(",") if tok.strip()]
     from .experiments import counterexample_run
-    from .grid import _write_table
 
     report = counterexample_run(depths, q=args.q)
-    cols = ["depth", "spacing", "witness_a", "witness_norm", "contrast_a", "contrast_norm"]
-    buf = io.StringIO()
-    _write_table(buf, cols, [[getattr(r, c) for r in report.records] for c in cols],
-                 ["%d"] + ["%.17g"] * 5)
-    _emit(buf.getvalue(), args.out)
+    _emit(_records_csv(report.records, ["depth", "spacing", "witness_a", "witness_norm",
+                                        "contrast_a", "contrast_norm"]), args.out)
     sys.stdout.write(json.dumps({"passed": report.passed}) + "\n")
     if not report.passed:
         raise ContractViolation("counterexample curves failed to separate")

@@ -12,10 +12,11 @@ The products behind STFT rows and Walnut members, conj(T_s u) * v, are
 folded into a lattice cell by one kernel that reads only the overlap box of
 the two supports.
 
-Dense numeric tables (grid samples here; coefficient lattices, sweep
-records and witness tables in the CLI) are written by one CSV writer that
-formats a chunk of rows per string-formatting call, with 17 significant
-digits per value.
+Every data table (grid samples here; coefficient lattices, sweep records
+and witness tables in the CLI) is written by one CSV writer that owns the
+format: ``%d`` for a column of an integer dtype or of Python ints, blank
+cells for a column of None, and ``%.17g`` for any other, so every value
+reads back exactly.  It formats a chunk of rows per string-formatting call.
 """
 from __future__ import annotations
 
@@ -479,18 +480,25 @@ def support_index_bounds(f: GridFunction) -> tuple[tuple[int, int], ...] | None:
     return tuple((sl.start, sl.stop - 1) for sl in f.box)
 
 
-def _write_table(fp, names, columns, codes) -> None:
-    """Write equal-length 1-D columns as CSV under a header of ``names``.
+def _code(column) -> str:
+    # a column's printf code by the rule in the module docstring; "" for a
+    # column of None, which passes no values, so its cells are blank
+    kind = np.asarray(column).dtype.kind
+    if kind == "O" and all(v is None for v in column):
+        return ""
+    return "%d" if kind in "iu" else "%.17g"
 
-    ``codes`` holds one printf code per column (``%d`` for indices,
-    ``%.17g`` for values, ``%s`` for a column of blank cells).  Each chunk
-    of _CSV_CHUNK rows is formatted by a single ``%`` call on Python
-    scalars, which gives the same text as ``str(int)`` and ``f"{x:.17g}"``
-    row by row.
-    """
+
+def _write_table(fp, names, columns) -> None:
+    """Write equal-length 1-D columns as CSV under a header of ``names``, each
+    in its format (see the module docstring).  Each chunk of _CSV_CHUNK rows
+    is formatted by a single ``%`` call on Python scalars, which gives the
+    same text as ``str(int)`` and ``f"{x:.17g}"`` row by row."""
     fp.write(",".join(names) + "\n")
+    codes = [_code(col) for col in columns]
     row = ",".join(codes) + "\n"
     n = len(columns[0])
+    columns = [col for col, code in zip(columns, codes) if code]
     for start in range(0, n, _CSV_CHUNK):
         block = np.empty((min(_CSV_CHUNK, n - start), len(columns)), dtype=object)
         for j, col in enumerate(columns):
@@ -498,15 +506,18 @@ def _write_table(fp, names, columns, codes) -> None:
         fp.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_csv(f: GridFunction, fp) -> None:
-    """Write samples as CSV with columns x_1..x_d, re, im.
+def _write_array(fp, names, axes, values: np.ndarray) -> None:
+    """Write a complex array as CSV under a header of ``names``: one row per
+    entry in C order, the entry's label on each axis (``axes`` holds one
+    label sequence per axis), then its real and imaginary parts."""
+    pos = np.indices(values.shape).reshape(values.ndim, -1)
+    flat = values.reshape(-1)
+    _write_table(fp, names, [np.asarray(ax)[i] for ax, i in zip(axes, pos)] + [flat.real, flat.imag])
 
-    One row per grid point in C order (the last axis varies fastest); every
-    value carries 17 significant digits, so it reads back exactly.
-    """
+
+def write_csv(f: GridFunction, fp) -> None:
+    """Write samples as CSV with columns x_1..x_d, re, im: one row per grid
+    point in C order (the last axis varies fastest)."""
     d = f.grid.dim
-    x = f.grid.axis_coords()
-    flat = f.values.reshape(-1)
-    _write_table(fp, [f"x_{j + 1}" for j in range(d)] + ["re", "im"],
-                 [x[i] for i in np.indices(f.grid.shape).reshape(d, -1)] + [flat.real, flat.imag],
-                 ["%.17g"] * (d + 2))
+    _write_array(fp, [f"x_{j + 1}" for j in range(d)] + ["re", "im"],
+                 [f.grid.axis_coords()] * d, f.values)

@@ -11,6 +11,7 @@ Every family samples to a function with finite Wiener norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import ceil, gcd, lcm, lgamma, log
 from typing import TYPE_CHECKING
 
@@ -181,7 +182,8 @@ def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
     [-radius, radius] or [0, 1]) widened by one sample; the product is formed
     only on the support box, so no full-axis array is allocated.  fat_cantor
     requires dim = 1 (UnsupportedDimensionError otherwise); ResolutionError when
-    the samples are all zero or the box's product would pass physical memory.
+    the samples are all zero, or before the axis arrays or the box's product
+    when they would pass physical memory.
     """
     if spec.family == "fat_cantor" and grid.dim != 1:
         raise UnsupportedDimensionError("fat_cantor windows are one-dimensional")
@@ -191,6 +193,11 @@ def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
     # sample wider on each side and clipped to the axis
     m, th, n = grid.samples_per_unit, grid.half_extent_steps, grid.samples_per_axis
     lo, hi = int(min(max(start * m + th - 1, 0), n)), ceil(min(max(stop * m + th + 2, 0), n))
+    # traced: 32 B a sample of [lo, hi) for the coordinates, the profile and its
+    # scans, then 17 B a box sample beside them for the complex product and its
+    # support scan (49 B a sample in 1-D; a B-spline's recursion holds more)
+    what, advice = f"the window {spec.to_json()}", "coarsen the spacing or lower the dimension"
+    _require_memory(32 * (hi - lo), f"{what} on {hi - lo} samples per axis", advice)
     x = grid.axis_coords(lo, hi)
     if spec.family == "fat_cantor":
         axis = _fat_cantor_axis(spec.depth, grid, lo, hi)
@@ -208,17 +215,10 @@ def sample_window(spec: WindowSpec, grid: Grid) -> GridFunction:
     if not nz.size:
         raise ResolutionError(f"window {spec.to_json()} samples to zero everywhere on {grid!r}")
     box = (slice(lo + nz[0], lo + nz[-1] + 1),) * grid.dim
-    # 25 B a box sample, traced in 2-D and 3-D: the float product, its complex
-    # copy and the support scan
     size = int(nz[-1] - nz[0] + 1) ** grid.dim
-    _require_memory(25 * size, f"the window {spec.to_json()} on {size} samples",
-                    "coarsen the spacing or lower the dimension")
-    vals = np.ones((), dtype=float)
-    for ax in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[ax] = -1
-        vals = vals * axis[nz[0]:nz[-1] + 1].reshape(shape)
-    return GridFunction._own(grid, box, vals.astype(complex))
+    _require_memory(17 * size + 32 * (hi - lo), f"{what} on {size} samples", advice)
+    profile = axis[nz[0]:nz[-1] + 1].astype(complex)
+    return GridFunction._own(grid, box, reduce(np.multiply.outer, [profile] * grid.dim))
 
 
 def _test_function(spec: WindowSpec, grid: Grid, shift) -> GridFunction:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -101,6 +102,15 @@ class TestNorm:
         assert obj["error"] == "ResolutionError"
         assert "'order': 241}" in obj["message"] and "spacing=1/32" in obj["message"]
 
+    def test_window_axis_past_physical_memory(self, capsys, tmp_path):
+        # 2^-28 spacing: the axis arrays alone need terabytes, refused before numpy allocates them
+        spec = write_json(tmp_path / "w.json", {"family": "gaussian", "sigma": 1.0, "radius": 64.0})
+        code, out, err = run_cli(capsys, "norm", "--window", spec, "--half-extent", "64",
+                                 "--spacing", "3.725290298461914e-09")
+        assert code == 1 and out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "ResolutionError" and "physical memory" in obj["message"]
+
 
 class TestApply:
     def parse_csv(self, text):
@@ -178,6 +188,24 @@ class TestStft:
             v = entries[pos]
             want.append(",".join(labels) + f",{v.real:.17g},{v.imag:.17g}\n")
         assert out.read_text() == "".join(want)
+
+    def test_2d_lattice_bytes_are_pinned(self, capsys, tmp_path):
+        # B-spline samples at h = 1/4 and a four-point FFT keep every entry
+        # dyadic, so the 784 rows are exact on any machine, and the digest
+        # pins the writer's format and row order byte for byte
+        cfg = write_json(tmp_path / "pin.json", {
+            "schema": "v1",
+            "grid": {"half_extent": 1.0, "spacing": 0.25, "dim": 2},
+            "g": {"family": "bspline", "order": 2},
+            "a": 0.5, "b": 1.0,
+            "f": {"family": "bspline", "order": 3},
+            "f_shift": [-1.5, -0.75],
+        })
+        code, out, _ = run_cli(capsys, "stft", "--config", cfg)
+        assert code == 0
+        assert out.startswith("n_1,n_2,m_1,m_2,re,im\n-3,-3,-2,-2,") and out.count("\n") == 785
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "58c79b74fa89d0add5344cf6c63a4fcd726fa73ced56ab59a6b42a14999b206b")
 
 
 class TestBounds:

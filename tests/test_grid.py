@@ -405,10 +405,23 @@ class TestCsvWriter:
         values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
         values[:len(SPECIAL)] = SPECIAL
         buf = io.StringIO()
-        grid_module._write_table(buf, ["n", "m", "v"], [labels, -labels, values],
-                                 ["%d", "%d", "%.17g"])
+        grid_module._write_table(buf, ["n", "m", "v"], [labels, -labels, values])
         want = "n,m,v\n" + "".join(f"{n},{-n},{v:.17g}\n" for n, v in zip(labels, values))
         assert buf.getvalue() == want
+
+    @pytest.mark.parametrize("columns,want", [
+        # Python ints as an integer array, floats with 17 digits
+        ([[1, -2, 2 ** 62], [0.5, 1 / 3, 2.0]], f"1,0.5\n-2,{1 / 3:.17g}\n{2 ** 62},2\n"),
+        # a column of None as blank cells
+        ([[None, None], [1.5, 0.1]], ",1.5\n,0.10000000000000001\n"),
+        # no rows: the header alone
+        ([[], []], ""),
+        ([np.arange(0), np.zeros(0)], ""),
+    ], ids=["python-ints", "none-column", "zero-rows", "zero-length-arrays"])
+    def test_column_formats(self, columns, want):
+        buf = io.StringIO()
+        grid_module._write_table(buf, ["c", "v"], columns)
+        assert buf.getvalue() == "c,v\n" + want
 
     @pytest.mark.parametrize("grid", [
         Grid(4.0, 1 / 32),            # 256 rows, less than one chunk

@@ -78,9 +78,16 @@ The front-end rule: the CLI's module-level imports are the stdlib,
 ``.errors`` and ``__version__`` only, so ``--version``, ``--help`` and
 config errors load no numpy; the handlers import the rest.  The
 ``if TYPE_CHECKING:`` block is exempt, since it never runs.
+
+The table-format rule: only ``grid.py`` holds a printf number code (``%d``,
+``%.17g`` and the like) in a string, since its one CSV writer chooses each
+column's format; and only ``cli.py``, for its record tables, imports or
+reads ``_write_table``, so every other table goes through ``write_csv`` or
+``_write_array``.
 """
 import ast
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -735,3 +742,48 @@ def test_parameters_are_read_by_the_number_rule(path):
 ])
 def test_coercion_checker_itself(source, found):
     assert coerced_parameters(source) == found
+
+
+# a printf conversion that formats a number; "%%" is a literal percent sign
+PRINTF_NUMBER = re.compile(r"(?<!%)%[-+ #0]*(?:\d+|\*)?(?:\.(?:\d+|\*))?[diouxXeEfFgG]")
+
+
+def table_format_sites(source: str) -> list[str]:
+    """Lines that hold a printf number code in a string, as ``line N: code``,
+    and lines that import or read ``_write_table``, as ``line N: _write_table``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += [(node.lineno, code) for code in PRINTF_NUMBER.findall(node.value)]
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, "_write_table") for alias in node.names
+                      if alias.name == "_write_table"]
+        elif isinstance(node, (ast.Name, ast.Attribute)) \
+                and getattr(node, "id", getattr(node, "attr", None)) == "_write_table":
+            found.append((node.lineno, "_write_table"))
+    return [f"line {line}: {item}" for line, item in sorted(found)]
+
+
+def test_table_format_lives_in_grid():
+    found = {p.name: [site.split(": ", 1)[1] for site in table_format_sites(p.read_text())]
+             for p in PACKAGE if p.name != "grid.py"}
+    # cli._records_csv imports the writer and calls it once, with no code
+    assert {name: items for name, items in found.items() if items} == {
+        "cli.py": ["_write_table", "_write_table"]}
+
+
+@pytest.mark.parametrize("source,found", [
+    ("codes = ['%d'] * 2 + ['%.17g']\n", ["line 1: %.17g", "line 1: %d"]),
+    ("row = '%-8.3e,%+i,%x'\n", ["line 1: %+i", "line 1: %-8.3e", "line 1: %x"]),
+    ("def f():\n    \"\"\"Totals as %g.\"\"\"\n", ["line 2: %g"]),
+    ("x = f'%d{y}'\n", ["line 1: %d"]),
+    ("from .grid import _write_table\n", ["line 1: _write_table"]),
+    ("from . import grid\ngrid._write_table(fp, names, cols)\n", ["line 2: _write_table"]),
+    ("write = _write_table\n", ["line 1: _write_table"]),
+    ("s = '%s,%s' % (a, b)\n", []),
+    ("s = '50%% done'\n", []),
+    ("s = f'{x:.17g}'\n", []),
+    ("from .grid import _write_array, write_csv\n", []),
+])
+def test_table_format_checker_itself(source, found):
+    assert table_format_sites(source) == found

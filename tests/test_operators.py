@@ -265,12 +265,13 @@ class TestDirectPreflight:
 
 
 def spied_peak(monkeypatch, modules, fn, *args):
-    """The traced peak of fn(*args) and the sum of the estimates it passed
-    to _require_memory, once per module of ``modules``."""
+    """The traced peak of fn(*args) and the sum over ``modules`` of the
+    largest estimate each passed to _require_memory: a module that checks
+    before each of its allocations estimates the peak at each check."""
     needs = {}
     for module in modules:
         def spy(need, *rest, module=module, check=module._require_memory):
-            needs.setdefault(module, need)
+            needs[module] = max(needs.get(module, 0), need)
             return check(need, *rest)
 
         monkeypatch.setattr(module, "_require_memory", spy)

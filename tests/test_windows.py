@@ -292,12 +292,23 @@ class TestSamplePreflight:
     @pytest.mark.parametrize("spec,grid", [
         (WindowSpec.gaussian(1.0, 1.5), Grid(2.0, 1 / 64, 2)),
         (WindowSpec.bspline(2), Grid(2.0, 1 / 16, 3)),
-    ], ids=["gaussian-2d", "bspline-3d"])
+        (WindowSpec.gaussian(1.0, 3.0), Grid(8.0, 1 / 4096)),
+    ], ids=["gaussian-2d", "bspline-3d", "gaussian-1d"])
     def test_estimate_tracks_the_traced_peak(self, monkeypatch, spec, grid):
         sample_window(spec, grid)  # the first call imports what the number rule reads
         peak, estimate = spied_peak(monkeypatch, [windows], sample_window, spec, grid)
-        # the product, its complex copy and the support scan dominate
+        # the complex product and the support scan dominate in 2-D and 3-D,
+        # the axis arrays beside them in 1-D
         assert peak / 2 <= estimate <= 1.1 * peak
+
+    def test_product_takes_17_bytes_a_box_sample(self):
+        # the product is formed in complex, so no float copy sits beside it;
+        # the boxes (769^2 and 65^3) outweigh numpy's 256 KiB broadcast buffers
+        for spec, grid in ((WindowSpec.gaussian(1.0, 3.0), Grid(4.0, 1 / 128, 2)),
+                           (WindowSpec.gaussian(1.0, 1.0), Grid(2.0, 1 / 32, 3))):
+            sample_window(spec, grid)
+            peak, f = traced_peak(sample_window, spec, grid)
+            assert peak <= 17.5 * f.data.size
 
     def test_past_physical_memory_raises_before_allocating(self):
         # 256^4 samples of the unit cube: about 100 GiB
@@ -305,6 +316,14 @@ class TestSamplePreflight:
                                    Grid(4.0, 1 / 256, 4))
         assert isinstance(result, ResolutionError)
         assert "physical memory" in str(result)
+        assert peak < 2 ** 20
+
+    def test_huge_axis_raises_before_allocating(self):
+        # 2^35 samples of [-64, 64] at spacing 2^-28: the axis arrays alone need about 1 TiB
+        peak, result = traced_peak(sample_window, WindowSpec.gaussian(1.0, 64.0),
+                                   Grid(64.0, 2.0 ** -28))
+        assert isinstance(result, ResolutionError)
+        assert "samples per axis" in str(result) and "physical memory" in str(result)
         assert peak < 2 ** 20
 
 
