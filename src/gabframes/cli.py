@@ -58,10 +58,11 @@ def _load_json(path: str) -> dict:
 # The keys each config reads; any other key is a typo or an obsolete
 # option, and fails.  One system config serves stft, apply, bounds and
 # wexler-raz, so it may carry the test function f where a command skips it.
+# An opnorm sweep measures no test function, so reads no f, f_shift, p or q.
 _GRID_KEYS = frozenset({"half_extent", "spacing", "dim"})
 _SYSTEM_KEYS = frozenset({"schema", "grid", "g", "gamma", "a", "b", "f", "f_shift"})
-_SWEEP_KEYS = frozenset({"schema", "kind", "grid", "g", "gamma", "pairs", "p", "q",
-                         "f", "f_shift"})
+_OPNORM_KEYS = frozenset({"schema", "kind", "grid", "g", "gamma", "pairs"})
+_SWEEP_KEYS = _OPNORM_KEYS | {"p", "q", "f", "f_shift"}
 
 
 def _require_keys(obj: dict, allowed: frozenset, what: str) -> None:
@@ -185,6 +186,9 @@ def _cmd_stft(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    if args.method != "janssen" and (args.L, args.N) != (None, None):
+        raise ConfigError(f"--L and --N are read by --method janssen only, "
+                          f"not by --method {args.method}")
     cfg = _config(args.config, _SYSTEM_KEYS, "system config", ("g", "a", "b", "f"))
     from .grid import write_csv
 
@@ -198,7 +202,8 @@ def _cmd_apply(args) -> int:
         out = walnut_apply(f, sys_)
     else:
         from .janssen import janssen_apply, janssen_coefficients
-        lat = janssen_coefficients(sys_, args.L, args.N)
+        lat = janssen_coefficients(sys_, 8 if args.L is None else args.L,
+                                   8 if args.N is None else args.N)
         out = janssen_apply(f, lat)
     buf = io.StringIO()
     write_csv(out, buf)
@@ -243,6 +248,8 @@ def _cmd_sweep(args) -> int:
     kind = cfg.get("kind", "convergence")
     if kind not in ("convergence", "opnorm"):
         raise ConfigError(f"sweep kind must be 'convergence' or 'opnorm', got {kind!r}")
+    if kind == "opnorm":
+        _require_keys(cfg, _OPNORM_KEYS, "opnorm sweep config")
     pairs = cfg.get("pairs")
     if not isinstance(pairs, list):
         raise ConfigError("sweep config needs a \"pairs\" list of [a, b]")
@@ -376,8 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", parents=[common], help="apply the frame operator")
     p.add_argument("--config", required=True)
     p.add_argument("--method", choices=("direct", "walnut", "janssen"), default="walnut")
-    p.add_argument("--L", type=int, default=8, help="janssen modulation radius")
-    p.add_argument("--N", type=int, default=8, help="janssen shift radius")
+    p.add_argument("--L", type=int, help="janssen modulation radius (default 8)")
+    p.add_argument("--N", type=int, help="janssen shift radius (default 8)")
     p.set_defaults(fn=_cmd_apply)
 
     p = sub.add_parser("bounds", parents=[common], help="operator-norm bound diagnostics")

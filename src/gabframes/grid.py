@@ -10,7 +10,12 @@ relocation (a move of the box); modulations are exact at any frequency.
 
 The products behind STFT rows and Walnut members, conj(T_s u) * v, are
 folded into a lattice cell by one kernel that reads only the overlap box of
-the two supports.
+the two supports.  Two index rules serve it, stated here once: a cell of p
+samples per axis has slot (i - T/h) mod p for grid index i (``_cell_slot``),
+where the fold sums sample i and the periodic extension onto a box
+(``_ext_box``, the inverse of ``_fold_box``) reads it back; and f moved by
+whole samples and met with a box (``_shifted``) is that meet and a view of
+the samples of f that land on it.
 
 Every data table (grid samples here; coefficient lattices, sweep records
 and witness tables in the CLI) is written by one CSV writer that owns the
@@ -191,7 +196,7 @@ class GridFunction:
             arr = arr.reshape(grid.shape)
         if arr.shape != grid.shape:
             raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
-        box = _tight(arr, tuple(slice(0, n) for n in arr.shape))
+        box = _tight(arr, _grid_box(grid))
         self._set(grid, box, arr[box].copy())
 
     @classmethod
@@ -296,6 +301,17 @@ def _moved(box, steps):
     return tuple(slice(sl.start + s, sl.stop + s) for sl, s in zip(box, steps))
 
 
+def _shifted(f: GridFunction, steps, target):
+    """(box, samples): the box of f moved by steps, one int per axis, met with
+    the box target, and a read-only view of the samples of f that land on it;
+    an empty box and no samples when the two miss."""
+    moved = _moved(f.box, steps)
+    box = _meet(moved, target)
+    if box is None:
+        return _EMPTY * len(target), np.zeros((0,) * len(target), dtype=complex)
+    return box, f.data[_within(box, moved)]
+
+
 def _shift_range(u, v, step: int) -> list[range]:
     # per axis, every n for which the box u moved by n * step samples meets the box v
     return [range(-((a.stop - 1 - b.start) // step), (b.stop - 1 - a.start) // step + 1)
@@ -325,6 +341,11 @@ def _hull(boxes, dim: int) -> tuple[slice, ...]:
         return _EMPTY * dim
     return tuple(slice(min(sl.start for sl in axis), max(sl.stop for sl in axis))
                  for axis in zip(*boxes))
+
+
+def _grid_box(grid: Grid) -> tuple[slice, ...]:
+    # the box of slices that covers the whole grid
+    return (slice(0, grid.samples_per_axis),) * grid.dim
 
 
 def _require_grid(f: GridFunction, grid: Grid) -> None:
@@ -379,6 +400,20 @@ def _fold_box(grid: Grid, box, data: np.ndarray, cell_steps: int) -> np.ndarray:
     return fold_to_cell(data, cell_steps, [grid.half_extent_steps - sl.start for sl in box])
 
 
+def _cell_slot(grid: Grid, index, cell_steps: int):
+    """The slot (i - T/h) mod p, p = cell_steps, that the fold sums grid index i into."""
+    return (index - grid.half_extent_steps) % cell_steps
+
+
+def _ext_box(grid: Grid, cell: np.ndarray, box) -> np.ndarray:
+    """The periodic extension of a cell on a box of grid slices, the inverse
+    of _fold_box: sample i reads the cell at its slot _cell_slot on every axis."""
+    out = cell
+    for ax, sl in enumerate(box):
+        out = np.take(out, _cell_slot(grid, np.arange(sl.start, sl.stop), cell.shape[0]), axis=ax)
+    return out
+
+
 def _fold_overlap(u: GridFunction, v: GridFunction, steps, cell_steps: int) -> np.ndarray:
     """fold_to_cell of conj(T_steps u) * v on the grid origin, all zero if they miss.
 
@@ -392,10 +427,9 @@ def _fold_overlap(u: GridFunction, v: GridFunction, steps, cell_steps: int) -> n
     a = h the diagonal member has the bits of <gamma, g>.
     """
     grid = v.grid
-    box = _meet(_moved(u.box, steps), v.box)
-    if box is None:
+    box, shifted = _shifted(u, steps, v.box)
+    if not shifted.size:
         return np.zeros((cell_steps,) * grid.dim, dtype=complex)
-    shifted = _read(u, _moved(box, [-s for s in steps]))
     if cell_steps == 1:
         return np.full((1,) * grid.dim, np.vdot(shifted, _read(v, box)), dtype=complex)
     return _fold_box(grid, box, np.conj(shifted) * _read(v, box), cell_steps)
@@ -418,9 +452,7 @@ def translate(f: GridFunction, t) -> GridFunction:
     """
     grid = f.grid
     steps = [int(s) for s in grid.steps(t)]
-    box = _meet(_moved(f.box, steps), (slice(0, grid.samples_per_axis),) * grid.dim)
-    box = box or _EMPTY * grid.dim  # None when nothing stays on the grid
-    return GridFunction._own(grid, box, _read(f, _moved(box, [-s for s in steps])))
+    return GridFunction._own(grid, *_shifted(f, steps, _grid_box(grid)))
 
 
 def _phase(grid: Grid, omega, box) -> np.ndarray:

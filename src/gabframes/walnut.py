@@ -29,6 +29,9 @@ truncated Janssen operator S_{L,N} on l-filtered cells (janssen_apply) and
 the blocks of frame_bounds.  Term n moves samples by n/b only, so the
 operator is block diagonal over the residues of the grid index mod 1/(b h),
 and frame_bounds reads the spectrum of S off those small banded blocks.
+The form reads ext(C[n]) and f(. - n/b) through the grid's two index
+rules (see the grid module), and the scale a^d / <gamma, g> of S is written
+once, in _walnut_form.
 """
 from __future__ import annotations
 
@@ -45,12 +48,13 @@ from .grid import (
     Grid,
     GridFunction,
     _box_shape,
+    _cell_slot,
+    _ext_box,
     _fold_box,
+    _grid_box,
     _hull,
-    _meet,
-    _moved,
-    _read,
     _require_grid,
+    _shifted,
     _within,
     fold_to_cell,
 )
@@ -77,20 +81,16 @@ __all__ = [
 ]
 
 
-def _cell_on_box(cell: np.ndarray, box, origin_steps: int) -> np.ndarray:
-    # the periodic extension of a cell on a box of grid slices: index i reads
-    # slot (i - origin_steps) % p, the residue rule of the fold
-    out = cell
-    p = cell.shape[0]
-    for ax, sl in enumerate(box):
-        out = np.take(out, (np.arange(sl.start, sl.stop) - origin_steps) % p, axis=ax)
-    return out
-
-
 def periodic_extension(cell: np.ndarray, grid: Grid) -> np.ndarray:
-    """Extend a fundamental-cell array to the whole grid by periodicity."""
-    return _cell_on_box(cell, (slice(0, grid.samples_per_axis),) * cell.ndim,
-                        grid.half_extent_steps)
+    """Extend a fundamental-cell array to the whole grid by periodicity.
+
+    Raises ValueError, before any work, unless cell is a non-empty cube with
+    one axis per grid axis.
+    """
+    shape = cell.shape
+    if len(shape) != grid.dim or not shape[0] or any(n != shape[0] for n in shape):
+        raise ValueError(f"a cell must be a non-empty cube of {grid.dim} axes, got shape {shape}")
+    return _ext_box(grid, cell, _grid_box(grid))
 
 
 def diagonal_correlation(sys: GaborSystem) -> np.ndarray:
@@ -100,8 +100,8 @@ def diagonal_correlation(sys: GaborSystem) -> np.ndarray:
     limit is the constant 1; independent of b.  Member 0 always exists,
     because a nondegenerate pair overlaps.
     """
-    d = sys.grid.dim
-    return (sys.a ** d / sys.pairing) * correlation_family(sys)[(0,) * d]
+    form = _walnut_form(sys)
+    return form.scale * form.cells[(0,) * sys.grid.dim]
 
 
 def diagonal_deviation(sys: GaborSystem) -> float:
@@ -125,21 +125,19 @@ class _WalnutForm:
         # nonzero, and the sum lives on the hull of those boxes
         _require_grid(f, self.grid)
         grid = self.grid
-        whole = (slice(0, grid.samples_per_axis),) * grid.dim
         terms = []
         for n in sorted(self.cells):
-            steps = [v * self.r for v in n]
-            box = _meet(_moved(f.box, steps), whole)
-            if box is not None and self.cells[n].any():
-                terms.append((self.cells[n], box, _moved(box, [-s for s in steps])))
+            box, moved = _shifted(f, [v * self.r for v in n], _grid_box(grid))
+            if moved.size and self.cells[n].any():
+                terms.append((self.cells[n], box, moved))
         hull = _hull([box for _, box, _ in terms], grid.dim)
         # 48 B a sample: the sum, its scaled copy and the index of its nonzero
         # samples, or the sum beside one term's arrays
         size = math.prod(_box_shape(hull))
         _require_memory(48 * size, f"the Walnut sum on {size} samples", "shrink the grid")
         out = np.zeros(_box_shape(hull), dtype=complex)
-        for cell, box, f_box in terms:
-            out[_within(box, hull)] += _cell_on_box(cell, box, grid.half_extent_steps) * _read(f, f_box)
+        for cell, box, moved in terms:
+            out[_within(box, hull)] += _ext_box(grid, cell, box) * moved
         return GridFunction._own(grid, hull, self.scale * out)
 
     def off_diagonal(self) -> "_WalnutForm":
@@ -171,7 +169,7 @@ class _WalnutForm:
                         continue
                     cols = [row - v for row, v in zip(rows, n)]
                     # the periodic extension of the cell, read at those rows only
-                    at = tuple((np.take(i, row, axis=ax + 1) - grid.half_extent_steps) % cell.shape[0]
+                    at = tuple(_cell_slot(grid, np.take(i, row, axis=ax + 1), cell.shape[0])
                                for ax, (i, row) in enumerate(zip(index, rows)))
                     blocks[(slice(None),) + np.ix_(*rows) + np.ix_(*cols)] = self.scale * cell[at]
                 flat = np.ravel_multi_index(index, grid.shape).reshape(len(rho), side)
@@ -251,11 +249,11 @@ def apply_diagonal_defect(f: GridFunction, sys: GaborSystem) -> GridFunction:
     GridMismatchError when f is not on the system's grid.
     """
     _require_grid(f, sys.grid)
-    d = sys.grid.dim
+    form = _walnut_form(sys)
     # G[0] extended onto the box of f, then scaled to the diagonal
     # correlation, less 1 and times f in place: one array of the box
-    out = _cell_on_box(correlation_family(sys)[(0,) * d], f.box, sys.grid.half_extent_steps)
-    out *= sys.a ** d / sys.pairing
+    out = _ext_box(sys.grid, form.cells[(0,) * sys.grid.dim], f.box)
+    out *= form.scale
     out -= 1.0
     out *= f.data
     return GridFunction._own(f.grid, f.box, out)

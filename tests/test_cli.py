@@ -138,6 +138,12 @@ class TestApply:
         assert header == "x_1,re,im"
         assert len(rows) == 256
 
+    def test_janssen_radii_default_to_eight(self, capsys, gaussian_config):
+        outs = [run_cli(capsys, "apply", "--config", gaussian_config, "--method", "janssen",
+                        *radii) for radii in ([], ["--L", "8", "--N", "8"], ["--L", "6"])]
+        assert [code for code, _, _ in outs] == [0, 0, 0]
+        assert outs[0][1] == outs[1][1] != outs[2][1]
+
     def test_reruns_are_byte_identical(self, tmp_path, apply_config, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["apply", "--config", apply_config, "--method", "walnut", "--out", str(out1)])
@@ -340,7 +346,7 @@ class TestCounterexampleCommand:
         code, out, _ = run_cli(capsys, "counterexample", "--depths", "1,2",
                                "--q", "inf", "--out", str(out_csv))
         assert code == 0
-        assert json.loads(out)["passed"] is True
+        assert json.loads(out.splitlines()[-1])["passed"] is True
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "depth,spacing,witness_a,witness_norm,contrast_a,contrast_norm"
         assert len(lines) == 3
@@ -586,6 +592,12 @@ def test_options_only_where_read(capsys, indicator_spec, apply_config):
     assert main(["stft", "--config", apply_config, "--threads", "2"]) == 1
     assert main(["selftest", "--seed", "1"]) == 0
     assert main(["counterexample", "--depths", "1", "--threads", "2"]) == 1
+    # --L and --N belong to apply's janssen method; other methods used to
+    # ignore them and exit 0
+    assert main(["apply", "--config", apply_config, "--method", "walnut",
+                 "--L", "3", "--N", "99"]) == 1
+    assert main(["apply", "--config", apply_config, "--method", "direct", "--N", "2"]) == 1
+    assert main(["apply", "--config", apply_config, "--L", "2"]) == 1
 
 
 class TestUnknownConfigKeys:
@@ -632,6 +644,29 @@ class TestUnknownConfigKeys:
             "p": 2, "qq": 1,
         })
         self.assert_rejected(capsys, "qq", "sweep", "--config", cfg)
+
+    @pytest.mark.parametrize("key,value", [
+        ("p", 7), ("q", 3), ("f", {"family": "gaussian", "sigma": 1.0, "radius": 3.0}),
+        ("f_shift", 999)], ids=["p", "q", "f", "f_shift"])
+    def test_opnorm_sweep_key(self, capsys, tmp_path, key, value):
+        # an opnorm sweep measures no test function, so it reads none of
+        # these; they used to be ignored, an f_shift off the grid with exit 0
+        cfg = write_json(tmp_path / "sweep.json", {
+            "schema": "v1", "kind": "opnorm",
+            "grid": {"half_extent": 8.0, "spacing": 1 / 32},
+            "g": {"family": "bspline", "order": 2},
+            "pairs": [[0.5, 0.5], [0.25, 0.25]], key: value})
+        self.assert_rejected(capsys, key, "sweep", "--config", cfg)
+
+    def test_opnorm_sweep_reads_its_keys(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "sweep.json", {
+            "schema": "v1", "kind": "opnorm",
+            "grid": {"half_extent": 8.0, "spacing": 1 / 32, "dim": 1},
+            "g": {"family": "bspline", "order": 2}, "gamma": {"family": "bspline", "order": 2},
+            "pairs": [[2.0 ** -j, 2.0 ** -j] for j in range(1, 5)]})
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 0, err
+        assert json.loads(out.splitlines()[-1])["passed"]
 
     def test_every_read_key_is_accepted(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "sys.json", {

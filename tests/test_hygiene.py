@@ -84,6 +84,12 @@ The table-format rule: only ``grid.py`` holds a printf number code (``%d``,
 column's format; and only ``cli.py``, for its record tables, imports or
 reads ``_write_table``, so every other table goes through ``write_csv`` or
 ``_write_array``.
+
+The index rule: only ``grid.py``, which owns the cell slot and the move of
+a function by whole samples, ``windows.py`` (support index ranges) and
+``amalgam.py`` (partial cubes) read a grid's ``half_extent_steps``; and
+``walnut.py`` imports or reads none of the box moves ``_meet``, ``_moved``
+and ``_read``, so the Walnut form reaches the grid only through its rules.
 """
 import ast
 import functools
@@ -787,3 +793,41 @@ def test_table_format_lives_in_grid():
 ])
 def test_table_format_checker_itself(source, found):
     assert table_format_sites(source) == found
+
+
+# the modules that read the grid origin, and the box moves walnut.py leaves to the grid
+HALF_EXTENT_READERS = frozenset({"grid.py", "windows.py", "amalgam.py"})
+BOX_MOVES = frozenset({"_meet", "_moved", "_read"})
+
+
+def grid_index_sites(source: str) -> list[str]:
+    """Lines that read the attribute ``half_extent_steps`` or import or read
+    one of BOX_MOVES as an attribute, as ``line N: name``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in BOX_MOVES | {"half_extent_steps"}:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in BOX_MOVES]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_index_rules_live_in_grid():
+    found = {p.name: grid_index_sites(p.read_text()) for p in PACKAGE}
+    readers = {name for name, sites in found.items()
+               if any(site.endswith(": half_extent_steps") for site in sites)}
+    assert readers <= HALF_EXTENT_READERS
+    assert found["walnut.py"] == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("th = grid.half_extent_steps\n", ["line 1: half_extent_steps"]),
+    ("from .grid import _meet, _moved, _read, _within\n",
+     ["line 1: _meet", "line 1: _moved", "line 1: _read"]),
+    ("from . import grid\nbox = grid._moved(box, steps)\n", ["line 2: _moved"]),
+    ("half_extent_steps = 3\n", []),
+    ("s = 'half_extent_steps'\n", []),
+    ("from .grid import _ext_box, _shifted\n", []),
+])
+def test_index_rule_checker_itself(source, found):
+    assert grid_index_sites(source) == found

@@ -164,13 +164,20 @@ DESK = {
      ("ConfigError", "unknown system config key(s) ['gama']; expected some of")),
     (["stft", "--config", "no-a.json"], 1,
      ("ConfigError", "config is missing lattice parameter 'a'")),
+    (["sweep", "--config", "opnorm-f-shift.json"], 1,
+     ("ConfigError", "unknown opnorm sweep config key(s) ['f_shift']; expected some of")),
+    (["apply", "--config", "absent.json", "--method", "walnut", "--L", "3"], 1,
+     ("ConfigError", "--L and --N are read by --method janssen only")),
 ], ids=["help", "stft-help", "unknown-command", "missing-file", "invalid-json",
-        "wrong-schema", "unknown-key", "missing-a"])
+        "wrong-schema", "unknown-key", "missing-a", "opnorm-f-shift", "walnut-L"])
 def test_front_end_exits_load_no_numpy(tmp_path, argv, code, error):
     (tmp_path / "invalid.json").write_text("{\"schema\": ")
     (tmp_path / "schema.json").write_text(json.dumps({**DESK, "schema": "v0"}))
     (tmp_path / "unknown-key.json").write_text(json.dumps({**DESK, "gama": DESK["g"]}))
     (tmp_path / "no-a.json").write_text(json.dumps({k: v for k, v in DESK.items() if k != "a"}))
+    (tmp_path / "opnorm-f-shift.json").write_text(json.dumps({
+        "schema": "v1", "kind": "opnorm", "grid": DESK["grid"], "g": DESK["g"],
+        "pairs": [[0.5, 0.5]], "f_shift": 999}))
     report = probe(tmp_path, argv)
     assert report["codes"] == [code], report["stderr"]
     loaded = set(report["modules"])

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -108,6 +109,25 @@ class TestDiagonalCorrelation:
                 dev = np.abs(diagonal_correlation(sys) - 1.0).max()
                 bound = (1 + a) * wiener_norm(product_window) / abs(sys.pairing)
                 assert dev <= bound * (1 + 1e-12)
+
+
+class TestPeriodicExtension:
+    GRID = Grid(4.0, 1 / 32, 2)
+
+    def test_cell_origin_sits_at_zero(self):
+        cell = np.arange(12.0).reshape(3, 4)[:, :3] + 1j
+        ext = periodic_extension(cell, self.GRID)
+        i = np.arange(self.GRID.samples_per_axis) - self.GRID.half_extent_steps
+        assert ext.shape == self.GRID.shape
+        assert np.array_equal(ext, cell[np.ix_(i % 3, i % 3)])
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 5), (0, 0), (2, 2, 2)],
+                             ids=["flat", "oblong", "empty", "3-d"])
+    def test_refuses_a_cell_that_is_no_grid_cube(self, shape):
+        # a flat cell on a 2-D grid came back with shape (256,), and an
+        # oblong one was read with period 3 along both axes
+        with pytest.raises(ValueError, match=re.escape(f"cube of 2 axes, got shape {shape}")):
+            periodic_extension(np.ones(shape), self.GRID)
 
 
 class TestWalnutApply:
