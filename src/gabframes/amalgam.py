@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _number
-from .grid import GridFunction, _box_shape, _within, inner_product, support_index_bounds
+from .grid import GridFunction, _box_shape, _cell_slot, _within, inner_product, support_index_bounds
 
 __all__ = [
     "Exponent",
@@ -98,8 +98,9 @@ def cube_norms(f: GridFunction, p) -> np.ndarray:
     grid = f.grid
     m = grid.samples_per_unit
     # a non-integer half extent leaves partial cubes at both ends: index i
-    # sits at i + pad among whole cubes, and the missing samples read zero
-    pad = -grid.half_extent_steps % m
+    # sits at i + pad among whole cubes, pad the unit-cube slot of index 0,
+    # and the missing samples read zero
+    pad = _cell_slot(grid, 0, m)
     c = (grid.samples_per_axis + 2 * pad) // m
     out = np.zeros((c,) * grid.dim)
     bounds = support_index_bounds(f)

@@ -40,6 +40,7 @@ from .grid import (
     GridFunction,
     _cell_spectrum,
     _fold_overlap,
+    _grid_box,
     _require_grid,
     _shift_range,
     inner_product,
@@ -96,7 +97,7 @@ class GaborSystem:
         if abs(self.pairing) <= DEGENERACY_FLOOR:
             raise DegenerateWindowPairError(
                 f"|<gamma, g>| = {abs(self.pairing):.3e} <= {DEGENERACY_FLOOR}")
-        whole = (slice(0, grid.samples_per_axis),) * grid.dim  # every n moving g onto the grid
+        whole = _grid_box(grid)  # every n moving g onto the grid
         radius = max(max(-ns[0], ns[-1]) for ns in _shift_range(g.box, whole, self.a_steps))
         r = self.inv_b_steps
         object.__setattr__(self, "time_indices", range(-radius, radius + 1))

@@ -86,8 +86,9 @@ reads ``_write_table``, so every other table goes through ``write_csv`` or
 ``_write_array``.
 
 The index rule: only ``grid.py``, which owns the cell slot and the move of
-a function by whole samples, ``windows.py`` (support index ranges) and
-``amalgam.py`` (partial cubes) read a grid's ``half_extent_steps``; and
+a function by whole samples, and ``windows.py`` (support index ranges) read
+a grid's ``half_extent_steps``; ``amalgam.py`` finds its partial cubes
+through the cell slot of index 0; and
 ``walnut.py`` imports or reads none of the box moves ``_meet``, ``_moved``
 and ``_read``, so the Walnut form reaches the grid only through its rules.
 """
@@ -796,7 +797,7 @@ def test_table_format_checker_itself(source, found):
 
 
 # the modules that read the grid origin, and the box moves walnut.py leaves to the grid
-HALF_EXTENT_READERS = frozenset({"grid.py", "windows.py", "amalgam.py"})
+HALF_EXTENT_READERS = frozenset({"grid.py", "windows.py"})
 BOX_MOVES = frozenset({"_meet", "_moved", "_read"})
 
 
