@@ -290,7 +290,7 @@ def _cmd_wexler_raz(args) -> int:
     from .janssen import wexler_raz_check
 
     sys_ = _system_from(cfg)
-    res = wexler_raz_check(sys_, args.L, args.N, args.tol)
+    res = wexler_raz_check(sys_, args.tol)
     payload = {
         "is_biorthogonal": res.is_biorthogonal,
         "max_offdiag": res.max_offdiag,
@@ -337,7 +337,7 @@ def _cmd_selftest(args) -> int:
     checks.append(("exact_identity_regime", err, err <= 1e-12))
 
     # integer lattice biorthogonality
-    res = wexler_raz_check(GaborSystem(chi, chi, 1.0, 1.0), 16, 4, tol=1e-10)
+    res = wexler_raz_check(GaborSystem(chi, chi, 1.0, 1.0), tol=1e-10)
     checks.append(("wexler_raz_delta_lattice", res.max_offdiag, res.is_biorthogonal))
 
     # closed-form operator bound at the unit lattice
@@ -399,8 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wexler-raz", parents=[common], help="biorthogonality check")
     p.add_argument("--system", required=True)
-    p.add_argument("--L", type=int, default=16)
-    p.add_argument("--N", type=int, default=4)
+    p.add_argument("--L", type=int, default=16, help="chooses nothing: every l is checked")
+    p.add_argument("--N", type=int, default=4, help="chooses nothing: every n is checked")
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=_cmd_wexler_raz)
 

@@ -12,11 +12,12 @@ Like every form of S, it divides by the system's pairing <gamma, g>.
 On the grid both directions are exact cell transforms with the alias period
 p = a/h: column n of the coefficients is h^d times the cell spectrum of the
 Walnut member G[n] = correlation_family(sys)[n]: one FFT per member, read
-at bins l mod p by grid._cell_spectrum as the STFT rows are and whole by
-truncation_bound.  The truncated l-sum of a column is one inverse FFT back
-onto the cell.  The truncated Janssen operator S_{L,N} is therefore the
-Walnut-form value of walnut, the one behind S, its remainder R and the
-frame-bound blocks, on l-filtered cells with scale 1 / <gamma, g>.
+at bins l mod p by grid._cell_spectrum as the STFT rows are, and whole by
+truncation_bound and the Wexler-Raz verdict.  The truncated l-sum of a
+column is one inverse FFT back onto the cell.  The truncated Janssen
+operator S_{L,N} is therefore the Walnut-form value of walnut, the one
+behind S, its remainder R and the frame-bound blocks, on l-filtered cells
+with scale 1 / <gamma, g>.
 
 The expansion is a finite sum on the grid: n runs over the correlation
 members and l over one alias period.  So the truncation error of
@@ -105,13 +106,11 @@ class JanssenLattice:
         return complex(self.entries[idx])
 
 
-def _lattice_peak_bytes(sys: GaborSystem, ell_radius: int, n_radius: int) -> int:
-    # janssen_coefficients: the entries, 16 B each, frozen without a copy,
-    # and beside them the folded (2L+1)^d ones, one stored column's spectrum
-    # and its copy, and a cell's FFT, its copy and two float arrays
-    d = sys.grid.dim
-    column = (2 * ell_radius + 1) ** d
-    return 16 * column * (2 * n_radius + 1) ** d + 32 * column + 64 * sys.a_steps ** d
+def _member_spectra(sys: GaborSystem):
+    # (n, h^d fftn(G[n])) over the correlation members in sorted n order: bin
+    # l mod a/h of the spectrum of member n is the coefficient c[l, n]
+    for n, cell in correlation_family(sys).items():
+        yield n, sys.grid.cell_measure * np.fft.fftn(cell)
 
 
 def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> JanssenLattice:
@@ -122,9 +121,12 @@ def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> Ja
         _typed("n_radius", _whole, n_radius)
     if ell_radius < 0 or n_radius < 0:
         raise ValueError("radii must be nonnegative")
-    grid, p = sys.grid, sys.a_steps
-    d = grid.dim
-    _require_memory(_lattice_peak_bytes(sys, ell_radius, n_radius),
+    p, d = sys.a_steps, sys.grid.dim
+    # the entries, 16 B each, frozen without a copy, and beside them the
+    # folded (2L+1)^d ones, one stored column's spectrum and its copy, and a
+    # cell's FFT, its copy and two float arrays
+    column = (2 * ell_radius + 1) ** d
+    _require_memory(16 * column * (2 * n_radius + 1) ** d + 32 * column + 64 * p ** d,
                     f"the dual-lattice expansion at L = {ell_radius}, N = {n_radius} and "
                     f"a/h = {p}", "lower L or N")
     ls = np.arange(-ell_radius, ell_radius + 1)
@@ -133,9 +135,8 @@ def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> Ja
     # folds into the bin
     miss = np.abs(1.0 - fold_to_cell(np.ones((2 * ell_radius + 1,) * d), p, ell_radius))
     tail = 0.0
-    for n, cell in correlation_family(sys).items():
+    for n, c_hat in _member_spectra(sys):
         stored = max(map(abs, n)) <= n_radius
-        c_hat = grid.cell_measure * np.fft.fftn(cell)
         tail += float(((miss if stored else 1.0) * np.abs(c_hat)).sum())
         if stored:
             entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = _cell_spectrum(c_hat, ls)
@@ -181,39 +182,42 @@ def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
 
 @dataclass
 class WexlerRazResult:
-    """Dual-lattice coefficients normalized by <gamma, g>, with the
-    biorthogonality verdict at the requested tolerance."""
+    """The biorthogonality verdict over every dual-lattice coefficient at the
+    requested tolerance, and where its largest off-diagonal entry sits."""
 
-    normalized: np.ndarray
     is_biorthogonal: bool
     max_offdiag: float
     diag: complex
+    at: tuple | None
 
 
-def wexler_raz_check(sys: GaborSystem, ell_radius: int, n_radius: int,
-                     tol: float = 1e-10) -> WexlerRazResult:
-    """Test c[l, n] / <gamma, g> = delta_{l 0} delta_{n 0} on the stored ranges.
+def wexler_raz_check(sys: GaborSystem, tol: float = 1e-10) -> WexlerRazResult:
+    """Test c[l, n] / <gamma, g> = delta_{l 0} delta_{n 0} for every l in one
+    alias period a/h per axis and every correlation member n.
 
     diag is c[0, 0], an FFT bin, over the system's pairing <gamma, g>.
-    Raises ConfigError, before any work, when tol is nan or negative, and
-    ResolutionError, before allocating, when the coefficients and the two
-    arrays normalized from them (40 B per entry) would not fit.
+    at = (l, n), l centred as freq_indices is, is the first maximum in
+    sorted n and then FFT-bin order, never (0, 0); with no other entry
+    (a = h and one member) it is None and max_offdiag 0.  Raises ConfigError,
+    before any work, when tol is nan or negative, and ResolutionError,
+    before the first transform, when one member's spectrum would not fit.
     """
     if not _typed("tol", _number, tol) >= 0:  # a nan fails too: no deviation is <= nan
         raise ConfigError(f"tol must be a nonnegative number, got {tol!r}")
-    ell_radius, n_radius = _typed("ell_radius", _whole, ell_radius), \
-        _typed("n_radius", _whole, n_radius)
-    _require_memory(_lattice_peak_bytes(sys, ell_radius, n_radius)
-                    + 24 * ((2 * ell_radius + 1) * (2 * n_radius + 1)) ** sys.grid.dim,
-                    f"the Wexler-Raz check at L = {ell_radius}, N = {n_radius} and "
-                    f"a/h = {sys.a_steps}", "lower L or N")
-    lattice = janssen_coefficients(sys, ell_radius, n_radius)
-    normalized = lattice.entries / sys.pairing
-    d = lattice.dim
-    center = (ell_radius,) * d + (n_radius,) * d
-    diag = complex(normalized[center])
-    mags = np.abs(normalized)
-    mags[center] = 0.0
-    max_offdiag = float(mags.max())
+    p, d = sys.a_steps, sys.grid.dim
+    # two spectra with their normalized copies and magnitudes, and a new FFT
+    _require_memory(72 * p ** d, f"the Wexler-Raz check at a/h = {p}", "shrink a")
+    origin = (0,) * d
+    max_offdiag, at = -1.0, None
+    for n, c_hat in _member_spectra(sys):
+        normalized = c_hat / sys.pairing
+        mags = np.abs(normalized)
+        if n == origin:
+            diag = complex(normalized[origin])
+            mags[origin] = -1.0  # below every magnitude, so never the maximum
+        k = np.unravel_index(mags.argmax(), mags.shape)
+        if mags[k] > max_offdiag:
+            max_offdiag, at = float(mags[k]), (tuple(int((i + p // 2) % p - p // 2) for i in k), n)
+    max_offdiag = max(max_offdiag, 0.0)
     ok = abs(diag - 1.0) <= tol and max_offdiag <= tol
-    return WexlerRazResult(normalized, bool(ok), max_offdiag, diag)
+    return WexlerRazResult(bool(ok), max_offdiag, diag, at)

@@ -315,13 +315,24 @@ class TestWexlerRazCommand:
         assert payload["diag"]["re"] == pytest.approx(1.0)
 
     def test_half_integer_lattice_fails(self, capsys, tmp_path):
-        cfg = self.system_config(tmp_path, 0.5, 0.5)
-        code, out, _ = run_cli(capsys, "wexler-raz", "--system", cfg,
-                               "--L", "16", "--N", "4", "--tol", "1e-10")
+        # cells of side 3/4 split the unit steps of the indicator unevenly
+        cfg = self.system_config(tmp_path, 0.75, 0.5)
+        code, out, _ = run_cli(capsys, "wexler-raz", "--system", cfg, "--tol", "1e-10")
         assert code == 0
         payload = json.loads(out)
         assert payload["is_biorthogonal"] is False
         assert payload["max_offdiag"] >= 0.1
+
+    @pytest.mark.parametrize("radii", [["--L", "0", "--N", "0"], ["--L", "16", "--N", "4"]])
+    def test_radii_choose_nothing(self, capsys, tmp_path, radii):
+        # L = N = 0 passed the gaussian pair, and L = 16 read the alias of
+        # c[0, 0] at l = +/-16
+        cfg = write_json(tmp_path / "sys.json", TestUnknownConfigKeys.DESK)
+        code, out, _ = run_cli(capsys, "wexler-raz", "--system", cfg, *radii)
+        assert code == 0
+        assert out == run_cli(capsys, "wexler-raz", "--system", cfg)[1]
+        assert json.loads(out) == {"is_biorthogonal": False, "max_offdiag": 0.001867442731707998,
+                                   "diag": {"re": 1.0000000000000002, "im": 0.0}}
 
     @pytest.mark.parametrize("tol,shown", [("nan", "nan"), ("-1e-10", "-1e-10"),
                                            ("-inf", "-inf")])
@@ -501,8 +512,8 @@ def test_direct_form_past_physical_memory_is_a_json_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv,change", [
     (["bounds", "--config"], {"a": 1e20}),
-    (["wexler-raz", "--L", "1000000000000", "--system"], {}),
-], ids=["cell-side", "modulation-radius"])
+    (["wexler-raz", "--system"], {"a": 1e20}),
+], ids=["cell-side", "wexler-raz-cell-side"])
 def test_huge_sizes_fail_before_allocating(capsys, tmp_path, argv, change):
     # a = 1e20 used to die in np.pad folding a 3.2e21-sample member cell
     path = write_json(tmp_path / "sys.json", {**TestUnknownConfigKeys.DESK, **change})

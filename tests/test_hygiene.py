@@ -91,6 +91,12 @@ a grid's ``half_extent_steps``; ``amalgam.py`` finds its partial cubes
 through the cell slot of index 0; and
 ``walnut.py`` imports or reads none of the box moves ``_meet``, ``_moved``
 and ``_read``, so the Walnut form reaches the grid only through its rules.
+
+The one-spectrum rule: in ``janssen.py`` one function calls ``fftn``, the
+per-member spectrum that ``janssen_coefficients`` and ``wexler_raz_check``
+both read, and ``wexler_raz_check`` neither calls ``janssen_coefficients``
+nor names ``JanssenLattice``, so the verdict reads every coefficient once
+and never through a radius box.
 """
 import ast
 import functools
@@ -832,3 +838,39 @@ def test_index_rules_live_in_grid():
 ])
 def test_index_rule_checker_itself(source, found):
     assert grid_index_sites(source) == found
+
+
+def spectrum_sites(source: str) -> tuple[list[str], list[str]]:
+    """The top-level defs that call ``fftn``, and the names of the radius box
+    that ``wexler_raz_check`` reads: ``janssen_coefficients`` and
+    ``JanssenLattice``, as a name or an attribute, in sorted order."""
+    box = set()
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) == "wexler_raz_check":
+            box = {getattr(node, "id", None) or getattr(node, "attr", None)
+                   for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))}
+    return callers(source, "fftn"), sorted(box & {"janssen_coefficients", "JanssenLattice"})
+
+
+def test_one_spectrum_per_member_in_janssen():
+    source = (ROOT / "src" / "gabframes" / "janssen.py").read_text()
+    assert spectrum_sites(source) == (["_member_spectra"], [])
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def _member_spectra(s):\n    yield np.fft.fftn(s)\n"
+     "def wexler_raz_check(s):\n    return list(_member_spectra(s))\n",
+     (["_member_spectra"], [])),
+    # two transforms, and the verdict read through a lattice
+    ("def janssen_coefficients(s, l, n):\n    c = np.fft.fftn(s)\n"
+     "    return JanssenLattice._own(c)\n"
+     "def wexler_raz_check(s, l, n):\n    lattice = janssen_coefficients(s, l, n)\n",
+     (["janssen_coefficients"], ["janssen_coefficients"])),
+    ("def wexler_raz_check(s):\n    return JanssenLattice(s).entries, fftn(s)\n",
+     (["wexler_raz_check"], ["JanssenLattice"])),
+    ("def wexler_raz_check(s):\n    return janssen.janssen_coefficients\n",
+     ([], ["janssen_coefficients"])),
+    ("def f(s):\n    return np.fft.ifftn(s)\nx = 'fftn'\n", ([], [])),
+])
+def test_spectrum_checker_itself(source, found):
+    assert spectrum_sites(source) == found

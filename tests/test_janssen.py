@@ -12,6 +12,7 @@ from gabframes import (
     WindowSpec,
     amalgam_norm,
     correlation_family,
+    frame_bounds,
     janssen_apply,
     janssen_coefficients,
     l2_norm,
@@ -132,13 +133,16 @@ class TestOneTransformPerMember:
 
     @pytest.mark.parametrize("ell_radius,n_radius", [(16, 4), (3, 1), (0, 0)])
     def test_one_fftn_call_per_member(self, gauss, hat, monkeypatch, ell_radius, n_radius):
-        # the bound and the stored bins used to take one transform each
+        # the bound and the stored bins used to take one transform each, and
+        # the Wexler-Raz verdict took them again through its own lattice
         sys = GaborSystem(gauss, hat, 0.5, 0.5)
         members = correlation_family(sys)
         calls, fftn = [], np.fft.fftn
         monkeypatch.setattr(np.fft, "fftn", lambda cell: calls.append(cell.shape) or fftn(cell))
         janssen_coefficients(sys, ell_radius, n_radius)
         assert len(calls) == len(members)
+        wexler_raz_check(sys)
+        assert len(calls) == 2 * len(members)
 
     def test_two_dimensional(self):
         grid2 = Grid(1.0, 1 / 8, dim=2)
@@ -287,9 +291,10 @@ class TestOneNormalization:
         # the last bit, so the diagonal is not 1 by construction
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)
         lat = janssen_coefficients(sys, 16, 4)
-        res = wexler_raz_check(sys, 16, 4)
+        res = wexler_raz_check(sys)
         assert res.diag == lat.entry(0, 0) / sys.pairing
-        assert np.array_equal(res.normalized, lat.entries / sys.pairing)
+        assert res.at == ((1,), (0,))
+        assert res.max_offdiag == np.abs(lat.entries / sys.pairing)[16 + 1, 4 + 0]
 
     def test_apply_does_not_renormalize_by_the_entries(self, gauss, interior_f):
         lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 4, 4)
@@ -364,26 +369,54 @@ class TestFourierReconstruction:
 
 
 class TestWexlerRaz:
+    """The verdict reads every coefficient once: l over one alias period a/h
+    and n over every correlation member."""
+
     def test_integer_lattice_passes(self, chi):
-        res = wexler_raz_check(GaborSystem(chi, chi, 1.0, 1.0), 16, 4, tol=1e-10)
+        res = wexler_raz_check(GaborSystem(chi, chi, 1.0, 1.0), tol=1e-10)
         assert res.is_biorthogonal
         assert res.max_offdiag <= 1e-10
         assert res.diag == pytest.approx(1.0, abs=1e-15)
 
+    def test_half_integer_lattice_passes(self, chi):
+        # S = I on the grid; a box of radius 16 read c[0, 0] again at l = +/-16
+        sys = GaborSystem(chi, chi, 0.5, 0.5)
+        res = wexler_raz_check(sys, tol=1e-10)
+        assert res.is_biorthogonal and res.max_offdiag == 0.0
+        assert res.at == ((1,), (0,))
+        assert frame_bounds(sys) == (1.0, 1.0)
+
     def test_half_integer_lattice_fails(self, chi):
-        res = wexler_raz_check(GaborSystem(chi, chi, 0.5, 0.5), 16, 4, tol=1e-10)
+        # cells of side 3/4 split the unit steps of the indicator unevenly
+        sys = GaborSystem(chi, chi, 0.75, 0.5)
+        res = wexler_raz_check(sys, tol=1e-10)
         assert not res.is_biorthogonal
         assert res.max_offdiag >= 0.1
+        assert res.max_offdiag == 0.20733994769906583 and res.at == ((1,), (0,))
+        assert frame_bounds(sys) == pytest.approx((0.75, 1.5), abs=1e-12)
+
+    def test_desk_gaussian_fails(self, gauss):
+        # a box of radius 0 passed it, and one past the alias period read the
+        # alias of c[0, 0]: 1.0000000000000002
+        res = wexler_raz_check(GaborSystem(gauss, gauss, 0.5, 0.5), tol=1e-10)
+        assert not res.is_biorthogonal
+        assert res.max_offdiag == 0.001867442731707998 and res.at == ((1,), (0,))
+        assert res.diag == 1.0000000000000002
+
+    def test_a_lone_coefficient_has_no_off_diagonal(self, chi):
+        # a = h gives cells of one sample, and 1/b = 2 leaves one member
+        res = wexler_raz_check(GaborSystem(chi, chi, 1 / 32, 0.5), tol=1e-10)
+        assert res.is_biorthogonal and res.max_offdiag == 0.0 and res.at is None
 
     def test_normalized_diagonal_always_one(self, gauss, hat):
-        res = wexler_raz_check(GaborSystem(gauss, hat, 0.5, 0.5), 4, 4, tol=1e-6)
+        res = wexler_raz_check(GaborSystem(gauss, hat, 0.5, 0.5), tol=1e-6)
         assert res.diag == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.0, 0.5)])
     def test_passing_systems_reproduce_on_amalgams(self, grid, chi, interior_f, a, b):
         # biorthogonality at tol 1e-10 comes with S f = f across exponents
         sys = GaborSystem(chi, chi, a, b)
-        assert wexler_raz_check(sys, 16, 4, tol=1e-10).is_biorthogonal
+        assert wexler_raz_check(sys, tol=1e-10).is_biorthogonal
         sf = walnut_apply(interior_f, sys)
         for pq in [(1, 1), (2, 2), (1, 2), (2, math.inf)]:
             err = amalgam_norm(sf - interior_f, pq)

@@ -64,7 +64,7 @@ ENTRIES = {
     "threads": (lambda v: opnorm_sweep(schedule(((1.0, 1.0),)), threads=v).passed, 1, True),
     "ell_radius": (lambda v: janssen_coefficients(SYS, v, 1).entries.tobytes(), 1, True),
     "n_radius": (lambda v: janssen_coefficients(SYS, 1, v).entries.tobytes(), 1, True),
-    "tol": (lambda v: wexler_raz_check(SYS, 1, 1, v).is_biorthogonal, 1, False),
+    "tol": (lambda v: wexler_raz_check(SYS, v).is_biorthogonal, 1, False),
     "omega": (lambda v: modulate(CHI, v).data.tobytes(), 1, False),
     "side": (lambda v: WindowSpec.indicator_cube(v), 1, False),
     "order": (lambda v: WindowSpec.bspline(v), 1, True),
@@ -77,8 +77,6 @@ ENTRIES = {
 # the same rule where other entry points take the parameter
 ALSO = {
     "pairs": [lambda v: schedule(((1.0, 1.0), (0.5, v))).pairs],
-    "ell_radius": [lambda v: wexler_raz_check(SYS, v, 1).max_offdiag],
-    "n_radius": [lambda v: wexler_raz_check(SYS, 1, v).max_offdiag],
     "threads": [lambda v: convergence_sweep(schedule(((1.0, 1.0),)), threads=v)],
     "a": [lambda v: sum_translates(CHI, v).within_bound],
     "omega": [lambda v: stft(CHI, CHI, 0.0, v)],
@@ -149,9 +147,9 @@ def test_numbers_are_stored_as_python_numbers():
 def test_wexler_raz_refuses_a_nan_or_negative_tol(tol):
     # the exact indicator pair at a = b = 1 read as "not biorthogonal" under them
     with pytest.raises(ConfigError, match="^tol must be a nonnegative number"):
-        wexler_raz_check(SYS, 16, 4, tol)
+        wexler_raz_check(SYS, tol)
 
 
 def test_wexler_raz_takes_a_zero_tol():
     # the indicator pair at a = b = 1 is biorthogonal without rounding
-    assert wexler_raz_check(SYS, 16, 4, 0.0).is_biorthogonal
+    assert wexler_raz_check(SYS, 0.0).is_biorthogonal

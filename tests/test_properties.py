@@ -11,7 +11,8 @@ Every window those cases draw in 2-D is a tensor product of one profile, so
 the last properties draw non-separable ones: random complex samples on a
 rectangle with a different side per axis, often at the grid's edge.  On
 them the Walnut form equals the direct oracle, the frame bounds equal a
-dense eigvalsh, and cube norms equal a plain full-grid reduction bit for bit.
+dense eigvalsh, the Wexler-Raz verdict equals a plain FFT of every member,
+and cube norms equal a plain full-grid reduction bit for bit.
 
 The shift ranges behind the Walnut members and the time radius come from
 one rule on support boxes, checked against moving random boxes one step at
@@ -45,6 +46,7 @@ from gabframes import (
     sample_window,
     translate,
     walnut_apply,
+    wexler_raz_check,
 )
 from gabframes import grid as grid_module, janssen
 from gabframes.grid import shift_array
@@ -228,6 +230,29 @@ def test_nonseparable_frame_bounds_equal_dense_eigvalsh(seed):
     lower, upper = frame_bounds(sys)
     assert abs(lower - eig[0]) <= 1e-13 * eig[-1]
     assert abs(upper - eig[-1]) <= 1e-13 * eig[-1]
+
+
+@pytest.mark.parametrize("seed", range(CASES // 2))
+def test_nonseparable_wexler_raz_equals_every_member_spectrum(seed):
+    # the verdict against h^d fftn(G[n]) / <gamma, g> of every member, each
+    # bin named by its centred l, in sorted n and then bin order
+    rng, grid, g, a, b = rectangle_case(seed)
+    sys = GaborSystem(g, g + random_rectangle(rng, grid), a, b)
+    p, origin = sys.a_steps, ((0, 0), (0, 0))
+    values, mags = {}, []
+    for n, cell in correlation_family(sys).items():
+        normalized = grid.cell_measure * np.fft.fftn(cell) / sys.pairing
+        for bins, mag in np.ndenumerate(np.abs(normalized)):
+            at = (tuple(i if i < p - p // 2 else i - p for i in bins), n)
+            values[at] = normalized[bins]
+            if at != origin:
+                mags.append((mag, at))
+    top = max(mag for mag, _ in mags)
+    res = wexler_raz_check(sys)
+    assert res.diag == values[origin]
+    assert res.max_offdiag == top
+    assert res.at == next(at for mag, at in mags if mag == top)
+    assert res.is_biorthogonal == (abs(res.diag - 1.0) <= 1e-10 and top <= 1e-10)
 
 
 @pytest.mark.parametrize("seed", range(CASES))

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from itertools import product
@@ -452,3 +453,36 @@ class TestMemberCache:
         tf = apply_diagonal_defect(interior_f, sys)
         sf = walnut_apply(interior_f, sys)
         assert np.abs((tf + rf).values - (sf - interior_f).values).max() <= 1e-12
+
+
+@functools.cache
+def gaussian_lower_bounds(half_extent):
+    """A of gaussian(1, 3) on Grid(T, 1/32) at (a, b) = (1, 1), (1, 1/2) and (1/2, 1)."""
+    g = sample_window(WindowSpec.gaussian(1.0, 3.0), Grid(half_extent, 1 / 32))
+    return {ab: frame_bounds(GaborSystem(g, g, *ab))[0]
+            for ab in [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0)]}
+
+
+class TestGaussianFrameBoundTheorems:
+    """The grid frame bounds of the Gaussian e^{-pi x^2} against theorems about
+    the whole line, with tolerances fixed before the runs.  It gives a frame on
+    aZ x bZ exactly when ab < 1 (Lyubarskii 1992; Seip and Wallsten 1992): at
+    ab = 1 its Zak transform vanishes at (1/2, 1/2), so the line bound A is 0,
+    and the grid's A falls like T^-2.  It is its own Fourier transform, so
+    (a, b) and (b, a) have the same line bounds, and the grid bounds of the
+    two approach each other as T grows."""
+
+    HALF_EXTENTS = (8, 16, 32, 64)
+
+    @pytest.mark.parametrize("half_extent", HALF_EXTENTS)
+    def test_critical_density_lower_bound_falls_like_t_squared(self, half_extent):
+        assert 0.60 <= gaussian_lower_bounds(half_extent)[1.0, 1.0] * half_extent ** 2 <= 0.75
+
+    @pytest.mark.parametrize("ab", [(1.0, 0.5), (0.5, 1.0)])
+    def test_half_density_lower_bound_settles(self, ab):
+        assert abs(gaussian_lower_bounds(64)[ab] - gaussian_lower_bounds(32)[ab]) < 1e-3
+
+    def test_swapped_lattices_approach_each_other(self):
+        gaps = [abs(gaussian_lower_bounds(t)[1.0, 0.5] - gaussian_lower_bounds(t)[0.5, 1.0])
+                for t in self.HALF_EXTENTS]
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:])), gaps
