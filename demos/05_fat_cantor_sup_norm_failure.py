@@ -2,9 +2,9 @@
 
 A Smith-Volterra-Cantor set keeps positive measure while its gaps grow
 dense: where a point's whole a-orbit misses the set, the diagonal function
-vanishes and |diag - 1| reaches 1.  The witness table shows this at the
-coarsest cell size a = 1, where diag = chi_E / |E|, against a solid
-indicator window at a = 1/16, where the same quantity is zero.  The table
+vanishes and |diag - 1| reaches 1.  The witness table reads sup |diag - 1|
+on [0, 1) at the coarsest cell size a = 1, where diag = chi_E / |E|,
+against a solid indicator window at a = 1/16, where it is zero.  The table
 builds no grid: it is read exactly off the endpoint table of E, and its
 values equal those of the sampled operator on the grid of spacing h.
 """
@@ -40,7 +40,7 @@ print(f"  diag(1/2) = {mid} at a = 1 -- the point 1/2 sits in the middle gap and
       f" unit-step orbit leaves [0, 1], so the diagonal function vanishes there")
 
 print("\nwitness table (window chi_E vs solid chi_[0,1) on the same search):")
-report = counterexample_run(depths=[1, 2, 3], q="inf")
+report = counterexample_run(depths=[1, 2, 3])
 print(f"  {'depth':>5} {'h':>12} {'a*':>6} {'sup |diag-1|':>14} {'contrast':>10} {'sep>=10':>8}")
 for r in report.records:
     print(f"  {r.depth:>5} {r.spacing:>12.6g} {r.witness_a:>6g} "

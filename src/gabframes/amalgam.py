@@ -121,21 +121,27 @@ def cube_norms(f: GridFunction, p) -> np.ndarray:
     np.abs(f.data, out=block[_within(f.box, region)])
     block = block.reshape(sum(((k.stop - k.start, m) for k in cubes), ()))
     intra = tuple(range(1, 2 * grid.dim, 2))
-    if p.is_inf:
-        out[tuple(cubes)] = block.max(axis=intra)
-    else:
-        local = (block ** p.value).sum(axis=intra)
-        out[tuple(cubes)] = (grid.cell_measure * local) ** (1.0 / p.value)
+    out[tuple(cubes)] = _root_sum(block, p, intra, grid.cell_measure)
     return out
+
+
+def _root_sum(x: np.ndarray, p: Exponent, axis, weight=1.0) -> np.ndarray:
+    # (weight * sum x^p)^(1/p) over axis, or max x at p = inf, for x >= 0.  x is
+    # divided in place by a scale at its maximum first, so no term under- or
+    # overflows: up to p = 2 a power of two, which divides exactly, and beyond
+    # it the maximum itself, as the power of two's factor in [1, 2) would overflow
+    top = x.max(axis=axis, keepdims=True)
+    if p.is_inf:
+        return top.squeeze(axis)
+    scale = np.ldexp(1.0, np.frexp(top)[1] - 1) if p.value <= 2 else np.where(top > 0, top, 1.0)
+    x /= scale
+    return (weight * (x ** p.value).sum(axis=axis)) ** (1.0 / p.value) * scale.squeeze(axis)
 
 
 def amalgam_norm(f: GridFunction, pq) -> float:
     """The W(L^p, l^q) norm: l^q aggregation of the per-cube L^p norms."""
     pq = ExponentPair.of(pq)
-    local = cube_norms(f, pq.p)
-    if pq.q.is_inf:
-        return float(local.max())
-    return float((local ** pq.q.value).sum() ** (1.0 / pq.q.value))
+    return float(_root_sum(cube_norms(f, pq.p), pq.q, None))
 
 
 def wiener_norm(g: GridFunction) -> float:

@@ -302,9 +302,11 @@ def _cmd_wexler_raz(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     depths = [_typed("depths", json.loads, tok) for tok in args.depths.split(",") if tok.strip()]
+    from .amalgam import Exponent
     from .experiments import counterexample_run
 
-    report = counterexample_run(depths, q=args.q)
+    Exponent.of(args.q)  # refused when it is no exponent, and otherwise read by nothing
+    report = counterexample_run(depths)
     _emit(_records_csv(report.records, ["depth", "spacing", "witness_a", "witness_norm",
                                         "contrast_a", "contrast_norm"]), args.out)
     sys.stdout.write(json.dumps({"passed": report.passed}) + "\n")
@@ -399,15 +401,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wexler-raz", parents=[common], help="biorthogonality check")
     p.add_argument("--system", required=True)
-    p.add_argument("--L", type=int, default=16, help="chooses nothing: every l is checked")
-    p.add_argument("--N", type=int, default=4, help="chooses nothing: every n is checked")
+    p.add_argument("--L", type=int, help="chooses nothing: every l is checked")
+    p.add_argument("--N", type=int, help="chooses nothing: every n is checked")
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=_cmd_wexler_raz)
 
     p = sub.add_parser("counterexample", parents=[common],
                        help="sup-norm failure witness table")
     p.add_argument("--depths", required=True, help="comma-separated depths, e.g. 1,2,3")
-    p.add_argument("--q", default="inf")
+    p.add_argument("--q", default="inf", help="chooses nothing: every q gives the one-cube sup")
     p.set_defaults(fn=_cmd_counterexample)
 
     p = sub.add_parser("selftest", help="run the built-in sanity checks")

@@ -7,9 +7,8 @@ Riemann-sum errors oscillate at commensurate resonances; per-step
 monotonicity is still recorded.  Sweep points are independent and may be
 evaluated by a thread pool, built only when more than one thread is asked
 for; reports are assembled in schedule order, so results do not depend on
-the pool size.  The counterexample builds no grid: its sup norms are read
-exactly off the fat-Cantor endpoint table, and equal those of the sampled
-operator on the grid of spacing 4^-k / 8.
+the pool size.  The counterexample reads sup |diag - 1| on [0, 1) exactly
+off the fat-Cantor endpoint table, with no grid built.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amalgam import Exponent, ExponentPair, amalgam_norm
+from .amalgam import ExponentPair, amalgam_norm
 from .errors import ConfigError, _at_least_one, _number, _require_memory, _typed
 from .grid import (
     Grid,
@@ -274,7 +273,6 @@ class CounterexampleRecord:
 
 @dataclass
 class CounterexampleReport:
-    q: str
     records: list[CounterexampleRecord]
     passed: bool = field(init=False)
 
@@ -310,18 +308,18 @@ def _defect_sups(depth: int, m: int, halvings) -> list[float]:
     return sups
 
 
-def counterexample_run(depths, q="inf") -> CounterexampleReport:
+def counterexample_run(depths) -> CounterexampleReport:
     """Witness the sup-norm failure with fat-Cantor windows.
 
-    For each depth k the search maximizes the W(L^inf, l^q) norm of (diag - 1)
-    chi_[0,1) over the candidate cell sizes with g = gamma = chi_{E_k}; a gap
-    point of E_k whose a-orbit misses the set makes the diagonal correlation
-    vanish there, pinning the norm at 1.  The witness, the first maximum, is
-    taken at the coarsest a = 1, where diag = chi_{E_k} / |E_k|, and compared
-    with the solid chi_[0,1) at a = 1/16.  The function fills one unit cube, so
-    its norm is the sup for every q.  The sups are read off the endpoint table
-    of E_k, with no grid built, and equal those of the sampled operator on the
-    grid of ``spacing`` 4^-k / 8.  Raises ConfigError when depths is empty or a
+    For each depth k the search maximizes sup |diag - 1| on [0, 1) over the
+    candidate cell sizes with g = gamma = chi_{E_k}: a gap point of E_k whose
+    a-orbit misses the set makes diag vanish there, pinning the sup at 1.
+    The witness, the first maximum, is at the coarsest a = 1, where diag =
+    chi_{E_k} / |E_k|; the contrast is the solid chi_[0,1) at a = 1/16.  The
+    sup is the W(L^inf, l^q) norm of (diag - 1) chi_[0,1) for every q, as it
+    fills one unit cube.  The sups are read off the endpoint table of E_k,
+    with no grid built, and equal those of the sampled operator on the grid
+    of ``spacing`` 4^-k / 8.  Raises ConfigError when depths is empty or a
     depth is not a whole number >= 1, and ResolutionError, before any table is
     built, when the deepest depth would exceed the machine's physical memory.
     """
@@ -330,7 +328,6 @@ def counterexample_run(depths, q="inf") -> CounterexampleReport:
         raise ConfigError("the counterexample needs at least one depth")
     _require_memory(_SWEEP_BYTES * 2 ** min(max(depths), 64),
                     f"the counterexample at depths {depths}", "lower the depths")
-    q = Exponent.of(q)
     records = []
     for k in depths:
         m = 8 * 4**k  # samples per unit of the grid
@@ -346,4 +343,4 @@ def counterexample_run(depths, q="inf") -> CounterexampleReport:
             contrast_ok=contrast_norm <= 0.05,
             separation_ok=separation >= 10.0,
         ))
-    return CounterexampleReport(str(q), records)
+    return CounterexampleReport(records)

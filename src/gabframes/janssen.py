@@ -30,7 +30,6 @@ its peak-byte estimate to errors._require_memory before allocating.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import product
 
 import numpy as np
 
@@ -148,16 +147,18 @@ def _janssen_form(lattice: JanssenLattice) -> _WalnutForm:
     # C[n](j) = sum_l c[l, n] exp(2 pi i <l, j>/p) at the cell points j in
     # [0, p)^d is a^d times the partial Fourier synthesis of G[n]: one inverse
     # FFT of column n after the fold adds every aliased l into its bin l mod p
-    sys = lattice.system
+    sys, d = lattice.system, lattice.dim
     p, radius = sys.a_steps, lattice.n_radius
-    # the (2N+1)^d cells and one column folded to whole cells, before the
-    # Walnut sum checks its own bytes
+    # only the columns that hold a term: a zero column adds nothing to the sum
+    held = np.argwhere(lattice.entries.any(axis=tuple(range(d))))
+    # their cells and one column folded to whole cells, before the Walnut sum
+    # checks its own bytes
     column = -(-(2 * lattice.ell_radius + 1) // p) * p
-    _require_memory(16 * (((2 * radius + 1) * p) ** lattice.dim + column ** lattice.dim),
+    _require_memory(16 * (len(held) * p ** d + column ** d),
                     f"the Janssen cells at N = {radius} and a/h = {p}", "lower N")
-    cells = {n: p ** lattice.dim * np.fft.ifftn(fold_to_cell(
-                 lattice.entries[(Ellipsis,) + tuple(v + radius for v in n)], p, lattice.ell_radius))
-             for n in product(range(-radius, radius + 1), repeat=lattice.dim)}
+    cells = {tuple(int(i) - radius for i in at): p ** d * np.fft.ifftn(fold_to_cell(
+                 lattice.entries[(Ellipsis,) + tuple(at)], p, lattice.ell_radius))
+             for at in held}
     return _WalnutForm(sys.grid, sys.inv_b_steps, 1 / sys.pairing, cells)
 
 

@@ -73,7 +73,8 @@ class GaborSystem:
     g, gamma : GridFunction
         Analysis and synthesis windows.
     a, b : float
-        Time and frequency lattice steps, a > 0, b > 0.
+        Time and frequency lattice steps, a > 0, b > 0, kept as the grid
+        multiples that steps_scalar snaps them to.
     """
 
     # _members keeps correlation_family's result; unset until first asked for
@@ -89,10 +90,11 @@ class GaborSystem:
         grid = g.grid
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         object.__setattr__(self, "a_steps", grid.steps_scalar(a))          # a / h
         object.__setattr__(self, "inv_b_steps", grid.steps_scalar(1 / b))  # r = (1/b) / h
+        # the steps the system shifts by, so every form reads one lattice
+        object.__setattr__(self, "a", self.a_steps / grid.samples_per_unit)
+        object.__setattr__(self, "b", grid.samples_per_unit / self.inv_b_steps)
         object.__setattr__(self, "pairing", inner_product(gamma, g))
         if abs(self.pairing) <= DEGENERACY_FLOOR:
             raise DegenerateWindowPairError(

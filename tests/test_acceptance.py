@@ -218,7 +218,7 @@ def test_criterion_08_wexler_raz(grid, chi, interior_f):
 
 def test_criterion_09_sup_norm_counterexample():
     t0 = time.perf_counter()
-    rep = counterexample_run([1, 2, 3], q="inf")
+    rep = counterexample_run([1, 2, 3])
     for rec in rep.records:
         assert rec.witness_norm >= 1.0 - 2.0 * rec.spacing, f"depth {rec.depth}"
         assert rec.contrast_norm <= 0.05, f"depth {rec.depth}"

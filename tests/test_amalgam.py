@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -158,6 +159,66 @@ class TestAmalgamNorm:
         assert amalgam_norm(f, (1, math.inf)) == pytest.approx(1.0, rel=1e-14)
 
 
+def decimal_cube_norms(f, p):
+    """Every cube's L^p norm of the float samples of f (1-D, whole cubes), in
+    60-digit decimal arithmetic, which neither underflows nor overflows here."""
+    m, h = f.grid.samples_per_unit, Decimal(f.grid.spacing)
+    v = np.abs(f.values)
+    with localcontext(prec=60):
+        sums = [sum(Decimal(float(x)) ** p for x in v[k:k + m]) for k in range(0, len(v), m)]
+        return [(h * s) ** (Decimal(1) / p) if s else Decimal(0) for s in sums]
+
+
+def decimal_amalgam_norm(f, p, q):
+    with localcontext(prec=60):
+        return float(sum(c ** q for c in decimal_cube_norms(f, p)) ** (Decimal(1) / q))
+
+
+class TestLargeExponents:
+    """Finite exponents far above 2 lose no mass and overflow nowhere: each
+    sum is taken over the samples divided by their maximum."""
+
+    def test_cube_norms_keep_the_small_cubes(self, grid, gauss):
+        # at p = 200 the cubes [-3, -2), [2, 3) and [3, 4) used to read 0.0
+        want = [float(c) for c in decimal_cube_norms(gauss, 200)]
+        got = cube_norms(gauss, 200)
+        assert sum(c > 0 for c in want) == 7
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("spec,p,q,scale", [
+        (WindowSpec.bspline(10), 600, 2, 1.0),          # was 0.0
+        (WindowSpec.gaussian(1.0, 3.0), 2, 5000, 1.0),  # was 0.0
+        (WindowSpec.gaussian(1.0, 3.0), 200, 2, 1e3),   # was inf, with a RuntimeWarning
+    ])
+    def test_amalgam_norm_against_decimal(self, grid, spec, p, q, scale):
+        f = scale * sample_window(spec, grid)
+        assert amalgam_norm(f, (p, q)) == pytest.approx(decimal_amalgam_norm(f, p, q),
+                                                        rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("pq", [(1, 1), (2, 2), (1, math.inf), (3, 7), (200, 2),
+                                    (2, 5000), (math.inf, 1)])
+    def test_exact_homogeneity_under_powers_of_two(self, gauss, pq):
+        base, cubes = amalgam_norm(gauss, pq), cube_norms(gauss, pq[0])
+        for k in (-900, 0, 900):
+            assert amalgam_norm(2.0 ** k * gauss, pq) == 2.0 ** k * base
+            assert np.array_equal(cube_norms(2.0 ** k * gauss, pq[0]), 2.0 ** k * cubes)
+
+    @pytest.mark.parametrize("source", [WindowSpec.gaussian(1.0, 3.0), WindowSpec.bspline(10),
+                                        2, 3, 4, 5])
+    def test_monotone_in_both_exponents(self, grid, source):
+        # each cube has measure 1, so its L^p norm is a power mean,
+        # nondecreasing in p, and l^q norms are nonincreasing in q
+        f = sample_window(source, grid) if isinstance(source, WindowSpec) \
+            else random_interior(grid, seed=source)
+        exponents = (1, 1.5, 2, 3, 7, 50, 200, 600, 5000, math.inf)
+        cubes = [cube_norms(f, p) for p in exponents]
+        for low, high in zip(cubes, cubes[1:]):
+            assert (low <= high * (1 + 1e-12)).all()
+        for p in exponents:
+            norms = [amalgam_norm(f, (p, q)) for q in exponents]
+            assert all(a * (1 + 1e-12) >= b for a, b in zip(norms, norms[1:])), p
+
+
 class TestPairing:
     def test_indicator_self(self, chi):
         assert inner_product(chi, chi) == 1.0 + 0.0j
@@ -199,10 +260,18 @@ def full_grid_cube_norms(f, p):
         block = np.pad(block, pad)
     c = block.shape[0] // m
     block = block.reshape((c, m) * grid.dim)
-    intra = tuple(range(1, 2 * grid.dim, 2))
+    return scaled_root_sum(block, p, tuple(range(1, 2 * grid.dim, 2)), grid.cell_measure)
+
+
+def scaled_root_sum(x, p, axis=None, weight=1.0):
+    """(weight * sum x^p)^(1/p) over axis, or the max at p = inf, in the library's
+    order: x over a scale at its maximum (a power of two up to p = 2, the
+    maximum itself beyond), the power, the sum, the root, times the scale."""
+    top = x.max(axis=axis, keepdims=True)
     if math.isinf(p):
-        return block.max(axis=intra)
-    return (grid.cell_measure * (block ** p).sum(axis=intra)) ** (1.0 / p)
+        return top.squeeze(axis)
+    scale = np.ldexp(1.0, np.frexp(top)[1] - 1) if p <= 2 else np.where(top > 0, top, 1.0)
+    return (weight * ((x / scale) ** p).sum(axis=axis)) ** (1.0 / p) * scale.squeeze(axis)
 
 
 def boxed_random(grid, box, seed):
@@ -238,8 +307,7 @@ class TestCubeNormsOnSupportBoxes:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), p
             for q in P_SET:
-                local = want.max() if math.isinf(q) else (want ** q).sum() ** (1.0 / q)
-                assert amalgam_norm(f, (p, q)) == float(local), (p, q)
+                assert amalgam_norm(f, (p, q)) == float(scaled_root_sum(want, q)), (p, q)
 
     @pytest.mark.parametrize("half_extent,dim", [
         (4.0, 1), (2.75, 1), (2.0, 2), (1.75, 2), (0.5, 2), (0.25, 1)])

@@ -611,6 +611,30 @@ def test_options_only_where_read(capsys, indicator_spec, apply_config):
     assert main(["apply", "--config", apply_config, "--L", "2"]) == 1
 
 
+@pytest.mark.parametrize("command,inert,error", [
+    ("counterexample", ["--q", "1"], None),
+    ("counterexample", ["--q", "2"], None),
+    ("counterexample", ["--q", "inf"], None),
+    ("wexler-raz", ["--L", "0", "--N", "0"], None),
+    ("counterexample", ["--q", "0.5"], "an exponent must be at least 1, got 0.5"),
+    ("counterexample", ["--q", "x"], "could not convert string to float: 'x'"),
+])
+def test_inert_options_change_no_byte(capsys, tmp_path, command, inert, error):
+    # counterexample --q and wexler-raz --L/--N are parsed and read by nothing;
+    # a --q that is no exponent is still refused before any work
+    argv = [command] + (["--depths", "1,2"] if command == "counterexample" else
+                        ["--system", write_json(tmp_path / "sys.json", TestUnknownConfigKeys.DESK)])
+    plain, given = tmp_path / "plain.out", tmp_path / "given.out"
+    want = run_cli(capsys, *argv, "--out", str(plain))
+    code, out, err = run_cli(capsys, *argv, *inert, "--out", str(given))
+    if error is None:
+        assert want[0] == 0 and (code, out, err) == want
+        assert given.read_bytes() == plain.read_bytes()
+    else:
+        assert (code, out) == (1, "") and not given.exists()
+        assert json.loads(err) == {"error": "ValueError", "message": error}
+
+
 class TestUnknownConfigKeys:
     """A key no command reads fails with a ConfigError before any work starts."""
 

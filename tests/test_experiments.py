@@ -316,7 +316,7 @@ def test_threads_below_one_rejected_before_sampling(monkeypatch, threads):
 
 class TestCounterexample:
     def test_depth_one_witness_and_contrast(self):
-        report = counterexample_run([1], q="inf")
+        report = counterexample_run([1])
         rec = report.records[0]
         assert rec.witness_norm >= 1.0 - 2 * rec.spacing
         assert rec.contrast_norm <= 0.05
@@ -326,11 +326,6 @@ class TestCounterexample:
     def test_fixed_grid_per_depth(self):
         records = counterexample_run([1, 2]).records
         assert [r.spacing for r in records] == [4.0 ** -k / 8 for k in (1, 2)]
-
-    def test_q_independent_for_single_cube_support(self):
-        r2 = counterexample_run([1], q=2).records[0]
-        rinf = counterexample_run([1], q="inf").records[0]
-        assert r2.witness_norm == pytest.approx(rinf.witness_norm, rel=1e-12)
 
     def test_gap_orbit_mechanism(self):
         # independent witness: x = 1/2 sits in the persistent middle gap and
@@ -406,7 +401,7 @@ class TestCounterexamplePreflight:
 
 
 @pytest.mark.parametrize("fn,params", [
-    (counterexample_run, [("depths", None), ("q", "inf")]),
+    (counterexample_run, [("depths", None)]),
 ])
 def test_no_option_without_a_caller(fn, params):
     empty = inspect.Parameter.empty

@@ -338,19 +338,31 @@ class TestFourierReconstruction:
             want = sys.a ** dim * members.get(n, np.zeros_like(cell))
             assert np.abs(cell - want).max() <= 1e-14 * peak, n
 
-    def test_vanishing_row_reconstructs_zero(self, chi):
-        lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 4, 3)
-        assert np.abs(_janssen_form(lat).cells[(3,)]).max() <= 1e-14
+    def test_vanishing_row_reconstructs_zero(self, chi, interior_f):
+        # a row with no term gets no cell, and the rows that vanish add nothing
+        sys = GaborSystem(chi, chi, 1.0, 1.0)
+        lat = janssen_coefficients(sys, 4, 3)
+        assert (3,) not in _janssen_form(lat).cells
+        out, row_zero = (janssen_apply(interior_f, janssen_coefficients(sys, 4, n)) for n in (3, 0))
+        assert out.box == row_zero.box and np.array_equal(out.data, row_zero.data)
+
+    def test_cells_only_for_columns_with_terms(self):
+        # the 2-D desk system stores 17^2 = 289 columns at N = 8, and 49 hold a member
+        grid = Grid(4.0, 1 / 32, dim=2)
+        g = sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
+        lattice = janssen_coefficients(GaborSystem(g, g, 0.5, 0.5), 8, 8)
+        assert lattice.entries.shape[2:] == (17, 17)
+        assert len(_janssen_form(lattice).cells) == 49
 
     def test_unit_lattice_constant_row(self, chi):
         lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 4, 2)
         assert np.allclose(_janssen_form(lat).cells[(0,)], 1.0, atol=1e-13)
 
     def test_missing_row_raises(self, chi):
-        # the form holds one cell per stored row, and the lattice refuses
-        # every row off its radius
+        # the form holds one cell per stored row that holds a term, only row 0
+        # for the unit indicator, and the lattice refuses every row off its radius
         lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 4, 2)
-        assert sorted(_janssen_form(lat).cells) == [(n,) for n in range(-2, 3)]
+        assert sorted(_janssen_form(lat).cells) == [(0,)]
         with pytest.raises(IndexError):
             lat.entry(0, 5)
 

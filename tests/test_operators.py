@@ -28,6 +28,7 @@ from gabframes import (
     WindowSpec,
 )
 from gabframes import janssen, operators, walnut
+from gabframes.walnut import diagonal_deviation
 from conftest import COPIERS, random_interior
 
 
@@ -91,6 +92,17 @@ class TestGaborSystem:
         # they used to snap to 0 steps and fail on first use
         with pytest.raises(CommensurabilityError, match="positive"):
             GaborSystem(gauss, gauss, a, b)
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5 - 2e-10), (0.5 + 1e-10, 0.5)])
+    def test_accepted_steps_are_the_snapped_ones(self, gauss, hat, a, b):
+        # steps within 1e-9 of a grid multiple shift by that multiple, and every
+        # form reads it: with the raw a and b, direct and Walnut were two operators
+        sys = GaborSystem(gauss, gauss, a, b)
+        assert sys.a == sys.b == 0.5
+        f = translate(hat, [-1.0])
+        want = walnut_apply(f, sys)
+        assert l2_norm(apply_frame_direct(f, sys) - want) <= 1e-14 * l2_norm(want)
+        assert diagonal_deviation(sys) == diagonal_deviation(GaborSystem(gauss, gauss, 0.5, 0.5))
 
     @COPIERS
     def test_copy_rebuilds_the_system(self, gauss, hat, interior_f, duplicate):
@@ -306,7 +318,7 @@ class TestSizePreflights:
             # the cells, then the Walnut sum beside them
             peaks[f"janssen {radii}"] = spied_peak(monkeypatch, [janssen, walnut], janssen_apply,
                                                    f, janssen_coefficients(sys, *radii))
-            peaks[f"walnut {radii}"] = spied_peak(monkeypatch, [walnut], walnut_apply, f, sys)
+        peaks["walnut"] = spied_peak(monkeypatch, [walnut], walnut_apply, f, sys)
         # every member's spectrum, whatever the radii
         peaks["wexler-raz"] = spied_peak(monkeypatch, [janssen], wexler_raz_check, sys)
         for name, (peak, estimate) in peaks.items():
@@ -340,6 +352,17 @@ class TestSizePreflights:
             assert isinstance(result, ResolutionError), fn.__name__
             assert "physical memory" in str(result)
             assert peak < 2 ** 20, fn.__name__
+
+    def test_janssen_cells_are_counted_for_held_columns_only(self, monkeypatch, gauss,
+                                                             interior_f):
+        # at L = 0, N = 1000 the lattice stores 2001 columns and 7 of them hold a
+        # term; half the bytes of 2001 cells of a/h = 16 samples used to refuse the cells
+        lattice = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 0, 1000)
+        want = janssen_apply(interior_f, lattice)
+        monkeypatch.setattr("gabframes.errors._physical_memory_bytes",
+                            lambda: 16 * (2001 * 16 + 16) // 2)
+        got = janssen_apply(interior_f, lattice)
+        assert got.box == want.box and np.array_equal(got.data, want.data)
 
     def test_janssen_sum_raises_before_allocating(self, monkeypatch):
         # no lattice this machine can hold has cells or a sum it cannot, so
