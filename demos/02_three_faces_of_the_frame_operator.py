@@ -13,11 +13,11 @@ from gabframes import (
     GaborSystem,
     Grid,
     GridFunction,
+    JanssenLattice,
     WindowSpec,
     apply_frame_direct,
     frame_bounds,
     janssen_apply,
-    janssen_coefficients,
     l2_norm,
     operator_norm_upper_bound,
     sample_window,
@@ -37,14 +37,14 @@ f = GridFunction(grid, envelope.values * (rng.standard_normal(grid.shape)
 
 direct = apply_frame_direct(f, sys)
 waln = walnut_apply(f, sys)
-lat = janssen_coefficients(sys, 6, 6)
+lat = JanssenLattice(sys, 6, 6)
 jans = janssen_apply(f, lat)
 
 print(f"||direct - walnut||_2 / ||f||_2  = {l2_norm(direct - waln) / l2_norm(f):.3e}")
 print(f"||janssen - walnut||_2 / ||f||_2 = {l2_norm(jans - waln) / l2_norm(f):.3e}")
 print(f"  (dual-lattice truncation L = N = 6, certified ||S - S_6,6|| <= "
       f"{lat.truncation_bound:.2e})")
-coarse = janssen_coefficients(GaborSystem(gauss, gauss, a=1.0, b=0.5), 2, 2)
+coarse = JanssenLattice(GaborSystem(gauss, gauss, a=1.0, b=0.5), 2, 2)
 print(f"  (at a = 1, b = 1/2 and L = N = 2 the certificate reads "
       f"{coarse.truncation_bound:.3e})\n")
 

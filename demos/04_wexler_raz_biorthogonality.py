@@ -18,10 +18,10 @@ from gabframes import (
     GaborSystem,
     Grid,
     GridFunction,
+    JanssenLattice,
     WindowSpec,
     frame_bounds,
     janssen_apply,
-    janssen_coefficients,
     l2_norm,
     sample_window,
     wexler_raz_check,
@@ -53,12 +53,12 @@ print("reproduction by the Janssen expansion at a = b = 1:")
 rng = np.random.default_rng(3)
 envelope = sample_window(WindowSpec.gaussian(1.2, 2.0), grid)
 f = GridFunction(grid, envelope.values * rng.standard_normal(grid.shape))
-lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 16, 4)
+lat = JanssenLattice(GaborSystem(chi, chi, 1.0, 1.0), 16, 4)
 out = janssen_apply(f, lat)
 print(f"  ||janssen(f) - f||_2 / ||f||_2 = {l2_norm(out - f) / l2_norm(f):.3e}\n")
 
 sys = GaborSystem(gauss, gauss, 0.5, 0.5)
 print("certified Janssen truncation error, gaussian pair at a = b = 1/2:")
 for radius in (0, 1, 2, 4, 8):
-    lat = janssen_coefficients(sys, radius, radius)
+    lat = JanssenLattice(sys, radius, radius)
     print(f"  L = N = {radius}:  ||S - S_L,N|| <= {lat.truncation_bound:.3e}")

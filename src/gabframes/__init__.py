@@ -47,7 +47,6 @@ _EXPORTS = {
     "JanssenLattice": "janssen",
     "WexlerRazResult": "janssen",
     "janssen_apply": "janssen",
-    "janssen_coefficients": "janssen",
     "wexler_raz_check": "janssen",
     "GaborSystem": "operators",
     "apply_frame_direct": "operators",

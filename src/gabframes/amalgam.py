@@ -129,13 +129,16 @@ def _root_sum(x: np.ndarray, p: Exponent, axis, weight=1.0) -> np.ndarray:
     # (weight * sum x^p)^(1/p) over axis, or max x at p = inf, for x >= 0.  x is
     # divided in place by a scale at its maximum first, so no term under- or
     # overflows: up to p = 2 a power of two, which divides exactly, and beyond
-    # it the maximum itself, as the power of two's factor in [1, 2) would overflow
+    # it the maximum itself, as the power of two's factor in [1, 2) would overflow.
+    # The sums keep their axes until after the root, so the root always runs on an
+    # array, where numpy takes sqrt at p = 2, never on a scalar, which goes to pow
     top = x.max(axis=axis, keepdims=True)
     if p.is_inf:
         return top.squeeze(axis)
     scale = np.ldexp(1.0, np.frexp(top)[1] - 1) if p.value <= 2 else np.where(top > 0, top, 1.0)
     x /= scale
-    return (weight * (x ** p.value).sum(axis=axis)) ** (1.0 / p.value) * scale.squeeze(axis)
+    return ((weight * (x ** p.value).sum(axis=axis, keepdims=True)) ** (1.0 / p.value)
+            * scale).squeeze(axis)
 
 
 def amalgam_norm(f: GridFunction, pq) -> float:

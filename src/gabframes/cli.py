@@ -201,9 +201,9 @@ def _cmd_apply(args) -> int:
         from .walnut import walnut_apply
         out = walnut_apply(f, sys_)
     else:
-        from .janssen import janssen_apply, janssen_coefficients
-        lat = janssen_coefficients(sys_, 8 if args.L is None else args.L,
-                                   8 if args.N is None else args.N)
+        from .janssen import JanssenLattice, janssen_apply
+        lat = JanssenLattice(sys_, 8 if args.L is None else args.L,
+                             8 if args.N is None else args.N)
         out = janssen_apply(f, lat)
     buf = io.StringIO()
     write_csv(out, buf)

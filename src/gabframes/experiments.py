@@ -64,7 +64,9 @@ class SweepSchedule:
     """An ordered densification schedule with its windows and test function.
 
     pairs must be strictly decreasing in both components and commensurate
-    with the grid (a_j and 1/b_j integer multiples of the spacing).
+    with the grid (a_j and 1/b_j integer multiples of the spacing).  They
+    are kept as the steps GaborSystem snaps them to, so a record names the
+    lattice it measured, and the order is checked on those.
     """
 
     grid: Grid
@@ -78,19 +80,19 @@ class SweepSchedule:
     def __post_init__(self):
         if not self.pairs:
             raise ConfigError("schedule needs at least one (a, b) pair")
-        object.__setattr__(self, "pairs", _typed(
-            "pairs", lambda ps: tuple((_number(a), _number(b)) for a, b in ps), self.pairs))
+        pairs = _typed("pairs", lambda ps: tuple((_number(a), _number(b)) for a, b in ps),
+                       self.pairs)
         object.__setattr__(self, "pq", ExponentPair.of(self.pq))
-        prev = None
-        for a, b in self.pairs:
+        m, snapped = self.grid.samples_per_unit, []
+        for a, b in pairs:
             if b <= 0:
                 raise ConfigError(f"lattice parameter b must be positive, got {b!r}")
-            self.grid.steps_scalar(a)
-            self.grid.steps_scalar(1.0 / b)
-            if prev is not None and not (a < prev[0] and b < prev[1]):
-                raise ConfigError(
-                    f"schedule pairs must be strictly decreasing, got {prev} then {(a, b)}")
-            prev = (a, b)
+            a, b = self.grid.steps_scalar(a) / m, m / self.grid.steps_scalar(1.0 / b)
+            if snapped and not (a < snapped[-1][0] and b < snapped[-1][1]):
+                raise ConfigError(f"schedule pairs must be strictly decreasing, "
+                                  f"got {snapped[-1]} then {(a, b)}")
+            snapped.append((a, b))
+        object.__setattr__(self, "pairs", tuple(snapped))
 
     def sample_windows(self) -> tuple[GridFunction, GridFunction]:
         """(g, gamma) on the grid; one instance for both when the specs are equal."""

@@ -24,12 +24,15 @@ members and l over one alias period.  So the truncation error of
 |l| <= L, |n| <= N is known exactly term by term, and since M and T have
 norm <= 1 on every L^p of the grid, the summed magnitude of the terms the
 truncation misses or repeats bounds ||S - S_{L,N}|| there (truncation_bound).
-The radii L and N are sizes the caller picks: each function here passes
-its peak-byte estimate to errors._require_memory before allocating.
+A lattice is the value of (system, L, N): JanssenLattice(sys, L, N)
+computes its entries and the bound that certifies them in one constructor,
+so no lattice holds entries its bound does not describe.  The radii L and
+N are sizes the caller picks: the constructor and each function here pass
+their peak-byte estimate to errors._require_memory before allocating.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +43,6 @@ from .walnut import _WalnutForm
 
 __all__ = [
     "JanssenLattice",
-    "janssen_coefficients",
     "janssen_apply",
     "WexlerRazResult",
     "wexler_raz_check",
@@ -49,49 +51,65 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JanssenLattice:
-    """Dual-lattice coefficients of a system over |l| <= L, |n| <= N (componentwise).
+    """Dual-lattice coefficients c[l, n] = <gamma, M_{l/a} T_{n/b} g> of a
+    system over |l| <= L, |n| <= N (componentwise), with their certificate.
 
-    entries carries the d modulation axes first, then the d shift axes.
-    The center entry c[0, 0] equals <gamma, g> up to rounding; the expansion
-    divides by the system's pairing, not by it.  truncation_bound certifies
-    ||S - janssen_apply(., lattice)|| on every L^p of the grid:
+    The value of (system, ell_radius, n_radius): construction computes
+    entries, the d modulation axes first, then the d shift axes, and
+    truncation_bound, which certifies ||S - janssen_apply(., lattice)|| on
+    every L^p of the grid:
 
         sum_n sum_beta |1 - count_beta| |c_hat[beta, n]| / |<gamma, g>|
 
     over all correlation members n and one alias period beta mod a/h, where
     c_hat[., n] is h^d times the FFT of G[n], count_beta is the number of
     stored l = beta mod a/h (the fold of janssen_apply), and a member with
-    |n| > N counts with count 0; it certifies the coefficients that
-    janssen_coefficients computed.  Frozen, with entries copied once and
-    read-only: that guards them against mutation, not against replacement,
-    as dataclasses.replace(lattice, entries=...) keeps the old bound.
+    |n| > N counts with count 0.  The center entry c[0, 0] equals
+    <gamma, g> up to rounding; the expansion divides by the system's
+    pairing, not by it.  Frozen, with read-only entries; a copy or a pickle
+    is rebuilt from the three inputs.  Raises ResolutionError, before
+    allocating, when the entries would not fit in physical memory.
     """
 
-    entries: np.ndarray
     system: GaborSystem
     ell_radius: int
     n_radius: int
-    truncation_bound: float
+    entries: np.ndarray = field(init=False, compare=False, repr=False)
+    truncation_bound: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", np.array(self.entries))
-        self._freeze()
+        sys = self.system
+        ell_radius, n_radius = _typed("ell_radius", _whole, self.ell_radius), \
+            _typed("n_radius", _whole, self.n_radius)
+        if ell_radius < 0 or n_radius < 0:
+            raise ValueError("radii must be nonnegative")
+        p, d = sys.a_steps, sys.grid.dim
+        # the entries, 16 B each, and beside them the folded (2L+1)^d ones,
+        # one stored column's spectrum and its copy, and a cell's FFT, its
+        # copy and two float arrays
+        column = (2 * ell_radius + 1) ** d
+        _require_memory(16 * column * (2 * n_radius + 1) ** d + 32 * column + 64 * p ** d,
+                        f"the dual-lattice expansion at L = {ell_radius}, N = {n_radius} and "
+                        f"a/h = {p}", "lower L or N")
+        ls = np.arange(-ell_radius, ell_radius + 1)
+        entries = np.zeros((len(ls),) * d + (2 * n_radius + 1,) * d, dtype=complex)
+        # |1 - count| per alias bin, count being the stored l that janssen_apply
+        # folds into the bin
+        miss = np.abs(1.0 - fold_to_cell(np.ones((2 * ell_radius + 1,) * d), p, ell_radius))
+        tail = 0.0
+        for n, c_hat in _member_spectra(sys):
+            stored = max(map(abs, n)) <= n_radius
+            tail += float(((miss if stored else 1.0) * np.abs(c_hat)).sum())
+            if stored:
+                entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = _cell_spectrum(c_hat, ls)
+        entries.setflags(write=False)
+        object.__setattr__(self, "ell_radius", ell_radius)
+        object.__setattr__(self, "n_radius", n_radius)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "truncation_bound", tail / abs(sys.pairing))
 
-    @classmethod
-    def _own(cls, *values) -> "JanssenLattice":
-        # the constructor without the copy, for a fresh entries array no caller keeps
-        lattice = object.__new__(cls)
-        for field, value in zip(fields(cls), values, strict=True):
-            object.__setattr__(lattice, field.name, value)
-        lattice._freeze()
-        return lattice
-
-    def _freeze(self) -> None:
-        self.entries.setflags(write=False)
-        d = self.entries.ndim // 2
-        want = (2 * self.ell_radius + 1,) * d + (2 * self.n_radius + 1,) * d
-        if self.entries.shape != want:
-            raise ValueError(f"entries shape {self.entries.shape} does not match radii {want}")
+    def __reduce__(self):  # rebuilt from its inputs, as the system is
+        return JanssenLattice, (self.system, self.ell_radius, self.n_radius)
 
     @property
     def dim(self) -> int:
@@ -110,36 +128,6 @@ def _member_spectra(sys: GaborSystem):
     # l mod a/h of the spectrum of member n is the coefficient c[l, n]
     for n, cell in correlation_family(sys).items():
         yield n, sys.grid.cell_measure * np.fft.fftn(cell)
-
-
-def janssen_coefficients(sys: GaborSystem, ell_radius: int, n_radius: int) -> JanssenLattice:
-    """Compute c[l, n] = <gamma, M_{l/a} T_{n/b} g> over the given radii,
-    with the truncation_bound of the stored ranges.  Raises ResolutionError,
-    before allocating, when they would not fit in physical memory."""
-    ell_radius, n_radius = _typed("ell_radius", _whole, ell_radius), \
-        _typed("n_radius", _whole, n_radius)
-    if ell_radius < 0 or n_radius < 0:
-        raise ValueError("radii must be nonnegative")
-    p, d = sys.a_steps, sys.grid.dim
-    # the entries, 16 B each, frozen without a copy, and beside them the
-    # folded (2L+1)^d ones, one stored column's spectrum and its copy, and a
-    # cell's FFT, its copy and two float arrays
-    column = (2 * ell_radius + 1) ** d
-    _require_memory(16 * column * (2 * n_radius + 1) ** d + 32 * column + 64 * p ** d,
-                    f"the dual-lattice expansion at L = {ell_radius}, N = {n_radius} and "
-                    f"a/h = {p}", "lower L or N")
-    ls = np.arange(-ell_radius, ell_radius + 1)
-    entries = np.zeros((len(ls),) * d + (2 * n_radius + 1,) * d, dtype=complex)
-    # |1 - count| per alias bin, count being the stored l that janssen_apply
-    # folds into the bin
-    miss = np.abs(1.0 - fold_to_cell(np.ones((2 * ell_radius + 1,) * d), p, ell_radius))
-    tail = 0.0
-    for n, c_hat in _member_spectra(sys):
-        stored = max(map(abs, n)) <= n_radius
-        tail += float(((miss if stored else 1.0) * np.abs(c_hat)).sum())
-        if stored:
-            entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = _cell_spectrum(c_hat, ls)
-    return JanssenLattice._own(entries, sys, ell_radius, n_radius, tail / abs(sys.pairing))
 
 
 def _janssen_form(lattice: JanssenLattice) -> _WalnutForm:

@@ -14,6 +14,7 @@ from gabframes import (
     ExponentPair,
     GaborSystem,
     Grid,
+    JanssenLattice,
     SweepSchedule,
     amalgam_norm,
     apply_frame_direct,
@@ -22,7 +23,6 @@ from gabframes import (
     convergence_sweep,
     counterexample_run,
     janssen_apply,
-    janssen_coefficients,
     l2_norm,
     operator_norm_upper_bound,
     correlation_family,
@@ -85,7 +85,7 @@ def test_criterion_01_oracle_equivalence(grid, suite):
             # stated truncation: N = 6 shifts; L = 6 capped to one modulation
             # alias period (the gaussian content beyond is below 1e-40)
             ell = min(6, (sys.a_steps - 1) // 2)
-            lat = janssen_coefficients(sys, ell, 6)
+            lat = JanssenLattice(sys, ell, 6)
             jan = janssen_apply(f, lat)
             relj = l2_norm(jan - waln) / l2_norm(f)
             worst_jw = max(worst_jw, relj)
@@ -185,7 +185,7 @@ def test_criterion_07_fourier_coefficients_of_G(grid):
     gauss = sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
     sys = GaborSystem(gauss, gauss, 0.5, 0.5)
     members = list(correlation_member_range(sys)[0])
-    lat = janssen_coefficients(sys, 16, max(abs(members[0]), members[-1]))
+    lat = JanssenLattice(sys, 16, max(abs(members[0]), members[-1]))
     h = grid.spacing
     xs = np.arange(sys.a_steps) * h
     worst = 0.0
@@ -207,7 +207,7 @@ def test_criterion_08_wexler_raz(grid, chi, interior_f):
     failing = wexler_raz_check(GaborSystem(chi, chi, 0.75, 0.5), tol=1e-10)
     assert passing.is_biorthogonal and passing.max_offdiag <= 1e-10
     assert not failing.is_biorthogonal and failing.max_offdiag >= 0.1
-    lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 16, 4)
+    lat = JanssenLattice(GaborSystem(chi, chi, 1.0, 1.0), 16, 4)
     out = janssen_apply(interior_f, lat)
     err = l2_norm(out - interior_f) / l2_norm(interior_f)
     assert err <= 1e-10

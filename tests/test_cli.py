@@ -282,6 +282,21 @@ class TestSweep:
             "error": "ConfigError",
             "message": "config key 'q' has a bad value 0.5: an exponent must be at least 1, got 0.5"}
 
+    def test_rows_name_the_snapped_lattice(self, capsys, tmp_path):
+        # a = 0.5 + 1e-10 shifts by 16 samples of 1/32: the row names a = 0.5,
+        # the lattice its diag_dev was measured on, not the raw 0.50000000010000001
+        cfg = write_json(tmp_path / "sweep.json", {
+            "schema": "v1", "kind": "opnorm",
+            "grid": {"half_extent": 4.0, "spacing": 1 / 32},
+            "g": {"family": "gaussian", "sigma": 1.0, "radius": 3.0},
+            "pairs": [[0.5000000001, 0.5], [0.25, 0.25]]})
+        out_csv = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--out", str(out_csv))
+        assert code == 0, err
+        header, first = (line.split(",") for line in out_csv.read_text().splitlines()[:2])
+        row = dict(zip(header, first))
+        assert (row["a"], row["b"], row["diag_dev"]) == ("0.5", "0.5", "0.003734885487739259")
+
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         cfg = self.sweep_config(tmp_path, [[2.0 ** -j, 2.0 ** -j] for j in range(1, 4)])
         csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"

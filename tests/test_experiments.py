@@ -52,6 +52,15 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError):
             make_schedule(grid, [(0.5, 0.5), (0.5, 0.25)])
 
+    def test_pairs_are_the_snapped_steps(self):
+        # a = 1/2 - 1e-11 shifts by the 16 samples of a = 1/2: the second pair
+        # measured a = 1/2 again, with the first row's diag_dev
+        grid = Grid(4.0, 1 / 32)
+        with pytest.raises(ConfigError, match=r"got \(0\.5, 0\.5\) then \(0\.5, 0\.25\)"):
+            make_schedule(grid, [(0.5, 0.5), (0.5 - 1e-11, 0.25)])
+        schedule = make_schedule(grid, [(0.5 + 1e-10, 0.5 - 1e-12), (0.25, 0.25)])
+        assert schedule.pairs == ((0.5, 0.5), (0.25, 0.25))
+
     def test_rejects_incommensurate(self):
         grid = Grid(16.0, 1 / 32)
         with pytest.raises(CommensurabilityError):

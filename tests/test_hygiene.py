@@ -93,10 +93,9 @@ through the cell slot of index 0; and
 and ``_read``, so the Walnut form reaches the grid only through its rules.
 
 The one-spectrum rule: in ``janssen.py`` one function calls ``fftn``, the
-per-member spectrum that ``janssen_coefficients`` and ``wexler_raz_check``
-both read, and ``wexler_raz_check`` neither calls ``janssen_coefficients``
-nor names ``JanssenLattice``, so the verdict reads every coefficient once
-and never through a radius box.
+per-member spectrum that the ``JanssenLattice`` constructor and
+``wexler_raz_check`` both read, and ``wexler_raz_check`` names no lattice,
+so the verdict reads every coefficient once and never through a radius box.
 """
 import ast
 import functools
@@ -853,6 +852,9 @@ def spectrum_sites(source: str) -> tuple[list[str], list[str]]:
 
 
 def test_one_spectrum_per_member_in_janssen():
+    """``_member_spectra`` alone calls ``fftn``: the lattice constructor,
+    ``JanssenLattice.__post_init__``, and ``wexler_raz_check`` iterate it,
+    and the verdict builds no ``JanssenLattice``."""
     source = (ROOT / "src" / "gabframes" / "janssen.py").read_text()
     assert spectrum_sites(source) == (["_member_spectra"], [])
 

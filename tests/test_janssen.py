@@ -9,12 +9,12 @@ from gabframes import (
     GaborSystem,
     Grid,
     GridFunction,
+    JanssenLattice,
     WindowSpec,
     amalgam_norm,
     correlation_family,
     frame_bounds,
     janssen_apply,
-    janssen_coefficients,
     l2_norm,
     modulate,
     translate,
@@ -26,7 +26,7 @@ from gabframes import (
 from gabframes.grid import _cell_spectrum, fold_to_cell
 from gabframes.janssen import _janssen_form
 from gabframes.walnut import correlation_member_range
-from conftest import random_interior
+from conftest import COPIERS, random_interior, same_bits
 
 
 def gaussian_entry_magnitude(sigma, t, omega):
@@ -38,11 +38,11 @@ def gaussian_entry_magnitude(sigma, t, omega):
 class TestCoefficients:
     def test_center_entry_is_pairing_by_construction(self, gauss, hat):
         sys = GaborSystem(gauss, hat, 0.5, 0.5)
-        lat = janssen_coefficients(sys, 3, 3)
+        lat = JanssenLattice(sys, 3, 3)
         assert lat.entry(0, 0) == pytest.approx(sys.pairing, rel=1e-14)
 
     def test_integer_lattice_indicator_is_delta(self, chi):
-        lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 8, 3)
+        lat = JanssenLattice(GaborSystem(chi, chi, 1.0, 1.0), 8, 3)
         expected = np.zeros_like(lat.entries)
         expected[8, 3] = 1.0
         assert np.allclose(lat.entries, expected, atol=1e-14)
@@ -51,36 +51,36 @@ class TestCoefficients:
         # frequencies l/a with l = a/h land on exp(2 pi i x/h) = 1 at samples,
         # so those entries equal <chi, chi> = 1 exactly on the grid
         alias = grid.steps_scalar(0.5)  # a * (1/h) = 16
-        lat = janssen_coefficients(GaborSystem(chi, chi, 0.5, 0.5), alias, 2)
+        lat = JanssenLattice(GaborSystem(chi, chi, 0.5, 0.5), alias, 2)
         assert lat.entry(alias, 0) == pytest.approx(1.0, abs=1e-12)
         assert lat.entry(-alias, 0) == pytest.approx(1.0, abs=1e-12)
         assert abs(lat.entry(alias // 2, 0)) <= 1e-14
 
     def test_gaussian_entries_match_closed_form(self, gauss):
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)
-        lat = janssen_coefficients(sys, 3, 3)
+        lat = JanssenLattice(sys, 3, 3)
         for l in range(-2, 3):
             for n in range(-2, 3):
                 want = gaussian_entry_magnitude(1.0, n / 0.5, l / 0.5)
                 assert abs(lat.entry(l, n)) == pytest.approx(want, abs=1e-9)
 
     def test_hermitian_magnitudes_for_self_dual(self, gauss):
-        lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 4, 4)
+        lat = JanssenLattice(GaborSystem(gauss, gauss, 0.5, 0.5), 4, 4)
         mags = np.abs(lat.entries)
         assert np.allclose(mags, mags[::-1, ::-1], atol=1e-10)
 
     def test_truncation_bound_reported(self, gauss):
-        lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 4, 4)
+        lat = JanssenLattice(GaborSystem(gauss, gauss, 0.5, 0.5), 4, 4)
         assert lat.truncation_bound >= 0
         assert lat.truncation_bound < 1e-10  # gaussian decay
 
 
 class TestCoefficientKernel:
-    """janssen_coefficients (cell FFT of G[n]) against <gamma, M_{l/a} T_{n/b} g>."""
+    """JanssenLattice (cell FFT of G[n]) against <gamma, M_{l/a} T_{n/b} g>."""
 
     @staticmethod
     def assert_matches_definition(sys, ell_radius, n_radius):
-        lat = janssen_coefficients(sys, ell_radius, n_radius)
+        lat = JanssenLattice(sys, ell_radius, n_radius)
         d = sys.grid.dim
         tol = 1e-12 * np.abs(lat.entries).max()
         for pos in np.ndindex(lat.entries.shape):
@@ -126,7 +126,7 @@ class TestOneTransformPerMember:
     @pytest.mark.parametrize("ell_radius,n_radius", [(0, 0), (3, 1), (10, 3), (20, 5)])
     def test_one_dimensional(self, gauss, hat, ell_radius, n_radius):
         sys = GaborSystem(gauss, hat, 0.5, 0.5)
-        lat = janssen_coefficients(sys, ell_radius, n_radius)
+        lat = JanssenLattice(sys, ell_radius, n_radius)
         entries, bound = self.two_transforms(sys, ell_radius, n_radius)
         assert lat.entries.tobytes() == entries.tobytes()
         assert lat.truncation_bound == bound
@@ -139,7 +139,7 @@ class TestOneTransformPerMember:
         members = correlation_family(sys)
         calls, fftn = [], np.fft.fftn
         monkeypatch.setattr(np.fft, "fftn", lambda cell: calls.append(cell.shape) or fftn(cell))
-        janssen_coefficients(sys, ell_radius, n_radius)
+        JanssenLattice(sys, ell_radius, n_radius)
         assert len(calls) == len(members)
         wexler_raz_check(sys)
         assert len(calls) == 2 * len(members)
@@ -149,7 +149,7 @@ class TestOneTransformPerMember:
         g2 = sample_window(WindowSpec.gaussian(0.5, 0.75), grid2)
         chi2 = sample_window(WindowSpec.indicator_cube(1.0), grid2)
         sys = GaborSystem(g2, chi2, 0.5, 1.0)
-        lat = janssen_coefficients(sys, 3, 0)
+        lat = JanssenLattice(sys, 3, 0)
         entries, bound = self.two_transforms(sys, 3, 0)
         assert lat.entries.tobytes() == entries.tobytes()
         assert lat.truncation_bound == bound
@@ -157,7 +157,7 @@ class TestOneTransformPerMember:
 
 class TestFrozenLattice:
     def test_fields_and_entries_are_read_only(self, gauss):
-        lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 2, 2)
+        lat = JanssenLattice(GaborSystem(gauss, gauss, 0.5, 0.5), 2, 2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             lat.entries = lat.entries * 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -165,26 +165,53 @@ class TestFrozenLattice:
         with pytest.raises(ValueError):
             lat.entries[...] = 0.0
 
-    def test_replaced_entries_must_match_the_radii(self, gauss):
-        lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 2, 2)
-        with pytest.raises(ValueError, match="does not match radii"):
-            dataclasses.replace(lat, entries=lat.entries[1:])
-        with pytest.raises(ValueError, match="does not match radii"):
-            dataclasses.replace(lat, n_radius=1)
+    def test_computed_fields_are_not_inputs(self, gauss):
+        # the entries and the bound come from (system, L, N) alone: a bound of 0
+        # cannot be passed in, nor entries swapped under the old bound
+        lat = JanssenLattice(GaborSystem(gauss, gauss, 0.5, 0.5), 6, 2)
+        with pytest.raises(TypeError):
+            JanssenLattice(lat.entries, lat.system, 6, 2, 0.0)
+        for name in ("entries", "truncation_bound"):
+            with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                dataclasses.replace(lat, **{name: getattr(lat, name) * 0})
+
+    @pytest.mark.parametrize("radii", [(6, 0), (2, 2), (0, 6)])
+    def test_replace_computes_the_lattice_again(self, gauss, radii):
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
+        lat = JanssenLattice(sys, 6, 2)
+        twin = dataclasses.replace(lat, ell_radius=radii[0], n_radius=radii[1])
+        want = JanssenLattice(sys, *radii)
+        assert same_bits(twin.entries, want.entries)
+        assert twin.truncation_bound == want.truncation_bound
+        assert not twin.entries.flags.writeable
+
+    def test_one_system_and_radii_make_equal_lattices(self, gauss):
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
+        lat, twin = JanssenLattice(sys, 6, 2), JanssenLattice(sys, np.int64(6), 2.0)
+        assert lat == twin and hash(lat) == hash(twin)
+        assert (twin.ell_radius, twin.n_radius) == (6, 2)
+        assert lat != JanssenLattice(sys, 6, 1)
+        assert "entries" not in repr(lat) and "truncation_bound" in repr(lat)
+
+    @COPIERS
+    def test_copy_rebuilds_the_lattice(self, gauss, interior_f, duplicate):
+        lat = JanssenLattice(GaborSystem(gauss, gauss, 0.5, 0.5), 6, 2)
+        twin = duplicate(lat)
+        assert (twin.ell_radius, twin.n_radius) == (6, 2)
+        assert same_bits(twin.entries, lat.entries)
+        assert twin.truncation_bound == lat.truncation_bound
+        assert not twin.entries.flags.writeable
+        with pytest.raises(ValueError):
+            twin.entries[...] = 0.0
+        assert janssen_apply(interior_f, twin).values.tobytes() == \
+            janssen_apply(interior_f, lat).values.tobytes()
 
     def test_one_index_per_axis(self, gauss):
-        lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 2, 2)
+        lat = JanssenLattice(GaborSystem(gauss, gauss, 0.5, 0.5), 2, 2)
         assert lat.entry([1], np.array([0])) == lat.entry(1, 0)
         for l, n, key in (((0, 0), 0, "l"), (0, [], "n")):
             with pytest.raises(ConfigError, match=f"^config key '{key}' .*expected 1 component"):
                 lat.entry(l, n)
-
-    def test_entries_are_copied_once(self, gauss):
-        lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 2, 2)
-        mine = lat.entries.copy()
-        copy = dataclasses.replace(lat, entries=mine)
-        mine[...] = 0.0
-        assert copy.entries.tobytes() == lat.entries.tobytes()
 
 
 class TestConditionAPrime:
@@ -197,7 +224,7 @@ class TestConditionAPrime:
     def test_indicator_unit_lattice_concentrates_at_origin(self, chi):
         sys = GaborSystem(chi, chi, 1.0, 1.0)
         for ell_radius, n_radius in [(0, 0), (8, 3)]:
-            lat = janssen_coefficients(sys, ell_radius, n_radius)
+            lat = JanssenLattice(sys, ell_radius, n_radius)
             assert lat.entry(0, 0) == pytest.approx(1.0, abs=1e-12)
             assert lat.truncation_bound == 0.0
 
@@ -209,7 +236,7 @@ class TestConditionAPrime:
         f = random_interior(grid, seed=61)
         vals = f.values.ravel()
         for ell_radius, n_radius in [(0, 0), (1, 0), (2, 2), (3, 1), (6, 6)]:
-            lat = janssen_coefficients(sys, ell_radius, n_radius)
+            lat = JanssenLattice(sys, ell_radius, n_radius)
             err = (janssen_apply(f, lat) - walnut_apply(f, sys)).values.ravel()
             for p in (1, 2, np.inf):  # relative grid L^p error, floor 1e-13 ||f||_p
                 ratio = np.linalg.norm(err, p) / np.linalg.norm(vals, p)
@@ -221,15 +248,15 @@ class TestConditionAPrime:
         gamma = sample_window(WindowSpec.gaussian(0.7, 1.5), grid)
         sys = GaborSystem(g, gamma, 0.5, 0.6)  # a/h = 15
         n_max = max(max(abs(n) for n in rng) for rng in correlation_member_range(sys))
-        lat = janssen_coefficients(sys, 7, n_max)
+        lat = JanssenLattice(sys, 7, n_max)
         assert lat.truncation_bound == 0.0
-        assert janssen_coefficients(sys, 7, n_max - 1).truncation_bound > 0.0
-        assert janssen_coefficients(sys, 6, n_max).truncation_bound > 0.0
+        assert JanssenLattice(sys, 7, n_max - 1).truncation_bound > 0.0
+        assert JanssenLattice(sys, 6, n_max).truncation_bound > 0.0
 
     def test_even_period_counts_the_midpoint_twice(self, hat, gauss):
         sys = GaborSystem(hat, gauss, 0.5, 0.5)  # a/h = 16; 2L + 1 = 17 stores l = +-8
         n_max = max(abs(n) for n in correlation_member_range(sys)[0])
-        lat = janssen_coefficients(sys, 8, n_max)
+        lat = JanssenLattice(sys, 8, n_max)
         midpoint = math.fsum(abs(lat.entry(8, n)) for n in range(-n_max, n_max + 1))
         assert midpoint > 0.0
         assert lat.truncation_bound == pytest.approx(midpoint / abs(sys.pairing), rel=1e-12)
@@ -237,7 +264,7 @@ class TestConditionAPrime:
     def test_certificate_nonincreasing_within_one_period(self, hat, gauss):
         sys = GaborSystem(hat, gauss, 0.5, 0.5)
         n_max = max(abs(n) for n in correlation_member_range(sys)[0])
-        certs = np.array([[janssen_coefficients(sys, ell, n).truncation_bound
+        certs = np.array([[JanssenLattice(sys, ell, n).truncation_bound
                            for n in range(n_max + 2)] for ell in range(8)])
         assert np.all(np.diff(certs, axis=0) <= 0.0)
         assert np.all(np.diff(certs, axis=1) <= 0.0)
@@ -245,18 +272,18 @@ class TestConditionAPrime:
 
 class TestJanssenApply:
     def test_zero(self, grid, chi):
-        lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 4, 2)
+        lat = JanssenLattice(GaborSystem(chi, chi, 1.0, 1.0), 4, 2)
         z = GridFunction(grid, np.zeros(grid.shape))
         assert not janssen_apply(z, lat).values.any()
 
     def test_delta_lattice_reproduces_f(self, grid, chi, interior_f):
-        lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 8, 3)
+        lat = JanssenLattice(GaborSystem(chi, chi, 1.0, 1.0), 8, 3)
         out = janssen_apply(interior_f, lat)
         assert l2_norm(out - interior_f) <= 1e-10 * l2_norm(interior_f)
 
     def test_matches_walnut_for_gaussian_pair(self, grid, gauss, interior_f):
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)
-        lat = janssen_coefficients(sys, 6, 6)
+        lat = JanssenLattice(sys, 6, 6)
         jf = janssen_apply(interior_f, lat)
         wf = walnut_apply(interior_f, sys)
         assert l2_norm(jf - wf) <= 1e-6 * l2_norm(interior_f)
@@ -267,7 +294,7 @@ class TestJanssenApply:
         # times operator
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)
         radius = 3
-        lat = janssen_coefficients(sys, radius, radius)
+        lat = JanssenLattice(sys, radius, radius)
         mt = janssen_apply(interior_f, lat)
         acc = np.zeros(grid.shape, dtype=complex)
         for k in range(-radius, radius + 1):
@@ -290,22 +317,25 @@ class TestOneNormalization:
         # on the desk config the FFT-bin center entry and <gamma, g> differ in
         # the last bit, so the diagonal is not 1 by construction
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)
-        lat = janssen_coefficients(sys, 16, 4)
+        lat = JanssenLattice(sys, 16, 4)
         res = wexler_raz_check(sys)
         assert res.diag == lat.entry(0, 0) / sys.pairing
         assert res.at == ((1,), (0,))
         assert res.max_offdiag == np.abs(lat.entries / sys.pairing)[16 + 1, 4 + 0]
 
     def test_apply_does_not_renormalize_by_the_entries(self, gauss, interior_f):
-        lat = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 4, 4)
-        doubled = dataclasses.replace(lat, entries=2.0 * lat.entries)
-        assert np.array_equal(janssen_apply(interior_f, doubled).values,
-                              2.0 * janssen_apply(interior_f, lat).values)
+        # a system whose pairing alone is doubled, under the same entries,
+        # halves the sum: the scale is 1 / <gamma, g>, not 1 / c[0, 0]
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
+        lat = JanssenLattice(sys, 4, 4)
+        want = janssen_apply(interior_f, lat).values
+        object.__setattr__(sys, "pairing", 2.0 * sys.pairing)
+        assert np.array_equal(janssen_apply(interior_f, lat).values, 0.5 * want)
 
     @pytest.mark.parametrize("radii", [(-1, 2), (2, -1)])
     def test_negative_radii_rejected(self, chi, radii):
         with pytest.raises(ValueError, match="nonnegative"):
-            janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), *radii)
+            JanssenLattice(GaborSystem(chi, chi, 1.0, 1.0), *radii)
 
 
 class TestFourierReconstruction:
@@ -319,7 +349,7 @@ class TestFourierReconstruction:
         h = sys.grid.spacing
         dists = []
         for radius in (1, 2, 4):
-            rec = _janssen_form(janssen_coefficients(sys, radius, 3)).cells[(0,)] / sys.a
+            rec = _janssen_form(JanssenLattice(sys, radius, 3)).cells[(0,)] / sys.a
             dists.append(float(np.sqrt(h * np.sum(np.abs(rec - target) ** 2))))
         assert dists[-1] < 1e-6
         assert dists[1] <= dists[0]
@@ -332,7 +362,7 @@ class TestFourierReconstruction:
         sys = GaborSystem(g, g, 5 / 16, 1.0)
         members = correlation_family(sys)
         radius = max(max(map(abs, n)) for n in members)
-        cells = _janssen_form(janssen_coefficients(sys, 2, radius)).cells
+        cells = _janssen_form(JanssenLattice(sys, 2, radius)).cells
         peak = max(float(np.abs(cell).max()) for cell in members.values())
         for n, cell in cells.items():
             want = sys.a ** dim * members.get(n, np.zeros_like(cell))
@@ -341,27 +371,27 @@ class TestFourierReconstruction:
     def test_vanishing_row_reconstructs_zero(self, chi, interior_f):
         # a row with no term gets no cell, and the rows that vanish add nothing
         sys = GaborSystem(chi, chi, 1.0, 1.0)
-        lat = janssen_coefficients(sys, 4, 3)
+        lat = JanssenLattice(sys, 4, 3)
         assert (3,) not in _janssen_form(lat).cells
-        out, row_zero = (janssen_apply(interior_f, janssen_coefficients(sys, 4, n)) for n in (3, 0))
+        out, row_zero = (janssen_apply(interior_f, JanssenLattice(sys, 4, n)) for n in (3, 0))
         assert out.box == row_zero.box and np.array_equal(out.data, row_zero.data)
 
     def test_cells_only_for_columns_with_terms(self):
         # the 2-D desk system stores 17^2 = 289 columns at N = 8, and 49 hold a member
         grid = Grid(4.0, 1 / 32, dim=2)
         g = sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
-        lattice = janssen_coefficients(GaborSystem(g, g, 0.5, 0.5), 8, 8)
+        lattice = JanssenLattice(GaborSystem(g, g, 0.5, 0.5), 8, 8)
         assert lattice.entries.shape[2:] == (17, 17)
         assert len(_janssen_form(lattice).cells) == 49
 
     def test_unit_lattice_constant_row(self, chi):
-        lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 4, 2)
+        lat = JanssenLattice(GaborSystem(chi, chi, 1.0, 1.0), 4, 2)
         assert np.allclose(_janssen_form(lat).cells[(0,)], 1.0, atol=1e-13)
 
     def test_missing_row_raises(self, chi):
         # the form holds one cell per stored row that holds a term, only row 0
         # for the unit indicator, and the lattice refuses every row off its radius
-        lat = janssen_coefficients(GaborSystem(chi, chi, 1.0, 1.0), 4, 2)
+        lat = JanssenLattice(GaborSystem(chi, chi, 1.0, 1.0), 4, 2)
         assert sorted(_janssen_form(lat).cells) == [(0,)]
         with pytest.raises(IndexError):
             lat.entry(0, 5)
@@ -370,7 +400,7 @@ class TestFourierReconstruction:
         # h * sum_cell G[n](x) exp(-2 pi i l x / a) equals the lattice entry:
         # the fold and the phase reindex exactly on the grid
         sys = GaborSystem(gauss, gauss, 0.5, 0.5)
-        lat = janssen_coefficients(sys, 16, 3)
+        lat = JanssenLattice(sys, 16, 3)
         h = sys.grid.spacing
         xs = np.arange(sys.a_steps) * h
         for n in correlation_member_range(sys)[0]:

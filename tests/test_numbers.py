@@ -20,13 +20,13 @@ from gabframes import (
     ExponentPair,
     GaborSystem,
     Grid,
+    JanssenLattice,
     SweepSchedule,
     WindowSpec,
     convergence_sweep,
     counterexample_run,
     fat_cantor_intervals,
     fat_cantor_measure,
-    janssen_coefficients,
     modulate,
     opnorm_sweep,
     sample_window,
@@ -42,7 +42,7 @@ CHI = sample_window(WindowSpec.indicator_cube(1.0), GRID)
 SYS = GaborSystem(CHI, CHI, 1.0, 1.0)
 SPEC = WindowSpec.bspline(2)
 HAT = sample_window(SPEC, GRID)
-LATTICE = janssen_coefficients(GaborSystem(HAT, HAT, 0.5, 1.0), 2, 2)  # entries (1, 0), (0, 1) != 0
+LATTICE = JanssenLattice(GaborSystem(HAT, HAT, 0.5, 1.0), 2, 2)  # entries (1, 0), (0, 1) != 0
 X = GRID.axis_coords()
 
 
@@ -62,8 +62,8 @@ ENTRIES = {
     "pairs": (lambda v: schedule(((v, 1.0),)).pairs, 1, False),
     "depths": (lambda v: counterexample_run([v]).records, 1, True),
     "threads": (lambda v: opnorm_sweep(schedule(((1.0, 1.0),)), threads=v).passed, 1, True),
-    "ell_radius": (lambda v: janssen_coefficients(SYS, v, 1).entries.tobytes(), 1, True),
-    "n_radius": (lambda v: janssen_coefficients(SYS, 1, v).entries.tobytes(), 1, True),
+    "ell_radius": (lambda v: JanssenLattice(SYS, v, 1).entries.tobytes(), 1, True),
+    "n_radius": (lambda v: JanssenLattice(SYS, 1, v).entries.tobytes(), 1, True),
     "tol": (lambda v: wexler_raz_check(SYS, v).is_biorthogonal, 1, False),
     "omega": (lambda v: modulate(CHI, v).data.tobytes(), 1, False),
     "side": (lambda v: WindowSpec.indicator_cube(v), 1, False),

@@ -10,6 +10,7 @@ from gabframes import (
     Grid,
     GridFunction,
     GridMismatchError,
+    JanssenLattice,
     ResolutionError,
     apply_frame_direct,
     correlation_family,
@@ -17,7 +18,6 @@ from gabframes import (
     gabor_coefficients,
     inner_product,
     janssen_apply,
-    janssen_coefficients,
     l2_norm,
     operator_norm_upper_bound,
     sample_window,
@@ -38,7 +38,7 @@ class TestGridMismatch:
         walnut_apply,
         apply_frame_direct,
         gabor_coefficients,
-        lambda f, sys: janssen_apply(f, janssen_coefficients(sys, 2, 2)),
+        lambda f, sys: janssen_apply(f, JanssenLattice(sys, 2, 2)),
     ], ids=["walnut", "direct", "coefficients", "janssen"])
     def test_f_on_another_grid_is_rejected(self, grid, gauss, apply):
         other = Grid(8.0, 1 / 16)
@@ -314,10 +314,10 @@ class TestSizePreflights:
         correlation_family(sys)  # the members are not the expansion's own bytes
         for radii in ((6, 6), (64, 8), (2, 0)):
             peaks[f"coefficients {radii}"] = spied_peak(monkeypatch, [janssen],
-                                                        janssen_coefficients, sys, *radii)
+                                                        JanssenLattice, sys, *radii)
             # the cells, then the Walnut sum beside them
             peaks[f"janssen {radii}"] = spied_peak(monkeypatch, [janssen, walnut], janssen_apply,
-                                                   f, janssen_coefficients(sys, *radii))
+                                                   f, JanssenLattice(sys, *radii))
         peaks["walnut"] = spied_peak(monkeypatch, [walnut], walnut_apply, f, sys)
         # every member's spectrum, whatever the radii
         peaks["wexler-raz"] = spied_peak(monkeypatch, [janssen], wexler_raz_check, sys)
@@ -331,7 +331,7 @@ class TestSizePreflights:
         g = sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
         sys = GaborSystem(g, g, 0.5, 0.5)
         correlation_family(sys)
-        peak, estimate = spied_peak(monkeypatch, [janssen], janssen_coefficients, sys, 2000, 20)
+        peak, estimate = spied_peak(monkeypatch, [janssen], JanssenLattice, sys, 2000, 20)
         assert estimate / 2 <= peak <= 1.1 * estimate
         assert peak < 20 * 4001 * 41
 
@@ -341,7 +341,7 @@ class TestSizePreflights:
         sys = GaborSystem(g, g, 0.5, 0.5)
         # a/h = 3.2e21 samples per member cell; |l| <= 10^12
         runs = [(correlation_family, GaborSystem(g, g, 1e20, 0.5)),
-                (janssen_coefficients, sys, 10 ** 12, 4),
+                (JanssenLattice, sys, 10 ** 12, 4),
                 (wexler_raz_check, GaborSystem(g, g, 1e20, 0.5))]
         # 262144 shifts a = h apart and frequency period 524288: petabytes
         fine = Grid(16.0, 1 / 8192)
@@ -357,7 +357,7 @@ class TestSizePreflights:
                                                              interior_f):
         # at L = 0, N = 1000 the lattice stores 2001 columns and 7 of them hold a
         # term; half the bytes of 2001 cells of a/h = 16 samples used to refuse the cells
-        lattice = janssen_coefficients(GaborSystem(gauss, gauss, 0.5, 0.5), 0, 1000)
+        lattice = JanssenLattice(GaborSystem(gauss, gauss, 0.5, 0.5), 0, 1000)
         want = janssen_apply(interior_f, lattice)
         monkeypatch.setattr("gabframes.errors._physical_memory_bytes",
                             lambda: 16 * (2001 * 16 + 16) // 2)
@@ -371,7 +371,7 @@ class TestSizePreflights:
         grid = Grid(4.0, 1 / 64, dim=2)
         g = sample_window(WindowSpec.gaussian(1.0, 1.5), grid)
         f = sample_window(WindowSpec.bspline(2), grid)
-        lattice = janssen_coefficients(GaborSystem(g, g, 0.5, 0.5), 4, 4)
+        lattice = JanssenLattice(GaborSystem(g, g, 0.5, 0.5), 4, 4)
         _, cells = spied_peak(monkeypatch, [janssen], janssen_apply, f, lattice)
         peak, both = spied_peak(monkeypatch, [janssen, walnut], janssen_apply, f, lattice)
         # nothing, then only the cells, is allocated before the check fails

@@ -29,6 +29,7 @@ from gabframes import (
     GaborSystem,
     Grid,
     GridFunction,
+    JanssenLattice,
     WindowSpec,
     apply_diagonal_defect,
     apply_frame_direct,
@@ -39,7 +40,6 @@ from gabframes import (
     frame_bounds,
     inner_product,
     janssen_apply,
-    janssen_coefficients,
     l2_norm,
     modulate,
     periodic_extension,
@@ -97,7 +97,7 @@ def test_rayleigh_quotient_within_frame_bounds(seed):
 def test_janssen_error_within_certificate(seed):
     grid, g, gamma, a, b, f, (ell_radius, n_radius) = random_case(seed)
     sys = GaborSystem(g, gamma, a, b)
-    lat = janssen_coefficients(sys, ell_radius, n_radius)
+    lat = JanssenLattice(sys, ell_radius, n_radius)
     err = (janssen_apply(f, lat) - walnut_apply(f, sys)).values.ravel()
     vals = f.values.ravel()
     for p in (1, 2, np.inf):
@@ -149,7 +149,7 @@ def test_box_operations_match_full_grid_definitions(seed):
     steps = rng.integers(-grid.samples_per_axis, grid.samples_per_axis + 1, grid.dim)
     omega = rng.uniform(-4.0, 4.0, grid.dim)
     sys = GaborSystem(g, gamma, a, b)
-    lat = janssen_coefficients(sys, ell_radius, n_radius)
+    lat = JanssenLattice(sys, ell_radius, n_radius)
     # results first, so each is computed before the full grids exist
     results = [f0, f + u, f - u, f - f, c * f, -2.5 * f, -f, translate(f0, steps * grid.spacing),
                modulate(f, omega), walnut_apply(f, sys), apply_remainder(f, sys),

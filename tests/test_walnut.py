@@ -10,6 +10,7 @@ from gabframes import (
     GaborSystem,
     Grid,
     GridFunction,
+    JanssenLattice,
     WindowSpec,
     amalgam_norm,
     apply_remainder,
@@ -18,7 +19,6 @@ from gabframes import (
     diagonal_correlation,
     frame_bounds,
     gabor_coefficients,
-    janssen_coefficients,
     l2_norm,
     operator_norm_upper_bound,
     periodic_extension,
@@ -416,7 +416,7 @@ class TestMemberCache:
         tail_sum(sys)
         diagonal_deviation(sys)
         frame_bounds(sys)
-        janssen_coefficients(sys, 2, 2)
+        JanssenLattice(sys, 2, 2)
         want = [tuple(v * sys.inv_b_steps for v in n)
                 for n in product(*correlation_member_range(sys))]
         assert len(want) == 7
