@@ -185,7 +185,8 @@ class GridFunction:
     of its input once, so a caller may go on changing the array it passed
     in.  Operations here and in the package compute samples on a box only
     and wrap them with :meth:`_own`, which takes them without a copy.
-    Copies and pickles carry the box and its samples.
+    Copies and pickles carry the box and its samples.  Two instances are
+    equal when they hold the same samples on the same grid.
     """
 
     __slots__ = ("grid", "box", "data")
@@ -231,6 +232,14 @@ class GridFunction:
 
     def __reduce__(self):  # rebuilt on the box
         return _rebuild, (self.grid, self.box, self.data)
+
+    def __eq__(self, other):  # equal samples, a nan equal to a nan
+        return (isinstance(other, GridFunction) and self.grid == other.grid
+                and self.box == other.box
+                and np.array_equal(self.data, other.data, equal_nan=True))
+
+    def __hash__(self):  # the box bounds: slices are unhashable before Python 3.12
+        return hash((self.grid, tuple((sl.start, sl.stop) for sl in self.box)))
 
     def _combine(self, other: "GridFunction", op) -> "GridFunction":
         # a sum or difference is computed on the hull of both boxes, where

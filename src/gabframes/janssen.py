@@ -14,31 +14,35 @@ p = a/h: column n of the coefficients is h^d times the cell spectrum of the
 Walnut member G[n] = correlation_family(sys)[n]: one FFT per member, read
 at bins l mod p by grid._cell_spectrum as the STFT rows are, and whole by
 truncation_bound and the Wexler-Raz verdict.  The truncated l-sum of a
-column is one inverse FFT back onto the cell.  The truncated Janssen
-operator S_{L,N} is therefore the Walnut-form value of walnut, the one
-behind S, its remainder R and the frame-bound blocks, on l-filtered cells
-with scale 1 / <gamma, g>.
+column weights each bin by the number w of stored l in it and is one
+inverse FFT back onto the cell.  The truncated Janssen operator S_{L,N} is
+therefore the Walnut-form value of walnut, the one behind S, its remainder
+R and the frame-bound blocks, on these l-filtered cells with scale
+1 / <gamma, g>.
 
 The expansion is a finite sum on the grid: n runs over the correlation
 members and l over one alias period.  So the truncation error of
 |l| <= L, |n| <= N is known exactly term by term, and since M and T have
 norm <= 1 on every L^p of the grid, the summed magnitude of the terms the
-truncation misses or repeats bounds ||S - S_{L,N}|| there (truncation_bound).
-A lattice is the value of (system, L, N): JanssenLattice(sys, L, N)
-computes its entries and the bound that certifies them in one constructor,
-so no lattice holds entries its bound does not describe.  The radii L and
-N are sizes the caller picks: the constructor and each function here pass
-their peak-byte estimate to errors._require_memory before allocating.
+truncation misses or repeats, weighted by |1 - w|, bounds ||S - S_{L,N}||
+there (truncation_bound).  A lattice is S_{L,N}: JanssenLattice(sys, L, N)
+makes one pass over the member spectra that stores the entries, the bound
+and the filtered cells, all read through one alias weight w, so no lattice
+holds entries its bound or its operator does not describe, and
+janssen_apply transforms nothing.  The radii L and N are sizes the caller
+picks: the constructor and the Wexler-Raz check pass their peak-byte
+estimate to errors._require_memory before allocating.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, _number, _per_axis, _require_memory, _typed, _whole
 from .grid import GridFunction, _cell_spectrum, fold_to_cell
-from .operators import GaborSystem, correlation_family
+from .operators import GaborSystem, correlation_family, correlation_member_range
 from .walnut import _WalnutForm
 
 __all__ = [
@@ -54,21 +58,22 @@ class JanssenLattice:
     """Dual-lattice coefficients c[l, n] = <gamma, M_{l/a} T_{n/b} g> of a
     system over |l| <= L, |n| <= N (componentwise), with their certificate.
 
-    The value of (system, ell_radius, n_radius): construction computes
-    entries, the d modulation axes first, then the d shift axes, and
+    The value of (system, ell_radius, n_radius) and the truncated operator
+    S_{L,N}: construction computes entries, the d modulation axes first,
+    then the d shift axes, the filtered cells janssen_apply sums, and
     truncation_bound, which certifies ||S - janssen_apply(., lattice)|| on
     every L^p of the grid:
 
-        sum_n sum_beta |1 - count_beta| |c_hat[beta, n]| / |<gamma, g>|
+        sum_n sum_beta |1 - w_n[beta]| |c_hat[beta, n]| / |<gamma, g>|
 
     over all correlation members n and one alias period beta mod a/h, where
-    c_hat[., n] is h^d times the FFT of G[n], count_beta is the number of
-    stored l = beta mod a/h (the fold of janssen_apply), and a member with
-    |n| > N counts with count 0.  The center entry c[0, 0] equals
-    <gamma, g> up to rounding; the expansion divides by the system's
-    pairing, not by it.  Frozen, with read-only entries; a copy or a pickle
-    is rebuilt from the three inputs.  Raises ResolutionError, before
-    allocating, when the entries would not fit in physical memory.
+    c_hat[., n] is h^d times the FFT of G[n] and w_n, the weight the cells
+    read too, counts the stored l = beta mod a/h for a member with |n| <= N
+    and is 0 for the others.  The center entry c[0, 0] equals <gamma, g> up
+    to rounding; the expansion divides by the system's pairing, not by it.
+    Frozen, with read-only entries; a copy or a pickle is rebuilt from the
+    three inputs.  Raises ResolutionError, before allocating, when the
+    entries and the cells would not fit in physical memory.
     """
 
     system: GaborSystem
@@ -76,6 +81,7 @@ class JanssenLattice:
     n_radius: int
     entries: np.ndarray = field(init=False, compare=False, repr=False)
     truncation_bound: float = field(init=False, compare=False)
+    _form: _WalnutForm = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         sys = self.system
@@ -84,29 +90,35 @@ class JanssenLattice:
         if ell_radius < 0 or n_radius < 0:
             raise ValueError("radii must be nonnegative")
         p, d = sys.a_steps, sys.grid.dim
-        # the entries, 16 B each, and beside them the folded (2L+1)^d ones,
-        # one stored column's spectrum and its copy, and a cell's FFT, its
-        # copy and two float arrays
+        stored = math.prod(sum(abs(v) <= n_radius for v in ns)
+                           for ns in correlation_member_range(sys))
+        # the entries, 16 B each, and beside them the folded (2L+1)^d ones and
+        # one stored column; the cells of the stored members, and while one is
+        # made its spectrum, the weighted copy, its inverse FFT and the cell
         column = (2 * ell_radius + 1) ** d
-        _require_memory(16 * column * (2 * n_radius + 1) ** d + 32 * column + 64 * p ** d,
+        _require_memory(16 * column * (2 * n_radius + 1) ** d + 32 * column
+                        + 16 * (stored + 4) * p ** d,
                         f"the dual-lattice expansion at L = {ell_radius}, N = {n_radius} and "
                         f"a/h = {p}", "lower L or N")
         ls = np.arange(-ell_radius, ell_radius + 1)
         entries = np.zeros((len(ls),) * d + (2 * n_radius + 1,) * d, dtype=complex)
-        # |1 - count| per alias bin, count being the stored l that janssen_apply
-        # folds into the bin
-        miss = np.abs(1.0 - fold_to_cell(np.ones((2 * ell_radius + 1,) * d), p, ell_radius))
-        tail = 0.0
+        # the alias weight: the number of stored l in each bin l mod p
+        count = fold_to_cell(np.ones((2 * ell_radius + 1,) * d), p, ell_radius)
+        tail, cells = 0.0, {}
         for n, c_hat in _member_spectra(sys):
-            stored = max(map(abs, n)) <= n_radius
-            tail += float(((miss if stored else 1.0) * np.abs(c_hat)).sum())
-            if stored:
+            inside = max(map(abs, n)) <= n_radius
+            weight = count if inside else 0.0
+            tail += float((np.abs(1.0 - weight) * np.abs(c_hat)).sum())
+            if inside:
                 entries[(Ellipsis,) + tuple(v + n_radius for v in n)] = _cell_spectrum(c_hat, ls)
+                cells[n] = p ** d * np.fft.ifftn(weight * c_hat)
         entries.setflags(write=False)
         object.__setattr__(self, "ell_radius", ell_radius)
         object.__setattr__(self, "n_radius", n_radius)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "truncation_bound", tail / abs(sys.pairing))
+        object.__setattr__(self, "_form", _WalnutForm(sys.grid, sys.inv_b_steps,
+                                                      1 / sys.pairing, cells))
 
     def __reduce__(self):  # rebuilt from its inputs, as the system is
         return JanssenLattice, (self.system, self.ell_radius, self.n_radius)
@@ -130,43 +142,24 @@ def _member_spectra(sys: GaborSystem):
         yield n, sys.grid.cell_measure * np.fft.fftn(cell)
 
 
-def _janssen_form(lattice: JanssenLattice) -> _WalnutForm:
-    # S_{L,N} = (1 / <gamma, g>) sum_{|n| <= N} ext(C[n]) T_{n/b}, where
-    # C[n](j) = sum_l c[l, n] exp(2 pi i <l, j>/p) at the cell points j in
-    # [0, p)^d is a^d times the partial Fourier synthesis of G[n]: one inverse
-    # FFT of column n after the fold adds every aliased l into its bin l mod p
-    sys, d = lattice.system, lattice.dim
-    p, radius = sys.a_steps, lattice.n_radius
-    # only the columns that hold a term: a zero column adds nothing to the sum
-    held = np.argwhere(lattice.entries.any(axis=tuple(range(d))))
-    # their cells and one column folded to whole cells, before the Walnut sum
-    # checks its own bytes
-    column = -(-(2 * lattice.ell_radius + 1) // p) * p
-    _require_memory(16 * (len(held) * p ** d + column ** d),
-                    f"the Janssen cells at N = {radius} and a/h = {p}", "lower N")
-    cells = {tuple(int(i) - radius for i in at): p ** d * np.fft.ifftn(fold_to_cell(
-                 lattice.entries[(Ellipsis,) + tuple(at)], p, lattice.ell_radius))
-             for at in held}
-    return _WalnutForm(sys.grid, sys.inv_b_steps, 1 / sys.pairing, cells)
-
-
 def janssen_apply(f: GridFunction, lattice: JanssenLattice) -> GridFunction:
     """Apply the truncated dual-lattice expansion of the frame operator.
 
     out = (1 / <gamma, g>) sum_{l,n} c[l, n] * exp(2 pi i <l, x>/a) * f(x - n/b);
-    for each n the l-sum is one inverse FFT onto the cell [0, a)^d, and the
-    Walnut loop reduces these filtered cells in sorted n order.  Time shifts
-    n/b must be commensurate with the grid of f.
+    for each n the l-sum is the filtered cell on [0, a)^d that the lattice
+    computed at construction, and the Walnut loop reduces these cells in
+    sorted n order with no transform.  Time shifts n/b must be commensurate
+    with the grid of f.
 
     On the grid the modulation index l aliases with period a/h per axis
     (frequencies l/a and l/a + 1/h sample identically), so an l range
     reaching a nonvanishing alias duplicates content; keep 2L+1 within one
     period unless the out-of-band coefficients vanish.  Raises
     GridMismatchError when f is not on the lattice's grid, and
-    ResolutionError, before allocating, when the cells or the sum would not
-    fit in physical memory.
+    ResolutionError, before allocating, when the Walnut sum would not fit
+    in physical memory.
     """
-    return _janssen_form(lattice).apply(f)
+    return lattice._form.apply(f)
 
 
 @dataclass

@@ -66,7 +66,8 @@ class GaborSystem:
     of the spacing.  time_indices is the range of n covering every lattice
     shift of g whose support meets the domain; freq_indices is the range
     of one full period r = 1/(b h) of m.  Immutable, so the members that
-    correlation_family keeps on it always belong to these windows and steps.
+    correlation_family keeps on it always belong to these windows and steps;
+    two systems of equal windows and steps are equal.
 
     Parameters
     ----------
@@ -110,6 +111,12 @@ class GaborSystem:
 
     def __reduce__(self):  # rebuilt and revalidated; the members are not shipped
         return GaborSystem, (self.g, self.gamma, self.a, self.b)
+
+    def __eq__(self, other):  # equal inputs to the rebuild name the same operator
+        return isinstance(other, GaborSystem) and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
 
     @property
     def grid(self) -> Grid:

@@ -25,10 +25,11 @@ Every fast operator of the package has this shape, scale * sum_n ext(C[n])
 * T_{n/b} over a map of a-periodic cells C[n], and is one private value,
 _WalnutForm, which holds the Walnut loop and the residue-block assembly:
 S (walnut_apply), its remainder R without member 0 (apply_remainder), the
-truncated Janssen operator S_{L,N} on l-filtered cells (janssen_apply) and
-the blocks of frame_bounds.  Term n moves samples by n/b only, so the
-operator is block diagonal over the residues of the grid index mod 1/(b h),
-and frame_bounds reads the spectrum of S off those small banded blocks.
+truncated Janssen operator S_{L,N}, whose l-filtered cells a JanssenLattice
+computes once and janssen_apply sums, and the blocks of frame_bounds.
+Term n moves samples by n/b only, so the operator is block diagonal over
+the residues of the grid index mod 1/(b h), and frame_bounds reads the
+spectrum of S off those small banded blocks.
 The form reads ext(C[n]) and f(. - n/b) through the grid's two index
 rules (see the grid module), and the scale a^d / <gamma, g> of S is written
 once, in _walnut_form.
@@ -229,7 +230,7 @@ def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
     before allocating anything, when the largest batch is estimated to
     exceed the machine's physical memory; blocks have side (2 T b)^d.
     """
-    if sys.g.box != sys.gamma.box or not np.array_equal(sys.g.data, sys.gamma.data):
+    if sys.g != sys.gamma:
         raise ValueError("frame bounds require the self-dual system (gamma = g)")
     grid, r = sys.grid, sys.inv_b_steps
     _require_memory(_bounds_peak_bytes(grid, r),

@@ -128,6 +128,18 @@ class TestGridFunction:
         z = GridFunction(grid, np.zeros(grid.shape))
         assert support_index_bounds(z) is None and z.box == (slice(0, 0),)
 
+    def test_equal_samples_are_equal(self, grid, interior_f):
+        # value equality on grid, box and samples, a nan equal to a nan
+        twin = GridFunction(grid, interior_f.values)
+        assert twin == interior_f and hash(twin) == hash(interior_f)
+        assert interior_f != 2.0 * interior_f and interior_f != interior_f.values
+        assert interior_f != GridFunction(Grid(4.0, 1 / 32, 2), np.zeros((256, 256)))
+        nan = interior_f.values.copy()
+        nan[nan != 0] = np.nan
+        assert GridFunction(grid, nan) == GridFunction(grid, nan)
+        moved = translate(interior_f, [1 / 32])
+        assert moved != interior_f and moved.data.tobytes() == interior_f.data.tobytes()
+
     def test_rejects_attribute_assignment(self, chi):
         support_index_bounds(chi)
         for name in ("values", "grid", "box", "data", "other"):
@@ -154,6 +166,10 @@ class TestCopyAndPickle:
         assert not twin.values.flags.writeable
         with pytest.raises(AttributeError):
             twin.values = None
+
+    def test_copies_are_equal(self, duplicate, interior_f):
+        twin = duplicate(interior_f)
+        assert twin == interior_f and hash(twin) == hash(interior_f)
 
     def test_signed_zero_off_the_box(self, duplicate, interior_f):
         # the box and its samples, -0 parts included, travel; off it is +0

@@ -96,6 +96,11 @@ The one-spectrum rule: in ``janssen.py`` one function calls ``fftn``, the
 per-member spectrum that the ``JanssenLattice`` constructor and
 ``wexler_raz_check`` both read, and ``wexler_raz_check`` names no lattice,
 so the verdict reads every coefficient once and never through a radius box.
+
+The one-pass rule: in ``janssen.py`` only ``JanssenLattice`` calls ``ifftn``
+and ``fold_to_cell``, so the alias weight that makes the certificate and
+the filtered cells is folded once, in the constructor, and ``janssen_apply``
+sums the stored cells without a transform.
 """
 import ast
 import functools
@@ -876,3 +881,28 @@ def test_one_spectrum_per_member_in_janssen():
 ])
 def test_spectrum_checker_itself(source, found):
     assert spectrum_sites(source) == found
+
+
+def filter_sites(source: str) -> tuple[list[str], list[str]]:
+    """The top-level defs that call ``ifftn``, and those that call ``fold_to_cell``."""
+    return callers(source, "ifftn"), callers(source, "fold_to_cell")
+
+
+def test_lattice_filters_its_cells_in_one_pass():
+    source = (ROOT / "src" / "gabframes" / "janssen.py").read_text()
+    assert filter_sites(source) == (["JanssenLattice"], ["JanssenLattice"])
+
+
+@pytest.mark.parametrize("source,found", [
+    ("class JanssenLattice:\n    def __post_init__(self):\n"
+     "        w = fold_to_cell(ones, p, L)\n        c = np.fft.ifftn(w * s)\n",
+     (["JanssenLattice"], ["JanssenLattice"])),
+    # the cells rebuilt at every apply, from a second fold of the entries
+    ("class JanssenLattice:\n    def __post_init__(self):\n        w = fold_to_cell(ones, p, L)\n"
+     "def _janssen_form(lattice):\n    return np.fft.ifftn(fold_to_cell(lattice.entries, p, L))\n",
+     (["_janssen_form"], ["JanssenLattice", "_janssen_form"])),
+    ("def janssen_apply(f, lattice):\n    return ifftn(f)\n", (["janssen_apply"], [])),
+    ("def f(s):\n    return np.fft.fftn(s), grid.fold_to_cell\nx = 'ifftn'\n", ([], [])),
+])
+def test_filter_checker_itself(source, found):
+    assert filter_sites(source) == found

@@ -24,7 +24,6 @@ from gabframes import (
     sample_window,
 )
 from gabframes.grid import _cell_spectrum, fold_to_cell
-from gabframes.janssen import _janssen_form
 from gabframes.walnut import correlation_member_range
 from conftest import COPIERS, random_interior, same_bits
 
@@ -144,6 +143,16 @@ class TestOneTransformPerMember:
         wexler_raz_check(sys)
         assert len(calls) == 2 * len(members)
 
+    def test_apply_transforms_nothing(self, gauss, hat, interior_f, monkeypatch):
+        # the lattice holds its filtered cells, so an apply only sums them
+        lat = JanssenLattice(GaborSystem(gauss, hat, 0.5, 0.5), 10, 3)
+        calls = []
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, lambda *args, name=name: calls.append(name))
+        first, second = janssen_apply(interior_f, lat), janssen_apply(interior_f, lat)
+        assert calls == []
+        assert first.box == second.box and same_bits(first.data, second.data)
+
     def test_two_dimensional(self):
         grid2 = Grid(1.0, 1 / 8, dim=2)
         g2 = sample_window(WindowSpec.gaussian(0.5, 0.75), grid2)
@@ -174,6 +183,8 @@ class TestFrozenLattice:
         for name in ("entries", "truncation_bound"):
             with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
                 dataclasses.replace(lat, **{name: getattr(lat, name) * 0})
+        with pytest.raises(ValueError, match="field _form is declared with init=False"):
+            dataclasses.replace(lat, _form=JanssenLattice(lat.system, 0, 0)._form)
 
     @pytest.mark.parametrize("radii", [(6, 0), (2, 2), (0, 6)])
     def test_replace_computes_the_lattice_again(self, gauss, radii):
@@ -203,8 +214,22 @@ class TestFrozenLattice:
         assert not twin.entries.flags.writeable
         with pytest.raises(ValueError):
             twin.entries[...] = 0.0
-        assert janssen_apply(interior_f, twin).values.tobytes() == \
-            janssen_apply(interior_f, lat).values.tobytes()
+        assert twin == lat and hash(twin) == hash(lat)
+        got, want = janssen_apply(interior_f, twin), janssen_apply(interior_f, lat)
+        assert got.box == want.box and same_bits(got.data, want.data)
+
+    def test_equal_systems_make_equal_lattices(self, grid, gauss):
+        # two systems built from the same windows are one value, and so are
+        # their lattices; another step or window is another lattice
+        g, gamma, g2, gamma2 = (sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
+                                for _ in range(4))
+        lat = JanssenLattice(GaborSystem(g, gamma, 0.5, 0.5), 6, 2)
+        twin = JanssenLattice(GaborSystem(g2, gamma2, 0.5, 0.5), 6, 2)
+        assert lat.system is not twin.system
+        assert lat == twin and hash(lat) == hash(twin)
+        assert lat != JanssenLattice(GaborSystem(gauss, gauss, 0.25, 0.5), 6, 2)
+        hat = sample_window(WindowSpec.bspline(2), grid)
+        assert lat != JanssenLattice(GaborSystem(gauss, hat, 0.5, 0.5), 6, 2)
 
     def test_one_index_per_axis(self, gauss):
         lat = JanssenLattice(GaborSystem(gauss, gauss, 0.5, 0.5), 2, 2)
@@ -324,13 +349,15 @@ class TestOneNormalization:
         assert res.max_offdiag == np.abs(lat.entries / sys.pairing)[16 + 1, 4 + 0]
 
     def test_apply_does_not_renormalize_by_the_entries(self, gauss, interior_f):
-        # a system whose pairing alone is doubled, under the same entries,
+        # a system whose pairing alone is doubled has the same entries and
         # halves the sum: the scale is 1 / <gamma, g>, not 1 / c[0, 0]
-        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
-        lat = JanssenLattice(sys, 4, 4)
+        lat = JanssenLattice(GaborSystem(gauss, gauss, 0.5, 0.5), 4, 4)
+        doubled = GaborSystem(gauss, gauss, 0.5, 0.5)
+        object.__setattr__(doubled, "pairing", 2.0 * doubled.pairing)
+        twin = JanssenLattice(doubled, 4, 4)
+        assert same_bits(twin.entries, lat.entries)
         want = janssen_apply(interior_f, lat).values
-        object.__setattr__(sys, "pairing", 2.0 * sys.pairing)
-        assert np.array_equal(janssen_apply(interior_f, lat).values, 0.5 * want)
+        assert np.array_equal(janssen_apply(interior_f, twin).values, 0.5 * want)
 
     @pytest.mark.parametrize("radii", [(-1, 2), (2, -1)])
     def test_negative_radii_rejected(self, chi, radii):
@@ -349,7 +376,7 @@ class TestFourierReconstruction:
         h = sys.grid.spacing
         dists = []
         for radius in (1, 2, 4):
-            rec = _janssen_form(JanssenLattice(sys, radius, 3)).cells[(0,)] / sys.a
+            rec = JanssenLattice(sys, radius, 3)._form.cells[(0,)] / sys.a
             dists.append(float(np.sqrt(h * np.sum(np.abs(rec - target) ** 2))))
         assert dists[-1] < 1e-6
         assert dists[1] <= dists[0]
@@ -362,7 +389,7 @@ class TestFourierReconstruction:
         sys = GaborSystem(g, g, 5 / 16, 1.0)
         members = correlation_family(sys)
         radius = max(max(map(abs, n)) for n in members)
-        cells = _janssen_form(JanssenLattice(sys, 2, radius)).cells
+        cells = JanssenLattice(sys, 2, radius)._form.cells
         peak = max(float(np.abs(cell).max()) for cell in members.values())
         for n, cell in cells.items():
             want = sys.a ** dim * members.get(n, np.zeros_like(cell))
@@ -372,7 +399,7 @@ class TestFourierReconstruction:
         # a row with no term gets no cell, and the rows that vanish add nothing
         sys = GaborSystem(chi, chi, 1.0, 1.0)
         lat = JanssenLattice(sys, 4, 3)
-        assert (3,) not in _janssen_form(lat).cells
+        assert (3,) not in lat._form.cells
         out, row_zero = (janssen_apply(interior_f, JanssenLattice(sys, 4, n)) for n in (3, 0))
         assert out.box == row_zero.box and np.array_equal(out.data, row_zero.data)
 
@@ -382,17 +409,17 @@ class TestFourierReconstruction:
         g = sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
         lattice = JanssenLattice(GaborSystem(g, g, 0.5, 0.5), 8, 8)
         assert lattice.entries.shape[2:] == (17, 17)
-        assert len(_janssen_form(lattice).cells) == 49
+        assert len(lattice._form.cells) == 49
 
     def test_unit_lattice_constant_row(self, chi):
         lat = JanssenLattice(GaborSystem(chi, chi, 1.0, 1.0), 4, 2)
-        assert np.allclose(_janssen_form(lat).cells[(0,)], 1.0, atol=1e-13)
+        assert np.allclose(lat._form.cells[(0,)], 1.0, atol=1e-13)
 
     def test_missing_row_raises(self, chi):
         # the form holds one cell per stored row that holds a term, only row 0
         # for the unit indicator, and the lattice refuses every row off its radius
         lat = JanssenLattice(GaborSystem(chi, chi, 1.0, 1.0), 4, 2)
-        assert sorted(_janssen_form(lat).cells) == [(0,)]
+        assert sorted(lat._form.cells) == [(0,)]
         with pytest.raises(IndexError):
             lat.entry(0, 5)
 

@@ -118,6 +118,19 @@ class TestGaborSystem:
         assert walnut_apply(interior_f, twin).values.tobytes() == want.tobytes()
         with pytest.raises(AttributeError):
             twin.a = 1.0
+        assert twin == sys and hash(twin) == hash(sys)
+
+    def test_equal_windows_and_steps_make_equal_systems(self, grid, gauss, hat):
+        # value equality on (g, gamma, a, b): windows sampled twice, and steps
+        # that snap to the same grid multiples, name one operator
+        sys = GaborSystem(gauss, hat, 0.5, 0.25)
+        twin = GaborSystem(sample_window(WindowSpec.gaussian(1.0, 3.0), grid),
+                           GridFunction(grid, hat.values), 0.5 + 1e-10, 0.25)
+        assert twin == sys and hash(twin) == hash(sys)
+        for other in (GaborSystem(gauss, hat, 0.25, 0.25), GaborSystem(gauss, hat, 0.5, 0.5),
+                      GaborSystem(hat, gauss, 0.5, 0.25), GaborSystem(gauss, gauss, 0.5, 0.25)):
+            assert other != sys
+        assert sys != (gauss, hat, 0.5, 0.25)
 
     def test_tiny_b_allocates_nothing_of_size_r(self, gauss):
         # r = 1/(b h) = 3.2e10 frequencies: int64 indices would take 238 GiB
@@ -356,30 +369,46 @@ class TestSizePreflights:
     def test_janssen_cells_are_counted_for_held_columns_only(self, monkeypatch, gauss,
                                                              interior_f):
         # at L = 0, N = 1000 the lattice stores 2001 columns and 7 of them hold a
-        # term; half the bytes of 2001 cells of a/h = 16 samples used to refuse the cells
-        lattice = JanssenLattice(GaborSystem(gauss, gauss, 0.5, 0.5), 0, 1000)
-        want = janssen_apply(interior_f, lattice)
+        # term; half the bytes of 2001 cells of a/h = 16 samples would refuse them
+        sys = GaborSystem(gauss, gauss, 0.5, 0.5)
+        want = janssen_apply(interior_f, JanssenLattice(sys, 0, 1000))
         monkeypatch.setattr("gabframes.errors._physical_memory_bytes",
                             lambda: 16 * (2001 * 16 + 16) // 2)
-        got = janssen_apply(interior_f, lattice)
+        got = janssen_apply(interior_f, JanssenLattice(sys, 0, 1000))
         assert got.box == want.box and np.array_equal(got.data, want.data)
 
+    def test_janssen_cells_raise_before_any_transform(self, monkeypatch):
+        # the cells are the lattice's own bytes: with room for the entries but
+        # not for the cells beside them (5 members of a/h = 1024 samples), the
+        # constructor refuses before the first FFT
+        grid = Grid(8.0, 1 / 256)
+        g = sample_window(WindowSpec.gaussian(1.0, 3.0), grid)
+        sys = GaborSystem(g, g, 4.0, 0.5)
+        correlation_family(sys)  # the members are not the lattice's own bytes
+        cells = sum(cell.nbytes for cell in JanssenLattice(sys, 2, 2)._form.cells.values())
+        _, need = spied_peak(monkeypatch, [janssen], JanssenLattice, sys, 2, 2)
+        assert cells == 16 * 5 * 1024
+        # room for the estimate without the cells, and for half of them
+        monkeypatch.setattr("gabframes.errors._physical_memory_bytes", lambda: need - cells // 2)
+        calls = []
+        monkeypatch.setattr(np.fft, "fftn", lambda *args: calls.append(args))
+        with pytest.raises(ResolutionError, match="physical memory"):
+            JanssenLattice(sys, 2, 2)
+        assert calls == []
+
     def test_janssen_sum_raises_before_allocating(self, monkeypatch):
-        # no lattice this machine can hold has cells or a sum it cannot, so
-        # the physical memory is made one byte too small for the cells, then
-        # for the Walnut sum beside them (on a 512 x 512 grid)
+        # the lattice holds its cells, so the Walnut sum is the one size an
+        # apply checks: the physical memory is made one byte too small for it
+        # (on a 512 x 512 grid), and nothing is allocated before the check fails
         grid = Grid(4.0, 1 / 64, dim=2)
         g = sample_window(WindowSpec.gaussian(1.0, 1.5), grid)
         f = sample_window(WindowSpec.bspline(2), grid)
         lattice = JanssenLattice(GaborSystem(g, g, 0.5, 0.5), 4, 4)
-        _, cells = spied_peak(monkeypatch, [janssen], janssen_apply, f, lattice)
-        peak, both = spied_peak(monkeypatch, [janssen, walnut], janssen_apply, f, lattice)
-        # nothing, then only the cells, is allocated before the check fails
-        for room, allocated in ((cells - 1, 0), (both - cells - 1, cells)):
-            monkeypatch.setattr("gabframes.errors._physical_memory_bytes", lambda: room)
-            small, result = traced_peak(janssen_apply, f, lattice)
-            assert isinstance(result, ResolutionError) and "physical memory" in str(result)
-            assert small < 1.1 * allocated + 2 ** 16 < peak / 4
+        peak, need = spied_peak(monkeypatch, [janssen, walnut], janssen_apply, f, lattice)
+        monkeypatch.setattr("gabframes.errors._physical_memory_bytes", lambda: need - 1)
+        small, result = traced_peak(janssen_apply, f, lattice)
+        assert isinstance(result, ResolutionError) and "physical memory" in str(result)
+        assert small < 2 ** 16 < peak / 4
 
 
 def dense_frame_operator(sys):

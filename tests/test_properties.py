@@ -48,7 +48,7 @@ from gabframes import (
     walnut_apply,
     wexler_raz_check,
 )
-from gabframes import grid as grid_module, janssen
+from gabframes import grid as grid_module
 from gabframes.grid import shift_array
 from conftest import assert_one_rule, same_bits
 from test_amalgam import full_grid_cube_norms
@@ -161,7 +161,7 @@ def test_box_operations_match_full_grid_definitions(seed):
     zero = (0,) * grid.dim
     members = correlation_family(sys)
     off_diagonal = {n: cell for n, cell in members.items() if n != zero}
-    columns = janssen._janssen_form(lat).cells
+    columns = lat._form.cells
     whole = (slice(0, grid.samples_per_axis),) * grid.dim
     wants = [f_values, f.values + u.values, f.values - u.values, f.values - f.values,
              f.values * c, f.values * complex(-2.5), -f.values, shift_array(f0.values, steps),
