@@ -126,6 +126,7 @@ def _system_from(cfg: dict) -> GaborSystem:
     from .windows import sample_window
 
     grid = _grid_from(cfg)
+    grid.lattice_steps(cfg["a"], cfg["b"])  # a bad lattice is refused before any sampling
     g = sample_window(_window_from(cfg, "g"), grid)
     gamma = sample_window(_window_from(cfg, "gamma"), grid) if "gamma" in cfg else g
     return GaborSystem(g, gamma, cfg["a"], cfg["b"])

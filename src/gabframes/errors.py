@@ -17,7 +17,8 @@ class CommensurabilityError(ValueError):
     step (a or 1/b) is not a positive one.
 
     Shifts are relocated sample-exactly, never interpolated, so every time
-    shift must land on the grid.
+    shift must land on the grid.  Only the grid raises it; a lattice (a, b)
+    is read by its one rule, Grid.lattice_steps.
     """
 
 

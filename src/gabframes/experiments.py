@@ -63,10 +63,10 @@ _DUAL_TEST_SPECS = (
 class SweepSchedule:
     """An ordered densification schedule with its windows and test function.
 
-    pairs must be strictly decreasing in both components and commensurate
-    with the grid (a_j and 1/b_j integer multiples of the spacing).  They
-    are kept as the steps GaborSystem snaps them to, so a record names the
-    lattice it measured, and the order is checked on those.
+    pairs must be strictly decreasing in both components, and each must
+    pass the grid's one lattice rule, Grid.lattice_steps, as GaborSystem's
+    steps do.  They are kept as the steps that rule snaps them to, so a
+    record names the lattice it measured, and the order is checked on those.
     """
 
     grid: Grid
@@ -85,9 +85,8 @@ class SweepSchedule:
         object.__setattr__(self, "pq", ExponentPair.of(self.pq))
         m, snapped = self.grid.samples_per_unit, []
         for a, b in pairs:
-            if b <= 0:
-                raise ConfigError(f"lattice parameter b must be positive, got {b!r}")
-            a, b = self.grid.steps_scalar(a) / m, m / self.grid.steps_scalar(1.0 / b)
+            a_steps, inv_b_steps = self.grid.lattice_steps(a, b)
+            a, b = a_steps / m, m / inv_b_steps
             if snapped and not (a < snapped[-1][0] and b < snapped[-1][1]):
                 raise ConfigError(f"schedule pairs must be strictly decreasing, "
                                   f"got {snapped[-1]} then {(a, b)}")

@@ -146,10 +146,26 @@ class Grid:
     def steps_scalar(self, t: float) -> int:
         """Grid steps of a lattice length (a or 1/b, key 'a' to the number rule):
         CommensurabilityError unless it is a positive multiple of the spacing."""
-        n = _snap_int(_typed("a", _number, t) * self.samples_per_unit, "length/spacing")
+        t = _typed("a", _number, t)
+        # a length that is not positive, nan included, is no step
+        n = _snap_int(t * self.samples_per_unit, "length/spacing") if t > 0 else 0
         if n < 1:
             raise CommensurabilityError(f"length {t!r} is not a positive multiple of the spacing")
         return n
+
+    def lattice_steps(self, a: float, b: float) -> tuple[int, int]:
+        """The one lattice rule: grid steps (a/h, (1/b)/h) of a time step a
+        and a frequency step b, each read by the number rule under its key.
+
+        CommensurabilityError when a or b is not positive, nan included (the
+        message names both), or when a or 1/b is not a positive multiple of
+        the spacing; otherwise (steps_scalar(a), steps_scalar(1 / b)).
+        """
+        a, b = _typed("a", _number, a), _typed("b", _number, b)
+        if not (a > 0 and b > 0):
+            raise CommensurabilityError(
+                f"lattice steps a = {a!r} and b = {b!r} must both be positive")
+        return self.steps_scalar(a), self.steps_scalar(1 / b)
 
     def __eq__(self, other):
         return (
@@ -181,9 +197,9 @@ class GridFunction:
     once and never changes after construction.
 
     Immutable: every operation returns a new instance, so instances are safe
-    to share across threads.  The public constructor copies the support box
-    of its input once, so a caller may go on changing the array it passed
-    in.  Operations here and in the package compute samples on a box only
+    to share across threads.  The public constructor takes an array of the
+    grid's shape and copies its support box once, so a caller may go on
+    changing the array it passed in.  Operations here and in the package compute samples on a box only
     and wrap them with :meth:`_own`, which takes them without a copy.
     Copies and pickles carry the box and its samples.  Two instances are
     equal when they hold the same samples on the same grid.
@@ -193,8 +209,6 @@ class GridFunction:
 
     def __init__(self, grid: Grid, values):
         arr = np.asarray(values, dtype=complex)
-        if arr.shape == (grid.size,):
-            arr = arr.reshape(grid.shape)
         if arr.shape != grid.shape:
             raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
         box = _tight(arr, _grid_box(grid))

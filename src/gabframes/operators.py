@@ -34,7 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DegenerateWindowPairError, _number, _require_memory, _typed
+from .errors import DegenerateWindowPairError, _require_memory
 from .grid import (
     Grid,
     GridFunction,
@@ -62,12 +62,13 @@ class GaborSystem:
     """A window pair with lattice parameters: one frame operator S.
 
     Requirements checked at construction: g and gamma share the grid, the
-    pairing <gamma, g> is nondegenerate, and a and 1/b are integer multiples
-    of the spacing.  time_indices is the range of n covering every lattice
-    shift of g whose support meets the domain; freq_indices is the range
-    of one full period r = 1/(b h) of m.  Immutable, so the members that
-    correlation_family keeps on it always belong to these windows and steps;
-    two systems of equal windows and steps are equal.
+    pairing <gamma, g> is nondegenerate, and (a, b) passes the grid's one
+    lattice rule, Grid.lattice_steps.  time_indices is the range of n
+    covering every lattice shift of g whose support meets the domain;
+    freq_indices is the range of one full period r = 1/(b h) of m.
+    Immutable, so the members that correlation_family keeps on it always
+    belong to these windows and steps; two systems of equal windows and
+    steps are equal.
 
     Parameters
     ----------
@@ -75,7 +76,8 @@ class GaborSystem:
         Analysis and synthesis windows.
     a, b : float
         Time and frequency lattice steps, a > 0, b > 0, kept as the grid
-        multiples that steps_scalar snaps them to.
+        multiples that Grid.lattice_steps snaps a and 1/b to; a bad pair is
+        its CommensurabilityError.
     """
 
     # _members keeps correlation_family's result; unset until first asked for
@@ -83,19 +85,17 @@ class GaborSystem:
                  "time_indices", "freq_indices", "_members")
 
     def __init__(self, g: GridFunction, gamma: GridFunction, a: float, b: float):
-        a, b = _typed("a", _number, a), _typed("b", _number, b)
         if g.grid != gamma.grid:
             raise DegenerateWindowPairError("windows must share a grid")
-        if a <= 0 or b <= 0:
-            raise ValueError(f"lattice parameters must be positive, got a={a!r}, b={b!r}")
         grid = g.grid
+        a_steps, inv_b_steps = grid.lattice_steps(a, b)  # a / h and r = (1/b) / h
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "a_steps", grid.steps_scalar(a))          # a / h
-        object.__setattr__(self, "inv_b_steps", grid.steps_scalar(1 / b))  # r = (1/b) / h
+        object.__setattr__(self, "a_steps", a_steps)
+        object.__setattr__(self, "inv_b_steps", inv_b_steps)
         # the steps the system shifts by, so every form reads one lattice
-        object.__setattr__(self, "a", self.a_steps / grid.samples_per_unit)
-        object.__setattr__(self, "b", grid.samples_per_unit / self.inv_b_steps)
+        object.__setattr__(self, "a", a_steps / grid.samples_per_unit)
+        object.__setattr__(self, "b", grid.samples_per_unit / inv_b_steps)
         object.__setattr__(self, "pairing", inner_product(gamma, g))
         if abs(self.pairing) <= DEGENERACY_FLOOR:
             raise DegenerateWindowPairError(

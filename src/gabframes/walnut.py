@@ -29,7 +29,8 @@ truncated Janssen operator S_{L,N}, whose l-filtered cells a JanssenLattice
 computes once and janssen_apply sums, and the blocks of frame_bounds.
 Term n moves samples by n/b only, so the operator is block diagonal over
 the residues of the grid index mod 1/(b h), and frame_bounds reads the
-spectrum of S off those small banded blocks.
+spectrum of S off those small banded blocks, one per residue class mod
+a/h, since the cells repeat with that period.
 The form reads ext(C[n]) and f(. - n/b) through the grid's two index
 rules (see the grid module), and the scale a^d / <gamma, g> of S is written
 once, in _walnut_form.
@@ -148,13 +149,17 @@ class _WalnutForm:
     def blocks(self):
         # (apply(f))[i] reads f only at i - n r, so the operator is block
         # diagonal over the residues rho mod r per axis: the block of rho
-        # holds scale * ext(cells[n])[rho + r k] at (k, k - n).  Yields the
-        # blocks of one shape (at most 2^d shapes) in batches of at most
-        # _BATCH_ENTRIES entries as (rows, blocks): the flat grid index of
-        # every block row, (batch, side), and the blocks, (batch, side, side)
+        # holds scale * ext(cells[n])[rho + r k] at (k, k - n).  ext has the
+        # period p of the cells, so two residues equal mod p per axis with
+        # blocks of one shape hold the same block, entry for entry.  Yields
+        # the block of each such class, read at its least residue, for each
+        # shape (at most 2^d) in batches of at most _BATCH_ENTRIES entries as
+        # (rows, blocks): the flat grid index of every row of that residue's
+        # block, (batch, side), and the blocks, (batch, side, side)
         grid, r, d = self.grid, self.r, self.grid.dim
         members = {n: cell for n, cell in self.cells.items() if cell.any()}
-        for residues, sizes, step in _batch_plan(grid, r):
+        p = next((cell.shape[0] for cell in self.cells.values()), r)  # no cells: no classes
+        for residues, sizes, step in _batch_plan(grid, r, p):
             side = math.prod(sizes)
             rhos = np.array(list(product(*residues)))
             for start in range(0, len(rhos), step):
@@ -194,27 +199,29 @@ def walnut_apply(f: GridFunction, sys: GaborSystem) -> GridFunction:
     return _walnut_form(sys).apply(f)
 
 
-def _batch_plan(grid: Grid, r: int):
+def _batch_plan(grid: Grid, r: int, p: int):
     # frame_bounds' batches, one per block shape (at most 2^d): per axis the
     # residues rho mod r with ceil((N - rho) / r) samples each (k + 1 below
-    # N % r, k from there on) and that count, the block size; and the blocks
-    # per batched eigvalsh, as many as fit in _BATCH_ENTRIES, at least one
+    # N % r, k from there on), cut to the first p of each range, one per
+    # class mod the cell side p, and that count, the block size; and the
+    # blocks per batched eigvalsh, as many as fit in _BATCH_ENTRIES, at least one
     n = grid.samples_per_axis
     k, extra = divmod(n, r)
-    classes = [(rho, size) for rho, size in ((range(extra), k + 1), (range(extra, min(r, n)), k))
+    classes = [(rho[:p], size) for rho, size in ((range(extra), k + 1),
+                                                 (range(extra, min(r, n)), k))
                if rho and size]
     for axes in product(classes, repeat=grid.dim):
         sizes = tuple(size for _, size in axes)
         yield [rho for rho, _ in axes], sizes, max(1, _BATCH_ENTRIES // math.prod(sizes) ** 2)
 
 
-def _bounds_peak_bytes(grid: Grid, r: int) -> int:
-    # frame_bounds' largest batched eigvalsh: per block shape, a batch of
-    # complex blocks and numpy's copy of one block, plus 48 bytes per block
-    # row: the two complex temporaries of a member's entries, the float
-    # eigenvalues and the grid index of the row
+def _bounds_peak_bytes(grid: Grid, r: int, p: int) -> int:
+    # frame_bounds' largest batched eigvalsh over the residue classes mod p:
+    # per block shape, a batch of complex blocks and numpy's copy of one
+    # block, plus 48 bytes per block row: the two complex temporaries of a
+    # member's entries, the float eigenvalues and the grid index of the row
     peak = 0
-    for residues, sizes, step in _batch_plan(grid, r):
+    for residues, sizes, step in _batch_plan(grid, r, p):
         side = math.prod(sizes)
         batch = min(math.prod(map(len, residues)), step)
         peak = max(peak, 16 * (batch + 1) * side ** 2 + 48 * batch * side)
@@ -225,15 +232,18 @@ def frame_bounds(sys: GaborSystem) -> tuple[float, float]:
     """The optimal frame bounds (A, B): the extreme eigenvalues of S for gamma = g.
 
     S is block diagonal over the residues of the grid index mod r = 1/(b h)
-    per axis, and each block is Hermitian; batches of blocks of equal shape
-    go through one eigvalsh each.  Requires gamma = g (ValueError otherwise).  Raises ResolutionError,
-    before allocating anything, when the largest batch is estimated to
-    exceed the machine's physical memory; blocks have side (2 T b)^d.
+    per axis, and each block is Hermitian; residues equal mod a/h with
+    blocks of one shape hold the same block, so one block per class is
+    read, and batches of blocks of equal shape go through one eigvalsh
+    each.  Requires gamma = g (ValueError otherwise).  Raises
+    ResolutionError, before allocating anything, when the largest batch is
+    estimated to exceed the machine's physical memory; blocks have side
+    (2 T b)^d.
     """
     if sys.g != sys.gamma:
         raise ValueError("frame bounds require the self-dual system (gamma = g)")
     grid, r = sys.grid, sys.inv_b_steps
-    _require_memory(_bounds_peak_bytes(grid, r),
+    _require_memory(_bounds_peak_bytes(grid, r, sys.a_steps),
                     f"frame_bounds at {grid.samples_per_axis} samples per axis "
                     f"and 1/(b h) = {r}", "shrink the half extent or b")
     lower, upper = math.inf, -math.inf

@@ -45,6 +45,14 @@ def shifted_window(spec, grid, shift):
     return translate(sample_window(spec, grid), shift)
 
 
+# one lattice (a, b) for each way to miss the grid's lattice rule: a step a
+# or b that is zero, negative or nan, or a step a or 1/b below one sample
+BAD_LATTICES = [pytest.param(a, b, id=name) for name, a, b in [
+    ("zero-a", 0.0, 0.5), ("negative-a", -0.5, 0.5), ("zero-b", 0.5, 0.0),
+    ("negative-b", 0.5, -2.0), ("nan-a", float("nan"), 0.5), ("nan-b", 0.5, float("nan")),
+    ("a-below-a-sample", 1e-12, 0.5), ("inverse-b-below-a-sample", 0.5, 1e12)]]
+
+
 # every way to duplicate an immutable value: shallow copy, deep copy, pickle
 COPIERS = pytest.mark.parametrize(
     "duplicate", [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],

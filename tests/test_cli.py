@@ -18,6 +18,7 @@ from gabframes import (
 )
 from gabframes.cli import _GRID_KEYS, _SWEEP_KEYS, _SYSTEM_KEYS, _shift_from, main
 from gabframes.errors import ConfigError
+from conftest import BAD_LATTICES
 
 
 def run_cli(capsys, *argv):
@@ -728,6 +729,53 @@ class TestUnknownConfigKeys:
             assert code == 0, err
 
 
+class TestOneLatticeRule:
+    """A bad lattice (a, b) is the grid's one CommensurabilityError on every
+    command that reads one, exit 1, before any window is sampled."""
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        # every window sampled, through the name each caller reads
+        from gabframes import experiments, windows
+
+        calls, real = [], windows.sample_window
+
+        def spy(spec, grid):
+            calls.append(spec)
+            return real(spec, grid)
+
+        monkeypatch.setattr(windows, "sample_window", spy)
+        monkeypatch.setattr(experiments, "sample_window", spy)
+        return calls
+
+    def assert_refused(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        obj = json.loads(err)
+        assert obj["error"] == "CommensurabilityError" and "positive" in obj["message"]
+
+    @pytest.mark.parametrize("a,b", BAD_LATTICES)
+    @pytest.mark.parametrize("command,flag", [
+        ("stft", "--config"), ("apply", "--config"), ("bounds", "--config"),
+        ("wexler-raz", "--system")])
+    def test_system_commands(self, capsys, tmp_path, sampled, command, flag, a, b):
+        path = write_json(tmp_path / "sys.json", {**TestUnknownConfigKeys.DESK, "a": a, "b": b})
+        self.assert_refused(capsys, command, flag, path)
+        assert sampled == []
+
+    @pytest.mark.parametrize("a,b", BAD_LATTICES)
+    def test_sweep(self, capsys, tmp_path, sampled, a, b):
+        path = write_json(tmp_path / "sweep.json",
+                          {**TestConfigValidation.SWEEP, "pairs": [[a, b]]})
+        self.assert_refused(capsys, "sweep", "--config", path)
+        assert sampled == []
+
+    def test_the_spy_sees_a_valid_lattice_sampled(self, capsys, tmp_path, sampled):
+        path = write_json(tmp_path / "sys.json", TestUnknownConfigKeys.DESK)
+        code, _, _ = run_cli(capsys, "bounds", "--config", path)
+        assert code == 0 and sampled
+
+
 class TestConfigValidation:
     """Malformed configs and lattice lengths fail with exit 1 and a JSON error."""
 
@@ -767,8 +815,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("change,error", [
         ({"kind": "spectral"}, "ConfigError"),
         ({"pairs": {"a": 0.5, "b": 0.5}}, "ConfigError"),
-        ({"pairs": [[0.5, 0]]}, "ConfigError"),
-        # rejected before any window is sampled, not by the margin check
+        # the grid's one lattice rule, before any window is sampled, not
+        # by the margin check
+        ({"pairs": [[0.5, 0]]}, "CommensurabilityError"),
         ({"pairs": [[-0.5, 0.5]]}, "CommensurabilityError"),
         # f was the zero function, so every error read 0 and the sweep passed
         ({"f_shift": 100}, "ConfigError"),

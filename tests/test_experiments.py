@@ -71,7 +71,7 @@ class TestScheduleValidation:
             make_schedule(Grid(16.0, 1 / 32), [])
 
     def test_rejects_zero_b(self):
-        with pytest.raises(ConfigError, match="positive"):
+        with pytest.raises(CommensurabilityError, match="positive"):
             make_schedule(Grid(16.0, 1 / 32), [(0.5, 0.0)])
 
     @pytest.mark.parametrize("pair", [(-0.5, 0.5), (0.0, 0.5), (1e-12, 0.5), (0.5, 1e12)])

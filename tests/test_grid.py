@@ -87,6 +87,12 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(grid, np.zeros(7))
 
+    def test_samples_come_in_the_grid_shape(self):
+        # a flat array of every sample is no longer read in C order
+        grid = Grid(1.0, 1 / 4, dim=2)
+        with pytest.raises(ValueError, match=r"values shape \(64,\)"):
+            GridFunction(grid, np.ones(grid.size))
+
     def test_values_frozen(self, chi):
         with pytest.raises(ValueError):
             chi.values[0] = 1.0
@@ -452,7 +458,7 @@ class TestCsvWriter:
         values.imag = rng.standard_normal(grid.size)
         values.real[:len(SPECIAL)] = SPECIAL
         values.imag[-len(SPECIAL):] = SPECIAL
-        f = GridFunction(grid, values)
+        f = GridFunction(grid, values.reshape(grid.shape))
         buf = io.StringIO()
         grid_module.write_csv(f, buf)
         x = grid.axis_coords()

@@ -101,6 +101,12 @@ The one-pass rule: in ``janssen.py`` only ``JanssenLattice`` calls ``ifftn``
 and ``fold_to_cell``, so the alias weight that makes the certificate and
 the filtered cells is folded once, in the constructor, and ``janssen_apply``
 sums the stored cells without a transform.
+
+The lattice rule: only ``grid.py`` raises ``CommensurabilityError`` or
+compares a lattice step ``a`` or ``b`` (a name or an attribute) with 0, so
+``Grid.lattice_steps`` is the one place that refuses a bad (a, b), and
+``GaborSystem``, ``SweepSchedule`` and the CLI refuse it with one error and
+one message.
 """
 import ast
 import functools
@@ -906,3 +912,42 @@ def test_lattice_filters_its_cells_in_one_pass():
 ])
 def test_filter_checker_itself(source, found):
     assert filter_sites(source) == found
+
+
+def lattice_rule_sites(source: str) -> list[str]:
+    """Lines that raise ``CommensurabilityError``, as ``line N: raise``, and
+    lines that compare a name or attribute ``a`` or ``b`` with the number 0,
+    as ``line N: a`` or ``line N: b``, once per step compared."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (getattr(exc, "id", None) or getattr(exc, "attr", None)) == "CommensurabilityError":
+                found.append((node.lineno, "raise"))
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Constant) and not isinstance(o.value, bool) and o.value == 0
+                   for o in operands):
+                found += [(node.lineno, name) for name in
+                          (getattr(o, "id", None) or getattr(o, "attr", None) for o in operands)
+                          if name in ("a", "b")]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_only_the_grid_reads_a_lattice():
+    found = {p.name: lattice_rule_sites(p.read_text()) for p in PACKAGE}
+    assert {name for name, sites in found.items() if sites} == {"grid.py"}
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def f(a, b):\n    if a <= 0 or b <= 0:\n        raise ValueError('positive')\n",
+     ["line 2: a", "line 2: b"]),
+    ("def f(self, b):\n    if not 0 < self.b:\n        raise errors.CommensurabilityError\n",
+     ["line 2: b", "line 3: raise"]),
+    ("raise CommensurabilityError(f'{x} is off the grid')\n", ["line 1: raise"]),
+    ("if b <= 0.0:\n    raise ConfigError('b must be positive')\n", ["line 1: b"]),
+    ("a_steps, r = grid.lattice_steps(a, b)\nif n < 1 or a == 1:\n    pass\n", []),
+    ("raise ValueError('CommensurabilityError')\nok = a is False\n", []),
+])
+def test_lattice_rule_checker_itself(source, found):
+    assert lattice_rule_sites(source) == found

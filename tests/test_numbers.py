@@ -8,6 +8,10 @@ ConfigError that names the parameter in quotes, while numpy int and float
 scalars read as the Python numbers they hold.  A non-string
 ``Exponent.of`` and the ``Exponent`` constructor raise the rule's bare
 TypeError, which the CLI wraps with the config key ``p`` or ``q``.
+
+A lattice step that passes the number rule but not the lattice rule, an a
+or b that is not positive or an a or 1/b below one sample, is the grid's
+one CommensurabilityError at every entry point that takes one.
 """
 import math
 
@@ -15,6 +19,7 @@ import numpy as np
 import pytest
 
 from gabframes import (
+    CommensurabilityError,
     ConfigError,
     Exponent,
     ExponentPair,
@@ -36,6 +41,7 @@ from gabframes import (
     wexler_raz_check,
 )
 from gabframes.windows import bspline_profile
+from conftest import BAD_LATTICES
 
 GRID = Grid(4.0, 1 / 32)
 CHI = sample_window(WindowSpec.indicator_cube(1.0), GRID)
@@ -153,3 +159,36 @@ def test_wexler_raz_refuses_a_nan_or_negative_tol(tol):
 def test_wexler_raz_takes_a_zero_tol():
     # the indicator pair at a = b = 1 is biorthogonal without rounding
     assert wexler_raz_check(SYS, 0.0).is_biorthogonal
+
+
+# entry point -> a call with one lattice (a, b); sum_translates takes a only
+LATTICE_ENTRIES = {
+    "lattice_steps": lambda a, b: GRID.lattice_steps(a, b),
+    "GaborSystem": lambda a, b: GaborSystem(CHI, CHI, a, b),
+    "SweepSchedule": lambda a, b: schedule(((a, b),)),
+    "sum_translates": lambda a, b: sum_translates(CHI, a),
+}
+
+
+@pytest.mark.parametrize("entry,a,b", [
+    pytest.param(entry, *pair.values, id=f"{entry}-{pair.id}")
+    for entry in LATTICE_ENTRIES for pair in BAD_LATTICES
+    if entry != "sum_translates" or pair.values[0] != 0.5])
+def test_a_bad_lattice_is_one_error(entry, a, b):
+    with pytest.raises(CommensurabilityError, match="positive") as info:
+        LATTICE_ENTRIES[entry](a, b)
+    assert type(info.value) is CommensurabilityError
+
+
+def test_a_nonpositive_step_names_both():
+    with pytest.raises(CommensurabilityError,
+                       match=r"^lattice steps a = 0.5 and b = -2.0 must both be positive$"):
+        GaborSystem(CHI, CHI, 0.5, -2.0)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.5, 2.0), (0.25, 0.5 - 2e-10), (3 / 32, 1 / 3)])
+def test_a_valid_lattice_snaps_as_each_step_does(a, b):
+    want = (GRID.steps_scalar(a), GRID.steps_scalar(1 / b))
+    sys = GaborSystem(CHI, CHI, a, b)
+    assert GRID.lattice_steps(a, b) == want == (sys.a_steps, sys.inv_b_steps)
+    assert schedule(((a, b),)).pairs == ((sys.a, sys.b),)

@@ -247,40 +247,62 @@ def dense_matrix(apply, grid):
     for k in range(grid.size):
         unit = np.zeros(grid.size)
         unit[k] = 1.0
-        cols.append(apply(GridFunction(grid, unit)).values.ravel())
+        cols.append(apply(GridFunction(grid, unit.reshape(grid.shape))).values.ravel())
     return np.array(cols).T
 
 
-def scattered_blocks(form):
-    """The residue blocks of a Walnut form scattered back onto the grid."""
-    out = np.zeros((form.grid.size,) * 2, dtype=complex)
-    seen = np.zeros(form.grid.size, dtype=int)
+def scattered_blocks(form, p):
+    """The class blocks of a Walnut form scattered back onto the grid: each
+    block at the rows of every residue rho mod r of its class, the residues
+    equal to its representative mod p per axis whose blocks have its shape."""
+    grid, r = form.grid, form.r
+    n = grid.samples_per_axis
+    def size(rho):  # the rows of the block of residue rho, one axis
+        return -(-(n - rho) // r)
+    out = np.zeros((grid.size,) * 2, dtype=complex)
+    seen = np.zeros(grid.size, dtype=int)
     for rows, blocks in form.blocks():
         assert blocks.shape == rows.shape + rows.shape[-1:]
         for index, block in zip(rows, blocks):
-            out[np.ix_(index, index)] = block
-            seen[index] += 1
-    assert (seen == 1).all()  # the residue classes partition the grid
+            rep = np.unravel_index(index[0], grid.shape)  # block row 0 is the residue itself
+            members = [[rho for rho in range(start, min(r, n), p) if size(rho) == size(start)]
+                       for start in rep]
+            for rho in product(*members):
+                moved = index + np.ravel_multi_index(np.subtract(rho, rep), grid.shape)
+                out[np.ix_(moved, moved)] = block
+                seen[moved] += 1
+    assert (seen == 1).all()  # the classes partition the grid
     return out
 
 
 class TestWalnutFormBlocks:
     # self-dual systems whose residue classes come in two sizes, samples % r != 0
     @pytest.mark.parametrize("half_extent,spacing,dim,a,inv_b", [
-        (2.0, 1 / 8, 1, 0.5, 0.75),      # 32 samples, r = 6
-        (1.5, 1 / 4, 2, 0.5, 1.25),      # 12 samples per axis, r = 5
-    ], ids=["1d", "2d"])
+        (2.0, 1 / 8, 1, 0.5, 0.75),      # 32 samples, r = 6, p = 4
+        (2.0, 1 / 8, 1, 0.25, 0.75),     # 32 samples, r = 6, p = 2: 6 residues, 4 classes
+        (1.5, 1 / 4, 2, 0.5, 1.25),      # 12 samples per axis, r = 5, p = 2
+    ], ids=["1d", "1d-classes", "2d"])
     def test_scattered_blocks_are_the_operator(self, half_extent, spacing, dim, a, inv_b):
+        # every residue's dense block is its class representative's block
         grid = Grid(half_extent, spacing, dim)
         g = sample_window(WindowSpec.gaussian(0.6, 1.0), grid)
         sys = GaborSystem(g, g, a, 1 / inv_b)
         assert grid.samples_per_axis % sys.inv_b_steps != 0
         form = walnut._walnut_form(sys)
         assert len(form.cells) > 1
-        full = scattered_blocks(form)
+        full = scattered_blocks(form, sys.a_steps)
         assert np.abs(full - dense_matrix(lambda f: walnut_apply(f, sys), grid)).max() <= 1e-13
-        off = scattered_blocks(form.off_diagonal())
+        off = scattered_blocks(form.off_diagonal(), sys.a_steps)
         assert np.abs(off - dense_matrix(lambda f: apply_remainder(f, sys), grid)).max() <= 1e-13
+
+    def test_one_block_per_class(self):
+        # 2-D, 12 samples per axis, r = 5, p = 2: per axis residues {0, 1}
+        # with 3 rows and {2, 3, 4} with 2, one block for each of 2 + 2
+        # classes, so 16 blocks for the 25 residues
+        grid = Grid(1.5, 1 / 4, 2)
+        g = sample_window(WindowSpec.gaussian(0.6, 1.0), grid)
+        form = walnut._walnut_form(GaborSystem(g, g, 0.5, 0.8))
+        assert sum(len(blocks) for _, blocks in form.blocks()) == 16
 
 
 def box_window(grid, lo, hi, seed):
